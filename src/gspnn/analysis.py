@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .filters import ArmaParams, FirTaps, fir_response
 from .graphs import (
-    GraphError,
     GraphSignal,
     ShiftOperator,
     eigendecompose,
-    symmetric_eigh,
+    symmetric_eigenvalues,
 )
 from .neural import ModelSpec, ModelState, model_forward
 
@@ -68,7 +67,7 @@ def _solve_error_matrix(s_eig: ShiftOperator, delta: np.ndarray):
 
 
 def _operator_norm_symmetric(m: np.ndarray) -> float:
-    lam, _ = symmetric_eigh(m)
+    lam = symmetric_eigenvalues(m)
     return float(np.max(np.abs(lam))) if lam.size else 0.0
 
 

@@ -13,11 +13,11 @@ through repeated sparse shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, GraphSignal, ShiftOperator, symmetric_eigh
+from .graphs import GraphError, GraphSignal, ShiftOperator, symmetric_eigenvalues
 
 
 class FilterError(ValueError):
@@ -218,11 +218,7 @@ def jacobi_shift(s: ShiftOperator, gamma: float) -> np.ndarray:
 
     Shares the off-diagonal sparsity of S; equals S / gamma for hollow S.
     """
-    d = s.diagonal()
-    margin = pole_margin(s)
-    if np.min(np.abs(d - gamma)) < margin:
-        raise FilterError(f"pole {gamma} within {margin:.3g} of a diagonal entry")
-    c = 1.0 / (d - gamma)
+    c = _jacobi_scale(s, gamma)
     m = s.dense()
     off = m - np.diag(np.diag(m))
     return -c[:, None] * off
@@ -290,8 +286,7 @@ def jacobi_spectral_radius(s: ShiftOperator, gamma: float) -> float:
     if np.all(c > 0) or np.all(c < 0):
         sq = np.sqrt(np.abs(c))
         sym = sq[:, None] * off * sq[None, :]
-        lam, _ = symmetric_eigh(sym)
-        return float(np.max(np.abs(lam)))
+        return float(np.max(np.abs(symmetric_eigenvalues(sym))))
     return float(np.max(np.abs(np.linalg.eigvals(c[:, None] * off))))
 
 

@@ -510,9 +510,15 @@ class _PolicyRunner:
 
 def rollout_policy(bundle: PolicyBundle, n_agents: int, seed: int,
                    duration: float | None = None):
-    """Closed-loop run; returns (trajectory arrays, cost, diverged flag)."""
-    config = replace(bundle.config, n_agents=n_agents,
-                     duration=duration or bundle.config.duration)
+    """Closed-loop run; returns (trajectory arrays, cost, diverged flag).
+
+    ``duration`` defaults to the bundle's training duration.
+    """
+    if duration is None:
+        duration = bundle.config.duration
+    elif not (np.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+    config = replace(bundle.config, n_agents=n_agents, duration=duration)
     rng = np.random.default_rng(seed)
     state = spawn_state(config, rng)
     t_steps = config.n_steps

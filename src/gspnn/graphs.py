@@ -274,94 +274,10 @@ def permute_shift(s: ShiftOperator, perm: np.ndarray) -> ShiftOperator:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric eigendecomposition: Householder tridiagonalization followed by
-# implicit-shift QL sweeps. Self-contained; adequate up to a few thousand
-# nodes.
+# Symmetric eigendecomposition (LAPACK through numpy.linalg), with a fixed
+# eigenvector sign convention so results do not depend on the solver's choice
+# of sign.
 # ---------------------------------------------------------------------------
-
-MAX_QL_SWEEPS = 100
-
-
-def _householder_tridiagonalize(a: np.ndarray):
-    """Reduce symmetric ``a`` to tridiagonal form; returns (q, diag, offdiag)
-    with q @ T @ q.T == a."""
-    n = a.shape[0]
-    t = a.copy()
-    q = np.eye(n)
-    for k in range(n - 2):
-        x = t[k + 1:, k].copy()
-        alpha = np.linalg.norm(x)
-        if alpha == 0.0:
-            continue
-        if x[0] > 0:
-            alpha = -alpha
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # Apply P = I - 2 v v^T on both sides of the trailing block.
-        sub = t[k + 1:, k + 1:]
-        w = sub @ v
-        tau = v @ w
-        w -= tau * v
-        sub -= 2.0 * np.outer(v, w) + 2.0 * np.outer(w, v)
-        t[k + 1:, k] = 0.0
-        t[k, k + 1:] = 0.0
-        t[k + 1, k] = alpha
-        t[k, k + 1] = alpha
-        qsub = q[:, k + 1:]
-        qsub -= 2.0 * np.outer(qsub @ v, v)
-    return q, np.diag(t).copy(), np.concatenate([np.diag(t, -1), [0.0]])
-
-
-def _ql_implicit(d: np.ndarray, e: np.ndarray, v: np.ndarray, tol: float):
-    """Implicit-shift QL on tridiagonal (d, e), rotations accumulated into v."""
-    n = d.size
-    eps = np.finfo(float).eps
-    for l in range(n):
-        for sweep in range(MAX_QL_SWEEPS + 1):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= max(tol, eps * dd):
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweep == MAX_QL_SWEEPS:
-                raise GraphError("eigendecomposition failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
-            s, c = 1.0, 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f_col = v[:, i + 1].copy()
-                v[:, i + 1] = s * v[:, i] + c * f_col
-                v[:, i] = c * v[:, i] - s * f_col
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    return d, v
-
 
 def _fix_eigenvector_signs(v: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(v), axis=0)  # argmax takes the lowest index on ties
@@ -379,18 +295,15 @@ def symmetric_eigh(a: np.ndarray):
     """
     a = np.asarray(a, dtype=float)
     _check_symmetric(a)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy(), np.ones((1, 1))
-    tol = 1e-12 * np.linalg.norm(a)
-    q, d, e = _householder_tridiagonalize(a)
-    d, v = _ql_implicit(d, e, q, tol)
-    order = np.argsort(d, kind="stable")
-    return d[order], _fix_eigenvector_signs(v[:, order])
+    lam, v = np.linalg.eigh(a)
+    return lam, _fix_eigenvector_signs(v)
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
-    return symmetric_eigh(a)[0]
+    """Eigenvalues (ascending) of a symmetric matrix."""
+    a = np.asarray(a, dtype=float)
+    _check_symmetric(a)
+    return np.linalg.eigvalsh(a)
 
 
 def eigendecompose(s: ShiftOperator) -> ShiftOperator:

@@ -14,12 +14,12 @@ differentiable. Internally everything is batched: signals travel as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import EdgeVaryingSupport, FilterError, fir_mask
-from .graphs import GraphError, GraphSignal, ShiftOperator
+from .filters import EdgeVaryingSupport, fir_mask
+from .graphs import GraphSignal, ShiftOperator
 
 FAMILIES = ("fir", "arma", "edge_varying")
 NONLINEARITIES = ("relu", "tanh", "identity")
@@ -686,8 +686,18 @@ def _array_doc(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": a.ravel().tolist()}
 
 
-def _array_from_doc(doc: dict) -> np.ndarray:
-    return np.array(doc["data"], dtype=float).reshape(doc["shape"])
+def _array_from_doc(doc: dict, where: str, expected: tuple) -> np.ndarray:
+    """Read an array stored by ``_array_doc``; its shape must be the one the
+    model spec implies, so a bad file fails here rather than in a forward."""
+    shape = tuple(doc["shape"])
+    if shape != expected:
+        raise ModelError(f"checkpoint {where} has shape {shape}, "
+                         f"the spec needs {expected}")
+    data = np.array(doc["data"], dtype=float)
+    if data.size != int(np.prod(shape)):
+        raise ModelError(f"checkpoint {where} has {data.size} values "
+                         f"for shape {shape}")
+    return data.reshape(shape)
 
 
 def save_checkpoint(path, spec: ModelSpec, state: ModelState,
@@ -744,7 +754,7 @@ def load_checkpoint(path):
         raise ModelError(f"unsupported checkpoint version {doc.get('format_version')}")
     mdoc = doc["model"]
     layer_specs, layer_params = [], []
-    for ldoc in mdoc["layers"]:
+    for i, ldoc in enumerate(mdoc["layers"]):
         spec = LayerSpec(
             family=ldoc["family"], in_features=ldoc["in_features"],
             out_features=ldoc["out_features"], order=ldoc["order"],
@@ -752,26 +762,35 @@ def load_checkpoint(path):
             nonlinearity=ldoc["nonlinearity"], fir_variant=ldoc["fir_variant"],
             gin_epsilon=ldoc["gin_epsilon"])
         layer_specs.append(spec)
+        fg = (spec.out_features, spec.in_features)
+
+        def array(name, trailing):
+            return _array_from_doc(ldoc[name], f"layer {i} {name}", fg + trailing)
+
         if spec.family == "fir":
-            layer_params.append(FirLayerParams(_array_from_doc(ldoc["taps"])))
+            layer_params.append(FirLayerParams(array("taps", (spec.order + 1,))))
         elif spec.family == "arma":
             layer_params.append(ArmaLayerParams(
-                _array_from_doc(ldoc["alpha"]), _array_from_doc(ldoc["beta"]),
-                _array_from_doc(ldoc["gamma"])))
+                array("alpha", (spec.order + 1,)), array("beta", (spec.n_poles,)),
+                array("gamma", (spec.n_poles,))))
         else:
             sdoc = ldoc["support"]
             support = EdgeVaryingSupport(
                 sdoc["n_nodes"], np.array(sdoc["rows"], dtype=int),
                 np.array(sdoc["cols"], dtype=int))
             layer_params.append(EdgeLayerParams(
-                support, _array_from_doc(ldoc["diag"]),
-                _array_from_doc(ldoc["values"])))
+                support, array("diag", (support.n_nodes,)),
+                array("values", (spec.order, support.nnz))))
     rdoc = mdoc["readout"]
     spec = ModelSpec(tuple(layer_specs),
                      ReadoutSpec(rdoc["kind"], rdoc["out_dim"]),
                      mdoc["shift_mode"])
     state = ModelState(layer_params)
-    if "readout_weight" in mdoc:
-        state.readout_weight = _array_from_doc(mdoc["readout_weight"])
-        state.readout_bias = _array_from_doc(mdoc["readout_bias"])
+    if spec.readout.kind == "per_node_linear":
+        out_dim = spec.readout.out_dim
+        state.readout_weight = _array_from_doc(
+            mdoc["readout_weight"], "readout weight",
+            (spec.layers[-1].out_features, out_dim))
+        state.readout_bias = _array_from_doc(mdoc["readout_bias"],
+                                             "readout bias", (out_dim,))
     return spec, state, doc.get("metadata", {})

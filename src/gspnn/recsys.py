@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import pole_margin
-from .graphs import Graph, GraphError, ShiftKind, ShiftOperator, build_shift
+from .graphs import Graph, ShiftKind, ShiftOperator, build_shift
 from .neural import (
     ArmaLayerParams,
     LayerSpec,
@@ -26,7 +26,6 @@ from .neural import (
     apply_tap_constraints,
     forward_batch,
     init_state,
-    iter_params,
     model_backward,
     save_checkpoint,
 )
@@ -268,6 +267,11 @@ class RatingProblem(Problem):
         self.inputs = np.stack([smp.input for smp in samples])[:, :, None]
         self.targets = np.array([smp.target for smp in samples])
         self.loss = LossSpec("smooth_l1")
+        # The pole constraint depends only on the fixed shift: evaluate it once.
+        if any(layer.family == "arma" for layer in spec.layers):
+            self.pole_bounds = (shift.diagonal(), pole_margin(shift))
+        else:
+            self.pole_bounds = None
 
     def n_samples(self) -> int:
         return self.targets.size
@@ -283,11 +287,9 @@ class RatingProblem(Problem):
         return value, grads
 
     def post_step(self):
-        margin = pole_margin(self.shift)
-        diag = self.shift.diagonal()
         for layer_spec, params in zip(self.spec.layers, self.state.layers):
             if isinstance(params, ArmaLayerParams):
-                project_poles(params.gamma, diag, margin)
+                project_poles(params.gamma, *self.pole_bounds)
             if layer_spec.family == "fir":
                 apply_tap_constraints(layer_spec, params.taps)
 

@@ -339,6 +339,18 @@ def test_rollout_runs_at_other_team_sizes(tiny_policy):
     assert np.isfinite(cost) or diverged
 
 
+def test_rollout_duration_default_override_and_rejection(tiny_policy):
+    cfg, _, bundle, _ = tiny_policy
+    (_, v_default), _, _ = rollout_policy(bundle, cfg.n_agents, seed=4)
+    assert v_default.shape[0] == bundle.config.n_steps + 1
+    (_, v_short), _, _ = rollout_policy(bundle, cfg.n_agents, seed=4,
+                                        duration=0.1)
+    assert v_short.shape[0] == round(0.1 / cfg.dt) + 1
+    for bad in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="duration"):
+            rollout_policy(bundle, cfg.n_agents, seed=4, duration=bad)
+
+
 def test_scalability_sweep_shape(tiny_policy):
     _, _, bundle, _ = tiny_policy
     rows = scalability_sweep(bundle, [8, 10], trials=2, base_seed=50)

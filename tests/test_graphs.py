@@ -78,6 +78,20 @@ def path3_graph():
     return Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 
 
+def cycle_graph(n):
+    return Graph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+
+
+def complete_graph(n):
+    return Graph(n, tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)))
+
+
+# Shifts of these graphs have repeated eigenvalues. Inside a repeated
+# eigenspace the solver may return any orthonormal basis, so tests on them
+# check only properties that hold for every such basis.
+REPEATED_SPECTRUM_GRAPHS = {"C8": cycle_graph(8), "K5": complete_graph(5)}
+
+
 def test_adjacency_two_nodes():
     s = build_shift(two_node_graph(), ShiftKind.ADJACENCY)
     assert np.array_equal(s.dense(), [[0.0, 1.0], [1.0, 0.0]])
@@ -240,16 +254,44 @@ def test_eigendecompose_rejects_nonsymmetric():
         symmetric_eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
-@given(st.integers(0, 100))
-def test_eigh_matches_numpy_oracle(seed):
-    g, _ = make_random_graph(seed)
-    s = eigendecompose(build_shift(g, ShiftKind.ADJACENCY))
+def check_eigendecomposition(s):
+    """Eigenvalues match numpy, V is orthonormal, V diag(lam) V^T is S, and
+    each column's largest-magnitude entry (lowest index on ties) is positive."""
     lam_np = np.linalg.eigvalsh(s.dense())
     assert np.allclose(s.eigenvalues, lam_np, atol=1e-9)
     v = s.eigenvectors
-    assert np.linalg.norm(v.T @ v - np.eye(g.n_nodes)) <= 1e-8
+    assert np.linalg.norm(v.T @ v - np.eye(s.n_nodes)) <= 1e-8
     recon = (v * s.eigenvalues) @ v.T
     assert np.linalg.norm(recon - s.dense()) <= 1e-8 * max(np.linalg.norm(s.dense()), 1.0)
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(s.n_nodes)]
+    assert np.all(lead > 0.0)
+
+
+def check_gft_roundtrip_and_parseval(s, x):
+    xh = gft(s, x)
+    back = igft(s, xh)
+    assert np.allclose(back.values, x.values, atol=1e-10)
+    assert abs(np.linalg.norm(xh.values) - np.linalg.norm(x.values)) <= 1e-10
+
+
+@given(st.integers(0, 100))
+def test_eigh_matches_numpy_oracle(seed):
+    g, _ = make_random_graph(seed)
+    check_eigendecomposition(eigendecompose(build_shift(g, ShiftKind.ADJACENCY)))
+
+
+@pytest.mark.parametrize("kind", [ShiftKind.ADJACENCY, ShiftKind.LAPLACIAN,
+                                  ShiftKind.NORMALIZED_ADJACENCY])
+@pytest.mark.parametrize("name", sorted(REPEATED_SPECTRUM_GRAPHS))
+def test_repeated_eigenvalues_decompose_and_roundtrip(name, kind):
+    g = REPEATED_SPECTRUM_GRAPHS[name]
+    s = eigendecompose(build_shift(g, kind))
+    assert np.min(np.diff(s.eigenvalues)) < 1e-9  # the spectrum does repeat
+    check_eigendecomposition(s)
+    x = GraphSignal(np.random.default_rng(g.n_nodes).normal(size=(g.n_nodes, 2)))
+    check_gft_roundtrip_and_parseval(s, x)
+    assert np.allclose(gft(s, GraphSignal(s.eigenvectors)).values,
+                       np.eye(g.n_nodes), atol=1e-10)
 
 
 @given(st.integers(0, 100))
@@ -281,11 +323,7 @@ def test_gft_of_eigenvector_is_basis_vector():
 def test_gft_roundtrip_and_parseval(seed):
     g, r = make_random_graph(seed, n=int(np.random.default_rng(seed).integers(2, 64)))
     s = eigendecompose(build_shift(g, ShiftKind.ADJACENCY))
-    x = GraphSignal(r.normal(size=(g.n_nodes, 2)))
-    xh = gft(s, x)
-    back = igft(s, xh)
-    assert np.allclose(back.values, x.values, atol=1e-10)
-    assert abs(np.linalg.norm(xh.values) - np.linalg.norm(x.values)) <= 1e-10
+    check_gft_roundtrip_and_parseval(s, GraphSignal(r.normal(size=(g.n_nodes, 2))))
 
 
 def test_gft_requires_eig():
