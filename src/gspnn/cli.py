@@ -56,7 +56,7 @@ DATA_DIR_ENV = "GSPNN_DATA_DIR"
 # schema: group -> leaf -> {key: (type, default)}; None default means
 # required. Global keys apply to every command.
 GLOBAL_KEYS = {"seed": (int, 0), "out": (str, "gspnn_out"),
-               "config": (str, ""), "threads": (int, 1)}
+               "config": (str, "")}
 
 SCHEMA = {
     "recsys": {
@@ -337,14 +337,19 @@ def _sweep_csv(path, rows: list[dict], model: str) -> None:
                              repr(row["std_cost"]), model])
 
 
+def _load_policy(ctx: RunContext, cfg: dict):
+    """The policy bundle and its model name, from one checkpoint read."""
+    spec, state, meta = load_checkpoint(ctx.note_input(Path(cfg["checkpoint"])))
+    return fl.policy_from_checkpoint(spec, state, meta), meta.get("model", "gcnn")
+
+
 def cmd_flocking_evaluate(cfg: dict) -> int:
     ctx = RunContext("flocking evaluate", cfg)
-    bundle = fl.load_policy(ctx.note_input(Path(cfg["checkpoint"])))
-    spec_ck, _, meta = load_checkpoint(Path(cfg["checkpoint"]))
+    bundle, model = _load_policy(ctx, cfg)
     agents = cfg["agents"] or bundle.config.n_agents
     rows = fl.scalability_sweep(bundle, [agents], cfg["trials"],
                                 base_seed=10_000 + cfg["seed"])
-    _sweep_csv(ctx.out_path("costs.csv"), rows, meta.get("model", "gcnn"))
+    _sweep_csv(ctx.out_path("costs.csv"), rows, model)
     expert = np.mean([fl.expert_rollout_cost(
         fl.FlockConfig(**{**bundle.config.__dict__, "n_agents": agents}),
         10_000 + cfg["seed"] + t) for t in range(cfg["trials"])])
@@ -356,12 +361,11 @@ def cmd_flocking_evaluate(cfg: dict) -> int:
 
 def cmd_flocking_sweep(cfg: dict) -> int:
     ctx = RunContext("flocking sweep", cfg)
-    bundle = fl.load_policy(ctx.note_input(Path(cfg["checkpoint"])))
-    _, _, meta = load_checkpoint(Path(cfg["checkpoint"]))
+    bundle, model = _load_policy(ctx, cfg)
     sizes = _parse_ints(cfg["sizes"])
     rows = fl.scalability_sweep(bundle, sizes, cfg["trials"],
                                 base_seed=10_000 + cfg["seed"])
-    _sweep_csv(ctx.out_path("sweep.csv"), rows, meta.get("model", "gcnn"))
+    _sweep_csv(ctx.out_path("sweep.csv"), rows, model)
     ctx.write_manifest()
     for row in rows:
         print(f"N={row['n_agents']}: {row['mean_cost']:.1f} "

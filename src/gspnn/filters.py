@@ -92,28 +92,37 @@ def fir_mask(variant: str, order: int, epsilon: float = 0.0) -> FirTaps:
     return FirTaps(taps, mask, variant=variant)
 
 
-def fir_shifted_stack(s: ShiftOperator, x: np.ndarray, order: int) -> np.ndarray:
-    """Stack [x, Sx, S^2 x, ..., S^K x] computed by iterated shifts."""
-    zs = np.empty((order + 1,) + x.shape)
-    zs[0] = x
-    for k in range(1, order + 1):
-        zs[k] = s.apply(zs[k - 1])
-    return zs
+def fir_bank_contract(zs: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Filter-bank output u[b, n, f] = sum_{k, g} taps[f, g, k] zs[b, n, k, g].
+
+    ``zs`` is a C-contiguous (B, N, K+1, G) shifted stack and ``taps`` is
+    (F, G, K+1); the whole bank is one (B*N, (K+1)*G) @ ((K+1)*G, F) product,
+    returned as (B, N, F). Every FIR filter bank, neural or not, goes through
+    this kernel.
+    """
+    b, n, k1, g = zs.shape
+    weights = taps.transpose(2, 1, 0).reshape(k1 * g, taps.shape[0])
+    return (zs.reshape(b * n, k1 * g) @ weights).reshape(b, n, -1)
 
 
 def fir_apply(h: FirTaps, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
     """Apply sum_k h_k S^k x by iterated shifts.
 
-    Accumulates in ascending k so the result matches the neural layer kernel
-    bit for bit in the single-feature case.
+    Each feature of ``x`` is filtered alone: features become the batch of a
+    one-input, one-output bank run through ``fir_bank_contract``. Sharing
+    that kernel makes the result bit-identical to a single-feature neural
+    FIR layer with the same taps.
     """
     if x.n_nodes != s.n_nodes:
         raise GraphError(f"shift is {s.n_nodes} nodes, signal has {x.n_nodes}")
-    zs = fir_shifted_stack(s, x.values, h.order)
-    out = h.taps[0] * zs[0]
+    v = x.values
+    zs = np.empty((x.n_features, x.n_nodes, h.taps.size, 1))
+    zs[:, :, 0, 0] = v.T
     for k in range(1, h.taps.size):
-        out += h.taps[k] * zs[k]
-    return GraphSignal(out)
+        v = s.apply(v)
+        zs[:, :, k, 0] = v.T
+    out = fir_bank_contract(zs, h.taps.reshape(1, 1, -1))
+    return GraphSignal(out[:, :, 0].T)
 
 
 @dataclass(frozen=True)

@@ -232,20 +232,31 @@ class TrajectorySample:
         return _normalized_shift_dense(mask)
 
     def delayed_stacks(self, order: int) -> np.ndarray:
-        """(T, order+1, N, 6) chained-shift feature stacks, cached."""
-        if self._zs is not None and self._zs.shape[1] == order + 1:
+        """Chained-shift feature stacks, cached: a C-contiguous
+        (T, N, order+1, 6) array whose entry [t, :, k] is
+        S(t) ... S(t-k+1) x(t-k), zero where the history is too short.
+
+        Each step is one batch row of the (B, N, K+1, G) stack that
+        ``filters.fir_bank_contract`` reads.
+        """
+        if self._zs is not None and self._zs.shape[2] == order + 1:
             return self._zs
         t_steps, n = self.n_steps, self.n_agents
-        zs = np.zeros((t_steps, order + 1, n, 6))
-        for t in range(t_steps):
-            zs[t, 0] = self.features[t]
-            if t == 0:
-                continue
-            s_t = self.shift_dense(t)
-            for k in range(1, order + 1):
-                zs[t, k] = s_t @ zs[t - 1, k - 1]
+        zs = np.zeros((t_steps, n, order + 1, 6))
+        zs[:, :, 0] = self.features
+        for t in range(1, t_steps):
+            _advance_delayed(self.shift_dense(t), zs[t - 1], zs[t])
         self._zs = zs
         return zs
+
+
+def _advance_delayed(shift_dense: np.ndarray, prev: np.ndarray,
+                     out: np.ndarray) -> None:
+    """One step of the delayed chain on (N, K+1, G) stacks:
+    out[:, k] = S(t) prev[:, k-1] for k >= 1. ``out`` may be ``prev``."""
+    n, k1, g = prev.shape
+    shifted = shift_dense @ prev[:, :k1 - 1].reshape(n, (k1 - 1) * g)
+    out[:, 1:] = shifted.reshape(n, k1 - 1, g)
 
 
 def _mask_connected(mask: np.ndarray) -> bool:
@@ -456,12 +467,10 @@ class ImitationProblem(Problem):
                 sample._zs = None
             zs_list.append(zs)
             targets.append(sample.actions / self.u_max)
-        zs_all = np.concatenate(zs_list)            # (B*T, K+1, N, 6)
+        zs_all = np.concatenate(zs_list)            # (B*T, N, K+1, 6)
         target = np.concatenate(targets)            # (B*T, N, 2)
-        first_layer_zs = zs_all.transpose(1, 0, 2, 3)
         out, tape = forward_batch(self.spec, self.state, None,
-                                  first_layer_zs[0],
-                                  first_layer_zs=first_layer_zs)
+                                  zs_all[:, :, 0], first_layer_zs=zs_all)
         value, dpred = loss_eval(self.loss, out, target)
         grads = model_backward(tape, self.spec, self.state, dpred)
         return value, grads
@@ -496,15 +505,14 @@ class _PolicyRunner:
     def __init__(self, bundle: PolicyBundle, n_agents: int):
         self.bundle = bundle
         order = bundle.spec.layers[0].order
-        self.zs = np.zeros((order + 1, n_agents, 6))
+        self.zs = np.zeros((1, n_agents, order + 1, 6))
 
     def act(self, shift_dense: np.ndarray, features: np.ndarray) -> np.ndarray:
         zs = self.zs
-        for k in range(zs.shape[0] - 1, 0, -1):
-            zs[k] = shift_dense @ zs[k - 1]
-        zs[0] = features
+        _advance_delayed(shift_dense, zs[0], zs[0])
+        zs[0, :, 0] = features
         out, _ = forward_batch(self.bundle.spec, self.bundle.state, None,
-                               zs[0][None], first_layer_zs=zs[:, None])
+                               zs[:, :, 0], first_layer_zs=zs)
         return out[0] * self.bundle.action_scale
 
 
@@ -590,7 +598,13 @@ def save_policy(path, bundle: PolicyBundle, extra: dict | None = None) -> None:
 
 
 def load_policy(path) -> PolicyBundle:
-    spec, state, meta = load_checkpoint(path)
+    return policy_from_checkpoint(*load_checkpoint(path))
+
+
+def policy_from_checkpoint(spec: ModelSpec, state: ModelState,
+                           meta: dict) -> PolicyBundle:
+    """Bundle a loaded checkpoint with the flocking metadata save_policy
+    stored next to it."""
     cfg = meta["config"]
     config = FlockConfig(
         n_agents=cfg["n_agents"], duration=cfg["duration"], dt=cfg["dt"],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import EdgeVaryingSupport, fir_mask
+from .filters import EdgeVaryingSupport, fir_bank_contract, fir_mask
 from .graphs import GraphSignal, ShiftOperator
 
 FAMILIES = ("fir", "arma", "edge_varying")
@@ -245,6 +245,19 @@ def _shift_batched(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
     return out.reshape(n, b, g).transpose(1, 0, 2)
 
 
+def _shifted_stack(s: ShiftOperator, x: np.ndarray, order: int) -> np.ndarray:
+    """(B, N, K+1, G) stack [x, Sx, ..., S^K x] of a (B, N, G) signal, laid
+    out for ``fir_bank_contract``."""
+    b, n, g = x.shape
+    zs = np.empty((b, n, order + 1, g))
+    zs[:, :, 0] = x
+    cur = x.transpose(1, 0, 2).reshape(n, b * g)
+    for k in range(1, order + 1):
+        cur = s.apply(cur)
+        zs[:, :, k] = cur.reshape(n, b, g).transpose(1, 0, 2)
+    return zs
+
+
 def _shift_nd(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
     """Apply S along the last axis of an (..., N) array."""
     lead = arr.shape[:-1]
@@ -260,12 +273,17 @@ def _shift_nd(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _FirTape:
-    zs: np.ndarray  # (K+1, B, N, G) shifted inputs
+    """Shifted inputs zs[b, n, k, g] = (S^k x_g)[b, n], or the delayed
+    chain S(t)...S(t-k+1) x(t-k) in time-varying mode: a C-contiguous
+    (B, N, K+1, G) stack, the layout ``fir_bank_contract`` reads as one
+    (B*N, (K+1)*G) matrix."""
+
+    zs: np.ndarray
 
 
 @dataclass
 class _ArmaTape:
-    zs: np.ndarray          # direct part shifted inputs
+    zs: np.ndarray          # (B, N, K+1, G) direct part shifted inputs
     c: np.ndarray           # (F, G, P, N) diagonal pole scaling
     d: np.ndarray           # (N,) shift diagonal
     b0: np.ndarray          # (B, F, G, P, N) beta * c * x
@@ -313,30 +331,24 @@ def _nonlin_backward(kind: str, u: np.ndarray, out: np.ndarray,
     return dout
 
 
-def _fir_bank_contract(zs: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """sum_k zs[k] @ taps[:, :, k].T accumulated in ascending k order."""
-    out = zs[0] @ taps[:, :, 0].T
-    for k in range(1, taps.shape[2]):
-        out += zs[k] @ taps[:, :, k].T
-    return out
+def _bank_tap_grad(zs: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Tap gradient of ``fir_bank_contract``: one ((K+1)*G, B*N) @ (B*N, F)
+    product, returned as (F, G, K+1)."""
+    b, n, k1, g = zs.shape
+    grad = zs.reshape(b * n, k1 * g).T @ du.reshape(b * n, -1)
+    return np.ascontiguousarray(grad.reshape(k1, g, -1).transpose(2, 1, 0))
 
 
 def _fir_forward(layer: LayerSpec, params: FirLayerParams, s: ShiftOperator,
                  x: np.ndarray, zs: np.ndarray | None = None):
     if zs is None:
-        k1 = layer.order + 1
-        zs = np.empty((k1,) + x.shape)
-        zs[0] = x
-        for k in range(1, k1):
-            zs[k] = _shift_batched(s, zs[k - 1])
-    u = _fir_bank_contract(zs, params.taps)
-    return u, _FirTape(zs)
+        zs = _shifted_stack(s, x, layer.order)
+    return fir_bank_contract(zs, params.taps), _FirTape(zs)
 
 
 def _fir_backward(layer: LayerSpec, params: FirLayerParams, tape: _FirTape,
                   s: ShiftOperator | None, du: np.ndarray, need_dx: bool):
-    zs = tape.zs
-    gtaps = np.einsum("bnf,kbng->fgk", du, zs, optimize=True)
+    gtaps = _bank_tap_grad(tape.zs, du)
     fold_tap_gradients(layer, gtaps)
     dx = None
     if need_dx:
@@ -352,12 +364,8 @@ def _fir_backward(layer: LayerSpec, params: FirLayerParams, tape: _FirTape,
 def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
                   x: np.ndarray):
     # Direct polynomial part reuses the FIR path.
-    k1 = layer.order + 1
-    zs = np.empty((k1,) + x.shape)
-    zs[0] = x
-    for k in range(1, k1):
-        zs[k] = _shift_batched(s, zs[k - 1])
-    u = _fir_bank_contract(zs, params.alpha)
+    zs = _shifted_stack(s, x, layer.order)
+    u = fir_bank_contract(zs, params.alpha)
 
     p = layer.n_poles
     if p == 0:
@@ -369,8 +377,8 @@ def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
     t = layer.jacobi_iters
     bdim = x.shape[0]
     # xb[b,f,g,p,n] = x[b,n,g]
-    xb = np.broadcast_to(x.transpose(0, 2, 1)[:, None, :, None, :],
-                         (bdim,) + c.shape)
+    xt = x.transpose(0, 2, 1)[:, None, :, None, :]
+    xb = np.broadcast_to(xt, (bdim,) + c.shape)
     b0 = params.beta[None, ..., None] * c[None] * xb
     bs = np.empty((t,) + b0.shape)
     bs[0] = b0
@@ -378,7 +386,10 @@ def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
         bs[m] = _jacobi_r_apply(s, c, d, bs[m - 1])
     rs = np.empty((t + 1,) + b0.shape)
     rs[0] = xb
-    for m in range(1, t + 1):
+    # R x = c * (d * x - S x) with S x shared by every (f, p): shift x once.
+    sx = zs[:, :, 1] if layer.order else _shift_batched(s, x)
+    rs[1] = c[None] * (d * xt - sx.transpose(0, 2, 1)[:, None, :, None, :])
+    for m in range(2, t + 1):
         rs[m] = _jacobi_r_apply(s, c, d, rs[m - 1])
     pole_out = bs.sum(axis=0) + rs[t]          # (B,F,G,P,N)
     u += pole_out.sum(axis=(2, 3)).transpose(0, 2, 1)
@@ -400,7 +411,7 @@ def _jacobi_rt_apply(s: ShiftOperator, c: np.ndarray, d: np.ndarray,
 
 def _arma_backward(layer: LayerSpec, params: ArmaLayerParams, tape: _ArmaTape,
                    du: np.ndarray, need_dx: bool):
-    galpha = np.einsum("bnf,kbng->fgk", du, tape.zs, optimize=True)
+    galpha = _bank_tap_grad(tape.zs, du)
     dx = None
     if need_dx:
         k = layer.order
@@ -490,10 +501,10 @@ def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
     gvals = np.zeros_like(params.values)
     sens = np.array(delta, copy=True)  # sensitivity at z^(K)
     for k in range(k_ord, 0, -1):
+        # no optimize=True: its batched-matmul path copies both gathers
         gvals[:, :, k - 1, :] = np.einsum(
             "fgeb,fgeb->fge",
-            sens[:, :, sup.rows, :], tape.zs[k - 1][:, :, sup.cols, :],
-            optimize=True)
+            sens[:, :, sup.rows, :], tape.zs[k - 1][:, :, sup.cols, :])
         sens_flat = np.matmul(tape.phi_dense[k - 1].transpose(0, 2, 1),
                               sens.reshape(f * g, n, bdim))
         sens = sens_flat.reshape(f, g, n, bdim) + delta
@@ -511,12 +522,12 @@ def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
 
 def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
                   x: np.ndarray, first_layer_zs: np.ndarray | None = None):
-    """Batched forward pass on a (batch, nodes, features) array."""
-    return _forward_batch(spec, state, s, x, first_layer_zs=first_layer_zs)
+    """Batched forward pass on a (batch, nodes, features) array.
 
-
-def _forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
-                   x: np.ndarray, first_layer_zs: np.ndarray | None = None):
+    ``first_layer_zs`` is a precomputed (B, N, K+1, G) stack for a first FIR
+    layer (the delayed chain in time-varying mode); ``x`` is then its k = 0
+    slice.
+    """
     inputs, layer_tapes, preacts, outputs = [], [], [], []
     cur = x
     for i, (layer, params) in enumerate(zip(spec.layers, state.layers)):
@@ -550,7 +561,7 @@ def model_forward(spec: ModelSpec, state: ModelState, s: ShiftOperator,
     """Run the model on one signal; returns (output signal, tape)."""
     if spec.shift_mode != "static":
         raise ModelError("use model_forward_delayed for time-varying models")
-    out, tape = _forward_batch(spec, state, s, x.values[None])
+    out, tape = forward_batch(spec, state, s, x.values[None])
     return GraphSignal(out[0]), tape
 
 
@@ -559,18 +570,19 @@ def delayed_input_stack(shift_history: list[ShiftOperator],
     """Chained-shift stack for a delayed FIR layer at one time step.
 
     Entry k is S(t) S(t-1) ... S(t-k+1) x(t-k); missing history entries are
-    zero-padded. Arrays are (N, G); the result is (K+1, 1, N, G).
+    zero-padded. Arrays are (N, G); the result is the (1, N, K+1, G) stack
+    ``fir_bank_contract`` reads.
     """
     n, g = signal_history[0].shape
-    zs = np.zeros((order + 1, 1, n, g))
-    zs[0, 0] = signal_history[0]
+    zs = np.zeros((1, n, order + 1, g))
+    zs[0, :, 0] = signal_history[0]
     for k in range(1, order + 1):
         if k >= len(signal_history) or k > len(shift_history):
             continue
         w = signal_history[k]
         for j in range(k - 1, -1, -1):
             w = shift_history[j].apply(w)
-        zs[k, 0] = w
+        zs[0, :, k] = w
     return zs
 
 
@@ -583,7 +595,7 @@ def model_forward_delayed(spec: ModelSpec, state: ModelState,
     order = spec.layers[0].order
     zs = delayed_input_stack(shift_history,
                              [sig.values for sig in signal_history], order)
-    out, tape = _forward_batch(spec, state, None, zs[0], first_layer_zs=zs)
+    out, tape = forward_batch(spec, state, None, zs[:, :, 0], first_layer_zs=zs)
     return GraphSignal(out[0]), tape
 
 
@@ -644,10 +656,10 @@ def equivariant_forward_check(spec: ModelSpec, state: ModelState,
     from .graphs import permute_shift
 
     perm = np.asarray(perm)
-    base, _ = _forward_batch(spec, state, s, x.values[None])
+    base, _ = forward_batch(spec, state, s, x.values[None])
     s_perm = permute_shift(s, perm)
     state_perm = _rebind_state(spec, state, s_perm)
-    permuted, _ = _forward_batch(spec, state_perm, s_perm, x.values[perm][None])
+    permuted, _ = forward_batch(spec, state_perm, s_perm, x.values[perm][None])
     num = np.linalg.norm(permuted[0] - base[0][perm])
     den = max(np.linalg.norm(base[0]), 1e-300)
     family_equivariant = all(l.family in ("fir", "arma") for l in spec.layers)

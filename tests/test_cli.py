@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+from gspnn import cli, flocking, neural
+from gspnn.cli import ConfigError, main, parse_config
+from gspnn.flocking import FlockConfig, PolicyBundle, build_policy_spec, save_policy
+from gspnn.neural import init_state
+
+
+def test_threads_config_key_is_rejected_by_name(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: 3\nthreads: 2\n")
+    with pytest.raises(ConfigError, match="unknown config key threads"):
+        parse_config("analyze", "response", {"config": str(config)})
+    code = main(["analyze", "response", "--config", str(config),
+                 "--taps", "1,0.5", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "unknown config key threads" in capsys.readouterr().err
+
+
+@pytest.fixture
+def policy_checkpoint(tmp_path):
+    config = FlockConfig(n_agents=6, duration=0.05)
+    spec = build_policy_spec()
+    state = init_state(spec, np.random.default_rng(0))
+    path = tmp_path / "policy.json"
+    save_policy(path, PolicyBundle(spec, state, config.u_max, config),
+                extra={"model": "fir"})
+    return path
+
+
+@pytest.mark.parametrize("leaf,flags,csv_name", [
+    ("evaluate", ["--trials", "1"], "costs.csv"),
+    ("sweep", ["--trials", "1", "--sizes", "6"], "sweep.csv"),
+])
+def test_flocking_commands_read_the_checkpoint_once(policy_checkpoint, tmp_path,
+                                                    monkeypatch, leaf, flags,
+                                                    csv_name):
+    calls = []
+    original = neural.load_checkpoint
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    for module in (cli, flocking, neural):
+        monkeypatch.setattr(module, "load_checkpoint", counting)
+    out = tmp_path / "out"
+    code = main(["flocking", leaf, "--checkpoint", str(policy_checkpoint),
+                 "--out", str(out), *flags])
+    assert code == 0
+    assert len(calls) == 1
+    # the model name still comes from the checkpoint's metadata
+    assert (out / csv_name).read_text().splitlines()[1].endswith(",fir")
