@@ -452,7 +452,9 @@ def cmd_analyze_stability(cfg: dict) -> int:
     ctx = RunContext("analyze stability", cfg)
     rng = np.random.default_rng(cfg["seed"])
     g = random_graph(cfg["nodes"], 0.35, rng, weighted=True)
-    s = eigendecompose(build_shift(g, ShiftKind.ADJACENCY))
+    # Normalized, so the Perron eigenvalue does not dominate every layer and
+    # leave the sampler no relu stack with a nonzero output.
+    s = eigendecompose(build_shift(g, ShiftKind.NORMALIZED_ADJACENCY))
     spec, state = sample_lipschitz_gcnn(s, cfg["depth"], cfg["order"], rng)
     inputs = [x / np.linalg.norm(x) for x in
               (rng.normal(size=cfg["nodes"]) for _ in range(cfg["n_inputs"]))]

@@ -4,8 +4,9 @@ A FIR graph filter is a polynomial in the shift operator applied by repeated
 one-hop shifts. An ARMA filter adds single-pole terms beta / (lambda - gamma)
 to the response; it is evaluated either exactly (dense solve, the reference
 path) or by unrolled Jacobi iterations (the trainable, distributable path).
-An edge-varying filter gives every stored coordinate of I + S its own weight
-at every step, generalizing both.
+``jacobi_iterates`` is the one Jacobi recursion: ``jacobi_single_pole`` and
+the neural ARMA layer both run it. An edge-varying filter gives every stored
+coordinate of I + S its own weight at every step, generalizing both.
 
 Matrix powers of the shift are never materialized; every family is applied
 through repeated sparse shifts.
@@ -105,6 +106,19 @@ def fir_bank_contract(zs: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return (zs.reshape(b * n, k1 * g) @ weights).reshape(b, n, -1)
 
 
+def shifted_stack(s: ShiftOperator, x: np.ndarray, order: int) -> np.ndarray:
+    """(B, N, K+1, G) stack [x, Sx, ..., S^K x] of a (B, N, G) signal, laid
+    out for ``fir_bank_contract``."""
+    b, n, g = x.shape
+    zs = np.empty((b, n, order + 1, g))
+    zs[:, :, 0] = x
+    cur = x.transpose(1, 0, 2).reshape(n, b * g)
+    for k in range(1, order + 1):
+        cur = s.apply(cur)
+        zs[:, :, k] = cur.reshape(n, b, g).transpose(1, 0, 2)
+    return zs
+
+
 def fir_apply(h: FirTaps, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
     """Apply sum_k h_k S^k x by iterated shifts.
 
@@ -115,12 +129,7 @@ def fir_apply(h: FirTaps, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
     """
     if x.n_nodes != s.n_nodes:
         raise GraphError(f"shift is {s.n_nodes} nodes, signal has {x.n_nodes}")
-    v = x.values
-    zs = np.empty((x.n_features, x.n_nodes, h.taps.size, 1))
-    zs[:, :, 0, 0] = v.T
-    for k in range(1, h.taps.size):
-        v = s.apply(v)
-        zs[:, :, k, 0] = v.T
+    zs = shifted_stack(s, x.values.T[:, :, None], h.order)
     out = fir_bank_contract(zs, h.taps.reshape(1, 1, -1))
     return GraphSignal(out[:, :, 0].T)
 
@@ -241,15 +250,31 @@ def _jacobi_scale(s: ShiftOperator, gamma: float) -> np.ndarray:
     return 1.0 / (d - gamma)
 
 
-def jacobi_shift_apply(s: ShiftOperator, gamma: float, v: np.ndarray,
-                       c: np.ndarray | None = None) -> np.ndarray:
-    """R(gamma) @ v without materializing R: c * (d * v - S v)."""
-    if c is None:
-        c = _jacobi_scale(s, gamma)
+def shift_nd(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
+    """Apply S along the last axis of an (..., N) array."""
+    lead = arr.shape[:-1]
+    n = arr.shape[-1]
+    flat = arr.reshape(-1, n).T
+    out = s.apply(flat)
+    return out.T.reshape(lead + (n,))
+
+
+def jacobi_iterates(s: ShiftOperator, c: np.ndarray, b: np.ndarray,
+                    x: np.ndarray, sx: np.ndarray, iters: int) -> np.ndarray:
+    """Jacobi iterates u_1 ... u_T of u_m = b + c * (d * u_{m-1} - S u_{m-1})
+    from u_0 = x, stacked as a (T, ...) array.
+
+    The node axis is last in every operand and the operands broadcast
+    against each other; ``d`` is the diagonal of S and ``sx`` is S x, which
+    callers usually have already.
+    """
     d = s.diagonal()
-    cc = c[:, None] if v.ndim > 1 else c
-    dd = d[:, None] if v.ndim > 1 else d
-    return cc * (dd * v - s.apply(v))
+    u = b + c * (d * x - sx)
+    us = np.empty((iters,) + u.shape)
+    us[0] = u
+    for m in range(1, iters):
+        us[m] = b + c * (d * us[m - 1] - shift_nd(s, us[m - 1]))
+    return us
 
 
 def jacobi_single_pole(s: ShiftOperator, gamma: float, beta: float, iters: int,
@@ -265,11 +290,9 @@ def jacobi_single_pole(s: ShiftOperator, gamma: float, beta: float, iters: int,
     if x.n_nodes != s.n_nodes:
         raise GraphError("signal size does not match shift")
     c = _jacobi_scale(s, gamma)
-    b = beta * c[:, None] * x.values
-    u = x.values
-    for _ in range(iters):
-        u = b + jacobi_shift_apply(s, gamma, u, c=c)
-    return GraphSignal(u)
+    xt = x.values.T
+    us = jacobi_iterates(s, c, beta * c * xt, xt, s.apply(x.values).T, iters)
+    return GraphSignal(us[-1].T)
 
 
 def arma_apply_jacobi(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
@@ -426,38 +449,3 @@ def edge_varying_from_fir(s: ShiftOperator, h: FirTaps) -> EdgeVaryingParams:
     vals = np.array([support.values_from_dense(m, check=False) for m in mats]) \
         if mats else np.zeros((0, support.nnz))
     return EdgeVaryingParams(support, diag, vals)
-
-
-# ---------------------------------------------------------------------------
-# Delayed FIR filters for time-varying graphs
-# ---------------------------------------------------------------------------
-
-def delayed_fir_apply(h: FirTaps, shift_history: list[ShiftOperator],
-                      signal_history: list[GraphSignal]) -> GraphSignal:
-    """Time-varying convolution sum_k h_k S(t) ... S(t-k+1) x(t-k).
-
-    ``shift_history`` is [S(t), S(t-1), ...] (K entries reach order K) and
-    ``signal_history`` is [x(t), x(t-1), ...]; histories shorter than the
-    filter order are zero-padded (terms needing missing entries drop out).
-    """
-    order = h.order
-    n = signal_history[0].n_nodes if signal_history else 0
-    for item in signal_history:
-        if item.n_nodes != n:
-            raise GraphError("node counts differ across the signal history")
-    for sop in shift_history:
-        if sop.n_nodes != n:
-            raise GraphError("node counts differ across the shift history")
-    if not signal_history:
-        raise GraphError("signal history is empty")
-    out = h.taps[0] * signal_history[0].values
-    for k in range(1, order + 1):
-        if h.taps[k] == 0.0:
-            continue
-        if k >= len(signal_history) or k > len(shift_history):
-            continue  # zero-padded history
-        w = signal_history[k].values
-        for j in range(k - 1, -1, -1):
-            w = shift_history[j].apply(w)
-        out = out + h.taps[k] * w
-    return GraphSignal(out)

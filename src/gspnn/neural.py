@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import EdgeVaryingSupport, fir_bank_contract, fir_mask
+from .filters import (
+    EdgeVaryingSupport,
+    fir_bank_contract,
+    fir_mask,
+    jacobi_iterates,
+    shift_nd,
+    shifted_stack,
+)
 from .graphs import GraphSignal, ShiftOperator
 
 FAMILIES = ("fir", "arma", "edge_varying")
@@ -245,28 +252,6 @@ def _shift_batched(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
     return out.reshape(n, b, g).transpose(1, 0, 2)
 
 
-def _shifted_stack(s: ShiftOperator, x: np.ndarray, order: int) -> np.ndarray:
-    """(B, N, K+1, G) stack [x, Sx, ..., S^K x] of a (B, N, G) signal, laid
-    out for ``fir_bank_contract``."""
-    b, n, g = x.shape
-    zs = np.empty((b, n, order + 1, g))
-    zs[:, :, 0] = x
-    cur = x.transpose(1, 0, 2).reshape(n, b * g)
-    for k in range(1, order + 1):
-        cur = s.apply(cur)
-        zs[:, :, k] = cur.reshape(n, b, g).transpose(1, 0, 2)
-    return zs
-
-
-def _shift_nd(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
-    """Apply S along the last axis of an (..., N) array."""
-    lead = arr.shape[:-1]
-    n = arr.shape[-1]
-    flat = arr.reshape(-1, n).T
-    out = s.apply(flat)
-    return out.T.reshape(lead + (n,))
-
-
 # ---------------------------------------------------------------------------
 # Layer forward/backward
 # ---------------------------------------------------------------------------
@@ -283,12 +268,10 @@ class _FirTape:
 
 @dataclass
 class _ArmaTape:
-    zs: np.ndarray          # (B, N, K+1, G) direct part shifted inputs
-    c: np.ndarray           # (F, G, P, N) diagonal pole scaling
-    d: np.ndarray           # (N,) shift diagonal
-    b0: np.ndarray          # (B, F, G, P, N) beta * c * x
-    bs: np.ndarray | None   # (T, B, F, G, P, N) powers R^m b, m = 0..T-1
-    rs: np.ndarray | None   # (T+1, B, F, G, P, N) powers R^m x, m = 0..T
+    zs: np.ndarray          # (B, N, K+1, G) direct part shifted inputs; the
+                            # k = 0 slice is the layer input x
+    c: np.ndarray | None    # (F, G, P, N) pole scaling 1 / (d - gamma)
+    us: np.ndarray | None   # (T, B, F, G, P, N) Jacobi iterates u_1..u_T
     shift: ShiftOperator
 
 
@@ -342,7 +325,7 @@ def _bank_tap_grad(zs: np.ndarray, du: np.ndarray) -> np.ndarray:
 def _fir_forward(layer: LayerSpec, params: FirLayerParams, s: ShiftOperator,
                  x: np.ndarray, zs: np.ndarray | None = None):
     if zs is None:
-        zs = _shifted_stack(s, x, layer.order)
+        zs = shifted_stack(s, x, layer.order)
     return fir_bank_contract(zs, params.taps), _FirTape(zs)
 
 
@@ -364,97 +347,56 @@ def _fir_backward(layer: LayerSpec, params: FirLayerParams, tape: _FirTape,
 def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
                   x: np.ndarray):
     # Direct polynomial part reuses the FIR path.
-    zs = _shifted_stack(s, x, layer.order)
+    zs = shifted_stack(s, x, layer.order)
     u = fir_bank_contract(zs, params.alpha)
 
-    p = layer.n_poles
-    if p == 0:
-        return u, _ArmaTape(zs, None, None, None, None, None, s)
+    if layer.n_poles == 0:
+        return u, _ArmaTape(zs, None, None, s)
 
-    d = s.diagonal()
-    denom = d[None, None, None, :] - params.gamma[..., None]  # (F,G,P,N)
-    c = 1.0 / denom
-    t = layer.jacobi_iters
-    bdim = x.shape[0]
-    # xb[b,f,g,p,n] = x[b,n,g]
-    xt = x.transpose(0, 2, 1)[:, None, :, None, :]
-    xb = np.broadcast_to(xt, (bdim,) + c.shape)
-    b0 = params.beta[None, ..., None] * c[None] * xb
-    bs = np.empty((t,) + b0.shape)
-    bs[0] = b0
-    for m in range(1, t):
-        bs[m] = _jacobi_r_apply(s, c, d, bs[m - 1])
-    rs = np.empty((t + 1,) + b0.shape)
-    rs[0] = xb
-    # R x = c * (d * x - S x) with S x shared by every (f, p): shift x once.
+    c = 1.0 / (s.diagonal()[None, None, None, :] - params.gamma[..., None])
+    # x and S x as (B, 1, G, 1, N), broadcast against c's (F, G, P, N); S x
+    # is shared by every (f, p), so x is shifted once.
     sx = zs[:, :, 1] if layer.order else _shift_batched(s, x)
-    rs[1] = c[None] * (d * xt - sx.transpose(0, 2, 1)[:, None, :, None, :])
-    for m in range(2, t + 1):
-        rs[m] = _jacobi_r_apply(s, c, d, rs[m - 1])
-    pole_out = bs.sum(axis=0) + rs[t]          # (B,F,G,P,N)
-    u += pole_out.sum(axis=(2, 3)).transpose(0, 2, 1)
-    return u, _ArmaTape(zs, c, d, b0, bs, rs, s)
-
-
-def _jacobi_r_apply(s: ShiftOperator, c: np.ndarray, d: np.ndarray,
-                    v: np.ndarray) -> np.ndarray:
-    """R v = c * (d * v - S v) along the trailing node axis."""
-    return c[None] * (d * v - _shift_nd(s, v))
-
-
-def _jacobi_rt_apply(s: ShiftOperator, c: np.ndarray, d: np.ndarray,
-                     v: np.ndarray) -> np.ndarray:
-    """R^T v = d * (c * v) - S (c * v)."""
-    cv = c[None] * v
-    return d * cv - _shift_nd(s, cv)
+    xt = x.transpose(0, 2, 1)[:, None, :, None, :]
+    sxt = sx.transpose(0, 2, 1)[:, None, :, None, :]
+    b = params.beta[None, ..., None] * c[None] * xt
+    us = jacobi_iterates(s, c, b, xt, sxt, layer.jacobi_iters)
+    u += us[-1].sum(axis=(2, 3)).transpose(0, 2, 1)
+    return u, _ArmaTape(zs, c, us, s)
 
 
 def _arma_backward(layer: LayerSpec, params: ArmaLayerParams, tape: _ArmaTape,
                    du: np.ndarray, need_dx: bool):
-    galpha = _bank_tap_grad(tape.zs, du)
-    dx = None
-    if need_dx:
-        k = layer.order
-        dx = du @ params.alpha[:, :, k]
-        for kk in range(k - 1, -1, -1):
-            dx = _shift_batched(tape.shift, dx) + du @ params.alpha[:, :, kk]
-
-    p = layer.n_poles
-    if p == 0:
-        grads = ArmaLayerParams(galpha, np.zeros_like(params.beta),
+    # Direct polynomial part reuses the FIR path.
+    direct, dx = _fir_backward(layer, FirLayerParams(params.alpha),
+                               _FirTape(tape.zs), tape.shift, du, need_dx)
+    if layer.n_poles == 0:
+        grads = ArmaLayerParams(direct.taps, np.zeros_like(params.beta),
                                 np.zeros_like(params.gamma))
         return grads, dx
 
-    s, c, d = tape.shift, tape.c, tape.d
-    t = layer.jacobi_iters
-    # delta[b,f,g,p,n] = du[b,n,f]
-    delta = np.broadcast_to(du.transpose(0, 2, 1)[:, :, None, None, :],
-                            tape.b0.shape)
-    a_pow = np.empty((t + 1,) + tape.b0.shape)
-    a_pow[0] = delta
-    for j in range(1, t + 1):
-        a_pow[j] = _jacobi_rt_apply(s, c, d, a_pow[j - 1])
-
-    cx = c[None] * tape.rs[0]  # c * x
-    a_head = a_pow[:t].sum(axis=0)
-    gbeta = np.einsum("bfgpn,bfgpn->fgp", a_head, cx, optimize=True)
-
-    # d/dgamma of sum_m R^m b: chain through R powers plus b's own dependence.
-    ggamma = np.zeros_like(params.gamma)
-    for tau in range(t):
-        for j in range(tau):
-            ggamma += np.einsum("bfgpn,bfgpn->fgp", a_pow[j],
-                                c[None] * tape.bs[tau - j], optimize=True)
-        ggamma += np.einsum("bfgpn,bfgpn->fgp", a_pow[tau],
-                            c[None] * tape.bs[0], optimize=True)
-    for j in range(t):
-        ggamma += np.einsum("bfgpn,bfgpn->fgp", a_pow[j],
-                            c[None] * tape.rs[t - j], optimize=True)
-
+    # Adjoint sweep a_T = du, a_{m-1} = R^T a_m. Each u_m = b + R u_{m-1}
+    # equals c * (beta x + d u_{m-1} - S u_{m-1}), so du_m/dc = u_m / c and,
+    # with dc/dgamma = c^2, gamma's gradient is sum c * sum_m a_m u_m; b's
+    # gradient is sum_m a_m.
+    s, c, us = tape.shift, tape.c, tape.us
+    d = s.diagonal()
+    a = np.broadcast_to(du.transpose(0, 2, 1)[:, :, None, None, :], us.shape[1:])
+    a_sum = np.zeros(us.shape[1:])
+    au = np.zeros(c.shape)
+    for m in range(us.shape[0] - 1, -1, -1):
+        a_sum += a
+        au += np.einsum("bfgpn,bfgpn->fgpn", a, us[m])
+        if m or need_dx:
+            ca = c[None] * a
+            a = d * ca - shift_nd(s, ca)    # R^T a = (D - S)(c a)
+    xt = tape.zs[:, :, 0].transpose(0, 2, 1)        # (B, G, N)
+    gbeta = np.einsum("bfgpn,bgn,fgpn->fgp", a_sum, xt, c, optimize=True)
+    ggamma = np.einsum("fgpn,fgpn->fgp", c, au)
     if need_dx:
-        pole_dx = params.beta[None, ..., None] * c[None] * a_head + a_pow[t]
+        pole_dx = params.beta[None, ..., None] * c[None] * a_sum + a  # a = a_0
         dx += pole_dx.sum(axis=(1, 3)).transpose(0, 2, 1)
-    return ArmaLayerParams(galpha, gbeta, ggamma), dx
+    return ArmaLayerParams(direct.taps, gbeta, ggamma), dx
 
 
 def _edge_densify(params: EdgeLayerParams) -> np.ndarray:
@@ -560,42 +502,9 @@ def model_forward(spec: ModelSpec, state: ModelState, s: ShiftOperator,
                   x: GraphSignal):
     """Run the model on one signal; returns (output signal, tape)."""
     if spec.shift_mode != "static":
-        raise ModelError("use model_forward_delayed for time-varying models")
+        raise ModelError("time-varying models run through "
+                         "forward_batch(..., first_layer_zs=...)")
     out, tape = forward_batch(spec, state, s, x.values[None])
-    return GraphSignal(out[0]), tape
-
-
-def delayed_input_stack(shift_history: list[ShiftOperator],
-                        signal_history: list[np.ndarray], order: int) -> np.ndarray:
-    """Chained-shift stack for a delayed FIR layer at one time step.
-
-    Entry k is S(t) S(t-1) ... S(t-k+1) x(t-k); missing history entries are
-    zero-padded. Arrays are (N, G); the result is the (1, N, K+1, G) stack
-    ``fir_bank_contract`` reads.
-    """
-    n, g = signal_history[0].shape
-    zs = np.zeros((1, n, order + 1, g))
-    zs[0, :, 0] = signal_history[0]
-    for k in range(1, order + 1):
-        if k >= len(signal_history) or k > len(shift_history):
-            continue
-        w = signal_history[k]
-        for j in range(k - 1, -1, -1):
-            w = shift_history[j].apply(w)
-        zs[0, :, k] = w
-    return zs
-
-
-def model_forward_delayed(spec: ModelSpec, state: ModelState,
-                          shift_history: list[ShiftOperator],
-                          signal_history: list[GraphSignal]):
-    """Time-varying forward: the single FIR layer consumes delayed shifts."""
-    if spec.shift_mode != "time_varying":
-        raise ModelError("model is not in time-varying mode")
-    order = spec.layers[0].order
-    zs = delayed_input_stack(shift_history,
-                             [sig.values for sig in signal_history], order)
-    out, tape = forward_batch(spec, state, None, zs[:, :, 0], first_layer_zs=zs)
     return GraphSignal(out[0]), tape
 
 

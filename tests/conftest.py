@@ -20,3 +20,23 @@ def make_random_graph(seed, n=None, edge_prob=0.4, weighted=True):
     if n is None:
         n = int(r.integers(3, 17))
     return random_graph(n, edge_prob, r, weighted=weighted), r
+
+
+def delayed_stack_oracle(shifts, signals, order):
+    """Delayed-chain stack by explicit products, for checking the one chain
+    kernel (``flocking._advance_delayed``) and the layers that consume it.
+
+    Entry k is S(t) S(t-1) ... S(t-k+1) x(t-k), zero where the history is too
+    short. ``shifts`` is [S(t), S(t-1), ...] as (N, N) arrays and ``signals``
+    is [x(t), x(t-1), ...] as (N, G) arrays; the result is the (1, N, K+1, G)
+    stack ``fir_bank_contract`` reads.
+    """
+    n, g = signals[0].shape
+    zs = np.zeros((1, n, order + 1, g))
+    zs[0, :, 0] = signals[0]
+    for k in range(1, min(order, len(signals) - 1, len(shifts)) + 1):
+        w = signals[k]
+        for j in range(k - 1, -1, -1):
+            w = shifts[j] @ w
+        zs[0, :, k] = w
+    return zs

@@ -6,6 +6,7 @@ suite's ``conftest`` if both were collected in one session. No timing is
 asserted.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -23,3 +24,19 @@ def test_spectral_theory_workload_runs_and_passes_its_checks():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
+
+
+def test_every_traced_name_exists(monkeypatch):
+    # the smoke run above uses --trace 0, which never installs the tracer;
+    # install() raises AttributeError for a traced name the program lost
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

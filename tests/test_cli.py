@@ -52,3 +52,11 @@ def test_flocking_commands_read_the_checkpoint_once(policy_checkpoint, tmp_path,
     assert len(calls) == 1
     # the model name still comes from the checkpoint's metadata
     assert (out / csv_name).read_text().splitlines()[1].endswith(",fir")
+
+
+def test_analyze_stability_runs_with_its_defaults(tmp_path):
+    # seed 10 drew a graph whose raw adjacency left no live relu stack
+    out = tmp_path / "out"
+    assert main(["analyze", "stability", "--seed", "10", "--out", str(out)]) == 0
+    rows = (out / "stability.csv").read_text().splitlines()
+    assert len(rows) > 1

@@ -163,6 +163,8 @@ def test_fir_layer_matches_per_tap_oracle(batch, g_in, f_out, order):
     (2, 3, 2, 1, 1, 3),
     (4, 2, 3, 0, 2, 1),   # order 0: R x shifts x itself
     (4, 2, 3, 0, 2, 3),
+    (3, 2, 3, 2, 2, 6),   # T = 6: the adjoint sweep well past T = 3
+    (4, 2, 3, 0, 2, 6),
     (2, 1, 4, 3, 0, 1),   # no poles: the direct part alone
 ])
 def test_arma_layer_matches_broadcast_shift_oracle(batch, g_in, f_out, order,

@@ -12,16 +12,17 @@ from gspnn.filters import (
     arma_apply_direct,
     arma_apply_jacobi,
     arma_response,
-    delayed_fir_apply,
     edge_varying_apply,
     edge_varying_from_fir,
     fir_apply,
+    fir_bank_contract,
     fir_mask,
     fir_response,
     jacobi_shift,
     jacobi_single_pole,
     jacobi_spectral_radius,
 )
+from gspnn.flocking import _advance_delayed
 from gspnn.graphs import (
     GraphSignal,
     ShiftKind,
@@ -33,7 +34,7 @@ from gspnn.graphs import (
     shift,
 )
 
-from conftest import make_random_graph
+from conftest import delayed_stack_oracle, make_random_graph
 from test_graphs import path3_graph, two_node_graph
 
 
@@ -377,12 +378,45 @@ def test_edge_varying_parameter_count():
 # Delayed FIR
 # ---------------------------------------------------------------------------
 
+def delayed_stack(shifts, signals, order):
+    """The delayed stack built by the chain kernel ``_advance_delayed``: the
+    history, given newest first as ``delayed_stack_oracle`` takes it, is fed
+    oldest first. A missing shift is a zero matrix, which drops every term
+    that needs it, as the oracle's zero padding does."""
+    n, g = signals[0].shape
+    zs = np.zeros((1, n, order + 1, g))
+    for j in range(len(signals) - 1, -1, -1):
+        s_j = shifts[j] if j < len(shifts) else np.zeros((n, n))
+        _advance_delayed(s_j, zs[0], zs[0])
+        zs[0, :, 0] = signals[j]
+    return zs
+
+
+def delayed_fir(taps, zs):
+    """sum_k h_k zs[:, k] per feature: a diagonal bank run through
+    ``fir_bank_contract``."""
+    g = zs.shape[3]
+    bank = np.zeros((g, g, len(taps)))
+    bank[np.arange(g), np.arange(g)] = taps
+    return fir_bank_contract(zs, bank)[0]
+
+
+def check_delayed_fir(taps, shifts, signals):
+    """Delayed FIR output through the chain kernel, checked against the
+    product-chain oracle."""
+    order = len(taps) - 1
+    got = delayed_fir(taps, delayed_stack(shifts, signals, order))
+    want = delayed_fir(taps, delayed_stack_oracle(shifts, signals, order))
+    assert np.allclose(got, want, atol=1e-12)
+    return got
+
+
 def test_delayed_fir_static_reduction():
     g, r = make_random_graph(17)
     s = build_shift(g, ShiftKind.ADJACENCY)
     taps = FirTaps(r.normal(size=4))
     x = GraphSignal(r.normal(size=(g.n_nodes, 2)))
-    lhs = delayed_fir_apply(taps, [s, s, s], [x, x, x, x]).values
+    lhs = check_delayed_fir(taps.taps, [s.dense()] * 3, [x.values] * 4)
     rhs = fir_apply(taps, s, x).values
     assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -390,27 +424,25 @@ def test_delayed_fir_static_reduction():
 def test_delayed_fir_order_zero_ignores_history():
     g, r = make_random_graph(18)
     s = build_shift(g, ShiftKind.ADJACENCY)
-    x_now = GraphSignal(r.normal(size=g.n_nodes))
-    x_old = GraphSignal(r.normal(size=g.n_nodes))
-    y = delayed_fir_apply(FirTaps([2.0]), [s], [x_now, x_old])
-    assert np.allclose(y.values, 2.0 * x_now.values, atol=1e-15)
+    x_now = r.normal(size=(g.n_nodes, 1))
+    x_old = r.normal(size=(g.n_nodes, 1))
+    y = check_delayed_fir([2.0], [s.dense()], [x_now, x_old])
+    assert np.allclose(y, 2.0 * x_now, atol=1e-15)
 
 
 def test_delayed_fir_product_chain_oracle():
     r = np.random.default_rng(19)
     n, k = 3, 2
-    mats, shifts = [], []
+    mats = []
     for _ in range(k):
         m = r.normal(size=(n, n))
         m = (m + m.T) / 2.0
         np.fill_diagonal(m, 0.0)
         mats.append(m)
-        shifts.append(ShiftOperator.from_dense(m))
-    xs = [r.normal(size=n) for _ in range(k + 1)]
+    xs = [r.normal(size=(n, 1)) for _ in range(k + 1)]
     taps = np.array([0.5, -1.0, 2.0])
-    y = delayed_fir_apply(FirTaps(taps), shifts,
-                          [GraphSignal(x) for x in xs]).values[:, 0]
-    # explicit product-chain oracle
+    y = check_delayed_fir(taps, mats, xs)
+    # explicit product chain
     oracle = taps[0] * xs[0] + taps[1] * (mats[0] @ xs[1]) \
         + taps[2] * (mats[0] @ mats[1] @ xs[2])
     assert np.allclose(y, oracle, atol=1e-12)
@@ -419,16 +451,6 @@ def test_delayed_fir_product_chain_oracle():
 def test_delayed_fir_zero_pads_short_history():
     g, r = make_random_graph(20)
     s = build_shift(g, ShiftKind.ADJACENCY)
-    x = GraphSignal(r.normal(size=g.n_nodes))
-    taps = FirTaps([1.0, 1.0, 1.0])
-    y = delayed_fir_apply(taps, [s], [x])  # only current step available
-    assert np.allclose(y.values, x.values, atol=1e-15)
-
-
-def test_delayed_fir_node_count_mismatch():
-    g, r = make_random_graph(21, n=4)
-    s = build_shift(g, ShiftKind.ADJACENCY)
-    from gspnn.graphs import GraphError
-    with pytest.raises(GraphError, match="history"):
-        delayed_fir_apply(FirTaps([1.0, 1.0]), [s],
-                          [GraphSignal(np.zeros(4)), GraphSignal(np.zeros(5))])
+    x = r.normal(size=(g.n_nodes, 1))
+    y = check_delayed_fir([1.0, 1.0, 1.0], [s.dense()], [x])  # only x(t)
+    assert np.allclose(y, x, atol=1e-15)

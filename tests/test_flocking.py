@@ -25,8 +25,9 @@ from gspnn.flocking import (
     _normalized_shift_dense,
     _pairwise,
 )
-from gspnn.neural import model_forward_delayed
-from gspnn.graphs import GraphSignal, ShiftOperator
+from gspnn.neural import forward_batch
+
+from conftest import delayed_stack_oracle
 
 
 def make_state(positions, velocities, dt=0.01):
@@ -314,16 +315,17 @@ def test_incremental_runner_matches_delayed_model(tiny_policy):
     sample = samples[0]
     order = bundle.spec.layers[0].order
     t = 5
-    shifts = [ShiftOperator.from_dense(sample.shift_dense(t - j), validate=False)
-              for j in range(order)]
-    signals = [GraphSignal(sample.features[t - k]) for k in range(order + 1)]
-    ref, _ = model_forward_delayed(bundle.spec, bundle.state, shifts, signals)
+    zs = delayed_stack_oracle([sample.shift_dense(t - j) for j in range(order)],
+                              [sample.features[t - k] for k in range(order + 1)],
+                              order)
+    ref, _ = forward_batch(bundle.spec, bundle.state, None, zs[:, :, 0],
+                           first_layer_zs=zs)
 
     from gspnn.flocking import _PolicyRunner
     runner = _PolicyRunner(bundle, cfg.n_agents)
     for step in range(t + 1):
         act = runner.act(sample.shift_dense(step), sample.features[step])
-    assert np.allclose(act, ref.values * bundle.action_scale, atol=1e-12)
+    assert np.allclose(act, ref[0] * bundle.action_scale, atol=1e-12)
 
 
 def test_rollout_deterministic(tiny_policy):

@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from gspnn.filters import FirTaps, delayed_fir_apply, fir_apply
+from gspnn.filters import ArmaParams, FirTaps, arma_apply_jacobi, fir_apply
 from gspnn.graphs import (
     GraphSignal,
     ShiftKind,
-    ShiftOperator,
     build_shift,
     eigendecompose,
 )
@@ -22,16 +21,16 @@ from gspnn.neural import (
     ReadoutSpec,
     apply_tap_constraints,
     equivariant_forward_check,
+    forward_batch,
     init_state,
     iter_params,
     load_checkpoint,
     model_backward,
     model_forward,
-    model_forward_delayed,
     save_checkpoint,
 )
 
-from conftest import make_random_graph
+from conftest import delayed_stack_oracle, make_random_graph
 from test_graphs import REPEATED_SPECTRUM_GRAPHS, path3_graph, two_node_graph
 
 
@@ -83,6 +82,26 @@ def test_linear_single_layer_reproduces_fir_bitwise():
     out, _ = model_forward(spec, state, s, x)
     ref = fir_apply(FirTaps(taps), s, x)
     assert np.array_equal(out.values, ref.values)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("iters", [1, 3])
+def test_single_pole_arma_layer_reproduces_arma_apply_jacobi_bitwise(order, iters):
+    # the layer and arma_apply_jacobi share one Jacobi recursion
+    for seed in range(10):
+        s, r = small_shift(30 + seed)
+        alpha, beta = r.normal(size=order + 1), r.normal()
+        gamma = 2.0 * s.operator_norm()
+        spec = ModelSpec((LayerSpec("arma", 1, 1, order, n_poles=1,
+                                    jacobi_iters=iters,
+                                    nonlinearity="identity"),))
+        state = ModelState([ArmaLayerParams(alpha.reshape(1, 1, -1),
+                                            np.full((1, 1, 1), beta),
+                                            np.full((1, 1, 1), gamma))])
+        x = GraphSignal(r.normal(size=s.n_nodes))
+        out, _ = model_forward(spec, state, s, x)
+        ref = arma_apply_jacobi(ArmaParams([gamma], [beta], alpha, iters), s, x)
+        assert np.array_equal(out.values, ref.values), seed
 
 
 def test_zero_input_zero_bias_gives_zero_output():
@@ -426,25 +445,35 @@ def test_gin_gradient_matches_tied_finite_difference():
 # Time-varying mode
 # ---------------------------------------------------------------------------
 
-def random_hollow_shift(rng, n):
+def random_hollow_matrix(rng, n):
     m = rng.normal(size=(n, n))
     m = (m + m.T) / 2.0
     np.fill_diagonal(m, 0.0)
-    return ShiftOperator.from_dense(m)
+    return m
+
+
+def delayed_forward(spec, state, shifts, signals):
+    """Time-varying forward on the oracle's delayed stack; returns the
+    (N, F) output and the tape."""
+    zs = delayed_stack_oracle(shifts, signals, spec.layers[0].order)
+    out, tape = forward_batch(spec, state, None, zs[:, :, 0], first_layer_zs=zs)
+    return out[0], tape
 
 
 def test_delayed_model_matches_public_delayed_filter():
     r = np.random.default_rng(7)
     n, order = 6, 2
-    shifts = [random_hollow_shift(r, n) for _ in range(order)]
-    signals = [GraphSignal(r.normal(size=n)) for _ in range(order + 1)]
+    shifts = [random_hollow_matrix(r, n) for _ in range(order)]
+    signals = [r.normal(size=(n, 1)) for _ in range(order + 1)]
     taps = r.normal(size=order + 1)
     spec = ModelSpec((LayerSpec("fir", 1, 1, order, nonlinearity="identity"),),
                      shift_mode="time_varying")
     state = ModelState([FirLayerParams(taps.reshape(1, 1, order + 1))])
-    out, _ = model_forward_delayed(spec, state, shifts, signals)
-    ref = delayed_fir_apply(FirTaps(taps), shifts, signals)
-    assert np.allclose(out.values, ref.values, atol=1e-13)
+    out, _ = delayed_forward(spec, state, shifts, signals)
+    # sum_k h_k S(t) ... S(t-k+1) x(t-k) by explicit products
+    ref = taps[0] * signals[0] + taps[1] * (shifts[0] @ signals[1]) \
+        + taps[2] * (shifts[0] @ shifts[1] @ signals[2])
+    assert np.allclose(out, ref, atol=1e-13)
 
 
 def test_delayed_model_static_reduction():
@@ -455,28 +484,29 @@ def test_delayed_model_static_reduction():
                      shift_mode="time_varying")
     state = init_state(spec, r, shift=s)
     x = GraphSignal(r.normal(size=s.n_nodes))
-    out_tv, _ = model_forward_delayed(spec, state, [s] * order, [x] * (order + 1))
+    out_tv, _ = delayed_forward(spec, state, [s.dense()] * order,
+                                [x.values] * (order + 1))
     static_spec = ModelSpec(spec.layers, spec.readout, shift_mode="static")
     out_st, _ = model_forward(static_spec, state, s, x)
-    assert np.allclose(out_tv.values, out_st.values, atol=1e-13)
+    assert np.allclose(out_tv, out_st.values, atol=1e-13)
 
 
 def test_delayed_gradients_match_finite_differences():
     r = np.random.default_rng(9)
     n, order = 5, 2
-    shifts = [random_hollow_shift(r, n) for _ in range(order)]
-    signals = [GraphSignal(r.normal(size=(n, 2))) for _ in range(order + 1)]
+    shifts = [random_hollow_matrix(r, n) for _ in range(order)]
+    signals = [r.normal(size=(n, 2)) for _ in range(order + 1)]
     spec = ModelSpec((LayerSpec("fir", 2, 3, order, nonlinearity="tanh"),),
                      ReadoutSpec("per_node_linear", 2),
                      shift_mode="time_varying")
     state = init_state(spec, r)
-    out, tape = model_forward_delayed(spec, state, shifts, signals)
-    y = r.normal(size=out.values.shape)
-    grads = model_backward(tape, spec, state, GraphSignal(out.values - y))
+    out, tape = delayed_forward(spec, state, shifts, signals)
+    y = r.normal(size=out.shape)
+    grads = model_backward(tape, spec, state, GraphSignal(out - y))
 
     def loss():
-        o, _ = model_forward_delayed(spec, state, shifts, signals)
-        return 0.5 * float(np.sum((o.values - y) ** 2))
+        o, _ = delayed_forward(spec, state, shifts, signals)
+        return 0.5 * float(np.sum((o - y) ** 2))
 
     h = 1e-5
     for (name, arr), (_, gana) in zip(iter_params(state), iter_params(grads)):
