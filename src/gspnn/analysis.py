@@ -23,7 +23,7 @@ from .graphs import (
     eigendecompose,
     symmetric_eigenvalues,
 )
-from .neural import ModelSpec, ModelState, model_forward
+from .neural import FirLayerParams, LayerSpec, ModelSpec, ModelState, model_forward
 
 SYLVESTER_SINGULAR_TOL = 1e-9
 DEFAULT_GRID_POINTS = 512
@@ -107,16 +107,6 @@ def relative_distance(s: ShiftOperator, s_hat: ShiftOperator,
             best = (key, e, p, singular)
     (norm, _), e, p, singular = best
     return RelativeDistanceResult(norm, e, p, method, singular)
-
-
-def check_error_matrix(s: ShiftOperator, s_hat: ShiftOperator,
-                       result: RelativeDistanceResult, tol: float = 1e-8) -> float:
-    """Residual of the defining relation for a reported (E, P)."""
-    p = result.permutation
-    lhs = s_hat.dense()[np.ix_(p, p)]
-    e = result.error_matrix
-    rhs = s.dense() + e @ s.dense() + s.dense() @ e
-    return float(np.linalg.norm(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +293,6 @@ def sample_lipschitz_gcnn(s: ShiftOperator, depth: int, order: int,
     input lives), so taps are redrawn until a probe input produces nonzero
     output; the redraw sequence is deterministic in ``rng``.
     """
-    from .neural import FirLayerParams, LayerSpec, ModelSpec, ModelState
-
     s = eigendecompose(s)
     lam = np.sort(np.concatenate([s.eigenvalues,
                                   dilation_headroom * s.eigenvalues]))

@@ -20,13 +20,15 @@ import numpy as np
 
 from .filters import (
     EdgeVaryingSupport,
+    edge_step_matrices,
+    edge_varying_chain,
     fir_bank_contract,
     fir_mask,
     jacobi_iterates,
     shift_nd,
     shifted_stack,
 )
-from .graphs import GraphSignal, ShiftOperator
+from .graphs import GraphSignal, ShiftOperator, permute_shift
 
 FAMILIES = ("fir", "arma", "edge_varying")
 NONLINEARITIES = ("relu", "tanh", "identity")
@@ -277,9 +279,10 @@ class _ArmaTape:
 
 @dataclass
 class _EdgeTape:
-    x: np.ndarray        # (B, N, G) layer input
-    zs: list             # K+1 arrays (F, G, N, B): chain states z^(0)..z^(K)
-    phi_dense: np.ndarray | None  # (K, F*G, N, N) densified step matrices
+    x: np.ndarray    # (B, N, G) layer input
+    zs: list         # K+1 arrays (F*G, N, B): chain states z^(0)..z^(K)
+    phi: np.ndarray  # (K, F*G, N, N) dense step matrices; the backward
+                     # sweep applies their transposes
 
 
 @dataclass
@@ -399,37 +402,20 @@ def _arma_backward(layer: LayerSpec, params: ArmaLayerParams, tape: _ArmaTape,
     return ArmaLayerParams(direct.taps, gbeta, ggamma), dx
 
 
-def _edge_densify(params: EdgeLayerParams) -> np.ndarray:
-    sup = params.support
-    f, g, k, _ = params.values.shape
-    buf = np.zeros((k, f * g, sup.n_nodes, sup.n_nodes))
-    vals = params.values.reshape(f * g, k, -1).transpose(1, 0, 2)
-    buf[:, :, sup.rows, sup.cols] = vals
-    return buf
-
-
-def _edge_forward(layer: LayerSpec, params: EdgeLayerParams, x: np.ndarray,
-                  phi_dense: np.ndarray | None = None):
+def _edge_forward(layer: LayerSpec, params: EdgeLayerParams, x: np.ndarray):
     sup = params.support
     f, g = layer.out_features, layer.in_features
     bdim, n = x.shape[0], x.shape[1]
     if n != sup.n_nodes:
         raise ModelError(f"edge-varying layer is bound to {sup.n_nodes} nodes, "
                          f"signal has {n}")
-    if phi_dense is None:
-        phi_dense = _edge_densify(params)
-    xt = x.transpose(2, 1, 0)  # (G, N, B)
-    z = params.diag[..., None] * xt[None]          # (F, G, N, B)
-    zs = [z]
-    total = z.copy()
-    zflat = z.reshape(f * g, n, bdim)
-    for k in range(layer.order):
-        zflat = np.matmul(phi_dense[k], zflat)
-        z = zflat.reshape(f, g, n, bdim)
-        zs.append(z)
-        total = total + z
+    phi = edge_step_matrices(sup, params.values.reshape(f * g, layer.order,
+                                                        sup.nnz))
+    z0 = params.diag[..., None] * x.transpose(2, 1, 0)[None]  # (F, G, N, B)
+    zs = edge_varying_chain(phi, z0.reshape(f * g, n, bdim))
+    total = sum(zs[1:], zs[0]).reshape(f, g, n, bdim)
     u = total.sum(axis=1).transpose(2, 1, 0)       # (B, N, F)
-    return u, _EdgeTape(x, zs, phi_dense)
+    return u, _EdgeTape(x, zs, phi)
 
 
 def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
@@ -437,19 +423,18 @@ def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
     sup = params.support
     f, g = layer.out_features, layer.in_features
     bdim, n = tape.x.shape[0], tape.x.shape[1]
-    k_ord = layer.order
     # delta[f,g,n,b] = du[b,n,f], shared by every chain state's direct path
     delta = np.broadcast_to(du.transpose(2, 1, 0)[:, None, :, :], (f, g, n, bdim))
     gvals = np.zeros_like(params.values)
     sens = np.array(delta, copy=True)  # sensitivity at z^(K)
-    for k in range(k_ord, 0, -1):
+    for k in range(layer.order, 0, -1):
         # no optimize=True: its batched-matmul path copies both gathers
         gvals[:, :, k - 1, :] = np.einsum(
             "fgeb,fgeb->fge",
-            sens[:, :, sup.rows, :], tape.zs[k - 1][:, :, sup.cols, :])
-        sens_flat = np.matmul(tape.phi_dense[k - 1].transpose(0, 2, 1),
-                              sens.reshape(f * g, n, bdim))
-        sens = sens_flat.reshape(f, g, n, bdim) + delta
+            sens[:, :, sup.rows, :],
+            tape.zs[k - 1].reshape(f, g, n, bdim)[:, :, sup.cols, :])
+        sens = np.matmul(tape.phi[k - 1].transpose(0, 2, 1),
+                         sens.reshape(f * g, n, bdim)).reshape(delta.shape) + delta
     xt = tape.x.transpose(2, 1, 0)  # (G, N, B)
     gdiag = np.einsum("fgnb,gnb->fgn", sens, xt, optimize=True)
     dx = None
@@ -562,8 +547,6 @@ def equivariant_forward_check(spec: ModelSpec, state: ModelState,
     output. Zero (to rounding) for convolutional families; generically
     positive for edge-varying parameters, which are tied to node identities.
     """
-    from .graphs import permute_shift
-
     perm = np.asarray(perm)
     base, _ = forward_batch(spec, state, s, x.values[None])
     s_perm = permute_shift(s, perm)

@@ -40,3 +40,43 @@ def delayed_stack_oracle(shifts, signals, order):
             w = shifts[j] @ w
         zs[0, :, k] = w
     return zs
+
+
+def edge_chain_oracle(support, diag, values, x):
+    """Edge-varying output sum_k Phi_k ... Phi_1 diag(phi_0) x by the
+    per-column bincount chain, for checking the one dense chain kernel
+    (``filters.edge_varying_chain``) and the layer that runs it.
+
+    ``support`` is an ``EdgeVaryingSupport``, ``diag`` the (N,) step-0
+    weights, ``values`` the (K, nnz) step weights and ``x`` an (N, B) array
+    whose columns are filtered one at a time.
+    """
+    out = np.zeros_like(x)
+    for col in range(x.shape[1]):
+        z = diag * x[:, col]
+        total = z.copy()
+        for vals in values:
+            z = np.bincount(support.rows, weights=vals * z[support.cols],
+                            minlength=support.n_nodes)
+            total += z
+        out[:, col] = total
+    return out
+
+
+def jacobi_shift(s, gamma):
+    """Dense pole-parameterized shift R(gamma) = -(D - gamma I)^{-1} (S - D),
+    the one-step oracle for ``filters.jacobi_iterates``. Shares the
+    off-diagonal sparsity of S; equals S / gamma for hollow S."""
+    m = s.dense()
+    c = 1.0 / (np.diag(m) - gamma)
+    return -c[:, None] * (m - np.diag(np.diag(m)))
+
+
+def check_error_matrix(s, s_hat, result):
+    """Residual of the relation P^T S_hat P = S + E S + S E for the (E, P)
+    that ``analysis.relative_distance`` reports."""
+    p = result.permutation
+    lhs = s_hat.dense()[np.ix_(p, p)]
+    e = result.error_matrix
+    rhs = s.dense() + e @ s.dense() + s.dense() @ e
+    return float(np.linalg.norm(lhs - rhs))

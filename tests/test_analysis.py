@@ -4,9 +4,6 @@ import pytest
 from gspnn.analysis import (
     AnalysisError,
     DilationPerturbation,
-    LipschitzReport,
-    RelativeDistanceResult,
-    check_error_matrix,
     default_lambda_interval,
     dilate,
     eigenvector_misalignment,
@@ -30,10 +27,9 @@ from gspnn.neural import (
     ModelSpec,
     ModelState,
     equivariant_forward_check,
-    init_state,
 )
 
-from conftest import make_random_graph
+from conftest import check_error_matrix, make_random_graph
 from test_graphs import two_node_graph
 
 

@@ -60,3 +60,28 @@ def test_analyze_stability_runs_with_its_defaults(tmp_path):
     assert main(["analyze", "stability", "--seed", "10", "--out", str(out)]) == 0
     rows = (out / "stability.csv").read_text().splitlines()
     assert len(rows) > 1
+
+
+def test_analyze_equivariance_redraws_dead_trials(tmp_path):
+    # seed 0 draws one trial whose relu stack outputs all zeros
+    out = tmp_path / "out"
+    assert main(["analyze", "equivariance", "--seed", "0", "--out", str(out)]) == 0
+    lines = (out / "equivariance.csv").read_text().splitlines()
+    assert lines[0].split(",") == ["trial", "relative_error", "redraws"]
+    assert sum(int(line.split(",")[2]) for line in lines[1:]) >= 1
+
+
+def test_analyze_equivariance_fails_on_a_trial_that_stays_dead(tmp_path,
+                                                               monkeypatch,
+                                                               capsys):
+    def zero_taps(*args, **kwargs):
+        state = init_state(*args, **kwargs)
+        for layer in state.layers:
+            layer.taps[:] = 0.0
+        return state
+
+    monkeypatch.setattr(cli, "init_state", zero_taps)
+    code = main(["analyze", "equivariance", "--trials", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "trial 0" in capsys.readouterr().err

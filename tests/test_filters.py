@@ -18,7 +18,6 @@ from gspnn.filters import (
     fir_bank_contract,
     fir_mask,
     fir_response,
-    jacobi_shift,
     jacobi_single_pole,
     jacobi_spectral_radius,
 )
@@ -31,10 +30,14 @@ from gspnn.graphs import (
     eigendecompose,
     gft,
     permute_shift,
-    shift,
 )
 
-from conftest import delayed_stack_oracle, make_random_graph
+from conftest import (
+    delayed_stack_oracle,
+    edge_chain_oracle,
+    jacobi_shift,
+    make_random_graph,
+)
 from test_graphs import path3_graph, two_node_graph
 
 
@@ -214,7 +217,7 @@ def test_jacobi_shift_vanishes_at_large_pole():
 def test_jacobi_shift_pole_margin():
     s = ShiftOperator.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(FilterError, match="pole"):
-        jacobi_shift(s, 1.0 + 1e-6)
+        jacobi_single_pole(s, 1.0 + 1e-6, 1.0, 1, GraphSignal(np.ones(2)))
 
 
 def test_jacobi_single_pole_one_step():
@@ -309,7 +312,7 @@ def test_edge_varying_all_ones_reduction():
     s = build_shift(g, ShiftKind.ADJACENCY)
     support = EdgeVaryingSupport.from_shift(s)
     k = 3
-    vals = np.array([support.values_from_dense(s.dense(), check=False)] * k)
+    vals = np.array([support.values_from_dense(s.dense())] * k)
     e = EdgeVaryingParams(support, np.ones(g.n_nodes), vals)
     x = GraphSignal(r.normal(size=g.n_nodes))
     lhs = edge_varying_apply(e, x).values
@@ -324,7 +327,7 @@ def test_edge_varying_two_tap_identity():
     support = EdgeVaryingSupport.from_shift(s)
     e = EdgeVaryingParams(
         support, np.full(g.n_nodes, h0),
-        support.values_from_dense((h1 / h0) * s.dense(), check=False)[None, :])
+        support.values_from_dense((h1 / h0) * s.dense())[None, :])
     x = GraphSignal(r.normal(size=g.n_nodes))
     lhs = edge_varying_apply(e, x).values
     rhs = fir_apply(FirTaps([h0, h1]), s, x).values
@@ -351,6 +354,31 @@ def test_edge_varying_generalizes_fir(seed):
     lhs = edge_varying_apply(e, x).values
     rhs = fir_apply(FirTaps(taps), s, x).values
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_edge_varying_apply_matches_bincount_chain_oracle(order):
+    # the dense chain kernel changed the summation order of each step
+    for seed in range(10):
+        g, r = make_random_graph(40 + seed)
+        s = build_shift(g, ShiftKind.ADJACENCY)
+        support = EdgeVaryingSupport.from_shift(s)
+        e = EdgeVaryingParams(support, r.normal(size=g.n_nodes),
+                              r.normal(size=(order, support.nnz)))
+        x = r.normal(size=(g.n_nodes, 3))
+        got = edge_varying_apply(e, GraphSignal(x)).values
+        want = edge_chain_oracle(support, e.diag, e.values, x)
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert err <= 1e-12, (seed, err)
+
+
+def test_edge_varying_support_is_sorted_row_major():
+    g, _ = make_random_graph(17)
+    s = build_shift(g, ShiftKind.ADJACENCY)
+    support = EdgeVaryingSupport.from_shift(s)
+    coords = sorted(set(zip(s.rows.tolist(), s.cols.tolist()))
+                    | {(i, i) for i in range(s.n_nodes)})
+    assert list(zip(support.rows.tolist(), support.cols.tolist())) == coords
 
 
 def test_edge_varying_support_violation():

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from gspnn.filters import ArmaParams, FirTaps, arma_apply_jacobi, fir_apply
+from gspnn.filters import (
+    ArmaParams,
+    EdgeVaryingParams,
+    FirTaps,
+    arma_apply_jacobi,
+    edge_varying_apply,
+    fir_apply,
+)
 from gspnn.graphs import (
     GraphSignal,
     ShiftKind,
@@ -12,7 +19,6 @@ from gspnn.graphs import (
 )
 from gspnn.neural import (
     ArmaLayerParams,
-    EdgeLayerParams,
     FirLayerParams,
     LayerSpec,
     ModelError,
@@ -30,7 +36,7 @@ from gspnn.neural import (
     save_checkpoint,
 )
 
-from conftest import delayed_stack_oracle, make_random_graph
+from conftest import delayed_stack_oracle, edge_chain_oracle, make_random_graph
 from test_graphs import REPEATED_SPECTRUM_GRAPHS, path3_graph, two_node_graph
 
 
@@ -82,6 +88,51 @@ def test_linear_single_layer_reproduces_fir_bitwise():
     out, _ = model_forward(spec, state, s, x)
     ref = fir_apply(FirTaps(taps), s, x)
     assert np.array_equal(out.values, ref.values)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_edge_varying_layer_reproduces_edge_varying_apply_bitwise(order):
+    # the layer and edge_varying_apply share one chain kernel
+    for seed in range(20):
+        s, r = small_shift(50 + seed)
+        spec = ModelSpec((LayerSpec("edge_varying", 1, 1, order,
+                                    nonlinearity="identity"),))
+        state = init_state(spec, r, shift=s)
+        params = state.layers[0]
+        x = GraphSignal(r.normal(size=s.n_nodes))
+        out, _ = model_forward(spec, state, s, x)
+        ref = edge_varying_apply(EdgeVaryingParams(
+            params.support, params.diag[0, 0], params.values[0, 0]), x)
+        assert np.array_equal(out.values, ref.values), seed
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_edge_varying_layer_matches_bincount_chain_oracle(order):
+    s, r = small_shift(5)
+    spec = ModelSpec((LayerSpec("edge_varying", 2, 2, order,
+                                nonlinearity="identity"),))
+    state = init_state(spec, r, shift=s)
+    params = state.layers[0]
+    x = r.normal(size=(3, s.n_nodes, 2))
+    out, _ = forward_batch(spec, state, s, x)
+    for f in range(2):
+        want = sum(edge_chain_oracle(params.support, params.diag[f, g],
+                                     params.values[f, g], x[:, :, g].T)
+                   for g in range(2)).T
+        err = np.linalg.norm(out[:, :, f] - want) / np.linalg.norm(want)
+        assert err <= 1e-12, (f, err)
+
+
+def test_order_zero_edge_varying_layer_scales_by_its_diagonal():
+    s, r = small_shift(6)
+    spec = ModelSpec((LayerSpec("edge_varying", 2, 3, 0,
+                                nonlinearity="identity"),))
+    state = init_state(spec, r, shift=s)
+    diag = state.layers[0].diag                      # (F, G, N)
+    x = r.normal(size=(4, s.n_nodes, 2))
+    out, _ = forward_batch(spec, state, s, x)
+    want = (diag[None] * x.transpose(0, 2, 1)[:, None]).sum(axis=2)
+    assert np.array_equal(out, want.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("order", [0, 2])
@@ -250,6 +301,16 @@ def test_gradients_edge_varying_inner_layer():
     ))
     state = init_state(spec, r, shift=s)
     assert_grads_close(spec, state, s, r)
+
+
+def test_gradients_order_zero_edge_varying_inner_layer():
+    s, r = small_shift(16)
+    spec = ModelSpec((
+        LayerSpec("edge_varying", 1, 2, 0, nonlinearity="tanh"),
+        LayerSpec("fir", 2, 1, 2, nonlinearity="identity"),
+    ))
+    state = init_state(spec, r, shift=s)
+    assert_grads_close(spec, state, s, r, check_names=("diag", "taps"))
 
 
 def test_gradients_relu_away_from_kink():

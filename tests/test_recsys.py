@@ -3,11 +3,7 @@ import pytest
 
 from gspnn.recsys import (
     DataError,
-    RatingsTable,
-    build_item_shift,
-    build_model_spec,
     build_similarity,
-    evaluate_rmse,
     ingest_movielens,
     make_samples,
     most_rated_items,
