@@ -14,7 +14,8 @@ exception. Its K step matrices differ per step and per feature pair, so they
 are scattered into dense (N, N) blocks and the chain is one batched matrix
 product per step; at N = 200 that beat a gather + ``np.add.reduceat`` chain
 by about 9x. ``edge_varying_chain`` is the one chain kernel:
-``edge_varying_apply`` and the neural edge-varying layer both run it.
+``edge_varying_apply`` and the neural edge-varying layer both run it (a
+last layer restricted to a few output nodes sweeps one-hot rows sparsely).
 """
 
 from __future__ import annotations
@@ -397,7 +398,10 @@ def edge_varying_chain(phi: np.ndarray, z0: np.ndarray) -> list[np.ndarray]:
     (M, N, B) start ``z0``, which is kept as given; ``phi`` is the
     (K, M, N, N) stack from ``edge_step_matrices``.
 
-    Every edge-varying filter, neural or not, runs this kernel.
+    Every full-output edge-varying filter, neural or not, runs this kernel.
+    A neural last layer restricted to a few output nodes instead runs its
+    one-hot row sweeps sparsely on the support, where dense steps would cost
+    N^2 per feature pair for a handful of vectors.
     """
     zs = [z0]
     for step in phi:

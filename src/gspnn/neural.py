@@ -293,11 +293,11 @@ class Tape:
     state_version: int
     shift: ShiftOperator | None  # None in time-varying mode
     inputs: list                 # per-layer input (B, N, G)
-    layer_tapes: list
+    layer_tapes: list            # the last is a _RowsTape under out_nodes
     preacts: list                # per-layer pre-nonlinearity (B, N, F)
     outputs: list                # per-layer post-nonlinearity (B, N, F)
     readout_input: np.ndarray | None
-    batch_shape: tuple
+    out_shape: tuple             # the model output's shape
 
 
 def _nonlin_forward(kind: str, u: np.ndarray) -> np.ndarray:
@@ -368,6 +368,32 @@ def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
     return u, _ArmaTape(zs, c, us, s)
 
 
+def _jacobi_adjoint(s: ShiftOperator, c: np.ndarray, a: np.ndarray, iters: int,
+                    us: np.ndarray | None, need_a0: bool):
+    """Adjoint sweep a_{m-1} = R^T a_m = (D - S)(c a_m) of the Jacobi
+    recursion from ``a`` = a_T, a (B, F, G, P, N) array against c's
+    (F, G, P, N).
+
+    Returns sum_{m=1..T} a_m, the batch sum of sum_m a_m u_m over the
+    iterates ``us`` (zeros when ``us`` is None), and a_0 (a_1 unless
+    ``need_a0``). Each u_m = b + R u_{m-1} equals
+    c * (beta x + d u_{m-1} - S u_{m-1}), so du_m/dc = u_m / c and, with
+    dc/dgamma = c^2, gamma's gradient is sum c * sum_m a_m u_m; b's gradient
+    is sum_m a_m.
+    """
+    d = s.diagonal()
+    a_sum = np.zeros(a.shape)
+    au = np.zeros(c.shape)
+    for m in range(iters - 1, -1, -1):
+        a_sum += a
+        if us is not None:
+            au += np.einsum("bfgpn,bfgpn->fgpn", a, us[m])
+        if m or need_a0:
+            ca = c[None] * a
+            a = d * ca - shift_nd(s, ca)
+    return a_sum, au, a
+
+
 def _arma_backward(layer: LayerSpec, params: ArmaLayerParams, tape: _ArmaTape,
                    du: np.ndarray, need_dx: bool):
     # Direct polynomial part reuses the FIR path.
@@ -378,21 +404,9 @@ def _arma_backward(layer: LayerSpec, params: ArmaLayerParams, tape: _ArmaTape,
                                 np.zeros_like(params.gamma))
         return grads, dx
 
-    # Adjoint sweep a_T = du, a_{m-1} = R^T a_m. Each u_m = b + R u_{m-1}
-    # equals c * (beta x + d u_{m-1} - S u_{m-1}), so du_m/dc = u_m / c and,
-    # with dc/dgamma = c^2, gamma's gradient is sum c * sum_m a_m u_m; b's
-    # gradient is sum_m a_m.
     s, c, us = tape.shift, tape.c, tape.us
-    d = s.diagonal()
     a = np.broadcast_to(du.transpose(0, 2, 1)[:, :, None, None, :], us.shape[1:])
-    a_sum = np.zeros(us.shape[1:])
-    au = np.zeros(c.shape)
-    for m in range(us.shape[0] - 1, -1, -1):
-        a_sum += a
-        au += np.einsum("bfgpn,bfgpn->fgpn", a, us[m])
-        if m or need_dx:
-            ca = c[None] * a
-            a = d * ca - shift_nd(s, ca)    # R^T a = (D - S)(c a)
+    a_sum, au, a = _jacobi_adjoint(s, c, a, us.shape[0], us, need_dx)
     xt = tape.zs[:, :, 0].transpose(0, 2, 1)        # (B, G, N)
     gbeta = np.einsum("bfgpn,bgn,fgpn->fgp", a_sum, xt, c, optimize=True)
     ggamma = np.einsum("fgpn,fgpn->fgp", c, au)
@@ -402,13 +416,17 @@ def _arma_backward(layer: LayerSpec, params: ArmaLayerParams, tape: _ArmaTape,
     return ArmaLayerParams(direct.taps, gbeta, ggamma), dx
 
 
+def _check_bound_nodes(sup: EdgeVaryingSupport, x: np.ndarray) -> None:
+    if x.shape[1] != sup.n_nodes:
+        raise ModelError(f"edge-varying layer is bound to {sup.n_nodes} nodes, "
+                         f"signal has {x.shape[1]}")
+
+
 def _edge_forward(layer: LayerSpec, params: EdgeLayerParams, x: np.ndarray):
     sup = params.support
     f, g = layer.out_features, layer.in_features
     bdim, n = x.shape[0], x.shape[1]
-    if n != sup.n_nodes:
-        raise ModelError(f"edge-varying layer is bound to {sup.n_nodes} nodes, "
-                         f"signal has {n}")
+    _check_bound_nodes(sup, x)
     phi = edge_step_matrices(sup, params.values.reshape(f * g, layer.order,
                                                         sup.nnz))
     z0 = params.diag[..., None] * x.transpose(2, 1, 0)[None]  # (F, G, N, B)
@@ -428,11 +446,9 @@ def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
     gvals = np.zeros_like(params.values)
     sens = np.array(delta, copy=True)  # sensitivity at z^(K)
     for k in range(layer.order, 0, -1):
-        # no optimize=True: its batched-matmul path copies both gathers
-        gvals[:, :, k - 1, :] = np.einsum(
-            "fgeb,fgeb->fge",
-            sens[:, :, sup.rows, :],
-            tape.zs[k - 1].reshape(f, g, n, bdim)[:, :, sup.cols, :])
+        # dense outer product sens z^(k-1)^T, read on the support
+        zt = tape.zs[k - 1].reshape(f, g, n, bdim).transpose(0, 1, 3, 2)
+        gvals[:, :, k - 1, :] = np.matmul(sens, zt)[:, :, sup.rows, sup.cols]
         sens = np.matmul(tape.phi[k - 1].transpose(0, 2, 1),
                          sens.reshape(f * g, n, bdim)).reshape(delta.shape) + delta
     xt = tape.x.transpose(2, 1, 0)  # (G, N, B)
@@ -444,17 +460,207 @@ def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
 
 
 # ---------------------------------------------------------------------------
+# Last layer restricted to output nodes T.  Before its nonlinearity a layer
+# is linear in its input, u[:, t, f] = sum_{n, g} w[t, f, g, n] x[:, n, g],
+# so the rows w = du[t, f] / dx[n, g] are computed once per call, with no
+# dependence on the batch. Each family supplies its rows and the
+# vector-Jacobian product of its rows against xbar[t, f, g, n] =
+# sum_b du[b, t, f] x[b, n, g].
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _RowsTape:
+    x: np.ndarray      # (B, N, G) layer input
+    w: np.ndarray      # (T*F, N*G) rows, laid out for the batch GEMMs
+    nodes: np.ndarray  # (T,) output nodes
+    basis: object      # what the family's rows VJP reads
+
+
+def _one_hot(nodes: np.ndarray, n: int) -> np.ndarray:
+    """(T, N) rows of the identity at ``nodes``."""
+    e = np.zeros((nodes.size, n))
+    e[np.arange(nodes.size), nodes] = 1.0
+    return e
+
+
+def _fir_rows(layer: LayerSpec, taps: np.ndarray, s: ShiftOperator,
+              nodes: np.ndarray):
+    """Rows sum_k taps[f, g, k] (S^k)[t, n] as (T, F, G, N), and the
+    (N, K+1, T) stack of S^k e_t they contract (S is symmetric)."""
+    stack = shifted_stack(s, _one_hot(nodes, s.n_nodes).T[None], layer.order)[0]
+    return np.einsum("fgk,nkt->tfgn", taps, stack), stack
+
+
+def _fir_rows_vjp(layer: LayerSpec, stack: np.ndarray,
+                  xbar: np.ndarray) -> np.ndarray:
+    gtaps = np.einsum("tfgn,nkt->fgk", xbar, stack)
+    fold_tap_gradients(layer, gtaps)
+    return gtaps
+
+
+def _pole_rows_start(nodes: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a_T = e_t broadcast to (T, F, G, P, N), node t as the sweep's batch."""
+    e = _one_hot(nodes, c.shape[-1])
+    return np.broadcast_to(e[:, None, None, None, :], (nodes.size,) + c.shape)
+
+
+def _arma_rows(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
+               nodes: np.ndarray):
+    """FIR rows of the direct part plus, per pole, beta c sum_{m<T} q_m + q_T
+    with q_0 = e_t and q_m = R^T q_{m-1}: the adjoint sweep from a_T = e_t."""
+    w, stack = _fir_rows(layer, params.alpha, s, nodes)
+    if layer.n_poles == 0:
+        return w, (stack, None)
+    c = 1.0 / (s.diagonal()[None, None, None, :] - params.gamma[..., None])
+    a = _pole_rows_start(nodes, c)
+    a_sum, _, a0 = _jacobi_adjoint(s, c, a, layer.jacobi_iters, None, True)
+    w += (params.beta[..., None] * c * a_sum + a0).sum(axis=3)
+    return w, (stack, c)
+
+
+def _arma_rows_vjp(layer: LayerSpec, params: ArmaLayerParams,
+                   s: ShiftOperator, tape: _RowsTape, xbar: np.ndarray):
+    """The poles' VJP is the full layer's adjoint with node t as the batch:
+    Jacobi iterates on xbar[t] (one input per (f, g)) against a_T = e_t."""
+    stack, c = tape.basis
+    galpha = _fir_rows_vjp(layer, stack, xbar)
+    if c is None:
+        return ArmaLayerParams(galpha, np.zeros_like(params.beta),
+                               np.zeros_like(params.gamma))
+    xb = xbar[:, :, :, None, :]                          # (T, F, G, 1, N)
+    b = params.beta[..., None] * c * xb
+    us = jacobi_iterates(s, c, b, xb, shift_nd(s, xb), layer.jacobi_iters)
+    a = _pole_rows_start(tape.nodes, c)
+    a_sum, au, _ = _jacobi_adjoint(s, c, a, layer.jacobi_iters, us, False)
+    gbeta = np.einsum("tfgpn,tfgn,fgpn->fgp", a_sum, xbar, c, optimize=True)
+    ggamma = np.einsum("fgpn,fgpn->fgp", c, au)
+    return ArmaLayerParams(galpha, gbeta, ggamma)
+
+
+def _edge_sparse_step(support: EdgeVaryingSupport, vals: np.ndarray,
+                      z: np.ndarray, transpose: bool) -> np.ndarray:
+    """Phi z, or Phi^T z, for steps whose (..., nnz) ``vals`` broadcast
+    against the leading axes of the (..., N) ``z``: a gather on the support
+    and one ``np.bincount``, with no dense step matrix."""
+    src, dst = ((support.rows, support.cols) if transpose
+                else (support.cols, support.rows))
+    contrib = vals * z[..., src]
+    lead, n = contrib.shape[:-1], support.n_nodes
+    m = int(np.prod(lead))
+    index = (np.arange(m)[:, None] * n + dst).ravel()
+    out = np.bincount(index, weights=contrib.ravel(), minlength=m * n)
+    return out.reshape(lead + (n,))
+
+
+def _edge_rows(layer: LayerSpec, params: EdgeLayerParams, nodes: np.ndarray):
+    """Rows diag * v_0 of the Horner sweep v_K = e_t,
+    v_{k-1} = e_t + Phi_k^T v_k; also returns v_0 .. v_K as (F, G, T, N)."""
+    sup = params.support
+    e = _one_hot(nodes, sup.n_nodes)
+    v = np.broadcast_to(e, params.diag.shape[:2] + e.shape)
+    vs = [v]
+    for k in range(layer.order, 0, -1):
+        vals = params.values[:, :, k - 1, None, :]
+        v = e + _edge_sparse_step(sup, vals, v, transpose=True)
+        vs.append(v)
+    vs.reverse()
+    w = (params.diag[:, :, None, :] * vs[0]).transpose(2, 0, 1, 3)
+    return w, vs
+
+
+def _edge_rows_vjp(layer: LayerSpec, params: EdgeLayerParams, vs: list,
+                   xbar: np.ndarray) -> EdgeLayerParams:
+    """gdiag = sum_t xbar v_0; then the forward chain z <- Phi_k z from
+    z = diag * xbar gives gvals_k[e] = sum_t z[col_e] v_k[row_e]."""
+    sup = params.support
+    xb = xbar.transpose(1, 2, 0, 3)                      # (F, G, T, N)
+    gdiag = (xb * vs[0]).sum(axis=2)
+    gvals = np.empty_like(params.values)
+    z = params.diag[:, :, None, :] * xb
+    for k in range(1, layer.order + 1):
+        gvals[:, :, k - 1] = np.einsum("fgte,fgte->fge", z[..., sup.cols],
+                                       vs[k][..., sup.rows])
+        if k < layer.order:
+            z = _edge_sparse_step(sup, params.values[:, :, k - 1, None, :], z,
+                                  transpose=False)
+    return EdgeLayerParams(sup, gdiag, gvals)
+
+
+def _rows_forward(layer: LayerSpec, params, s: ShiftOperator, x: np.ndarray,
+                  nodes: np.ndarray):
+    """Pre-nonlinearity output (B, T, F) at ``nodes``: one
+    (B, N*G) @ (N*G, T*F) product against the layer's rows."""
+    if layer.family == "fir":
+        w, basis = _fir_rows(layer, params.taps, s, nodes)
+    elif layer.family == "arma":
+        w, basis = _arma_rows(layer, params, s, nodes)
+    else:
+        _check_bound_nodes(params.support, x)
+        w, basis = _edge_rows(layer, params, nodes)
+    t, f, g, n = w.shape
+    wmat = w.transpose(0, 1, 3, 2).reshape(t * f, n * g)
+    u = (x.reshape(x.shape[0], n * g) @ wmat.T).reshape(-1, t, f)
+    return u, _RowsTape(x, wmat, nodes, basis)
+
+
+def _rows_backward(layer: LayerSpec, params, tape: _RowsTape,
+                   s: ShiftOperator, du: np.ndarray, need_dx: bool):
+    bdim, n, g = tape.x.shape
+    delta = du.reshape(bdim, -1)                          # (B, T*F)
+    xbar = (delta.T @ tape.x.reshape(bdim, n * g)).reshape(
+        tape.nodes.size, -1, n, g).transpose(0, 1, 3, 2)  # (T, F, G, N)
+    if layer.family == "fir":
+        grads = FirLayerParams(_fir_rows_vjp(layer, tape.basis, xbar))
+    elif layer.family == "arma":
+        grads = _arma_rows_vjp(layer, params, s, tape, xbar)
+    else:
+        grads = _edge_rows_vjp(layer, params, tape.basis, xbar)
+    dx = (delta @ tape.w).reshape(bdim, n, g) if need_dx else None
+    return grads, dx
+
+
+# ---------------------------------------------------------------------------
 # Model forward/backward
 # ---------------------------------------------------------------------------
 
+def _check_out_nodes(spec: ModelSpec, s: ShiftOperator | None, x: np.ndarray,
+                     first_layer_zs: np.ndarray | None, out_nodes) -> np.ndarray:
+    if s is None or spec.shift_mode == "time_varying":
+        raise ModelError("out_nodes needs a static shift")
+    if first_layer_zs is not None:
+        raise ModelError("out_nodes cannot be combined with first_layer_zs")
+    nodes = np.asarray(out_nodes)
+    if nodes.ndim != 1 or nodes.size == 0 or nodes.dtype.kind not in "iu":
+        raise ModelError(f"out_nodes must be a non-empty 1-D integer array, "
+                         f"got shape {nodes.shape} of {nodes.dtype}")
+    n = x.shape[1]
+    outside = nodes[(nodes < 0) | (nodes >= n)]
+    if outside.size:
+        raise ModelError(f"out_nodes holds node {int(outside[0])}, "
+                         f"outside [0, {n})")
+    return nodes
+
+
 def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
-                  x: np.ndarray, first_layer_zs: np.ndarray | None = None):
+                  x: np.ndarray, first_layer_zs: np.ndarray | None = None,
+                  out_nodes=None):
     """Batched forward pass on a (batch, nodes, features) array.
 
     ``first_layer_zs`` is a precomputed (B, N, K+1, G) stack for a first FIR
     layer (the delayed chain in time-varying mode); ``x`` is then its k = 0
     slice.
+
+    ``out_nodes`` (a 1-D integer array T, repeats and any order allowed)
+    computes only the output nodes a loss reads: every layer but the last
+    runs in full, and the last layer and the readout return (B, |T|, .) for
+    those nodes, in that order. The last layer then runs through its rows at
+    T, computed once per call from one-hot starts, and meets the batch in one
+    (B, N*G) @ (N*G, |T|*F) product. It needs a static shift and no
+    ``first_layer_zs``.
     """
+    if out_nodes is not None:
+        out_nodes = _check_out_nodes(spec, s, x, first_layer_zs, out_nodes)
+    last = len(spec.layers) - 1
     inputs, layer_tapes, preacts, outputs = [], [], [], []
     cur = x
     for i, (layer, params) in enumerate(zip(spec.layers, state.layers)):
@@ -462,7 +668,9 @@ def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
             raise ModelError(f"layer {i} expects {layer.in_features} features, "
                              f"got {cur.shape[2]}")
         inputs.append(cur)
-        if layer.family == "fir":
+        if i == last and out_nodes is not None:
+            u, tape = _rows_forward(layer, params, s, cur, out_nodes)
+        elif layer.family == "fir":
             zs = first_layer_zs if i == 0 and first_layer_zs is not None else None
             u, tape = _fir_forward(layer, params, s, cur, zs=zs)
         elif layer.family == "arma":
@@ -479,7 +687,7 @@ def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
         readout_input = cur
         cur = cur @ state.readout_weight + state.readout_bias
     tape = Tape(spec, state.version, s, inputs, layer_tapes, preacts, outputs,
-                readout_input, x.shape)
+                readout_input, cur.shape)
     return cur, tape
 
 
@@ -498,17 +706,22 @@ def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
     """Gradients of a scalar loss for every trainable parameter.
 
     ``loss_grad`` is dJ/d(output) with the output's shape (a GraphSignal or a
-    batched array matching the tape). Returns a ModelState-shaped container
-    of gradient arrays.
+    batched array matching the tape): (B, |T|, .) for a tape recorded with
+    ``out_nodes`` T, whose last layer runs its rows' vector-Jacobian
+    product. Any other shape is rejected rather than broadcast. Returns a
+    ModelState-shaped container of gradient arrays.
     """
     if tape.state_version != state.version:
         raise ModelError("stale tape: parameters changed since the forward pass")
     if isinstance(loss_grad, GraphSignal):
         dcur = loss_grad.values[None]
     else:
-        dcur = loss_grad
+        dcur = np.asarray(loss_grad)
         if dcur.ndim == 2:
             dcur = dcur[None]
+    if dcur.shape != tape.out_shape:
+        raise ModelError(f"loss_grad has shape {dcur.shape}, the model output "
+                         f"has shape {tape.out_shape}")
     grad_readout_w = grad_readout_b = None
     if spec.readout.kind == "per_node_linear":
         grad_readout_w = np.einsum("bnf,bno->fo", tape.readout_input, dcur,
@@ -522,7 +735,10 @@ def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
         du = _nonlin_backward(layer.nonlinearity, tape.preacts[i],
                               tape.outputs[i], dcur)
         need_dx = i > 0
-        if layer.family == "fir":
+        if isinstance(tape.layer_tapes[i], _RowsTape):
+            g, dcur = _rows_backward(layer, params, tape.layer_tapes[i],
+                                     tape.shift, du, need_dx)
+        elif layer.family == "fir":
             g, dcur = _fir_backward(layer, params, tape.layer_tapes[i],
                                     tape.shift, du, need_dx)
         elif layer.family == "arma":

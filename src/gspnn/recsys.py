@@ -6,6 +6,10 @@ Pearson correlation between item rating vectors. Each user is then a graph
 signal (their ratings, zeros where unrated); predicting a held-out rating is
 interpolation of one zeroed entry, read off a per-node readout at the target
 item's node.
+
+Training and prediction read that one node only, so they run the model with
+``out_nodes=[target_node]``: the last layer computes its rows at the target
+item once per batch instead of its output at every item.
 """
 
 from __future__ import annotations
@@ -278,12 +282,10 @@ class RatingProblem(Problem):
 
     def batch_loss(self, indices):
         xs = self.inputs[indices]
-        out, tape = forward_batch(self.spec, self.state, self.shift, xs)
-        preds = out[:, self.target_node, 0]
-        value, dpred = loss_eval(self.loss, preds, self.targets[indices])
-        dout = np.zeros_like(out)
-        dout[:, self.target_node, 0] = dpred
-        grads = model_backward(tape, self.spec, self.state, dout)
+        out, tape = forward_batch(self.spec, self.state, self.shift, xs,
+                                  out_nodes=[self.target_node])
+        value, dpred = loss_eval(self.loss, out[:, 0, 0], self.targets[indices])
+        grads = model_backward(tape, self.spec, self.state, dpred[:, None, None])
         return value, grads
 
     def post_step(self):
@@ -296,11 +298,17 @@ class RatingProblem(Problem):
 
 def predict(spec: ModelSpec, state: ModelState, shift: ShiftOperator,
             samples: list[RecSample], target_node: int) -> np.ndarray:
+    """Each sample's predicted rating: the readout at ``target_node`` only.
+
+    The model's last layer runs through its rows at that node
+    (``forward_batch(..., out_nodes=[target_node])``), so no other node's
+    output is computed or taped.
+    """
     if not samples:
         raise DataError("no samples to predict on")
     xs = np.stack([smp.input for smp in samples])[:, :, None]
-    out, _ = forward_batch(spec, state, shift, xs)
-    return out[:, target_node, 0]
+    out, _ = forward_batch(spec, state, shift, xs, out_nodes=[target_node])
+    return out[:, 0, 0]
 
 
 def evaluate_rmse(spec: ModelSpec, state: ModelState, shift: ShiftOperator,

@@ -3,7 +3,8 @@
 The helpers below are the earlier layer implementations, kept as oracles:
 shifted stacks laid out (K+1, B, N, G) and contracted one tap at a time, and
 the Jacobi step R x = c (d x - S x) applied to the input broadcast over every
-(output feature, pole) pair. The kernel changed the summation order, so
+(output feature, pole) pair, and the edge-varying step-value gradient as a
+gathered einsum over the batch. The kernels changed the summation order, so
 outputs and every gradient must agree with them to a relative tolerance.
 """
 
@@ -17,8 +18,11 @@ from gspnn.neural import (
     ArmaLayerParams,
     FirLayerParams,
     LayerSpec,
+    ModelSpec,
     _arma_backward,
     _arma_forward,
+    _edge_backward,
+    _edge_forward,
     _fir_backward,
     _fir_forward,
     forward_batch,
@@ -127,6 +131,24 @@ def oracle_arma(s, x, alpha, beta, gamma, t, du):
     return u, grads
 
 
+def edge_value_grad_einsum(layer, params, tape, du):
+    """Gradient of the edge-varying step values by the gathered einsum over
+    the batch, sens[rows] * z^(k-1)[cols], with the same transpose sweep."""
+    sup = params.support
+    f, g = layer.out_features, layer.in_features
+    bdim, n = tape.x.shape[0], tape.x.shape[1]
+    delta = np.broadcast_to(du.transpose(2, 1, 0)[:, None], (f, g, n, bdim))
+    gvals = np.zeros_like(params.values)
+    sens = np.array(delta)
+    for k in range(layer.order, 0, -1):
+        gvals[:, :, k - 1] = np.einsum(
+            "fgeb,fgeb->fge", sens[:, :, sup.rows, :],
+            tape.zs[k - 1].reshape(f, g, n, bdim)[:, :, sup.cols, :])
+        sens = np.matmul(tape.phi[k - 1].transpose(0, 2, 1),
+                         sens.reshape(f * g, n, bdim)).reshape(delta.shape) + delta
+    return gvals
+
+
 def shift_with_diagonal(seed, n=9):
     """Adjacency plus a nonzero diagonal, so the Jacobi scaling c varies
     over nodes and d x does not vanish."""
@@ -189,6 +211,22 @@ def test_arma_layer_matches_broadcast_shift_oracle(batch, g_in, f_out, order,
     if poles:
         assert_close(grads.beta, want["beta"], "beta gradient")
         assert_close(grads.gamma, want["gamma"], "gamma gradient")
+
+
+@pytest.mark.parametrize("batch,g_in,f_out,order", [
+    (1, 1, 1, 1), (4, 2, 3, 3), (5, 3, 2, 2),
+])
+def test_edge_value_gradient_matches_gathered_einsum_oracle(batch, g_in, f_out,
+                                                            order):
+    s, r = shift_with_diagonal(70 + order)
+    layer = LayerSpec("edge_varying", g_in, f_out, order)
+    params = init_state(ModelSpec((layer,)), r, shift=s).layers[0]
+    x = r.normal(size=(batch, s.n_nodes, g_in))
+    du = r.normal(size=(batch, s.n_nodes, f_out))
+    _, tape = _edge_forward(layer, params, x)
+    grads, _ = _edge_backward(layer, params, tape, du, False)
+    assert_close(grads.values, edge_value_grad_einsum(layer, params, tape, du),
+                 "values gradient")
 
 
 def test_fir_apply_matches_ascending_tap_oracle():

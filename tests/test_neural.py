@@ -364,6 +364,20 @@ def test_stale_tape_rejected():
         model_backward(tape, spec, state, GraphSignal(np.zeros_like(out.values)))
 
 
+def test_loss_grad_of_wrong_shape_rejected():
+    # a (4, 1, 1) gradient would broadcast over the nodes of a (4, 10, 1)
+    # output and give wrong gradients
+    s, r = small_shift(19, n=10)
+    spec = ModelSpec((LayerSpec("edge_varying", 1, 2, 2),),
+                     ReadoutSpec("per_node_linear", 1))
+    state = init_state(spec, r, shift=s)
+    out, tape = forward_batch(spec, state, s, r.normal(size=(4, 10, 1)))
+    assert out.shape == (4, 10, 1)
+    with pytest.raises(ModelError, match=r"loss_grad has shape \(4, 1, 1\).*"
+                                         r"\(4, 10, 1\)"):
+        model_backward(tape, spec, state, np.ones((4, 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Equivariance
 # ---------------------------------------------------------------------------

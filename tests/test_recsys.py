@@ -1,12 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gspnn.graphs import ShiftKind, build_shift, random_graph
+from gspnn.neural import init_state
 from gspnn.recsys import (
     DataError,
+    RecSample,
+    build_model_spec,
     build_similarity,
     ingest_movielens,
     make_samples,
     most_rated_items,
+    predict,
     select_top_items,
     save_metrics_csv,
     train_rating_model,
@@ -258,6 +265,26 @@ def test_training_improves_over_init(fixture_table, family):
         [s.target for s in make_samples(fixture_table, sim, target, seed=0)[0]]
     ) ** 2))
     assert model.train_rmse < zeros_rmse
+
+
+def test_edgenet_predict_keeps_no_full_output_tape():
+    # MovieLens-100k eval shape: 200 items, 440 users, the default recipe
+    # (64 features, order 4). The full-output forward tapes the dense step
+    # matrices and every chain state, about 400 MB here.
+    r = np.random.default_rng(8)
+    shift = build_shift(random_graph(200, 0.065, r, weighted=True),
+                        ShiftKind.NORMALIZED_ADJACENCY)
+    spec = build_model_spec("edgenet")
+    state = init_state(spec, r, shift=shift)
+    samples = [RecSample(u, r.normal(size=200), 3.0) for u in range(440)]
+    tracemalloc.start()
+    try:
+        preds = predict(spec, state, shift, samples, 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (440,)
+    assert peak < 50e6, f"predict peak {peak / 1e6:.1f} MB"
 
 
 def test_transfer_protocol_runs(fixture_table):
