@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -360,7 +361,7 @@ def cmd_flocking_evaluate(cfg: dict) -> int:
                                 base_seed=10_000 + cfg["seed"])
     _sweep_csv(ctx.out_path("costs.csv"), rows, model)
     expert = np.mean([fl.expert_rollout_cost(
-        fl.FlockConfig(**{**bundle.config.__dict__, "n_agents": agents}),
+        replace(bundle.config, n_agents=agents),
         10_000 + cfg["seed"] + t) for t in range(cfg["trials"])])
     ctx.write_manifest()
     print(f"policy cost {rows[0]['mean_cost']:.1f} "

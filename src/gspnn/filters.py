@@ -9,13 +9,17 @@ the neural ARMA layer both run it. An edge-varying filter gives every stored
 coordinate of I + S its own weight at every step, generalizing both.
 
 Matrix powers of the shift are never materialized: the FIR and ARMA families
-are applied through repeated sparse shifts. The edge-varying family is the
-exception. Its K step matrices differ per step and per feature pair, so they
-are scattered into dense (N, N) blocks and the chain is one batched matrix
-product per step; at N = 200 that beat a gather + ``np.add.reduceat`` chain
-by about 9x. ``edge_varying_chain`` is the one chain kernel:
-``edge_varying_apply`` and the neural edge-varying layer both run it (a
-last layer restricted to a few output nodes sweeps one-hot rows sparsely).
+are applied through repeated sparse shifts. An edge-varying step Phi_k
+differs per step and per feature pair, so it is applied on its coordinate
+list: one ``graphs.coo_apply`` gather + ``np.bincount`` per step, costing
+nnz per vector. ``edge_varying_chain`` and its transposed sweep
+``edge_varying_sweep`` are the one edge-varying recursion:
+``edge_varying_apply`` and the neural edge-varying layer, full-output or
+restricted to a few output nodes, all run them. Dense (N, N) step
+matrices with batched products win only on wide full-output batches (8x
+faster for 440 signals on 200 nodes with 64 filters) and cost the most on
+one signal (4x the time, 10x the memory); no caller runs full-output
+batches that wide, so there is no dense path.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, GraphSignal, ShiftOperator, symmetric_eigenvalues
+from .graphs import (
+    GraphError,
+    GraphSignal,
+    ShiftOperator,
+    coo_apply,
+    symmetric_eigenvalues,
+)
 
 
 class FilterError(ValueError):
@@ -381,47 +391,54 @@ class EdgeVaryingParams:
         return self.values.shape[0]
 
 
-def edge_step_matrices(support: EdgeVaryingSupport,
-                       values: np.ndarray) -> np.ndarray:
-    """Dense (K, M, N, N) step matrices Phi_1 ... Phi_K of M edge-varying
-    filters whose (M, K, nnz) ``values`` live on ``support``."""
-    m, k = values.shape[:2]
-    n = support.n_nodes
-    phi = np.zeros((k, m, n, n))
-    phi[:, :, support.rows, support.cols] = \
-        values.reshape(m, k, support.nnz).transpose(1, 0, 2)
-    return phi
-
-
-def edge_varying_chain(phi: np.ndarray, z0: np.ndarray) -> list[np.ndarray]:
+def edge_varying_chain(support: EdgeVaryingSupport, values: np.ndarray,
+                       z0: np.ndarray) -> list[np.ndarray]:
     """Chain states [z^(0), ..., z^(K)] of z^(k) = Phi_k z^(k-1) from the
-    (M, N, B) start ``z0``, which is kept as given; ``phi`` is the
-    (K, M, N, N) stack from ``edge_step_matrices``.
+    (..., B, N) start ``z0``, which is kept as given.
 
-    Every full-output edge-varying filter, neural or not, runs this kernel.
-    A neural last layer restricted to a few output nodes instead runs its
-    one-hot row sweeps sparsely on the support, where dense steps would cost
-    N^2 per feature pair for a handful of vectors.
+    ``values`` is (..., K, nnz) on ``support``: step k's weights
+    ``values[..., k-1, :]`` broadcast against the axes of ``z0`` before its
+    batch axis. Each step is one ``coo_apply`` on the support, nnz
+    multiply-adds per vector; no dense step matrix is built. Every
+    edge-varying filter, neural or not, runs this chain and its transpose,
+    ``edge_varying_sweep``.
     """
     zs = [z0]
-    for step in phi:
-        zs.append(np.matmul(step, zs[-1]))
+    for k in range(values.shape[-2]):
+        zs.append(coo_apply(support.rows, support.cols, values[..., k, None, :],
+                            zs[-1], support.n_nodes))
     return zs
+
+
+def edge_varying_sweep(support: EdgeVaryingSupport, values: np.ndarray,
+                       e: np.ndarray) -> list[np.ndarray]:
+    """Transposed sweep [v_0, ..., v_K] with v_K = e and
+    v_{k-1} = e + Phi_k^T v_k, on the operands of ``edge_varying_chain``.
+
+    From e = dJ/du it gives the sensitivities v_k = dJ/dz^(k) of the chain
+    states; from a one-hot e_t it gives row t of the filter, diag * v_0.
+    """
+    vs = [e]
+    for k in range(values.shape[-2], 0, -1):
+        vs.append(e + coo_apply(support.cols, support.rows,
+                                values[..., k - 1, None, :], vs[-1],
+                                support.n_nodes))
+    vs.reverse()
+    return vs
 
 
 def edge_varying_apply(e: EdgeVaryingParams, x: GraphSignal) -> GraphSignal:
     """Apply sum_k Phi^(k) ... Phi^(0) x via the step recursion.
 
-    Each feature of ``x`` is filtered alone: features become the batch of a
-    single chain run through ``edge_varying_chain``. Sharing that kernel
-    makes the result bit-identical to a one-input, one-output neural
-    edge-varying layer with the same weights.
+    Each feature of ``x`` is filtered alone: features become the batch axis
+    of one ``edge_varying_chain``, so every step is a single ``coo_apply``
+    for all of them. Sharing that chain makes the result bit-identical to a
+    one-input, one-output neural edge-varying layer with the same weights.
     """
     if x.n_nodes != e.support.n_nodes:
         raise GraphError("signal size does not match the bound support")
-    phi = edge_step_matrices(e.support, e.values[None])
-    zs = edge_varying_chain(phi, (e.diag[:, None] * x.values)[None])
-    return GraphSignal(sum(zs[1:], zs[0])[0])
+    zs = edge_varying_chain(e.support, e.values, e.diag * x.values.T)
+    return GraphSignal(sum(zs[1:], zs[0]).T)
 
 
 def edge_varying_from_fir(s: ShiftOperator, h: FirTaps) -> EdgeVaryingParams:

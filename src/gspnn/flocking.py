@@ -16,7 +16,7 @@ uniformly in team size (what lets one trained controller run at any N).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -367,14 +367,7 @@ def save_dataset(directory, samples: list[TrajectorySample],
     manifest = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_trajectories": len(samples),
-        "n_agents": cfg.n_agents,
-        "duration": cfg.duration,
-        "dt": cfg.dt,
-        "comm_radius": cfg.comm_radius,
-        "u_max": cfg.u_max,
-        "disc_radius_scale": cfg.disc_radius_scale,
-        "min_spawn_distance": cfg.min_spawn_distance,
-        "speed_range": cfg.speed_range,
+        **asdict(cfg),
         "seeds": [s.seed for s in samples],
         "n_resampled": n_resampled,
         "files": [],
@@ -392,25 +385,37 @@ def save_dataset(directory, samples: list[TrajectorySample],
         fh.write("\n")
 
 
+def _config_from_doc(doc: dict) -> FlockConfig:
+    return FlockConfig(**{f.name: doc[f.name] for f in fields(FlockConfig)})
+
+
+def _load_checked(path: Path, name: str, shape: tuple) -> np.ndarray:
+    """One trajectory array, checked against the shape the manifest implies."""
+    arr = np.load(path)
+    if arr.shape != shape:
+        raise ValueError(f"{path.name}: {name} has shape {arr.shape}, "
+                         f"the manifest needs {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path.name}: {name} has non-finite entries")
+    return arr
+
+
 def load_dataset(directory) -> list[TrajectorySample]:
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != DATASET_FORMAT_VERSION:
         raise ValueError("unsupported dataset format version")
-    cfg = FlockConfig(
-        n_agents=manifest["n_agents"], duration=manifest["duration"],
-        dt=manifest["dt"], comm_radius=manifest["comm_radius"],
-        u_max=manifest["u_max"],
-        disc_radius_scale=manifest["disc_radius_scale"],
-        min_spawn_distance=manifest["min_spawn_distance"],
-        speed_range=manifest["speed_range"])
+    cfg = _config_from_doc(manifest)
+    t, n = cfg.n_steps, cfg.n_agents
+    shapes = {"positions": (t + 1, n, 2), "velocities": (t + 1, n, 2),
+              "actions": (t, n, 2)}
     samples = []
     for idx, seed in enumerate(manifest["seeds"]):
         stem = f"traj_{idx:04d}"
-        positions = np.load(directory / f"{stem}.positions.npy")
-        velocities = np.load(directory / f"{stem}.velocities.npy")
-        actions = np.load(directory / f"{stem}.actions.npy")
+        positions, velocities, actions = (
+            _load_checked(directory / f"{stem}.{name}.npy", name, shape)
+            for name, shape in shapes.items())
         features = np.zeros((actions.shape[0], cfg.n_agents, 6))
         for t in range(actions.shape[0]):
             _, dist = _pairwise(positions[t])
@@ -582,16 +587,7 @@ def save_policy(path, bundle: PolicyBundle, extra: dict | None = None) -> None:
     meta = {
         "experiment": "flocking",
         "action_scale": bundle.action_scale,
-        "config": {
-            "n_agents": bundle.config.n_agents,
-            "duration": bundle.config.duration,
-            "dt": bundle.config.dt,
-            "comm_radius": bundle.config.comm_radius,
-            "u_max": bundle.config.u_max,
-            "disc_radius_scale": bundle.config.disc_radius_scale,
-            "min_spawn_distance": bundle.config.min_spawn_distance,
-            "speed_range": bundle.config.speed_range,
-        },
+        "config": asdict(bundle.config),
     }
     meta.update(extra or {})
     save_checkpoint(path, bundle.spec, bundle.state, metadata=meta)
@@ -605,11 +601,5 @@ def policy_from_checkpoint(spec: ModelSpec, state: ModelState,
                            meta: dict) -> PolicyBundle:
     """Bundle a loaded checkpoint with the flocking metadata save_policy
     stored next to it."""
-    cfg = meta["config"]
-    config = FlockConfig(
-        n_agents=cfg["n_agents"], duration=cfg["duration"], dt=cfg["dt"],
-        comm_radius=cfg["comm_radius"], u_max=cfg["u_max"],
-        disc_radius_scale=cfg["disc_radius_scale"],
-        min_spawn_distance=cfg["min_spawn_distance"],
-        speed_range=cfg["speed_range"])
-    return PolicyBundle(spec, state, meta["action_scale"], config)
+    return PolicyBundle(spec, state, meta["action_scale"],
+                        _config_from_doc(meta["config"]))

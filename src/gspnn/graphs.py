@@ -176,15 +176,7 @@ class ShiftOperator:
 
     def apply_coo(self, x: np.ndarray) -> np.ndarray:
         """Product via sparse coordinate traversal (no dense materialization)."""
-        if x.ndim == 1:
-            contrib = self.vals * x[self.cols]
-            return np.bincount(self.rows, weights=contrib, minlength=self.n_nodes)
-        contrib = self.vals[:, None] * x[self.cols]
-        out = np.empty((self.n_nodes, x.shape[1]))
-        for f in range(x.shape[1]):
-            out[:, f] = np.bincount(self.rows, weights=contrib[:, f],
-                                    minlength=self.n_nodes)
-        return out
+        return coo_apply(self.rows, self.cols, self.vals, x.T, self.n_nodes).T
 
     def operator_norm(self) -> float:
         """Spectral norm max |lambda_i| (symmetric matrix)."""
@@ -192,6 +184,25 @@ class ShiftOperator:
             return float(np.max(np.abs(self.eigenvalues)))
         lam = symmetric_eigenvalues(self.dense())
         return float(np.max(np.abs(lam)))
+
+
+def coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+              z: np.ndarray, n: int) -> np.ndarray:
+    """Coordinate-list product out[..., rows[e]] += vals[..., e] z[..., cols[e]].
+
+    The node axis of ``z`` is last, ``vals`` (..., nnz) broadcasts against
+    its leading axes, and the (..., n) result is one gather and one
+    ``np.bincount``. Swapping ``rows`` and ``cols`` applies the transpose.
+    Every coordinate-list product in the package runs this kernel. The
+    gather is ``np.take``, whose result is C-ordered; ``z[..., cols]`` lays
+    the coordinate axis out first and makes the product and ravel slow.
+    """
+    contrib = vals * np.take(z, cols, axis=-1)
+    lead = contrib.shape[:-1]
+    m = int(np.prod(lead))
+    index = (np.arange(m)[:, None] * n + rows).ravel()
+    out = np.bincount(index, weights=contrib.ravel(), minlength=m * n)
+    return out.reshape(lead + (n,))
 
 
 def _check_symmetric(m: np.ndarray) -> None:

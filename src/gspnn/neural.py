@@ -14,14 +14,14 @@ differentiable. Internally everything is batched: signals travel as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .filters import (
     EdgeVaryingSupport,
-    edge_step_matrices,
     edge_varying_chain,
+    edge_varying_sweep,
     fir_bank_contract,
     fir_mask,
     jacobi_iterates,
@@ -279,10 +279,8 @@ class _ArmaTape:
 
 @dataclass
 class _EdgeTape:
-    x: np.ndarray    # (B, N, G) layer input
-    zs: list         # K+1 arrays (F*G, N, B): chain states z^(0)..z^(K)
-    phi: np.ndarray  # (K, F*G, N, N) dense step matrices; the backward
-                     # sweep applies their transposes
+    x: np.ndarray  # (B, N, G) layer input
+    zs: list       # K+1 arrays (F, G, B, N): chain states z^(0)..z^(K)
 
 
 @dataclass
@@ -423,40 +421,37 @@ def _check_bound_nodes(sup: EdgeVaryingSupport, x: np.ndarray) -> None:
 
 
 def _edge_forward(layer: LayerSpec, params: EdgeLayerParams, x: np.ndarray):
+    _check_bound_nodes(params.support, x)
+    z0 = params.diag[:, :, None, :] * x.transpose(2, 0, 1)[None]  # (F, G, B, N)
+    zs = edge_varying_chain(params.support, params.values, z0)
+    u = sum(zs[1:], zs[0]).sum(axis=1).transpose(1, 2, 0)       # (B, N, F)
+    return u, _EdgeTape(x, zs)
+
+
+def _edge_grads(params: EdgeLayerParams, xin: np.ndarray, zs: list,
+                vs: list) -> EdgeLayerParams:
+    """Weight gradients from the chain states z^(0)..z^(K-1) started at
+    diag * xin and the transposed sweep v_0..v_K, batch on axis 2:
+    gdiag = sum_b xin v_0 and gvals_k[e] = sum_b z^(k-1)[col_e] v_k[row_e]."""
     sup = params.support
-    f, g = layer.out_features, layer.in_features
-    bdim, n = x.shape[0], x.shape[1]
-    _check_bound_nodes(sup, x)
-    phi = edge_step_matrices(sup, params.values.reshape(f * g, layer.order,
-                                                        sup.nnz))
-    z0 = params.diag[..., None] * x.transpose(2, 1, 0)[None]  # (F, G, N, B)
-    zs = edge_varying_chain(phi, z0.reshape(f * g, n, bdim))
-    total = sum(zs[1:], zs[0]).reshape(f, g, n, bdim)
-    u = total.sum(axis=1).transpose(2, 1, 0)       # (B, N, F)
-    return u, _EdgeTape(x, zs, phi)
+    gdiag = (xin * vs[0]).sum(axis=2)
+    gvals = np.empty_like(params.values)
+    for k in range(1, len(vs)):
+        gvals[:, :, k - 1] = np.einsum("fgbe,fgbe->fge", zs[k - 1][..., sup.cols],
+                                       vs[k][..., sup.rows])
+    return EdgeLayerParams(sup, gdiag, gvals)
 
 
 def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
                    du: np.ndarray, need_dx: bool):
-    sup = params.support
-    f, g = layer.out_features, layer.in_features
-    bdim, n = tape.x.shape[0], tape.x.shape[1]
-    # delta[f,g,n,b] = du[b,n,f], shared by every chain state's direct path
-    delta = np.broadcast_to(du.transpose(2, 1, 0)[:, None, :, :], (f, g, n, bdim))
-    gvals = np.zeros_like(params.values)
-    sens = np.array(delta, copy=True)  # sensitivity at z^(K)
-    for k in range(layer.order, 0, -1):
-        # dense outer product sens z^(k-1)^T, read on the support
-        zt = tape.zs[k - 1].reshape(f, g, n, bdim).transpose(0, 1, 3, 2)
-        gvals[:, :, k - 1, :] = np.matmul(sens, zt)[:, :, sup.rows, sup.cols]
-        sens = np.matmul(tape.phi[k - 1].transpose(0, 2, 1),
-                         sens.reshape(f * g, n, bdim)).reshape(delta.shape) + delta
-    xt = tape.x.transpose(2, 1, 0)  # (G, N, B)
-    gdiag = np.einsum("fgnb,gnb->fgn", sens, xt, optimize=True)
+    e = du.transpose(2, 0, 1)[:, None]                           # (F, 1, B, N)
+    vs = edge_varying_sweep(params.support, params.values,
+                            np.broadcast_to(e, params.diag.shape[:2] + e.shape[2:]))
+    grads = _edge_grads(params, tape.x.transpose(2, 0, 1), tape.zs, vs)
     dx = None
     if need_dx:
-        dx = np.einsum("fgn,fgnb->bng", params.diag, sens, optimize=True)
-    return EdgeLayerParams(sup, gdiag, gvals), dx
+        dx = np.einsum("fgn,fgbn->bng", params.diag, vs[0], optimize=True)
+    return grads, dx
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +460,11 @@ def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
 # so the rows w = du[t, f] / dx[n, g] are computed once per call, with no
 # dependence on the batch. Each family supplies its rows and the
 # vector-Jacobian product of its rows against xbar[t, f, g, n] =
-# sum_b du[b, t, f] x[b, n, g].
+# sum_b du[b, t, f] x[b, n, g]. The edge-varying ones reuse the full layer's
+# pieces with node t as the batch: the rows are diag * v_0 of
+# ``edge_varying_sweep`` from one-hot e_t, and the VJP runs
+# ``edge_varying_chain`` on xbar into the same ``_edge_grads``, so each step
+# is one ``coo_apply`` on the support's nnz coordinates.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -537,53 +536,24 @@ def _arma_rows_vjp(layer: LayerSpec, params: ArmaLayerParams,
     return ArmaLayerParams(galpha, gbeta, ggamma)
 
 
-def _edge_sparse_step(support: EdgeVaryingSupport, vals: np.ndarray,
-                      z: np.ndarray, transpose: bool) -> np.ndarray:
-    """Phi z, or Phi^T z, for steps whose (..., nnz) ``vals`` broadcast
-    against the leading axes of the (..., N) ``z``: a gather on the support
-    and one ``np.bincount``, with no dense step matrix."""
-    src, dst = ((support.rows, support.cols) if transpose
-                else (support.cols, support.rows))
-    contrib = vals * z[..., src]
-    lead, n = contrib.shape[:-1], support.n_nodes
-    m = int(np.prod(lead))
-    index = (np.arange(m)[:, None] * n + dst).ravel()
-    out = np.bincount(index, weights=contrib.ravel(), minlength=m * n)
-    return out.reshape(lead + (n,))
-
-
 def _edge_rows(layer: LayerSpec, params: EdgeLayerParams, nodes: np.ndarray):
-    """Rows diag * v_0 of the Horner sweep v_K = e_t,
-    v_{k-1} = e_t + Phi_k^T v_k; also returns v_0 .. v_K as (F, G, T, N)."""
-    sup = params.support
-    e = _one_hot(nodes, sup.n_nodes)
-    v = np.broadcast_to(e, params.diag.shape[:2] + e.shape)
-    vs = [v]
-    for k in range(layer.order, 0, -1):
-        vals = params.values[:, :, k - 1, None, :]
-        v = e + _edge_sparse_step(sup, vals, v, transpose=True)
-        vs.append(v)
-    vs.reverse()
+    """Rows diag * v_0 of the transposed sweep from e_t, as (T, F, G, N); also
+    returns the sweep v_0 .. v_K as (F, G, T, N) arrays."""
+    e = _one_hot(nodes, params.support.n_nodes)
+    vs = edge_varying_sweep(params.support, params.values,
+                            np.broadcast_to(e, params.diag.shape[:2] + e.shape))
     w = (params.diag[:, :, None, :] * vs[0]).transpose(2, 0, 1, 3)
     return w, vs
 
 
 def _edge_rows_vjp(layer: LayerSpec, params: EdgeLayerParams, vs: list,
                    xbar: np.ndarray) -> EdgeLayerParams:
-    """gdiag = sum_t xbar v_0; then the forward chain z <- Phi_k z from
-    z = diag * xbar gives gvals_k[e] = sum_t z[col_e] v_k[row_e]."""
-    sup = params.support
+    """The full layer's gradients with node t as the batch: the chain on
+    xbar[t] over Phi_1 .. Phi_{K-1} against the sweep from e_t."""
     xb = xbar.transpose(1, 2, 0, 3)                      # (F, G, T, N)
-    gdiag = (xb * vs[0]).sum(axis=2)
-    gvals = np.empty_like(params.values)
-    z = params.diag[:, :, None, :] * xb
-    for k in range(1, layer.order + 1):
-        gvals[:, :, k - 1] = np.einsum("fgte,fgte->fge", z[..., sup.cols],
-                                       vs[k][..., sup.rows])
-        if k < layer.order:
-            z = _edge_sparse_step(sup, params.values[:, :, k - 1, None, :], z,
-                                  transpose=False)
-    return EdgeLayerParams(sup, gdiag, gvals)
+    zs = edge_varying_chain(params.support, params.values[:, :, :-1],
+                            params.diag[:, :, None, :] * xb)
+    return _edge_grads(params, xb, zs, vs)
 
 
 def _rows_forward(layer: LayerSpec, params, s: ShiftOperator, x: np.ndarray,
@@ -824,17 +794,7 @@ def save_checkpoint(path, spec: ModelSpec, state: ModelState,
                     metadata: dict | None = None) -> None:
     layers_doc = []
     for layer_spec, params in zip(spec.layers, state.layers):
-        doc = {
-            "family": layer_spec.family,
-            "in_features": layer_spec.in_features,
-            "out_features": layer_spec.out_features,
-            "order": layer_spec.order,
-            "n_poles": layer_spec.n_poles,
-            "jacobi_iters": layer_spec.jacobi_iters,
-            "nonlinearity": layer_spec.nonlinearity,
-            "fir_variant": layer_spec.fir_variant,
-            "gin_epsilon": layer_spec.gin_epsilon,
-        }
+        doc = asdict(layer_spec)
         if isinstance(params, FirLayerParams):
             doc["taps"] = _array_doc(params.taps)
         elif isinstance(params, ArmaLayerParams):
@@ -875,12 +835,7 @@ def load_checkpoint(path):
     mdoc = doc["model"]
     layer_specs, layer_params = [], []
     for i, ldoc in enumerate(mdoc["layers"]):
-        spec = LayerSpec(
-            family=ldoc["family"], in_features=ldoc["in_features"],
-            out_features=ldoc["out_features"], order=ldoc["order"],
-            n_poles=ldoc["n_poles"], jacobi_iters=ldoc["jacobi_iters"],
-            nonlinearity=ldoc["nonlinearity"], fir_variant=ldoc["fir_variant"],
-            gin_epsilon=ldoc["gin_epsilon"])
+        spec = LayerSpec(**{f.name: ldoc[f.name] for f in fields(LayerSpec)})
         layer_specs.append(spec)
         fg = (spec.out_features, spec.in_features)
 

@@ -43,9 +43,10 @@ def delayed_stack_oracle(shifts, signals, order):
 
 
 def edge_chain_oracle(support, diag, values, x):
-    """Edge-varying output sum_k Phi_k ... Phi_1 diag(phi_0) x by the
-    per-column bincount chain, for checking the one dense chain kernel
-    (``filters.edge_varying_chain``) and the layer that runs it.
+    """Edge-varying output sum_k Phi_k ... Phi_1 diag(phi_0) x by a
+    bincount chain run one column at a time, for checking the one chain
+    (``filters.edge_varying_chain``, which runs every column in one
+    ``graphs.coo_apply`` call per step) and the layers that run it.
 
     ``support`` is an ``EdgeVaryingSupport``, ``diag`` the (N,) step-0
     weights, ``values`` the (K, nnz) step weights and ``x`` an (N, B) array
@@ -60,6 +61,21 @@ def edge_chain_oracle(support, diag, values, x):
                             minlength=support.n_nodes)
             total += z
         out[:, col] = total
+    return out
+
+
+def coo_loop_oracle(s, x):
+    """S x by one ``np.bincount`` per feature column, for checking the one
+    coordinate kernel (``graphs.coo_apply``) behind ``ShiftOperator.apply_coo``;
+    ``x`` is (N,) or (N, F)."""
+    if x.ndim == 1:
+        return np.bincount(s.rows, weights=s.vals * x[s.cols],
+                           minlength=s.n_nodes)
+    contrib = s.vals[:, None] * x[s.cols]
+    out = np.empty((s.n_nodes, x.shape[1]))
+    for f in range(x.shape[1]):
+        out[:, f] = np.bincount(s.rows, weights=contrib[:, f],
+                                minlength=s.n_nodes)
     return out
 
 

@@ -133,19 +133,21 @@ def oracle_arma(s, x, alpha, beta, gamma, t, du):
 
 def edge_value_grad_einsum(layer, params, tape, du):
     """Gradient of the edge-varying step values by the gathered einsum over
-    the batch, sens[rows] * z^(k-1)[cols], with the same transpose sweep."""
+    the batch, sens[rows] * z^(k-1)[cols], with the transpose sweep run
+    through dense step matrices scattered from the layer's weights."""
     sup = params.support
     f, g = layer.out_features, layer.in_features
     bdim, n = tape.x.shape[0], tape.x.shape[1]
+    phi = np.zeros((layer.order, f, g, n, n))
+    phi[..., sup.rows, sup.cols] = params.values.transpose(2, 0, 1, 3)
     delta = np.broadcast_to(du.transpose(2, 1, 0)[:, None], (f, g, n, bdim))
     gvals = np.zeros_like(params.values)
     sens = np.array(delta)
     for k in range(layer.order, 0, -1):
+        z = tape.zs[k - 1].transpose(0, 1, 3, 2)  # (F, G, N, B)
         gvals[:, :, k - 1] = np.einsum(
-            "fgeb,fgeb->fge", sens[:, :, sup.rows, :],
-            tape.zs[k - 1].reshape(f, g, n, bdim)[:, :, sup.cols, :])
-        sens = np.matmul(tape.phi[k - 1].transpose(0, 2, 1),
-                         sens.reshape(f * g, n, bdim)).reshape(delta.shape) + delta
+            "fgeb,fgeb->fge", sens[:, :, sup.rows, :], z[:, :, sup.cols, :])
+        sens = np.matmul(phi[k - 1].transpose(0, 1, 3, 2), sens) + delta
     return gvals
 
 

@@ -267,6 +267,44 @@ def test_dataset_roundtrip(tmp_path):
         assert a.config == b.config
 
 
+@pytest.fixture
+def six_agent_dataset(tmp_path):
+    samples, n_res = generate_dataset(1, FlockConfig(n_agents=6, duration=0.05),
+                                      seed=3)
+    assert samples[0].n_steps == 5
+    save_dataset(tmp_path, samples, n_res)
+    return tmp_path
+
+
+def edit_array(directory, name, edit):
+    path = directory / f"traj_0000.{name}.npy"
+    np.save(path, edit(np.load(path)))
+
+
+def test_dataset_with_missing_agent_fails_naming_positions(six_agent_dataset):
+    edit_array(six_agent_dataset, "positions", lambda a: a[:, :5])
+    with pytest.raises(ValueError, match=r"positions.npy: positions has "
+                                         r"shape \(6, 5, 2\).*\(6, 6, 2\)"):
+        load_dataset(six_agent_dataset)
+
+
+def test_dataset_with_short_actions_fails_naming_actions(six_agent_dataset):
+    edit_array(six_agent_dataset, "actions", lambda a: a[:3])
+    with pytest.raises(ValueError, match=r"actions.npy: actions has "
+                                         r"shape \(3, 6, 2\).*\(5, 6, 2\)"):
+        load_dataset(six_agent_dataset)
+
+
+def test_dataset_with_nan_velocity_fails_naming_velocities(six_agent_dataset):
+    def poison(a):
+        a[2, 4, 1] = np.nan
+        return a
+    edit_array(six_agent_dataset, "velocities", poison)
+    with pytest.raises(ValueError, match="velocities.npy: velocities has "
+                                         "non-finite entries"):
+        load_dataset(six_agent_dataset)
+
+
 # ---------------------------------------------------------------------------
 # Cost
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from gspnn.graphs import (
     symmetric_eigh,
 )
 
-from conftest import make_random_graph
+from conftest import coo_loop_oracle, make_random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,20 @@ def test_sparse_traversal_matches_dense(seed):
     s = build_shift(g, ShiftKind.ADJACENCY)
     x = r.normal(size=(g.n_nodes, 3))
     assert np.allclose(s.apply_coo(x), s.dense() @ x, atol=1e-12)
+
+
+@pytest.mark.parametrize("features", [None, 6])
+def test_apply_coo_equals_per_feature_bincount_loop(features):
+    # above the dense-cache limit, apply() runs the coordinate kernel
+    r = np.random.default_rng(17)
+    n = DENSE_CACHE_LIMIT + 10
+    s = build_shift(random_graph(n, 0.03, r, weighted=True),
+                    ShiftKind.NORMALIZED_LAPLACIAN)
+    assert s._dense is None
+    x = r.normal(size=n if features is None else (n, features))
+    want = coo_loop_oracle(s, x)
+    assert np.array_equal(s.apply_coo(x), want)
+    assert np.array_equal(s.apply(x), want)
 
 
 @given(st.integers(0, 100))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gspnn.graphs import ShiftKind, build_shift, random_graph
-from gspnn.neural import init_state
+from gspnn.neural import forward_batch, init_state, model_backward
 from gspnn.recsys import (
     DataError,
     RecSample,
@@ -269,8 +269,8 @@ def test_training_improves_over_init(fixture_table, family):
 
 def test_edgenet_predict_keeps_no_full_output_tape():
     # MovieLens-100k eval shape: 200 items, 440 users, the default recipe
-    # (64 features, order 4). The full-output forward tapes the dense step
-    # matrices and every chain state, about 400 MB here.
+    # (64 features, order 4). The full-output forward tapes every chain
+    # state, about 225 MB here.
     r = np.random.default_rng(8)
     shift = build_shift(random_graph(200, 0.065, r, weighted=True),
                         ShiftKind.NORMALIZED_ADJACENCY)
@@ -285,6 +285,27 @@ def test_edgenet_predict_keeps_no_full_output_tape():
         tracemalloc.stop()
     assert preds.shape == (440,)
     assert peak < 50e6, f"predict peak {peak / 1e6:.1f} MB"
+
+
+def test_edgenet_full_output_step_keeps_no_dense_step_matrices():
+    # One full-output forward + backward of the default recipe on a single
+    # signal: each step is applied on its nnz coordinates, so the peak is
+    # the chain states and gathers, not (K, F*G, N, N) step matrices.
+    r = np.random.default_rng(8)
+    shift = build_shift(random_graph(200, 0.065, r, weighted=True),
+                        ShiftKind.NORMALIZED_ADJACENCY)
+    spec = build_model_spec("edgenet")
+    state = init_state(spec, r, shift=shift)
+    x = r.normal(size=(1, 200, 1))
+    tracemalloc.start()
+    try:
+        out, tape = forward_batch(spec, state, shift, x)
+        grads = model_backward(tape, spec, state, np.ones(out.shape))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grads.layers[0].values.shape == state.layers[0].values.shape
+    assert peak < 30e6, f"forward + backward peak {peak / 1e6:.1f} MB"
 
 
 def test_transfer_protocol_runs(fixture_table):
