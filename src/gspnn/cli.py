@@ -6,7 +6,9 @@ Subcommands: `recsys {train,eval,transfer}`, `flocking
 optional YAML config file (nested: global keys plus one section per command
 group) overridden by flags; unknown keys are rejected by full path. Every
 run writes a manifest (resolved config, input hashes, produced files) into
-its output directory; nothing is written anywhere else.
+its output directory; nothing is written anywhere else. `recsys train`
+writes its model as `checkpoint.npz` and `flocking train` as `policy.npz`,
+the checkpoint archives that `--checkpoint` reads.
 """
 
 from __future__ import annotations
@@ -106,6 +108,10 @@ SCHEMA = {
                          "order": (int, 3)},
     },
 }
+
+
+KEY_HELP = {"checkpoint": "model archive written by `recsys train` "
+                          "(checkpoint.npz) or `flocking train` (policy.npz)"}
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -244,7 +250,7 @@ def cmd_recsys_train(cfg: dict) -> int:
     model = rs.train_rating_model(table, sim, cfg["model"], target,
                                   seed=cfg["seed"], epochs=cfg["epochs"],
                                   split=cfg["split"])
-    rs.save_rating_checkpoint(ctx.out_path("checkpoint.json"), model)
+    rs.save_rating_checkpoint(ctx.out_path("checkpoint.npz"), model)
     write_loss_log(ctx.out_path("loss_log.csv"), model.history,
                    {"train_rmse": model.train_rmse,
                     "test_rmse": model.test_rmse})
@@ -328,7 +334,7 @@ def cmd_flocking_train(cfg: dict) -> int:
     bundle, history = fl.train_policy(samples, seed=cfg["seed"],
                                       nonlinearity=nonlinearity,
                                       epochs=cfg["epochs"])
-    fl.save_policy(ctx.out_path("policy.json"), bundle,
+    fl.save_policy(ctx.out_path("policy.npz"), bundle,
                    extra={"model": cfg["model"], "seed": cfg["seed"]})
     write_loss_log(ctx.out_path("loss_log.csv"), history,
                    {"final_loss": history[-1][2] if history else float("nan")})
@@ -553,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      default=None)
             for key in keys:
                 lparser.add_argument(f"--{key.replace('_', '-')}",
-                                     default=None)
+                                     default=None, help=KEY_HELP.get(key))
     return parser
 
 

@@ -32,6 +32,7 @@ from .neural import (
     load_checkpoint,
     model_backward,
     save_checkpoint,
+    validate_state,
 )
 from .optim import LossSpec, Problem, TrainConfig, loss_eval, train
 
@@ -100,14 +101,17 @@ def step_dynamics(state: SwarmState, actions: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _pairwise(positions: np.ndarray):
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    """Offsets r_i - r_j and distances of (..., N, 2) positions; any leading
+    axes (time steps) are batch axes."""
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
     return diff, dist
 
 
 def _adjacency_mask(dist: np.ndarray, radius: float) -> np.ndarray:
     mask = dist <= radius
-    np.fill_diagonal(mask, False)
+    idx = np.arange(mask.shape[-1])
+    mask[..., idx, idx] = False
     return mask
 
 
@@ -142,18 +146,21 @@ def _features_raw(positions: np.ndarray, velocities: np.ndarray,
 
     Blocks: neighborhood velocity disagreement, and position offsets scaled
     by 1/d^4 and 1/d^2 (the collision-potential directions at two ranges).
+    Leading axes of the (..., N, .) inputs are batch axes, so a whole
+    trajectory's (T, N, 6) features come from one call; every sum and
+    product is taken per step, so each step's features equal a one-step call.
     """
-    n = positions.shape[0]
     if np.any(dist[mask] < 1e-6):
         raise ExpertAbort("zero-distance neighbor")
-    deg = mask.sum(axis=1).astype(float)
-    vel_sum = deg[:, None] * velocities - mask @ velocities
-    feats = np.empty((n, 6))
-    feats[:, 0:2] = vel_sum
+    deg = mask.sum(axis=-1).astype(float)
+    vel_sum = deg[..., None] * velocities - mask @ velocities
+    feats = np.empty(positions.shape[:-1] + (6,))
+    feats[..., 0:2] = vel_sum
     for col, power in ((2, 4.0), (4, 2.0)):
         w = np.zeros_like(dist)
         np.divide(mask.astype(float), dist ** power, out=w, where=mask)
-        feats[:, col:col + 2] = w.sum(axis=1)[:, None] * positions - w @ positions
+        feats[..., col:col + 2] = (w.sum(axis=-1)[..., None] * positions
+                                   - w @ positions)
     return feats
 
 
@@ -391,7 +398,7 @@ def _config_from_doc(doc: dict) -> FlockConfig:
 
 def _load_checked(path: Path, name: str, shape: tuple) -> np.ndarray:
     """One trajectory array, checked against the shape the manifest implies."""
-    arr = np.load(path)
+    arr = np.load(path, allow_pickle=False)
     if arr.shape != shape:
         raise ValueError(f"{path.name}: {name} has shape {arr.shape}, "
                          f"the manifest needs {shape}")
@@ -416,11 +423,9 @@ def load_dataset(directory) -> list[TrajectorySample]:
         positions, velocities, actions = (
             _load_checked(directory / f"{stem}.{name}.npy", name, shape)
             for name, shape in shapes.items())
-        features = np.zeros((actions.shape[0], cfg.n_agents, 6))
-        for t in range(actions.shape[0]):
-            _, dist = _pairwise(positions[t])
-            mask = _adjacency_mask(dist, cfg.comm_radius)
-            features[t] = _features_raw(positions[t], velocities[t], mask, dist)
+        _, dist = _pairwise(positions[:-1])
+        mask = _adjacency_mask(dist, cfg.comm_radius)
+        features = _features_raw(positions[:-1], velocities[:-1], mask, dist)
         samples.append(TrajectorySample(positions, velocities, actions,
                                         features, seed, cfg))
     return samples
@@ -600,6 +605,7 @@ def load_policy(path) -> PolicyBundle:
 def policy_from_checkpoint(spec: ModelSpec, state: ModelState,
                            meta: dict) -> PolicyBundle:
     """Bundle a loaded checkpoint with the flocking metadata save_policy
-    stored next to it."""
+    stored next to it; the parameters pass ``validate_state`` first."""
+    validate_state(spec, state)
     return PolicyBundle(spec, state, meta["action_scale"],
                         _config_from_doc(meta["config"]))

@@ -14,6 +14,8 @@ differentiable. Internally everything is batched: signals travel as
 from __future__ import annotations
 
 import json
+import re
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -33,7 +35,7 @@ from .graphs import GraphSignal, ShiftOperator, permute_shift
 FAMILIES = ("fir", "arma", "edge_varying")
 NONLINEARITIES = ("relu", "tanh", "identity")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ModelError(ValueError):
@@ -769,103 +771,218 @@ def _rebind_state(spec: ModelSpec, state: ModelState,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: JSON documents with explicit shapes
+# Parameter validation: the one check on a state against its spec
 # ---------------------------------------------------------------------------
 
-def _array_doc(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": a.ravel().tolist()}
+def _check_param(where: str, a, shape: tuple) -> None:
+    if not isinstance(a, np.ndarray) or a.dtype.kind != "f":
+        kind = a.dtype if isinstance(a, np.ndarray) else type(a).__name__
+        raise ModelError(f"{where} has dtype {kind}, not float")
+    if a.shape != shape:
+        raise ModelError(f"{where} has shape {a.shape}, the spec needs {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ModelError(f"{where} has non-finite entries")
 
 
-def _array_from_doc(doc: dict, where: str, expected: tuple) -> np.ndarray:
-    """Read an array stored by ``_array_doc``; its shape must be the one the
-    model spec implies, so a bad file fails here rather than in a forward."""
-    shape = tuple(doc["shape"])
-    if shape != expected:
-        raise ModelError(f"checkpoint {where} has shape {shape}, "
-                         f"the spec needs {expected}")
-    data = np.array(doc["data"], dtype=float)
-    if data.size != int(np.prod(shape)):
-        raise ModelError(f"checkpoint {where} has {data.size} values "
-                         f"for shape {shape}")
-    return data.reshape(shape)
+def _check_support(where: str, sup: EdgeVaryingSupport) -> None:
+    """Integer coordinates of I + S in [0, n), sorted row-major, unique."""
+    n, rows, cols = sup.n_nodes, sup.rows, sup.cols
+    for name, a in (("rows", rows), ("cols", cols)):
+        if not isinstance(a, np.ndarray) or a.dtype.kind not in "iu" or a.ndim != 1:
+            raise ModelError(f"{where} support {name} must be a 1-D integer array")
+    if rows.shape != cols.shape:
+        raise ModelError(f"{where} support has {rows.size} rows and {cols.size} cols")
+    outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+    if outside.any():
+        e = int(np.argmax(outside))
+        raise ModelError(f"{where} support entry ({rows[e]}, {cols[e]}) is "
+                         f"outside [0, {n})")
+    keys = rows.astype(np.int64) * n + cols.astype(np.int64)
+    step = np.diff(keys)
+    for bad, what in ((step < 0, "not sorted row-major"), (step == 0, "a duplicate")):
+        if bad.any():
+            e = int(np.argmax(bad)) + 1
+            raise ModelError(f"{where} support entry {e} ({rows[e]}, {cols[e]}) "
+                             f"is {what}")
+    missing = ~np.isin(np.arange(n, dtype=np.int64) * (n + 1), keys)
+    if missing.any():
+        j = int(np.argmax(missing))
+        raise ModelError(f"{where} support lacks the diagonal entry ({j}, {j})")
+
+
+def validate_state(spec: ModelSpec, state: ModelState) -> None:
+    """Check every parameter array of ``state`` against ``spec``.
+
+    Each array must be a finite float array of the shape the spec implies,
+    an edge-varying support must hold sorted, unique integer coordinates in
+    [0, n_nodes) that include the diagonal, and the readout parameters must
+    be present exactly when the spec has a readout. Errors are ModelErrors
+    naming the layer and the field, so a bad state fails here rather than
+    inside a forward pass.
+    """
+    if len(state.layers) != len(spec.layers):
+        raise ModelError(f"state has {len(state.layers)} layers, the spec "
+                         f"{len(spec.layers)}")
+    kinds = {"fir": FirLayerParams, "arma": ArmaLayerParams,
+             "edge_varying": EdgeLayerParams}
+    for i, (layer, params) in enumerate(zip(spec.layers, state.layers)):
+        where = f"layer {i}"
+        kind = kinds[layer.family]
+        if not isinstance(params, kind):
+            raise ModelError(f"{where} holds {type(params).__name__}, the spec "
+                             f"needs {kind.__name__}")
+        fg = (layer.out_features, layer.in_features)
+        if layer.family == "fir":
+            shapes = {"taps": fg + (layer.order + 1,)}
+        elif layer.family == "arma":
+            shapes = {"alpha": fg + (layer.order + 1,),
+                      "beta": fg + (layer.n_poles,), "gamma": fg + (layer.n_poles,)}
+        else:
+            _check_support(where, params.support)
+            shapes = {"diag": fg + (params.support.n_nodes,),
+                      "values": fg + (layer.order, params.support.nnz)}
+        for name, shape in shapes.items():
+            _check_param(f"{where} {name}", getattr(params, name), shape)
+    readout = {"weight": state.readout_weight, "bias": state.readout_bias}
+    if spec.readout.kind == "per_node_linear":
+        out_dim = spec.readout.out_dim
+        shapes = {"weight": (spec.layers[-1].out_features, out_dim),
+                  "bias": (out_dim,)}
+        for name, shape in shapes.items():
+            if readout[name] is None:
+                raise ModelError(f"readout {name} is missing, the spec has a "
+                                 f"per_node_linear readout")
+            _check_param(f"readout {name}", readout[name], shape)
+    else:
+        for name, a in readout.items():
+            if a is not None:
+                raise ModelError(f"readout {name} is present, the spec has no "
+                                 f"readout")
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints: one uncompressed np.savez archive. Member ``header`` holds the
+# UTF-8 bytes (uint8) of a JSON document with ``format_version``, the model
+# spec (``layers``: the LayerSpec fields, plus ``support_n_nodes`` for an
+# edge-varying layer; ``readout``; ``shift_mode``) and ``metadata``. Every
+# parameter array is its own member: ``layers.{i}.{field}`` for taps, alpha,
+# beta, gamma, diag and values, ``layers.{i}.rows`` / ``.cols`` for an edge
+# support, and ``readout_weight`` / ``readout_bias``.
+# ---------------------------------------------------------------------------
+
+ZIP_MAGIC = b"PK\x03\x04"
+# a version-1 checkpoint: a JSON document whose first key is format_version
+V1_HEAD = re.compile(rb'\s*\{\s*"format_version":\s*(\d+)')
+
+
+def _state_members(state: ModelState) -> dict:
+    members = {}
+    for i, params in enumerate(state.layers):
+        for f in fields(params):
+            a = getattr(params, f.name)
+            if isinstance(a, EdgeVaryingSupport):
+                members[f"layers.{i}.rows"] = a.rows
+                members[f"layers.{i}.cols"] = a.cols
+            else:
+                members[f"layers.{i}.{f.name}"] = a
+    if state.readout_weight is not None:
+        members["readout_weight"] = state.readout_weight
+        members["readout_bias"] = state.readout_bias
+    return members
 
 
 def save_checkpoint(path, spec: ModelSpec, state: ModelState,
                     metadata: dict | None = None) -> None:
-    layers_doc = []
-    for layer_spec, params in zip(spec.layers, state.layers):
-        doc = asdict(layer_spec)
-        if isinstance(params, FirLayerParams):
-            doc["taps"] = _array_doc(params.taps)
-        elif isinstance(params, ArmaLayerParams):
-            doc["alpha"] = _array_doc(params.alpha)
-            doc["beta"] = _array_doc(params.beta)
-            doc["gamma"] = _array_doc(params.gamma)
-        else:
-            doc["support"] = {
-                "n_nodes": params.support.n_nodes,
-                "rows": params.support.rows.tolist(),
-                "cols": params.support.cols.tolist(),
-            }
-            doc["diag"] = _array_doc(params.diag)
-            doc["values"] = _array_doc(params.values)
-        layers_doc.append(doc)
-    doc = {
+    """Write ``spec``, ``state`` and ``metadata`` to exactly ``path`` (no
+    suffix is added) as one np.savez archive laid out as above.
+    ``metadata`` must be JSON-serializable."""
+    layers = [asdict(layer) for layer in spec.layers]
+    for doc, params in zip(layers, state.layers):
+        if isinstance(params, EdgeLayerParams):
+            doc["support_n_nodes"] = params.support.n_nodes
+    header = {
         "format_version": CHECKPOINT_VERSION,
-        "model": {
-            "layers": layers_doc,
-            "readout": {"kind": spec.readout.kind, "out_dim": spec.readout.out_dim},
-            "shift_mode": spec.shift_mode,
-        },
+        "model": {"layers": layers, "readout": asdict(spec.readout),
+                  "shift_mode": spec.shift_mode},
         "metadata": metadata or {},
     }
-    if state.readout_weight is not None:
-        doc["model"]["readout_weight"] = _array_doc(state.readout_weight)
-        doc["model"]["readout_bias"] = _array_doc(state.readout_bias)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False,
+                 header=np.frombuffer(text, dtype=np.uint8),
+                 **_state_members(state))
+
+
+def _read_archive(path) -> tuple[dict, dict]:
+    """The JSON header and the other members of a checkpoint archive."""
+    with open(path, "rb") as fh:
+        head = fh.read(256)
+    if not head.startswith(ZIP_MAGIC):
+        old = V1_HEAD.match(head)
+        if old:
+            raise ModelError(f"{path}: checkpoint format version "
+                             f"{int(old.group(1))} is not supported; this "
+                             f"version reads {CHECKPOINT_VERSION} (np.savez archives)")
+        raise ModelError(f"{path} is not a checkpoint archive")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"{path} is not a readable checkpoint archive: "
+                         f"{exc}") from exc
+    raw = members.pop("header", None)
+    if raw is None or raw.dtype != np.uint8 or raw.ndim != 1:
+        raise ModelError(f"{path} has no uint8 header member")
+    try:
+        header = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ModelError(f"{path} header is not UTF-8 JSON: {exc}") from exc
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ModelError(f"{path}: unsupported checkpoint version {version}")
+    return header, members
 
 
 def load_checkpoint(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ModelError(f"unsupported checkpoint version {doc.get('format_version')}")
-    mdoc = doc["model"]
-    layer_specs, layer_params = [], []
-    for i, ldoc in enumerate(mdoc["layers"]):
-        spec = LayerSpec(**{f.name: ldoc[f.name] for f in fields(LayerSpec)})
-        layer_specs.append(spec)
-        fg = (spec.out_features, spec.in_features)
+    """Read a checkpoint written by ``save_checkpoint``; returns (spec,
+    state, metadata). The archive is read with ``allow_pickle=False`` and
+    the state passes ``validate_state`` against the stored spec."""
+    header, members = _read_archive(path)
 
-        def array(name, trailing):
-            return _array_from_doc(ldoc[name], f"layer {i} {name}", fg + trailing)
+    def member(name):
+        try:
+            return members.pop(name)
+        except KeyError:
+            raise ModelError(f"{path} has no member {name}") from None
 
-        if spec.family == "fir":
-            layer_params.append(FirLayerParams(array("taps", (spec.order + 1,))))
-        elif spec.family == "arma":
-            layer_params.append(ArmaLayerParams(
-                array("alpha", (spec.order + 1,)), array("beta", (spec.n_poles,)),
-                array("gamma", (spec.n_poles,))))
-        else:
-            sdoc = ldoc["support"]
-            support = EdgeVaryingSupport(
-                sdoc["n_nodes"], np.array(sdoc["rows"], dtype=int),
-                np.array(sdoc["cols"], dtype=int))
-            layer_params.append(EdgeLayerParams(
-                support, array("diag", (support.n_nodes,)),
-                array("values", (spec.order, support.nnz))))
-    rdoc = mdoc["readout"]
-    spec = ModelSpec(tuple(layer_specs),
-                     ReadoutSpec(rdoc["kind"], rdoc["out_dim"]),
-                     mdoc["shift_mode"])
+    try:
+        mdoc = header["model"]
+        layer_specs, layer_params = [], []
+        for i, ldoc in enumerate(mdoc["layers"]):
+            spec = LayerSpec(**{f.name: ldoc[f.name] for f in fields(LayerSpec)})
+            layer_specs.append(spec)
+            prefix = f"layers.{i}."
+            if spec.family == "fir":
+                layer_params.append(FirLayerParams(member(prefix + "taps")))
+            elif spec.family == "arma":
+                layer_params.append(ArmaLayerParams(
+                    *(member(prefix + name) for name in ("alpha", "beta", "gamma"))))
+            else:
+                support = EdgeVaryingSupport(int(ldoc["support_n_nodes"]),
+                                             member(prefix + "rows"),
+                                             member(prefix + "cols"))
+                layer_params.append(EdgeLayerParams(
+                    support, member(prefix + "diag"), member(prefix + "values")))
+        spec = ModelSpec(tuple(layer_specs), ReadoutSpec(**mdoc["readout"]),
+                         mdoc["shift_mode"])
+    except (KeyError, TypeError) as exc:
+        raise ModelError(f"{path} header lacks or misstates {exc}") from exc
     state = ModelState(layer_params)
     if spec.readout.kind == "per_node_linear":
-        out_dim = spec.readout.out_dim
-        state.readout_weight = _array_from_doc(
-            mdoc["readout_weight"], "readout weight",
-            (spec.layers[-1].out_features, out_dim))
-        state.readout_bias = _array_from_doc(mdoc["readout_bias"],
-                                             "readout bias", (out_dim,))
-    return spec, state, doc.get("metadata", {})
+        state.readout_weight = member("readout_weight")
+        state.readout_bias = member("readout_bias")
+    if members:
+        raise ModelError(f"{path} has members the spec does not use: "
+                         f"{sorted(members)}")
+    validate_state(spec, state)
+    return spec, state, header.get("metadata", {})

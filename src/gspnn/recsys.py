@@ -15,6 +15,7 @@ item once per batch instead of its output at every item.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,45 +93,65 @@ class RatingsTable:
 
 
 def ingest_movielens(path) -> RatingsTable:
-    """Parse the `u.data` layout: user, item, rating, timestamp per line."""
-    users, items, ratings = [], [], []
-    seen = set()
+    """Parse the `u.data` layout: user, item, rating, timestamp per line.
+
+    Blank lines are skipped; every other line needs three integer fields,
+    a rating in 1..5 and a (user, item) pair not seen before. Errors name
+    the file line as ``path:lineno:``.
+    """
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise DataError(f"{path}:{lineno}: expected user item rating [...]")
-            try:
-                u, i, r = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer field") from exc
-            if not 1 <= r <= 5:
-                raise DataError(f"{path}:{lineno}: rating {r} out of 1..5")
-            if (u, i) in seen:
-                raise DataError(f"{path}:{lineno}: duplicate rating for "
-                                f"user {u}, item {i}")
-            seen.add((u, i))
-            users.append(u)
-            items.append(i)
-            ratings.append(r)
-    if not ratings:
+        text = fh.read()
+    if not text or text.isspace():
         raise DataError(f"{path}: no ratings")
-    return _build_table(np.array(users), np.array(items),
-                        np.array(ratings, dtype=float))
+    try:
+        data = np.loadtxt(path, dtype=np.int64, usecols=(0, 1, 2),
+                          ndmin=2, comments=None)
+    except ValueError as exc:
+        raise _parse_error(path, text, str(exc)) from exc
+    users, items, ratings = data.T
+    errors = []
+    bad = np.flatnonzero((ratings < 1) | (ratings > 5))
+    if bad.size:
+        errors.append((bad[0], f"rating {ratings[bad[0]]} out of 1..5"))
+    table = _build_table(users, items, ratings)
+    _, first = np.unique(table.user_idx * table.n_items + table.item_idx,
+                         return_index=True)
+    if first.size < data.shape[0]:
+        repeat = np.ones(data.shape[0], dtype=bool)
+        repeat[first] = False
+        e = np.argmax(repeat)  # the first row whose pair came before
+        errors.append((e, f"duplicate rating for user {users[e]}, item {items[e]}"))
+    if errors:
+        row, message = min(errors, key=lambda err: err[0])
+        raise DataError(f"{path}:{_data_lineno(text, row)}: {message}")
+    return table
+
+
+def _data_lineno(text: str, row: int) -> int | None:
+    """File line (from 1) of the ``row``-th non-blank line (from 0)."""
+    filled = [i for i, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    return filled[row] if 0 <= row < len(filled) else None
+
+
+def _parse_error(path, text: str, message: str) -> DataError:
+    """A loadtxt failure as a DataError naming the file line. numpy counts
+    only non-blank rows: from 1 for a short row ("invalid column index ...
+    at row R"), from 0 for a field that is not an integer."""
+    short = "column index" in message
+    found = re.search(r"at row (\d+)", message)
+    lineno = found and _data_lineno(text, int(found.group(1)) - short)
+    if lineno is None:
+        return DataError(f"{path}: {message}")
+    what = "expected user item rating [...]" if short else "non-integer field"
+    return DataError(f"{path}:{lineno}: {what}")
 
 
 def _build_table(users: np.ndarray, items: np.ndarray,
                  ratings: np.ndarray) -> RatingsTable:
-    user_ids = np.unique(users)
-    item_ids = np.unique(items)
-    return RatingsTable(
-        user_ids, item_ids,
-        np.searchsorted(user_ids, users),
-        np.searchsorted(item_ids, items),
-        ratings.astype(float))
+    user_ids, user_idx = np.unique(users, return_inverse=True)
+    item_ids, item_idx = np.unique(items, return_inverse=True)
+    return RatingsTable(user_ids, item_ids, user_idx, item_idx,
+                        ratings.astype(float))
 
 
 def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTable:

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from gspnn.flocking import (
     generate_dataset,
     load_dataset,
     load_policy,
+    policy_from_checkpoint,
     rollout_policy,
     run_expert_trajectory,
     save_dataset,
@@ -25,7 +28,7 @@ from gspnn.flocking import (
     _normalized_shift_dense,
     _pairwise,
 )
-from gspnn.neural import forward_batch
+from gspnn.neural import FirLayerParams, ModelError, ModelState, forward_batch
 
 from conftest import delayed_stack_oracle
 
@@ -267,6 +270,17 @@ def test_dataset_roundtrip(tmp_path):
         assert a.config == b.config
 
 
+@pytest.mark.parametrize("n_agents,radius", [(6, 2.0), (12, 1.0), (25, 2.0)])
+def test_loaded_features_equal_the_experts_bitwise(tmp_path, n_agents, radius):
+    # the loader computes every step at once; the expert one step at a time
+    cfg = FlockConfig(n_agents=n_agents, duration=0.3, comm_radius=radius)
+    samples, n_res = generate_dataset(2, cfg, seed=n_agents)
+    save_dataset(tmp_path, samples, n_res)
+    for a, b in zip(samples, load_dataset(tmp_path)):
+        assert b.features.shape == a.features.shape
+        assert b.features.tobytes() == a.features.tobytes()
+
+
 @pytest.fixture
 def six_agent_dataset(tmp_path):
     samples, n_res = generate_dataset(1, FlockConfig(n_agents=6, duration=0.05),
@@ -409,6 +423,19 @@ def test_policy_checkpoint_roundtrip(tiny_policy, tmp_path):
     _, c1, _ = rollout_policy(bundle, cfg.n_agents, seed=3)
     _, c2, _ = rollout_policy(loaded, cfg.n_agents, seed=3)
     assert c1 == pytest.approx(c2, rel=1e-12)
+
+
+def test_policy_from_checkpoint_validates_the_state(tiny_policy):
+    _, _, bundle, _ = tiny_policy
+    taps = bundle.state.layers[0].taps.copy()
+    taps[0, 0, 0] = np.nan
+    bad = ModelState([FirLayerParams(taps)], bundle.state.readout_weight,
+                     bundle.state.readout_bias)
+    meta = {"action_scale": bundle.action_scale, "config": asdict(bundle.config)}
+    loaded = policy_from_checkpoint(bundle.spec, bundle.state, meta)
+    assert loaded.config == bundle.config
+    with pytest.raises(ModelError, match="layer 0 taps has non-finite entries"):
+        policy_from_checkpoint(bundle.spec, bad, meta)
 
 
 def test_pipeline_permutation_invariance(tiny_policy):

@@ -9,6 +9,10 @@ Every import in ``src/gspnn`` must also name a package the program may
 use: the standard library, a ``[project] dependencies`` entry of
 ``pyproject.toml``, or ``gspnn`` itself. Packages that happen to be
 installed, such as scipy, are not enough.
+
+No file the program reads may run code: every ``np.load`` / ``numpy.load``
+call in ``src/gspnn`` passes ``allow_pickle=False`` literally, and nothing
+there imports ``pickle``.
 """
 
 import ast
@@ -89,3 +93,40 @@ def test_undeclared_import_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"gspnn/{p.name}")
 def test_every_import_is_declared(path):
     assert undeclared_imports(path.read_text(), allowed_modules()) == []
+
+
+def pickle_risks(source: str) -> list[str]:
+    """``pickle`` imports, and ``np.load`` / ``numpy.load`` calls without a
+    literal ``allow_pickle=False``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name.split(".")[0] == "pickle"]
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "pickle":
+            found.append((node.lineno, f"from {node.module}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "load" \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id in ("np", "numpy"):
+            safe = any(kw.arg == "allow_pickle" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value is False for kw in node.keywords)
+            if not safe:
+                found.append((node.lineno, f"{node.func.value.id}.load"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_pickle_risk_is_found():
+    source = ("import numpy as np\nimport pickle\nfrom pickle import loads\n"
+              "np.load('a')\nnumpy.load('b', allow_pickle=True)\n"
+              "np.load('c', allow_pickle=False)\nflag = False\n"
+              "np.load('d', allow_pickle=flag)\n")
+    assert pickle_risks(source) == [
+        "line 2: import pickle", "line 3: from pickle", "line 4: np.load",
+        "line 5: numpy.load", "line 8: np.load"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"gspnn/{p.name}")
+def test_no_load_can_unpickle(path):
+    assert pickle_risks(path.read_text()) == []

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gspnn.graphs import (
 )
 from gspnn.neural import (
     ArmaLayerParams,
+    EdgeLayerParams,
     FirLayerParams,
     LayerSpec,
     ModelError,
@@ -34,6 +36,7 @@ from gspnn.neural import (
     model_backward,
     model_forward,
     save_checkpoint,
+    validate_state,
 )
 
 from conftest import delayed_stack_oracle, edge_chain_oracle, make_random_graph
@@ -643,49 +646,196 @@ CHECKPOINT_MIXED = ModelSpec((
 CHECKPOINT_EDGE = ModelSpec((LayerSpec("edge_varying", 1, 2, 2),))
 
 
-def _edit_saved_array(tmp_path, spec, keys, edit):
-    """Save a fresh model, rewrite one stored array with ``edit``, return the path."""
+def _save_fresh(path, spec):
     s, r = small_shift(26)
-    path = tmp_path / "model.json"
     save_checkpoint(path, spec, init_state(spec, r, shift=s))
-    doc = json.loads(path.read_text())
-    node = doc["model"]
-    for key in keys:
-        node = node[key]
-    node["shape"], node["data"] = edit(node["shape"], node["data"])
-    path.write_text(json.dumps(doc))
     return path
 
 
-def _two_extra_on_last_axis(shape, data):
-    arr = np.array(data).reshape(shape)
-    arr = np.concatenate([arr, np.zeros(tuple(shape[:-1]) + (2,))], axis=-1)
-    return list(arr.shape), arr.ravel().tolist()
+def _edit_saved_array(tmp_path, spec, edit):
+    """Save a fresh model, let ``edit`` change the dict of its archive
+    members in place, write them back as the archive and return the path."""
+    path = _save_fresh(tmp_path / "model.npz", spec)
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    edit(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    return path
+
+
+def _two_extra_on_last_axis(member):
+    def edit(members):
+        a = members[member]
+        members[member] = np.concatenate([a, np.zeros(a.shape[:-1] + (2,))], axis=-1)
+    return edit
 
 
 CHECKPOINT_FIELDS = [
-    ("layer 0 taps", CHECKPOINT_MIXED, ("layers", 0, "taps")),
-    ("layer 1 alpha", CHECKPOINT_MIXED, ("layers", 1, "alpha")),
-    ("layer 1 beta", CHECKPOINT_MIXED, ("layers", 1, "beta")),
-    ("layer 1 gamma", CHECKPOINT_MIXED, ("layers", 1, "gamma")),
-    ("readout weight", CHECKPOINT_MIXED, ("readout_weight",)),
-    ("readout bias", CHECKPOINT_MIXED, ("readout_bias",)),
-    ("layer 0 diag", CHECKPOINT_EDGE, ("layers", 0, "diag")),
-    ("layer 0 values", CHECKPOINT_EDGE, ("layers", 0, "values")),
+    ("layer 0 taps", CHECKPOINT_MIXED, "layers.0.taps"),
+    ("layer 1 alpha", CHECKPOINT_MIXED, "layers.1.alpha"),
+    ("layer 1 beta", CHECKPOINT_MIXED, "layers.1.beta"),
+    ("layer 1 gamma", CHECKPOINT_MIXED, "layers.1.gamma"),
+    ("readout weight", CHECKPOINT_MIXED, "readout_weight"),
+    ("readout bias", CHECKPOINT_MIXED, "readout_bias"),
+    ("layer 0 diag", CHECKPOINT_EDGE, "layers.0.diag"),
+    ("layer 0 values", CHECKPOINT_EDGE, "layers.0.values"),
 ]
 
 
-@pytest.mark.parametrize("where,spec,keys", CHECKPOINT_FIELDS,
+@pytest.mark.parametrize("where,spec,member", CHECKPOINT_FIELDS,
                          ids=[case[0] for case in CHECKPOINT_FIELDS])
 def test_checkpoint_rejects_array_shape_contradicting_spec(tmp_path, where, spec,
-                                                           keys):
-    path = _edit_saved_array(tmp_path, spec, keys, _two_extra_on_last_axis)
+                                                           member):
+    path = _edit_saved_array(tmp_path, spec, _two_extra_on_last_axis(member))
     with pytest.raises(ModelError, match=f"{where} has shape"):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_data_count_contradicting_shape(tmp_path):
-    path = _edit_saved_array(tmp_path, CHECKPOINT_MIXED, ("layers", 0, "taps"),
-                             lambda shape, data: (shape, data[:-1]))
-    with pytest.raises(ModelError, match="layer 0 taps has 8 values"):
+def _set_member(member, transform):
+    def edit(members):
+        members[member] = transform(members[member].copy())
+    return edit
+
+
+def _first_nan(a):
+    a.flat[0] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("member,transform,message", [
+    ("layers.1.gamma", _first_nan, "layer 1 gamma has non-finite entries"),
+    ("layers.0.taps", lambda a: a.astype(np.int64), "layer 0 taps has dtype int64"),
+    ("readout_bias", lambda a: a + np.inf, "readout bias has non-finite entries"),
+], ids=["nan gamma", "int taps", "inf bias"])
+def test_checkpoint_rejects_bad_member(tmp_path, member, transform, message):
+    path = _edit_saved_array(tmp_path, CHECKPOINT_MIXED,
+                             _set_member(member, transform))
+    with pytest.raises(ModelError, match=message):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_archive(tmp_path):
+    path = _save_fresh(tmp_path / "model.npz", CHECKPOINT_MIXED)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    with pytest.raises(ModelError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_missing_and_extra_members(tmp_path):
+    path = _edit_saved_array(tmp_path, CHECKPOINT_MIXED,
+                             lambda members: members.pop("layers.1.beta"))
+    with pytest.raises(ModelError, match="no member layers.1.beta"):
+        load_checkpoint(path)
+    path = _edit_saved_array(tmp_path, CHECKPOINT_MIXED,
+                             lambda members: members.update(extra=np.zeros(2)))
+    with pytest.raises(ModelError, match="does not use.*extra"):
+        load_checkpoint(path)
+
+
+def test_version_1_json_checkpoint_is_rejected_naming_its_version(tmp_path):
+    path = tmp_path / "model.json"
+    doc = {"format_version": 1, "metadata": {},
+           "model": {"layers": [], "readout": {"kind": "none", "out_dim": 0},
+                     "shift_mode": "static"}}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    with pytest.raises(ModelError, match="format version 1 is not supported"):
+        load_checkpoint(path)
+    path.write_text("not a checkpoint\n")
+    with pytest.raises(ModelError, match=re.escape(f"{path} is not a checkpoint")):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_writes_exactly_the_given_path(tmp_path):
+    path = _save_fresh(tmp_path / "m.json", CHECKPOINT_MIXED)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+    spec, _, _ = load_checkpoint(path)
+    assert spec == CHECKPOINT_MIXED
+
+
+ROUNDTRIP_SPECS = {
+    "fir": ModelSpec((LayerSpec("fir", 2, 3, 1, fir_variant="gin",
+                                gin_epsilon=0.25),),
+                     ReadoutSpec("per_node_linear", 2)),
+    "arma": ModelSpec((LayerSpec("arma", 1, 2, 1, n_poles=2, jacobi_iters=3,
+                                 nonlinearity="tanh"),)),
+    "edge_varying": ModelSpec((LayerSpec("edge_varying", 1, 2, 3),
+                               LayerSpec("fir", 2, 1, 1, nonlinearity="identity")),
+                              ReadoutSpec("per_node_linear", 1)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROUNDTRIP_SPECS))
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path, family):
+    spec = ROUNDTRIP_SPECS[family]
+    s, r = small_shift(27, n=12)
+    state = init_state(spec, r, shift=s)
+    meta = {"seed": 27, "rmse": 0.1 + 0.2, "note": "caf\u00e9"}
+    save_checkpoint(tmp_path / "model.npz", spec, state, metadata=meta)
+    spec2, state2, meta2 = load_checkpoint(tmp_path / "model.npz")
+    assert spec2 == spec and meta2 == meta
+    params, params2 = list(iter_params(state)), list(iter_params(state2))
+    assert [name for name, _ in params] == [name for name, _ in params2]
+    for (name, want), (_, got) in zip(params, params2):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    for want, got in zip(state.layers, state2.layers):
+        if isinstance(want, EdgeLayerParams):
+            assert got.support.n_nodes == want.support.n_nodes
+            for a, b in ((want.support.rows, got.support.rows),
+                         (want.support.cols, got.support.cols)):
+                assert b.dtype == a.dtype and b.dtype.kind == "i"
+                assert np.array_equal(a, b)
+
+
+def _reverse_rows(members):
+    members["layers.0.rows"] = members["layers.0.rows"][::-1].copy()
+
+
+def _duplicate_entry(members):
+    rows, cols = members["layers.0.rows"], members["layers.0.cols"]
+    e = int(np.argmax(rows[1:] == rows[:-1])) + 1
+    cols[e] = cols[e - 1]
+
+
+def _col_out_of_range(members):
+    members["layers.0.cols"][-1] = members["layers.0.diag"].shape[-1]
+
+
+def _drop_first_diagonal(members):
+    rows, cols = members["layers.0.rows"], members["layers.0.cols"]
+    keep = ~((rows == 0) & (cols == 0))
+    members["layers.0.rows"], members["layers.0.cols"] = rows[keep], cols[keep]
+
+
+def _float_rows(members):
+    members["layers.0.rows"] = members["layers.0.rows"].astype(float)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_reverse_rows, "is not sorted"),
+    (_duplicate_entry, "is a duplicate"),
+    (_col_out_of_range, r"outside \[0, 8\)"),
+    (_drop_first_diagonal, r"lacks the diagonal entry \(0, 0\)"),
+    (_float_rows, "rows must be a 1-D integer array"),
+], ids=["unsorted", "duplicate", "out of range", "no diagonal", "float rows"])
+def test_checkpoint_rejects_bad_edge_support(tmp_path, edit, message):
+    path = _edit_saved_array(tmp_path, CHECKPOINT_EDGE, edit)
+    with pytest.raises(ModelError, match=f"layer 0 support.*{message}"):
+        load_checkpoint(path)
+
+
+def test_validate_state_checks_readout_presence_and_layer_kind():
+    s, r = small_shift(28)
+    state = init_state(CHECKPOINT_MIXED, r, shift=s)
+    validate_state(CHECKPOINT_MIXED, state)
+    bare = ModelSpec(CHECKPOINT_MIXED.layers)
+    with pytest.raises(ModelError, match="readout weight is present"):
+        validate_state(bare, state)
+    with pytest.raises(ModelError, match="readout weight is missing"):
+        validate_state(CHECKPOINT_MIXED, ModelState(state.layers))
+    swapped = ModelState(state.layers[::-1], state.readout_weight,
+                         state.readout_bias)
+    with pytest.raises(ModelError, match="layer 0 holds ArmaLayerParams"):
+        validate_state(CHECKPOINT_MIXED, swapped)

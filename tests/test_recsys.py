@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,52 @@ def test_ingest_rejects_duplicates_and_range(tmp_path):
     path.write_text("1\t2\t9\t0\n")
     with pytest.raises(DataError, match="out of"):
         ingest_movielens(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1\t2\t3\t0\n\n  \n\t\n1\tbogus\t3\t0\n", ":5: non-integer field"),
+    ("1 2 3 0\n\n\n1 2\n", ":4: expected user item rating"),
+    ("\n1 2 3 0\n5 6 4 0\n\n1 2 4 0\n1 2 5 0\n",
+     ":5: duplicate rating for user 1, item 2"),
+    ("1 2 3 0\n\n4 4 0 0\n1 2 4 0\n", ":3: rating 0 out of 1..5"),
+    ("1 2 3 0\n\n1 2 4 0\n4 4 0 0\n", ":3: duplicate rating"),
+], ids=["bad field after blanks", "short line after blanks", "duplicate",
+        "range before a later duplicate", "duplicate before a later range"])
+def test_ingest_names_the_file_line(tmp_path, text, message):
+    path = tmp_path / "u.data"
+    path.write_text(text)
+    with pytest.raises(DataError, match=re.escape(f"{path}{message}")):
+        ingest_movielens(path)
+
+
+def _ingest_loop_oracle(path):
+    """A line-by-line parse of the `u.data` layout."""
+    users, items, ratings = [], [], []
+    with open(path) as fh:
+        for raw in fh:
+            if raw.strip():
+                u, i, r = (int(tok) for tok in raw.split()[:3])
+                users.append(u)
+                items.append(i)
+                ratings.append(r)
+    users, items = np.array(users), np.array(items)
+    user_ids, item_ids = np.unique(users), np.unique(items)
+    return {"user_ids": user_ids, "item_ids": item_ids,
+            "user_idx": np.searchsorted(user_ids, users),
+            "item_idx": np.searchsorted(item_ids, items),
+            "ratings": np.array(ratings, dtype=float)}
+
+
+def test_ingest_equals_the_loop_oracle(tmp_path):
+    path = tmp_path / "u.data"
+    write_synthetic_fixture(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("\n \n".join(lines))
+    got = ingest_movielens(path)
+    for name, want in _ingest_loop_oracle(path).items():
+        a = getattr(got, name)
+        assert a.dtype == want.dtype and np.array_equal(a, want), name
+    assert got.n_ratings == len(lines)
 
 
 # ---------------------------------------------------------------------------
