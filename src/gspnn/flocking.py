@@ -32,7 +32,6 @@ from .neural import (
     load_checkpoint,
     model_backward,
     save_checkpoint,
-    validate_state,
 )
 from .optim import LossSpec, Problem, TrainConfig, loss_eval, train
 
@@ -604,8 +603,8 @@ def load_policy(path) -> PolicyBundle:
 
 def policy_from_checkpoint(spec: ModelSpec, state: ModelState,
                            meta: dict) -> PolicyBundle:
-    """Bundle a loaded checkpoint with the flocking metadata save_policy
-    stored next to it; the parameters pass ``validate_state`` first."""
-    validate_state(spec, state)
+    """Bundle a checkpoint read by ``load_checkpoint`` (which has already
+    passed its state through ``validate_state``) with the flocking metadata
+    save_policy stored next to it."""
     return PolicyBundle(spec, state, meta["action_scale"],
                         _config_from_doc(meta["config"]))

@@ -908,8 +908,7 @@ def save_checkpoint(path, spec: ModelSpec, state: ModelState,
     }
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        np.savez(fh, allow_pickle=False,
-                 header=np.frombuffer(text, dtype=np.uint8),
+        np.savez(fh, header=np.frombuffer(text, dtype=np.uint8),
                  **_state_members(state))
 
 

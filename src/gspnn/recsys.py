@@ -15,7 +15,7 @@ item once per batch instead of its output at every item.
 from __future__ import annotations
 
 import csv
-import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,17 +97,22 @@ def ingest_movielens(path) -> RatingsTable:
 
     Blank lines are skipped; every other line needs three integer fields,
     a rating in 1..5 and a (user, item) pair not seen before. Errors name
-    the file line as ``path:lineno:``.
+    the file line as ``path:lineno:``. A line that does not parse is
+    reported before any range or duplicate error, wherever it is; among
+    range and duplicate errors the earliest line wins.
     """
     with open(path) as fh:
         text = fh.read()
     if not text or text.isspace():
         raise DataError(f"{path}: no ratings")
     try:
-        data = np.loadtxt(path, dtype=np.int64, usecols=(0, 1, 2),
-                          ndmin=2, comments=None)
-    except ValueError as exc:
-        raise _parse_error(path, text, str(exc)) from exc
+        with warnings.catch_warnings():
+            # older numpy releases read a field like "3.5" as 3 and only warn
+            warnings.simplefilter("error", DeprecationWarning)
+            data = np.loadtxt(path, dtype=np.int64, usecols=(0, 1, 2),
+                              ndmin=2, comments=None)
+    except (ValueError, DeprecationWarning) as exc:
+        raise _parse_error(path, text, exc) from exc
     users, items, ratings = data.T
     errors = []
     bad = np.flatnonzero((ratings < 1) | (ratings > 5))
@@ -133,17 +138,20 @@ def _data_lineno(text: str, row: int) -> int | None:
     return filled[row] if 0 <= row < len(filled) else None
 
 
-def _parse_error(path, text: str, message: str) -> DataError:
-    """A loadtxt failure as a DataError naming the file line. numpy counts
-    only non-blank rows: from 1 for a short row ("invalid column index ...
-    at row R"), from 0 for a field that is not an integer."""
-    short = "column index" in message
-    found = re.search(r"at row (\d+)", message)
-    lineno = found and _data_lineno(text, int(found.group(1)) - short)
-    if lineno is None:
-        return DataError(f"{path}: {message}")
-    what = "expected user item rating [...]" if short else "non-integer field"
-    return DataError(f"{path}:{lineno}: {what}")
+def _parse_error(path, text: str, exc: Exception) -> DataError:
+    """A loadtxt failure as a DataError naming the first file line that
+    is short of three fields or has a field that is not an integer."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) < 3:
+            return DataError(f"{path}:{lineno}: expected user item rating [...]")
+        try:
+            [int(field) for field in fields[:3]]
+        except ValueError:
+            return DataError(f"{path}:{lineno}: non-integer field")
+    return DataError(f"{path}: {exc}")
 
 
 def _build_table(users: np.ndarray, items: np.ndarray,

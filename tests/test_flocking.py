@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from gspnn.flocking import (
     generate_dataset,
     load_dataset,
     load_policy,
-    policy_from_checkpoint,
     rollout_policy,
     run_expert_trajectory,
     save_dataset,
@@ -425,17 +424,16 @@ def test_policy_checkpoint_roundtrip(tiny_policy, tmp_path):
     assert c1 == pytest.approx(c2, rel=1e-12)
 
 
-def test_policy_from_checkpoint_validates_the_state(tiny_policy):
+def test_load_policy_validates_the_state(tiny_policy, tmp_path):
     _, _, bundle, _ = tiny_policy
     taps = bundle.state.layers[0].taps.copy()
     taps[0, 0, 0] = np.nan
     bad = ModelState([FirLayerParams(taps)], bundle.state.readout_weight,
                      bundle.state.readout_bias)
-    meta = {"action_scale": bundle.action_scale, "config": asdict(bundle.config)}
-    loaded = policy_from_checkpoint(bundle.spec, bundle.state, meta)
-    assert loaded.config == bundle.config
+    path = tmp_path / "policy.npz"
+    save_policy(path, replace(bundle, state=bad))
     with pytest.raises(ModelError, match="layer 0 taps has non-finite entries"):
-        policy_from_checkpoint(bundle.spec, bad, meta)
+        load_policy(path)
 
 
 def test_pipeline_permutation_invariance(tiny_policy):

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -78,12 +79,30 @@ def test_ingest_rejects_duplicates_and_range(tmp_path):
      ":5: duplicate rating for user 1, item 2"),
     ("1 2 3 0\n\n4 4 0 0\n1 2 4 0\n", ":3: rating 0 out of 1..5"),
     ("1 2 3 0\n\n1 2 4 0\n4 4 0 0\n", ":3: duplicate rating"),
+    ("1 2 3.5 0\n", ":1: non-integer field"),
+    ("1 2 3 0\n\n1 2.0 4 0\n", ":3: non-integer field"),
+    ("1 2 9 0\n1 x 3 0\n", ":2: non-integer field"),
 ], ids=["bad field after blanks", "short line after blanks", "duplicate",
-        "range before a later duplicate", "duplicate before a later range"])
+        "range before a later duplicate", "duplicate before a later range",
+        "decimal rating", "decimal item after blanks",
+        "parse error before an earlier range error"])
 def test_ingest_names_the_file_line(tmp_path, text, message):
     path = tmp_path / "u.data"
     path.write_text(text)
     with pytest.raises(DataError, match=re.escape(f"{path}{message}")):
+        ingest_movielens(path)
+
+
+def test_ingest_rejects_a_field_numpy_only_warns_about(tmp_path, monkeypatch):
+    # numpy releases that still parse "3.5" as the integer 3 only warn
+    def truncating_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([[1, 2, 3]])
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    path = tmp_path / "u.data"
+    path.write_text("\n1 2 3.5 0\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: non-integer field")):
         ingest_movielens(path)
 
 
