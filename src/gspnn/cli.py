@@ -267,6 +267,7 @@ def _restore_rating_model(ctx: RunContext, cfg: dict):
     ckpt = ctx.note_input(Path(cfg["checkpoint"]))
     spec, state, meta = load_checkpoint(ckpt)
     shift = rs.build_item_shift(sim)
+    rs.checked_pole_bounds(state, shift)
     model = rs.TrainedRating(
         spec, state, shift, meta["target_item"], meta["target_node"],
         meta.get("family", "gcnn"), meta.get("seed", cfg["seed"]), [],

@@ -50,16 +50,9 @@ FIR_VARIANTS = ("plain", "gcn", "sgc", "gin")
 
 @dataclass(frozen=True)
 class FirTaps:
-    """Polynomial filter taps h = [h0, ..., hK].
-
-    ``mask`` marks trainable positions; masked-off taps keep their fixed
-    values. ``variant='gin'`` additionally ties h0 = (1 + epsilon) * h1.
-    """
+    """Polynomial filter taps h = [h0, ..., hK]."""
 
     taps: np.ndarray
-    mask: np.ndarray | None = None
-    variant: str = "plain"
-    epsilon: float | None = None
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.taps, dtype=float))
@@ -68,45 +61,10 @@ class FirTaps:
         if not np.all(np.isfinite(t)):
             raise FilterError("taps must be finite")
         object.__setattr__(self, "taps", t)
-        if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool)
-            if m.shape != t.shape:
-                raise FilterError("mask length must match taps")
-            object.__setattr__(self, "mask", m)
-        if self.variant not in FIR_VARIANTS:
-            raise FilterError(f"unknown FIR variant {self.variant!r}")
 
     @property
     def order(self) -> int:
         return self.taps.size - 1
-
-
-def fir_mask(variant: str, order: int, epsilon: float = 0.0) -> FirTaps:
-    """Tap template for the constrained FIR variants.
-
-    gcn:   order forced to 1, h0 fixed at 0, h1 trainable.
-    sgc:   only the top tap hK trainable, the rest fixed at 0.
-    gin:   order forced to 1, h0 tied to (1 + epsilon) * h1.
-    plain: every tap trainable.
-    """
-    if variant not in FIR_VARIANTS:
-        raise FilterError(f"unknown FIR variant {variant!r}")
-    if order < 1 and variant in ("gcn", "sgc", "gin"):
-        raise FilterError(f"{variant} needs order >= 1")
-    if variant in ("gcn", "gin") and order != 1:
-        raise FilterError(f"{variant} is defined for order 1, got {order}")
-    taps = np.zeros(order + 1)
-    if variant == "gcn":
-        mask = np.array([False, True])
-    elif variant == "sgc":
-        mask = np.zeros(order + 1, dtype=bool)
-        mask[order] = True
-    elif variant == "gin":
-        mask = np.array([False, True])
-        return FirTaps(taps, mask, variant="gin", epsilon=float(epsilon))
-    else:
-        mask = np.ones(order + 1, dtype=bool)
-    return FirTaps(taps, mask, variant=variant)
 
 
 def fir_bank_contract(zs: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -181,6 +139,27 @@ def pole_margin(s: ShiftOperator) -> float:
     return 1e-3 * (1.0 + s.operator_norm())
 
 
+def check_poles(gamma, diagonal: np.ndarray, margin: float,
+                name: str = "pole") -> None:
+    """The one pole-margin check: raise a FilterError naming ``name`` and the
+    first pole of ``gamma`` (a scalar or an array) that is not at least
+    ``margin`` away from every entry of ``diagonal``, the diagonal of S,
+    where the Jacobi scaling 1 / (d - gamma) blows up. Callers compute the
+    margin (``pole_margin``, an eigensolve) once per shift."""
+    poles = np.asarray(gamma, dtype=float)
+    flat = poles.reshape(-1)
+    entries = np.unique(diagonal)
+    gaps = np.abs(flat[:, None] - entries[None, :])
+    bad = ~(gaps.min(axis=1, initial=np.inf) >= margin)
+    if bad.any():
+        e = int(np.argmax(bad))
+        at = ", ".join(str(int(i)) for i in np.unravel_index(e, poles.shape))
+        where = f"{name}[{at}]" if at else name
+        d = float(entries[np.argmin(gaps[e])])
+        raise FilterError(f"{where} = {float(flat[e])!r} is within {margin:.3g} "
+                          f"of the shift diagonal entry {d!r}")
+
+
 @dataclass(frozen=True)
 class ArmaParams:
     """Rational filter parameters: response sum_p beta_p / (lambda - gamma_p)
@@ -249,9 +228,7 @@ def arma_apply_direct(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphS
 
 def _jacobi_scale(s: ShiftOperator, gamma: float) -> np.ndarray:
     d = s.diagonal()
-    margin = pole_margin(s)
-    if np.min(np.abs(d - gamma)) < margin:
-        raise FilterError(f"pole {gamma} within {margin:.3g} of a diagonal entry")
+    check_poles(gamma, d, pole_margin(s))
     return 1.0 / (d - gamma)
 
 

@@ -128,9 +128,7 @@ class ShiftOperator:
 
     @staticmethod
     def from_dense(matrix: np.ndarray, kind: ShiftKind | str = ShiftKind.CUSTOM,
-                   graph: Graph | None = None, validate: bool = True,
-                   eigenvalues: np.ndarray | None = None,
-                   eigenvectors: np.ndarray | None = None) -> "ShiftOperator":
+                   graph: Graph | None = None, validate: bool = True) -> "ShiftOperator":
         kind = ShiftKind(kind)
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -145,9 +143,7 @@ class ShiftOperator:
         rows, cols = rows[order], cols[order]
         vals = m[rows, cols]
         dense = m if n <= DENSE_CACHE_LIMIT else None
-        return ShiftOperator(n, kind, rows, cols, vals,
-                             eigenvalues=eigenvalues, eigenvectors=eigenvectors,
-                             _dense=dense)
+        return ShiftOperator(n, kind, rows, cols, vals, _dense=dense)
 
     def dense(self) -> np.ndarray:
         if self._dense is not None:

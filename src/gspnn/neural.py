@@ -6,9 +6,14 @@ nonlinearity. Models are a cascade of such layers plus an optional per-node
 affine readout shared across nodes.
 
 The reverse-mode gradients for every trainable parameter are implemented by
-hand against a recorded tape; only this fixed layer grammar is
-differentiable. Internally everything is batched: signals travel as
-(batch, nodes, features) arrays.
+hand; only this fixed layer grammar is differentiable. Each layer's forward
+returns its output and its vector-Jacobian product, a closure
+``vjp(du, need_dx) -> (grads, dx)``: a ``functools.partial`` of the
+family's module-level backward bound to what the forward saved (shifted
+stacks, Jacobi iterates, chain states, or the restricted layer's rows). The
+tape keeps one closure per layer, so the backward pass runs them in reverse
+order with no per-family dispatch. Internally everything is batched:
+signals travel as (batch, nodes, features) arrays.
 """
 
 from __future__ import annotations
@@ -17,15 +22,16 @@ import json
 import re
 import zipfile
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .filters import (
+    FIR_VARIANTS,
     EdgeVaryingSupport,
     edge_varying_chain,
     edge_varying_sweep,
     fir_bank_contract,
-    fir_mask,
     jacobi_iterates,
     shift_nd,
     shifted_stack,
@@ -44,7 +50,12 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One filter-bank layer: family, feature sizes, orders, nonlinearity."""
+    """One filter-bank layer: family, feature sizes, orders, nonlinearity.
+
+    A FIR layer's ``fir_variant`` constrains its taps (``apply_tap_constraints``):
+    gcn (order 1, h0 fixed at 0), sgc (only the top tap hK trainable) or gin
+    (order 1, h0 tied to (1 + gin_epsilon) * h1); plain trains every tap.
+    """
 
     family: str
     in_features: int
@@ -69,7 +80,13 @@ class LayerSpec:
             if self.n_poles < 0 or self.jacobi_iters < 1:
                 raise ModelError("arma needs n_poles >= 0 and jacobi_iters >= 1")
         if self.family == "fir" and self.fir_variant != "plain":
-            fir_mask(self.fir_variant, self.order, self.gin_epsilon)  # validates
+            if self.fir_variant not in FIR_VARIANTS:
+                raise ModelError(f"unknown FIR variant {self.fir_variant!r}")
+            if self.order < 1:
+                raise ModelError(f"{self.fir_variant} needs order >= 1")
+            if self.fir_variant in ("gcn", "gin") and self.order != 1:
+                raise ModelError(f"{self.fir_variant} is defined for order 1, "
+                                 f"got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -148,23 +165,21 @@ class ModelState:
         self.version += 1
 
 
+LAYER_PARAMS = {"fir": FirLayerParams, "arma": ArmaLayerParams,
+                "edge_varying": EdgeLayerParams}
+
+
 def iter_params(state: ModelState):
-    """Yield (path, array) for every trainable tensor, in a fixed order."""
+    """Yield (name, array) for every trainable tensor, in a fixed order. The
+    names are the checkpoint members: ``layers.{i}.{field}``,
+    ``readout_weight`` and ``readout_bias``."""
     for i, layer in enumerate(state.layers):
-        if isinstance(layer, FirLayerParams):
-            yield f"layers[{i}].taps", layer.taps
-        elif isinstance(layer, ArmaLayerParams):
-            yield f"layers[{i}].alpha", layer.alpha
-            yield f"layers[{i}].beta", layer.beta
-            yield f"layers[{i}].gamma", layer.gamma
-        elif isinstance(layer, EdgeLayerParams):
-            yield f"layers[{i}].diag", layer.diag
-            yield f"layers[{i}].values", layer.values
-        else:
-            raise ModelError(f"unknown layer parameter type {type(layer)!r}")
+        for f in fields(layer):
+            if f.name != "support":  # an edge-varying layer's fixed coordinates
+                yield f"layers.{i}.{f.name}", getattr(layer, f.name)
     if state.readout_weight is not None:
-        yield "readout.weight", state.readout_weight
-        yield "readout.bias", state.readout_bias
+        yield "readout_weight", state.readout_weight
+        yield "readout_bias", state.readout_bias
 
 
 def init_state(spec: ModelSpec, rng: np.random.Generator,
@@ -261,39 +276,11 @@ def _shift_batched(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _FirTape:
-    """Shifted inputs zs[b, n, k, g] = (S^k x_g)[b, n], or the delayed
-    chain S(t)...S(t-k+1) x(t-k) in time-varying mode: a C-contiguous
-    (B, N, K+1, G) stack, the layout ``fir_bank_contract`` reads as one
-    (B*N, (K+1)*G) matrix."""
-
-    zs: np.ndarray
-
-
-@dataclass
-class _ArmaTape:
-    zs: np.ndarray          # (B, N, K+1, G) direct part shifted inputs; the
-                            # k = 0 slice is the layer input x
-    c: np.ndarray | None    # (F, G, P, N) pole scaling 1 / (d - gamma)
-    us: np.ndarray | None   # (T, B, F, G, P, N) Jacobi iterates u_1..u_T
-    shift: ShiftOperator
-
-
-@dataclass
-class _EdgeTape:
-    x: np.ndarray  # (B, N, G) layer input
-    zs: list       # K+1 arrays (F, G, B, N): chain states z^(0)..z^(K)
-
-
-@dataclass
 class Tape:
     """Recorded intermediates from one forward pass."""
 
-    spec: ModelSpec
     state_version: int
-    shift: ShiftOperator | None  # None in time-varying mode
-    inputs: list                 # per-layer input (B, N, G)
-    layer_tapes: list            # the last is a _RowsTape under out_nodes
+    vjps: list                   # per layer vjp(du, need_dx) -> (grads, dx)
     preacts: list                # per-layer pre-nonlinearity (B, N, F)
     outputs: list                # per-layer post-nonlinearity (B, N, F)
     readout_input: np.ndarray | None
@@ -327,14 +314,19 @@ def _bank_tap_grad(zs: np.ndarray, du: np.ndarray) -> np.ndarray:
 
 def _fir_forward(layer: LayerSpec, params: FirLayerParams, s: ShiftOperator,
                  x: np.ndarray, zs: np.ndarray | None = None):
+    """``zs`` is the C-contiguous (B, N, K+1, G) stack zs[b, n, k, g] =
+    (S^k x_g)[b, n], or the delayed chain S(t)...S(t-k+1) x(t-k) in
+    time-varying mode: the layout ``fir_bank_contract`` reads as one
+    (B*N, (K+1)*G) matrix."""
     if zs is None:
         zs = shifted_stack(s, x, layer.order)
-    return fir_bank_contract(zs, params.taps), _FirTape(zs)
+    return fir_bank_contract(zs, params.taps), partial(_fir_backward, layer,
+                                                       params, zs, s)
 
 
-def _fir_backward(layer: LayerSpec, params: FirLayerParams, tape: _FirTape,
+def _fir_backward(layer: LayerSpec, params: FirLayerParams, zs: np.ndarray,
                   s: ShiftOperator | None, du: np.ndarray, need_dx: bool):
-    gtaps = _bank_tap_grad(tape.zs, du)
+    gtaps = _bank_tap_grad(zs, du)
     fold_tap_gradients(layer, gtaps)
     dx = None
     if need_dx:
@@ -354,8 +346,9 @@ def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
     u = fir_bank_contract(zs, params.alpha)
 
     if layer.n_poles == 0:
-        return u, _ArmaTape(zs, None, None, s)
+        return u, partial(_arma_backward, layer, params, s, zs, None, None)
 
+    # c is the (F, G, P, N) pole scaling 1 / (d - gamma)
     c = 1.0 / (s.diagonal()[None, None, None, :] - params.gamma[..., None])
     # x and S x as (B, 1, G, 1, N), broadcast against c's (F, G, P, N); S x
     # is shared by every (f, p), so x is shifted once.
@@ -363,9 +356,9 @@ def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
     xt = x.transpose(0, 2, 1)[:, None, :, None, :]
     sxt = sx.transpose(0, 2, 1)[:, None, :, None, :]
     b = params.beta[None, ..., None] * c[None] * xt
-    us = jacobi_iterates(s, c, b, xt, sxt, layer.jacobi_iters)
+    us = jacobi_iterates(s, c, b, xt, sxt, layer.jacobi_iters)  # (T, B, F, G, P, N)
     u += us[-1].sum(axis=(2, 3)).transpose(0, 2, 1)
-    return u, _ArmaTape(zs, c, us, s)
+    return u, partial(_arma_backward, layer, params, s, zs, c, us)
 
 
 def _jacobi_adjoint(s: ShiftOperator, c: np.ndarray, a: np.ndarray, iters: int,
@@ -394,20 +387,20 @@ def _jacobi_adjoint(s: ShiftOperator, c: np.ndarray, a: np.ndarray, iters: int,
     return a_sum, au, a
 
 
-def _arma_backward(layer: LayerSpec, params: ArmaLayerParams, tape: _ArmaTape,
+def _arma_backward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
+                   zs: np.ndarray, c: np.ndarray | None, us: np.ndarray | None,
                    du: np.ndarray, need_dx: bool):
     # Direct polynomial part reuses the FIR path.
-    direct, dx = _fir_backward(layer, FirLayerParams(params.alpha),
-                               _FirTape(tape.zs), tape.shift, du, need_dx)
+    direct, dx = _fir_backward(layer, FirLayerParams(params.alpha), zs, s, du,
+                               need_dx)
     if layer.n_poles == 0:
         grads = ArmaLayerParams(direct.taps, np.zeros_like(params.beta),
                                 np.zeros_like(params.gamma))
         return grads, dx
 
-    s, c, us = tape.shift, tape.c, tape.us
     a = np.broadcast_to(du.transpose(0, 2, 1)[:, :, None, None, :], us.shape[1:])
     a_sum, au, a = _jacobi_adjoint(s, c, a, us.shape[0], us, need_dx)
-    xt = tape.zs[:, :, 0].transpose(0, 2, 1)        # (B, G, N)
+    xt = zs[:, :, 0].transpose(0, 2, 1)             # (B, G, N)
     gbeta = np.einsum("bfgpn,bgn,fgpn->fgp", a_sum, xt, c, optimize=True)
     ggamma = np.einsum("fgpn,fgpn->fgp", c, au)
     if need_dx:
@@ -427,7 +420,7 @@ def _edge_forward(layer: LayerSpec, params: EdgeLayerParams, x: np.ndarray):
     z0 = params.diag[:, :, None, :] * x.transpose(2, 0, 1)[None]  # (F, G, B, N)
     zs = edge_varying_chain(params.support, params.values, z0)
     u = sum(zs[1:], zs[0]).sum(axis=1).transpose(1, 2, 0)       # (B, N, F)
-    return u, _EdgeTape(x, zs)
+    return u, partial(_edge_backward, params, x, zs)
 
 
 def _edge_grads(params: EdgeLayerParams, xin: np.ndarray, zs: list,
@@ -444,12 +437,14 @@ def _edge_grads(params: EdgeLayerParams, xin: np.ndarray, zs: list,
     return EdgeLayerParams(sup, gdiag, gvals)
 
 
-def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
+def _edge_backward(params: EdgeLayerParams, x: np.ndarray, zs: list,
                    du: np.ndarray, need_dx: bool):
+    """``x`` is the (B, N, G) layer input and ``zs`` the K+1 (F, G, B, N)
+    chain states z^(0)..z^(K) of the forward."""
     e = du.transpose(2, 0, 1)[:, None]                           # (F, 1, B, N)
     vs = edge_varying_sweep(params.support, params.values,
                             np.broadcast_to(e, params.diag.shape[:2] + e.shape[2:]))
-    grads = _edge_grads(params, tape.x.transpose(2, 0, 1), tape.zs, vs)
+    grads = _edge_grads(params, x.transpose(2, 0, 1), zs, vs)
     dx = None
     if need_dx:
         dx = np.einsum("fgn,fgbn->bng", params.diag, vs[0], optimize=True)
@@ -460,22 +455,15 @@ def _edge_backward(layer: LayerSpec, params: EdgeLayerParams, tape: _EdgeTape,
 # Last layer restricted to output nodes T.  Before its nonlinearity a layer
 # is linear in its input, u[:, t, f] = sum_{n, g} w[t, f, g, n] x[:, n, g],
 # so the rows w = du[t, f] / dx[n, g] are computed once per call, with no
-# dependence on the batch. Each family supplies its rows and the
-# vector-Jacobian product of its rows against xbar[t, f, g, n] =
-# sum_b du[b, t, f] x[b, n, g]. The edge-varying ones reuse the full layer's
-# pieces with node t as the batch: the rows are diag * v_0 of
-# ``edge_varying_sweep`` from one-hot e_t, and the VJP runs
+# dependence on the batch. Each family's rows builder returns its rows and,
+# as a full layer's forward returns its VJP, a closure ``rows_vjp(xbar)``
+# bound to what building the rows computed: it maps xbar[t, f, g, n] =
+# sum_b du[b, t, f] x[b, n, g] to the parameter gradients. The edge-varying
+# ones reuse the full layer's pieces with node t as the batch: the rows are
+# diag * v_0 of ``edge_varying_sweep`` from one-hot e_t, and the VJP runs
 # ``edge_varying_chain`` on xbar into the same ``_edge_grads``, so each step
 # is one ``coo_apply`` on the support's nnz coordinates.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _RowsTape:
-    x: np.ndarray      # (B, N, G) layer input
-    w: np.ndarray      # (T*F, N*G) rows, laid out for the batch GEMMs
-    nodes: np.ndarray  # (T,) output nodes
-    basis: object      # what the family's rows VJP reads
-
 
 def _one_hot(nodes: np.ndarray, n: int) -> np.ndarray:
     """(T, N) rows of the identity at ``nodes``."""
@@ -484,19 +472,20 @@ def _one_hot(nodes: np.ndarray, n: int) -> np.ndarray:
     return e
 
 
-def _fir_rows(layer: LayerSpec, taps: np.ndarray, s: ShiftOperator,
+def _fir_rows(layer: LayerSpec, params: FirLayerParams, s: ShiftOperator,
               nodes: np.ndarray):
-    """Rows sum_k taps[f, g, k] (S^k)[t, n] as (T, F, G, N), and the
-    (N, K+1, T) stack of S^k e_t they contract (S is symmetric)."""
+    """Rows sum_k taps[f, g, k] (S^k)[t, n] as (T, F, G, N); the VJP
+    contracts the (N, K+1, T) stack of S^k e_t (S is symmetric)."""
     stack = shifted_stack(s, _one_hot(nodes, s.n_nodes).T[None], layer.order)[0]
-    return np.einsum("fgk,nkt->tfgn", taps, stack), stack
+    w = np.einsum("fgk,nkt->tfgn", params.taps, stack)
+    return w, partial(_fir_rows_vjp, layer, stack)
 
 
 def _fir_rows_vjp(layer: LayerSpec, stack: np.ndarray,
-                  xbar: np.ndarray) -> np.ndarray:
+                  xbar: np.ndarray) -> FirLayerParams:
     gtaps = np.einsum("tfgn,nkt->fgk", xbar, stack)
     fold_tap_gradients(layer, gtaps)
-    return gtaps
+    return FirLayerParams(gtaps)
 
 
 def _pole_rows_start(nodes: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -509,46 +498,46 @@ def _arma_rows(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
                nodes: np.ndarray):
     """FIR rows of the direct part plus, per pole, beta c sum_{m<T} q_m + q_T
     with q_0 = e_t and q_m = R^T q_{m-1}: the adjoint sweep from a_T = e_t."""
-    w, stack = _fir_rows(layer, params.alpha, s, nodes)
+    w, direct_vjp = _fir_rows(layer, FirLayerParams(params.alpha), s, nodes)
     if layer.n_poles == 0:
-        return w, (stack, None)
+        return w, partial(_arma_rows_vjp, layer, params, s, nodes, direct_vjp, None)
     c = 1.0 / (s.diagonal()[None, None, None, :] - params.gamma[..., None])
     a = _pole_rows_start(nodes, c)
     a_sum, _, a0 = _jacobi_adjoint(s, c, a, layer.jacobi_iters, None, True)
     w += (params.beta[..., None] * c * a_sum + a0).sum(axis=3)
-    return w, (stack, c)
+    return w, partial(_arma_rows_vjp, layer, params, s, nodes, direct_vjp, c)
 
 
-def _arma_rows_vjp(layer: LayerSpec, params: ArmaLayerParams,
-                   s: ShiftOperator, tape: _RowsTape, xbar: np.ndarray):
+def _arma_rows_vjp(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
+                   nodes: np.ndarray, direct_vjp, c: np.ndarray | None,
+                   xbar: np.ndarray) -> ArmaLayerParams:
     """The poles' VJP is the full layer's adjoint with node t as the batch:
     Jacobi iterates on xbar[t] (one input per (f, g)) against a_T = e_t."""
-    stack, c = tape.basis
-    galpha = _fir_rows_vjp(layer, stack, xbar)
+    galpha = direct_vjp(xbar).taps
     if c is None:
         return ArmaLayerParams(galpha, np.zeros_like(params.beta),
                                np.zeros_like(params.gamma))
     xb = xbar[:, :, :, None, :]                          # (T, F, G, 1, N)
     b = params.beta[..., None] * c * xb
     us = jacobi_iterates(s, c, b, xb, shift_nd(s, xb), layer.jacobi_iters)
-    a = _pole_rows_start(tape.nodes, c)
+    a = _pole_rows_start(nodes, c)
     a_sum, au, _ = _jacobi_adjoint(s, c, a, layer.jacobi_iters, us, False)
     gbeta = np.einsum("tfgpn,tfgn,fgpn->fgp", a_sum, xbar, c, optimize=True)
     ggamma = np.einsum("fgpn,fgpn->fgp", c, au)
     return ArmaLayerParams(galpha, gbeta, ggamma)
 
 
-def _edge_rows(layer: LayerSpec, params: EdgeLayerParams, nodes: np.ndarray):
-    """Rows diag * v_0 of the transposed sweep from e_t, as (T, F, G, N); also
-    returns the sweep v_0 .. v_K as (F, G, T, N) arrays."""
+def _edge_rows(params: EdgeLayerParams, nodes: np.ndarray):
+    """Rows diag * v_0 of the transposed sweep from e_t, as (T, F, G, N); the
+    VJP reads the sweep v_0 .. v_K as (F, G, T, N) arrays."""
     e = _one_hot(nodes, params.support.n_nodes)
     vs = edge_varying_sweep(params.support, params.values,
                             np.broadcast_to(e, params.diag.shape[:2] + e.shape))
     w = (params.diag[:, :, None, :] * vs[0]).transpose(2, 0, 1, 3)
-    return w, vs
+    return w, partial(_edge_rows_vjp, params, vs)
 
 
-def _edge_rows_vjp(layer: LayerSpec, params: EdgeLayerParams, vs: list,
+def _edge_rows_vjp(params: EdgeLayerParams, vs: list,
                    xbar: np.ndarray) -> EdgeLayerParams:
     """The full layer's gradients with node t as the batch: the chain on
     xbar[t] over Phi_1 .. Phi_{K-1} against the sweep from e_t."""
@@ -563,31 +552,27 @@ def _rows_forward(layer: LayerSpec, params, s: ShiftOperator, x: np.ndarray,
     """Pre-nonlinearity output (B, T, F) at ``nodes``: one
     (B, N*G) @ (N*G, T*F) product against the layer's rows."""
     if layer.family == "fir":
-        w, basis = _fir_rows(layer, params.taps, s, nodes)
+        w, rows_vjp = _fir_rows(layer, params, s, nodes)
     elif layer.family == "arma":
-        w, basis = _arma_rows(layer, params, s, nodes)
+        w, rows_vjp = _arma_rows(layer, params, s, nodes)
     else:
         _check_bound_nodes(params.support, x)
-        w, basis = _edge_rows(layer, params, nodes)
+        w, rows_vjp = _edge_rows(params, nodes)
     t, f, g, n = w.shape
     wmat = w.transpose(0, 1, 3, 2).reshape(t * f, n * g)
     u = (x.reshape(x.shape[0], n * g) @ wmat.T).reshape(-1, t, f)
-    return u, _RowsTape(x, wmat, nodes, basis)
+    return u, partial(_rows_backward, x, wmat, rows_vjp)
 
 
-def _rows_backward(layer: LayerSpec, params, tape: _RowsTape,
-                   s: ShiftOperator, du: np.ndarray, need_dx: bool):
-    bdim, n, g = tape.x.shape
+def _rows_backward(x: np.ndarray, wmat: np.ndarray, rows_vjp, du: np.ndarray,
+                   need_dx: bool):
+    """``wmat`` holds the (T*F, N*G) rows, laid out for the batch GEMMs."""
+    bdim, n, g = x.shape
     delta = du.reshape(bdim, -1)                          # (B, T*F)
-    xbar = (delta.T @ tape.x.reshape(bdim, n * g)).reshape(
-        tape.nodes.size, -1, n, g).transpose(0, 1, 3, 2)  # (T, F, G, N)
-    if layer.family == "fir":
-        grads = FirLayerParams(_fir_rows_vjp(layer, tape.basis, xbar))
-    elif layer.family == "arma":
-        grads = _arma_rows_vjp(layer, params, s, tape, xbar)
-    else:
-        grads = _edge_rows_vjp(layer, params, tape.basis, xbar)
-    dx = (delta @ tape.w).reshape(bdim, n, g) if need_dx else None
+    xbar = (delta.T @ x.reshape(bdim, n * g)).reshape(
+        du.shape[1], -1, n, g).transpose(0, 1, 3, 2)      # (T, F, G, N)
+    grads = rows_vjp(xbar)
+    dx = (delta @ wmat).reshape(bdim, n, g) if need_dx else None
     return grads, dx
 
 
@@ -613,6 +598,18 @@ def _check_out_nodes(spec: ModelSpec, s: ShiftOperator | None, x: np.ndarray,
     return nodes
 
 
+def _check_first_layer_zs(layer: LayerSpec, x: np.ndarray, zs) -> None:
+    """``zs`` must be the (B, N, K+1, G) stack a first FIR layer reads for x."""
+    if layer.family != "fir":
+        raise ModelError(f"first_layer_zs feeds a first FIR layer, layer 0 is "
+                         f"{layer.family}")
+    want = x.shape[:2] + (layer.order + 1,) + x.shape[2:]
+    got = getattr(zs, "shape", None)
+    if got != want:
+        raise ModelError(f"first_layer_zs has shape {got}, the order-"
+                         f"{layer.order} layer 0 reads {want}")
+
+
 def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
                   x: np.ndarray, first_layer_zs: np.ndarray | None = None,
                   out_nodes=None):
@@ -632,25 +629,26 @@ def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
     """
     if out_nodes is not None:
         out_nodes = _check_out_nodes(spec, s, x, first_layer_zs, out_nodes)
+    if first_layer_zs is not None:
+        _check_first_layer_zs(spec.layers[0], x, first_layer_zs)
     last = len(spec.layers) - 1
-    inputs, layer_tapes, preacts, outputs = [], [], [], []
+    vjps, preacts, outputs = [], [], []
     cur = x
     for i, (layer, params) in enumerate(zip(spec.layers, state.layers)):
         if cur.shape[2] != layer.in_features:
             raise ModelError(f"layer {i} expects {layer.in_features} features, "
                              f"got {cur.shape[2]}")
-        inputs.append(cur)
         if i == last and out_nodes is not None:
-            u, tape = _rows_forward(layer, params, s, cur, out_nodes)
+            u, vjp = _rows_forward(layer, params, s, cur, out_nodes)
         elif layer.family == "fir":
-            zs = first_layer_zs if i == 0 and first_layer_zs is not None else None
-            u, tape = _fir_forward(layer, params, s, cur, zs=zs)
+            zs = first_layer_zs if i == 0 else None
+            u, vjp = _fir_forward(layer, params, s, cur, zs=zs)
         elif layer.family == "arma":
-            u, tape = _arma_forward(layer, params, s, cur)
+            u, vjp = _arma_forward(layer, params, s, cur)
         else:
-            u, tape = _edge_forward(layer, params, cur)
+            u, vjp = _edge_forward(layer, params, cur)
         out = _nonlin_forward(layer.nonlinearity, u)
-        layer_tapes.append(tape)
+        vjps.append(vjp)
         preacts.append(u)
         outputs.append(out)
         cur = out
@@ -658,8 +656,7 @@ def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
     if spec.readout.kind == "per_node_linear":
         readout_input = cur
         cur = cur @ state.readout_weight + state.readout_bias
-    tape = Tape(spec, state.version, s, inputs, layer_tapes, preacts, outputs,
-                readout_input, cur.shape)
+    tape = Tape(state.version, vjps, preacts, outputs, readout_input, cur.shape)
     return cur, tape
 
 
@@ -702,26 +699,10 @@ def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
         dcur = dcur @ state.readout_weight.T
     layer_grads: list = [None] * len(spec.layers)
     for i in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[i]
-        params = state.layers[i]
-        du = _nonlin_backward(layer.nonlinearity, tape.preacts[i],
+        du = _nonlin_backward(spec.layers[i].nonlinearity, tape.preacts[i],
                               tape.outputs[i], dcur)
-        need_dx = i > 0
-        if isinstance(tape.layer_tapes[i], _RowsTape):
-            g, dcur = _rows_backward(layer, params, tape.layer_tapes[i],
-                                     tape.shift, du, need_dx)
-        elif layer.family == "fir":
-            g, dcur = _fir_backward(layer, params, tape.layer_tapes[i],
-                                    tape.shift, du, need_dx)
-        elif layer.family == "arma":
-            g, dcur = _arma_backward(layer, params, tape.layer_tapes[i], du,
-                                     need_dx)
-        else:
-            g, dcur = _edge_backward(layer, params, tape.layer_tapes[i], du,
-                                     need_dx)
-        layer_grads[i] = g
-    grads = ModelState(layer_grads, grad_readout_w, grad_readout_b)
-    return grads
+        layer_grads[i], dcur = tape.vjps[i](du, i > 0)
+    return ModelState(layer_grads, grad_readout_w, grad_readout_b)
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +770,10 @@ def _check_support(where: str, sup: EdgeVaryingSupport) -> None:
     n, rows, cols = sup.n_nodes, sup.rows, sup.cols
     for name, a in (("rows", rows), ("cols", cols)):
         if not isinstance(a, np.ndarray) or a.dtype.kind not in "iu" or a.ndim != 1:
-            raise ModelError(f"{where} support {name} must be a 1-D integer array")
+            raise ModelError(f"{where}.{name} must be a 1-D integer array")
     if rows.shape != cols.shape:
-        raise ModelError(f"{where} support has {rows.size} rows and {cols.size} cols")
+        raise ModelError(f"{where}.rows has {rows.size} entries, {where}.cols "
+                         f"{cols.size}")
     outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
     if outside.any():
         e = int(np.argmax(outside))
@@ -823,11 +805,9 @@ def validate_state(spec: ModelSpec, state: ModelState) -> None:
     if len(state.layers) != len(spec.layers):
         raise ModelError(f"state has {len(state.layers)} layers, the spec "
                          f"{len(spec.layers)}")
-    kinds = {"fir": FirLayerParams, "arma": ArmaLayerParams,
-             "edge_varying": EdgeLayerParams}
     for i, (layer, params) in enumerate(zip(spec.layers, state.layers)):
-        where = f"layer {i}"
-        kind = kinds[layer.family]
+        where = f"layers.{i}"
+        kind = LAYER_PARAMS[layer.family]
         if not isinstance(params, kind):
             raise ModelError(f"{where} holds {type(params).__name__}, the spec "
                              f"needs {kind.__name__}")
@@ -842,22 +822,22 @@ def validate_state(spec: ModelSpec, state: ModelState) -> None:
             shapes = {"diag": fg + (params.support.n_nodes,),
                       "values": fg + (layer.order, params.support.nnz)}
         for name, shape in shapes.items():
-            _check_param(f"{where} {name}", getattr(params, name), shape)
-    readout = {"weight": state.readout_weight, "bias": state.readout_bias}
+            _check_param(f"{where}.{name}", getattr(params, name), shape)
+    readout = {"readout_weight": state.readout_weight,
+               "readout_bias": state.readout_bias}
     if spec.readout.kind == "per_node_linear":
         out_dim = spec.readout.out_dim
-        shapes = {"weight": (spec.layers[-1].out_features, out_dim),
-                  "bias": (out_dim,)}
+        shapes = {"readout_weight": (spec.layers[-1].out_features, out_dim),
+                  "readout_bias": (out_dim,)}
         for name, shape in shapes.items():
             if readout[name] is None:
-                raise ModelError(f"readout {name} is missing, the spec has a "
+                raise ModelError(f"{name} is missing, the spec has a "
                                  f"per_node_linear readout")
-            _check_param(f"readout {name}", readout[name], shape)
+            _check_param(name, readout[name], shape)
     else:
         for name, a in readout.items():
             if a is not None:
-                raise ModelError(f"readout {name} is present, the spec has no "
-                                 f"readout")
+                raise ModelError(f"{name} is present, the spec has no readout")
 
 
 # ---------------------------------------------------------------------------
@@ -876,18 +856,11 @@ V1_HEAD = re.compile(rb'\s*\{\s*"format_version":\s*(\d+)')
 
 
 def _state_members(state: ModelState) -> dict:
-    members = {}
+    members = dict(iter_params(state))
     for i, params in enumerate(state.layers):
-        for f in fields(params):
-            a = getattr(params, f.name)
-            if isinstance(a, EdgeVaryingSupport):
-                members[f"layers.{i}.rows"] = a.rows
-                members[f"layers.{i}.cols"] = a.cols
-            else:
-                members[f"layers.{i}.{f.name}"] = a
-    if state.readout_weight is not None:
-        members["readout_weight"] = state.readout_weight
-        members["readout_bias"] = state.readout_bias
+        if isinstance(params, EdgeLayerParams):
+            members[f"layers.{i}.rows"] = params.support.rows
+            members[f"layers.{i}.cols"] = params.support.cols
     return members
 
 
@@ -961,17 +934,16 @@ def load_checkpoint(path):
             spec = LayerSpec(**{f.name: ldoc[f.name] for f in fields(LayerSpec)})
             layer_specs.append(spec)
             prefix = f"layers.{i}."
-            if spec.family == "fir":
-                layer_params.append(FirLayerParams(member(prefix + "taps")))
-            elif spec.family == "arma":
-                layer_params.append(ArmaLayerParams(
-                    *(member(prefix + name) for name in ("alpha", "beta", "gamma"))))
-            else:
-                support = EdgeVaryingSupport(int(ldoc["support_n_nodes"]),
-                                             member(prefix + "rows"),
-                                             member(prefix + "cols"))
-                layer_params.append(EdgeLayerParams(
-                    support, member(prefix + "diag"), member(prefix + "values")))
+            cls = LAYER_PARAMS[spec.family]
+            arrays = {}
+            for f in fields(cls):
+                if f.name == "support":
+                    arrays["support"] = EdgeVaryingSupport(
+                        int(ldoc["support_n_nodes"]), member(prefix + "rows"),
+                        member(prefix + "cols"))
+                else:
+                    arrays[f.name] = member(prefix + f.name)
+            layer_params.append(cls(**arrays))
         spec = ModelSpec(tuple(layer_specs), ReadoutSpec(**mdoc["readout"]),
                          mdoc["shift_mode"])
     except (KeyError, TypeError) as exc:

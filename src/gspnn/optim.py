@@ -77,21 +77,22 @@ def loss_eval(spec: LossSpec, prediction: np.ndarray, target: np.ndarray):
 # ADAM
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     learning_rate: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_hat: float = 1e-8
     step: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
 
     @staticmethod
-    def for_params(params: list[np.ndarray], learning_rate: float,
-                   beta1: float = 0.9, beta2: float = 0.999) -> "AdamState":
+    def for_params(params: list[np.ndarray], learning_rate: float) -> "AdamState":
         return AdamState(
-            learning_rate=learning_rate, beta1=beta1, beta2=beta2,
+            learning_rate=learning_rate,
             first_moment=[np.zeros_like(p) for p in params],
             second_moment=[np.zeros_like(p) for p in params])
 
@@ -108,16 +109,15 @@ def adam_step(state: AdamState, params: list[np.ndarray],
             raise TrainingError(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for p, g, m, v in zip(params, grads, state.first_moment,
                           state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2)
-                                                + state.epsilon_hat)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +129,7 @@ class TrainConfig:
     epochs: int
     batch_size: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -169,12 +166,11 @@ def train(problem: Problem, config: TrainConfig) -> list[tuple[int, int, float]]
         raise TrainingError("empty dataset")
     names = [name for name, _ in iter_params(problem.state)]
     params = [arr for _, arr in iter_params(problem.state)]
-    adam = AdamState.for_params(params, config.learning_rate, config.beta1,
-                                config.beta2)
+    adam = AdamState.for_params(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history = []
     for epoch in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             indices = order[start:start + config.batch_size]
             loss, grads = problem.batch_loss(indices)

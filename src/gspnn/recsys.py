@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import pole_margin
+from .filters import check_poles, pole_margin
 from .graphs import Graph, ShiftKind, ShiftOperator, build_shift
 from .neural import (
     ArmaLayerParams,
@@ -288,6 +288,21 @@ def build_model_spec(family: str) -> ModelSpec:
     return ModelSpec((layer,), ReadoutSpec("per_node_linear", 1))
 
 
+def checked_pole_bounds(state: ModelState, shift: ShiftOperator):
+    """The (shift diagonal, pole margin) that ``project_poles`` keeps ARMA
+    poles outside, computed once per shift, or None without ARMA layers.
+    Raises naming ``layers.{i}.gamma`` and the pole if one is inside."""
+    poles = [(f"layers.{i}.gamma", params.gamma)
+             for i, params in enumerate(state.layers)
+             if isinstance(params, ArmaLayerParams)]
+    if not poles:
+        return None
+    bounds = (shift.diagonal(), pole_margin(shift))
+    for name, gamma in poles:
+        check_poles(gamma, *bounds, name=name)
+    return bounds
+
+
 class RatingProblem(Problem):
     """Smooth-L1 fit of the readout at the target node to held-out ratings."""
 
@@ -300,11 +315,7 @@ class RatingProblem(Problem):
         self.inputs = np.stack([smp.input for smp in samples])[:, :, None]
         self.targets = np.array([smp.target for smp in samples])
         self.loss = LossSpec("smooth_l1")
-        # The pole constraint depends only on the fixed shift: evaluate it once.
-        if any(layer.family == "arma" for layer in spec.layers):
-            self.pole_bounds = (shift.diagonal(), pole_margin(shift))
-        else:
-            self.pole_bounds = None
+        self.pole_bounds = checked_pole_bounds(state, shift)
 
     def n_samples(self) -> int:
         return self.targets.size

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gspnn import cli, flocking, neural
+from gspnn import recsys as rs
 from gspnn.cli import ConfigError, main, parse_config
 from gspnn.flocking import FlockConfig, PolicyBundle, build_policy_spec, save_policy
 from gspnn.neural import init_state
@@ -85,3 +86,23 @@ def test_analyze_equivariance_fails_on_a_trial_that_stays_dead(tmp_path,
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "trial 0" in capsys.readouterr().err
+
+
+def test_recsys_eval_rejects_a_pole_on_the_shift_diagonal(tmp_path, capsys):
+    data = tmp_path / "u.data"
+    rs.write_synthetic_fixture(data)
+    train_out = tmp_path / "train"
+    assert main(["recsys", "train", "--data", str(data), "--target", "2",
+                 "--model", "arma", "--epochs", "1", "--out", str(train_out)]) == 0
+    checkpoint = train_out / "checkpoint.npz"
+    spec, state, meta = neural.load_checkpoint(checkpoint)
+    # the normalized adjacency has a zero diagonal: 1 / (d - gamma) blows up
+    state.layers[0].gamma[...] = 0.0
+    neural.save_checkpoint(checkpoint, spec, state, meta)
+    capsys.readouterr()
+    code = main(["recsys", "eval", "--data", str(data), "--checkpoint",
+                 str(checkpoint), "--out", str(tmp_path / "eval")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "layers.0.gamma[0, 0, 0] = 0.0 is within" in err
+    assert "shift diagonal entry 0.0" in err

@@ -19,11 +19,8 @@ from gspnn.neural import (
     FirLayerParams,
     LayerSpec,
     ModelSpec,
-    _arma_backward,
     _arma_forward,
-    _edge_backward,
     _edge_forward,
-    _fir_backward,
     _fir_forward,
     forward_batch,
     init_state,
@@ -131,22 +128,25 @@ def oracle_arma(s, x, alpha, beta, gamma, t, du):
     return u, grads
 
 
-def edge_value_grad_einsum(layer, params, tape, du):
+def edge_value_grad_einsum(layer, params, x, du):
     """Gradient of the edge-varying step values by the gathered einsum over
-    the batch, sens[rows] * z^(k-1)[cols], with the transpose sweep run
-    through dense step matrices scattered from the layer's weights."""
+    the batch, sens[rows] * z^(k-1)[cols], with the chain states and the
+    transpose sweep run through dense step matrices scattered from the
+    layer's weights."""
     sup = params.support
     f, g = layer.out_features, layer.in_features
-    bdim, n = tape.x.shape[0], tape.x.shape[1]
+    bdim, n = x.shape[0], x.shape[1]
     phi = np.zeros((layer.order, f, g, n, n))
     phi[..., sup.rows, sup.cols] = params.values.transpose(2, 0, 1, 3)
+    zs = [params.diag[..., None] * x.transpose(2, 1, 0)[None]]  # (F, G, N, B)
+    for k in range(layer.order - 1):
+        zs.append(np.matmul(phi[k], zs[-1]))
     delta = np.broadcast_to(du.transpose(2, 1, 0)[:, None], (f, g, n, bdim))
     gvals = np.zeros_like(params.values)
     sens = np.array(delta)
     for k in range(layer.order, 0, -1):
-        z = tape.zs[k - 1].transpose(0, 1, 3, 2)  # (F, G, N, B)
         gvals[:, :, k - 1] = np.einsum(
-            "fgeb,fgeb->fge", sens[:, :, sup.rows, :], z[:, :, sup.cols, :])
+            "fgeb,fgeb->fge", sens[:, :, sup.rows, :], zs[k - 1][:, :, sup.cols, :])
         sens = np.matmul(phi[k - 1].transpose(0, 1, 3, 2), sens) + delta
     return gvals
 
@@ -173,8 +173,8 @@ def test_fir_layer_matches_per_tap_oracle(batch, g_in, f_out, order):
     params = FirLayerParams(r.normal(size=(f_out, g_in, order + 1)))
     x = r.normal(size=(batch, s.n_nodes, g_in))
     du = r.normal(size=(batch, s.n_nodes, f_out))
-    u, tape = _fir_forward(layer, params, s, x)
-    grads, dx = _fir_backward(layer, params, tape, s, du, True)
+    u, vjp = _fir_forward(layer, params, s, x)
+    grads, dx = vjp(du, True)
     want_u, want = oracle_fir(s, x, params.taps, du)
     assert_close(u, want_u, "output")
     assert_close(grads.taps, want["taps"], "taps gradient")
@@ -203,8 +203,8 @@ def test_arma_layer_matches_broadcast_shift_oracle(batch, g_in, f_out, order,
                              r.normal(size=(f_out, g_in, poles)), gamma)
     x = r.normal(size=(batch, s.n_nodes, g_in))
     du = r.normal(size=(batch, s.n_nodes, f_out))
-    u, tape = _arma_forward(layer, params, s, x)
-    grads, dx = _arma_backward(layer, params, tape, du, True)
+    u, vjp = _arma_forward(layer, params, s, x)
+    grads, dx = vjp(du, True)
     want_u, want = oracle_arma(s, x, params.alpha, params.beta, params.gamma,
                                iters, du)
     assert_close(u, want_u, "output")
@@ -225,9 +225,9 @@ def test_edge_value_gradient_matches_gathered_einsum_oracle(batch, g_in, f_out,
     params = init_state(ModelSpec((layer,)), r, shift=s).layers[0]
     x = r.normal(size=(batch, s.n_nodes, g_in))
     du = r.normal(size=(batch, s.n_nodes, f_out))
-    _, tape = _edge_forward(layer, params, x)
-    grads, _ = _edge_backward(layer, params, tape, du, False)
-    assert_close(grads.values, edge_value_grad_einsum(layer, params, tape, du),
+    _, vjp = _edge_forward(layer, params, x)
+    grads, _ = vjp(du, False)
+    assert_close(grads.values, edge_value_grad_einsum(layer, params, x, du),
                  "values gradient")
 
 

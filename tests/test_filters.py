@@ -16,7 +16,6 @@ from gspnn.filters import (
     edge_varying_from_fir,
     fir_apply,
     fir_bank_contract,
-    fir_mask,
     fir_response,
     jacobi_single_pole,
     jacobi_spectral_radius,
@@ -119,29 +118,6 @@ def test_fir_spectral_pointwise_identity(seed):
     resp = np.array([fs.response for fs in fir_response(taps, s.eigenvalues)])
     rhs = resp * gft(s, x).values[:, 0]
     assert np.allclose(lhs, rhs, atol=1e-9)
-
-
-def test_fir_mask_templates():
-    gcn = fir_mask("gcn", 1)
-    assert gcn.order == 1 and not gcn.mask[0] and gcn.mask[1]
-    assert gcn.taps[0] == 0.0
-
-    sgc = fir_mask("sgc", 3)
-    assert sgc.mask.tolist() == [False, False, False, True]
-    assert np.all(sgc.taps == 0.0)
-
-    plain = fir_mask("plain", 2)
-    assert plain.mask.tolist() == [True, True, True]
-
-    gin = fir_mask("gin", 1, epsilon=0.5)
-    assert gin.variant == "gin" and gin.epsilon == 0.5
-
-    with pytest.raises(FilterError):
-        fir_mask("gcn", 2)
-    with pytest.raises(FilterError):
-        fir_mask("sgc", 0)
-    with pytest.raises(FilterError):
-        fir_mask("twisted", 1)
 
 
 # ---------------------------------------------------------------------------

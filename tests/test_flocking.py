@@ -432,7 +432,7 @@ def test_load_policy_validates_the_state(tiny_policy, tmp_path):
                      bundle.state.readout_bias)
     path = tmp_path / "policy.npz"
     save_policy(path, replace(bundle, state=bad))
-    with pytest.raises(ModelError, match="layer 0 taps has non-finite entries"):
+    with pytest.raises(ModelError, match=r"layers\.0\.taps has non-finite entries"):
         load_policy(path)
 
 

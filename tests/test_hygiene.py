@@ -13,6 +13,11 @@ installed, such as scipy, are not enough.
 No file the program reads may run code: every ``np.load`` / ``numpy.load``
 call in ``src/gspnn`` passes ``allow_pickle=False`` literally, and nothing
 there imports ``pickle``.
+
+Every top-level function, class and constant of ``src/gspnn`` must be
+referenced somewhere in ``src``, ``bench`` or ``tests`` outside its own
+definition: as a name, an attribute, an imported name or a string equal to
+it (``bench/tracing.py`` looks functions up by name).
 """
 
 import ast
@@ -27,6 +32,8 @@ MODULES = sorted(p for d in (ROOT / "src" / "gspnn", ROOT / "tests")
                  for p in d.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted((ROOT / "src" / "gspnn").glob("*.py"))
 IMPORT_NAMES = {"pyyaml": "yaml"}  # distribution name -> import name
+REFERENCING = sorted(p for d in ("src", "bench", "tests")
+                     for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -130,3 +137,65 @@ def test_pickle_risk_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"gspnn/{p.name}")
 def test_no_load_can_unpickle(path):
     assert pickle_risks(path.read_text()) == []
+
+
+def top_level_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, statement index) for every top-level def, class and assigned
+    name, dunders excepted."""
+    found = []
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, i))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, i) for t in targets if isinstance(t, ast.Name)]
+    return [(name, i) for name, i in found if not name.startswith("__")]
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.split(".")[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            names.add(sub.value)
+    return names
+
+
+def unreferenced_definitions(defining: dict[str, str],
+                             referencing: dict[str, str]) -> list[str]:
+    """``label:name`` for each top-level definition of the ``defining``
+    sources (label -> text) that no top-level statement of the
+    ``referencing`` sources references, other than its own definition."""
+    users = {}  # name -> {(label, statement index)} of the statements using it
+    for label, text in referencing.items():
+        for i, stmt in enumerate(ast.parse(text).body):
+            for name in referenced_names(stmt):
+                users.setdefault(name, set()).add((label, i))
+    return [f"{label}:{name}" for label, text in defining.items()
+            for name, i in top_level_definitions(ast.parse(text))
+            if not users.get(name, set()) - {(label, i)}]
+
+
+def test_unreferenced_definition_is_found():
+    lib = ("import numpy as np\nLIMIT = 3\nUNUSED = 4\n"
+           "def used():\n    return LIMIT\n"
+           "def recursive(n):\n    return recursive(n - 1)\n"
+           "class Looked:\n    pass\n"
+           "def dead():\n    dead = 1\n    return dead\n")
+    other = ("from lib import used\nused()\n"
+             "getattr(lib, 'Looked')\nprint('dead code')\n")
+    sources = {"lib": lib, "other": other}
+    assert unreferenced_definitions({"lib": lib}, sources) == [
+        "lib:UNUSED", "lib:recursive", "lib:dead"]
+
+
+def test_every_top_level_name_is_referenced():
+    referencing = {str(p.relative_to(ROOT)): p.read_text() for p in REFERENCING}
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    assert unreferenced_definitions(defining, referencing) == []

@@ -469,6 +469,19 @@ def test_readout_locality_within_l_times_k_hops():
 # Fir variant constraints
 # ---------------------------------------------------------------------------
 
+def test_layer_spec_checks_fir_variant_orders():
+    for variant, order in (("plain", 0), ("gcn", 1), ("sgc", 1), ("sgc", 3),
+                           ("gin", 1)):
+        LayerSpec("fir", 1, 1, order, fir_variant=variant)
+    for variant, order, message in (
+            ("gcn", 2, "gcn is defined for order 1, got 2"),
+            ("gin", 0, "gin needs order >= 1"),
+            ("sgc", 0, "sgc needs order >= 1"),
+            ("twisted", 1, "unknown FIR variant 'twisted'")):
+        with pytest.raises(ModelError, match=message):
+            LayerSpec("fir", 1, 1, order, fir_variant=variant)
+
+
 def test_tap_constraints_gcn_sgc_gin():
     taps = np.arange(12.0).reshape(2, 2, 3)
     layer = LayerSpec("fir", 2, 2, 2, fir_variant="sgc")
@@ -536,6 +549,31 @@ def delayed_forward(spec, state, shifts, signals):
     zs = delayed_stack_oracle(shifts, signals, spec.layers[0].order)
     out, tape = forward_batch(spec, state, None, zs[:, :, 0], first_layer_zs=zs)
     return out[0], tape
+
+
+FIRST_LAYER_ZS_CASES = {
+    # an ARMA first layer ignored the stack, or met s=None inside its forward
+    "arma static": (LayerSpec("arma", 2, 3, 1, n_poles=1), True, 2,
+                    "layer 0 is arma"),
+    "arma no shift": (LayerSpec("arma", 2, 3, 1, n_poles=1), False, 2,
+                      "layer 0 is arma"),
+    # an order-3 FIR layer given three slots failed inside a numpy reshape
+    "fir short stack": (LayerSpec("fir", 2, 3, 3), True, 3,
+                        r"shape \(4, 8, 3, 2\), the order-3 layer 0 reads "
+                        r"\(4, 8, 4, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_LAYER_ZS_CASES))
+def test_forward_batch_checks_first_layer_zs(case):
+    layer, static, slots, message = FIRST_LAYER_ZS_CASES[case]
+    s, r = small_shift(31)
+    spec = ModelSpec((layer,))
+    state = init_state(spec, r, shift=s)
+    zs = r.normal(size=(4, s.n_nodes, slots, 2))
+    with pytest.raises(ModelError, match=rf"first_layer_zs.*{message}"):
+        forward_batch(spec, state, s if static else None, zs[:, :, 0],
+                      first_layer_zs=zs)
 
 
 def test_delayed_model_matches_public_delayed_filter():
@@ -652,6 +690,19 @@ def _save_fresh(path, spec):
     return path
 
 
+def test_parameter_names_are_the_checkpoint_members(tmp_path):
+    for spec in (CHECKPOINT_MIXED, CHECKPOINT_EDGE):
+        path = _save_fresh(tmp_path / "model.npz", spec)
+        with np.load(path, allow_pickle=False) as archive:
+            members = set(archive.files)
+        _, state, _ = load_checkpoint(path)
+        names = [name for name, _ in iter_params(state)]
+        supports = {f"layers.{i}.{name}" for i, layer in enumerate(spec.layers)
+                    if layer.family == "edge_varying" for name in ("rows", "cols")}
+        assert members == set(names) | supports | {"header"}
+    assert names == ["layers.0.diag", "layers.0.values"]
+
+
 def _edit_saved_array(tmp_path, spec, edit):
     """Save a fresh model, let ``edit`` change the dict of its archive
     members in place, write them back as the archive and return the path."""
@@ -683,12 +734,12 @@ CHECKPOINT_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("where,spec,member", CHECKPOINT_FIELDS,
+@pytest.mark.parametrize("label,spec,member", CHECKPOINT_FIELDS,
                          ids=[case[0] for case in CHECKPOINT_FIELDS])
-def test_checkpoint_rejects_array_shape_contradicting_spec(tmp_path, where, spec,
+def test_checkpoint_rejects_array_shape_contradicting_spec(tmp_path, label, spec,
                                                            member):
     path = _edit_saved_array(tmp_path, spec, _two_extra_on_last_axis(member))
-    with pytest.raises(ModelError, match=f"{where} has shape"):
+    with pytest.raises(ModelError, match=f"{re.escape(member)} has shape"):
         load_checkpoint(path)
 
 
@@ -704,9 +755,9 @@ def _first_nan(a):
 
 
 @pytest.mark.parametrize("member,transform,message", [
-    ("layers.1.gamma", _first_nan, "layer 1 gamma has non-finite entries"),
-    ("layers.0.taps", lambda a: a.astype(np.int64), "layer 0 taps has dtype int64"),
-    ("readout_bias", lambda a: a + np.inf, "readout bias has non-finite entries"),
+    ("layers.1.gamma", _first_nan, r"layers\.1\.gamma has non-finite entries"),
+    ("layers.0.taps", lambda a: a.astype(np.int64), r"layers\.0\.taps has dtype int64"),
+    ("readout_bias", lambda a: a + np.inf, "readout_bias has non-finite entries"),
 ], ids=["nan gamma", "int taps", "inf bias"])
 def test_checkpoint_rejects_bad_member(tmp_path, member, transform, message):
     path = _edit_saved_array(tmp_path, CHECKPOINT_MIXED,
@@ -822,7 +873,7 @@ def _float_rows(members):
 ], ids=["unsorted", "duplicate", "out of range", "no diagonal", "float rows"])
 def test_checkpoint_rejects_bad_edge_support(tmp_path, edit, message):
     path = _edit_saved_array(tmp_path, CHECKPOINT_EDGE, edit)
-    with pytest.raises(ModelError, match=f"layer 0 support.*{message}"):
+    with pytest.raises(ModelError, match=rf"layers\.0\b.*{message}"):
         load_checkpoint(path)
 
 
@@ -831,11 +882,11 @@ def test_validate_state_checks_readout_presence_and_layer_kind():
     state = init_state(CHECKPOINT_MIXED, r, shift=s)
     validate_state(CHECKPOINT_MIXED, state)
     bare = ModelSpec(CHECKPOINT_MIXED.layers)
-    with pytest.raises(ModelError, match="readout weight is present"):
+    with pytest.raises(ModelError, match="readout_weight is present"):
         validate_state(bare, state)
-    with pytest.raises(ModelError, match="readout weight is missing"):
+    with pytest.raises(ModelError, match="readout_weight is missing"):
         validate_state(CHECKPOINT_MIXED, ModelState(state.layers))
     swapped = ModelState(state.layers[::-1], state.readout_weight,
                          state.readout_bias)
-    with pytest.raises(ModelError, match="layer 0 holds ArmaLayerParams"):
+    with pytest.raises(ModelError, match=r"layers\.0 holds ArmaLayerParams"):
         validate_state(CHECKPOINT_MIXED, swapped)

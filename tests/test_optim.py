@@ -153,9 +153,9 @@ def test_adam_rejects_non_finite_gradient():
 def test_adam_error_names_parameter_path():
     p = [np.array([0.0]), np.array([0.0])]
     st_ = AdamState.for_params(p, learning_rate=0.1)
-    with pytest.raises(TrainingError, match=r"layers\[0\]\.taps"):
+    with pytest.raises(TrainingError, match=r"layers\.0\.taps"):
         adam_step(st_, p, [np.zeros(1), np.array([np.inf])],
-                  param_names=["readout.bias", "layers[0].taps"])
+                  param_names=["readout_bias", "layers.0.taps"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ import pytest
 
 from gspnn.graphs import ShiftKind, build_shift, random_graph
 from gspnn.neural import forward_batch, init_state, model_backward
+from gspnn.filters import FilterError
 from gspnn.recsys import (
     DataError,
+    RatingProblem,
     RecSample,
+    build_item_shift,
     build_model_spec,
     build_similarity,
     ingest_movielens,
@@ -381,6 +384,21 @@ def test_transfer_protocol_runs(fixture_table):
                                epochs=5)
     rmse_other = transfer_rmse(model, fixture_table, sim, targets[1])
     assert np.isfinite(rmse_other)
+
+
+def test_rating_problem_rejects_a_pole_inside_the_margin(fixture_table):
+    sim = build_similarity(fixture_table)
+    shift = build_item_shift(sim)
+    spec = build_model_spec("arma")
+    state = init_state(spec, np.random.default_rng(0), shift=shift)
+    target = most_rated_items(fixture_table, 1)[0]
+    samples, _ = make_samples(fixture_table, sim, target)
+    node = fixture_table.item_node(target)
+    RatingProblem(spec, state, shift, samples, node)
+    state.layers[0].gamma[2, 0, 0] = 1e-4  # the shift's diagonal is zero
+    with pytest.raises(FilterError, match=r"layers\.0\.gamma\[2, 0, 0\] = 0\.0001 "
+                                          r"is within"):
+        RatingProblem(spec, state, shift, samples, node)
 
 
 def test_metrics_csv(tmp_path):
