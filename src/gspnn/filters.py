@@ -279,11 +279,17 @@ def jacobi_single_pole(s: ShiftOperator, gamma: float, beta: float, iters: int,
 
 def arma_apply_jacobi(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
     """Jacobi-approximated ARMA output: pole terms unrolled to ``jacobi_iters``
-    steps plus the exact direct polynomial part."""
-    out = fir_apply(FirTaps(p.direct_taps), s, x)
-    acc = out.values
-    for gamma, beta in zip(p.poles, p.residues):
-        acc = acc + jacobi_single_pole(s, gamma, beta, p.jacobi_iters, x).values
+    steps plus the exact direct polynomial part. All poles are checked
+    against one ``pole_margin`` (an eigensolve) and share one S x."""
+    acc = fir_apply(FirTaps(p.direct_taps), s, x).values
+    if p.n_poles:
+        d = s.diagonal()
+        check_poles(p.poles, d, pole_margin(s), name="poles")
+        xt, sxt = x.values.T, s.apply(x.values).T
+        for gamma, beta in zip(p.poles, p.residues):
+            c = 1.0 / (d - gamma)      # as jacobi_single_pole, checked above
+            us = jacobi_iterates(s, c, beta * c * xt, xt, sxt, p.jacobi_iters)
+            acc = acc + us[-1].T
     return GraphSignal(acc)
 
 

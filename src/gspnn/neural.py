@@ -11,9 +11,10 @@ returns its output and its vector-Jacobian product, a closure
 ``vjp(du, need_dx) -> (grads, dx)``: a ``functools.partial`` of the
 family's module-level backward bound to what the forward saved (shifted
 stacks, Jacobi iterates, chain states, or the restricted layer's rows). The
-tape keeps one closure per layer, so the backward pass runs them in reverse
-order with no per-family dispatch. Internally everything is batched:
-signals travel as (batch, nodes, features) arrays.
+tape keeps one closure per layer and one array for its nonlinearity, so the
+backward pass runs them in reverse order with no per-family dispatch.
+Internally everything is batched: signals travel as (batch, nodes, features)
+arrays.
 """
 
 from __future__ import annotations
@@ -277,30 +278,38 @@ def _shift_batched(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Tape:
-    """Recorded intermediates from one forward pass."""
+    """Recorded intermediates from one forward pass: per layer its VJP and
+    the one array its nonlinearity's backward reads (the output for tanh,
+    the bool mask u > 0 for relu, None for identity). Backward passes only
+    read the tape, so one forward can serve several."""
 
     state_version: int
     vjps: list                   # per layer vjp(du, need_dx) -> (grads, dx)
-    preacts: list                # per-layer pre-nonlinearity (B, N, F)
-    outputs: list                # per-layer post-nonlinearity (B, N, F)
+    nonlin_saved: list           # per layer what _nonlin_backward reads
     readout_input: np.ndarray | None
     out_shape: tuple             # the model output's shape
 
 
-def _nonlin_forward(kind: str, u: np.ndarray) -> np.ndarray:
+def _nonlin_forward(kind: str, u: np.ndarray):
+    """(output, saved) of the nonlinearity on a fresh pre-activation ``u``,
+    which it overwrites: ``saved`` is what ``_nonlin_backward`` reads."""
     if kind == "relu":
-        return np.maximum(u, 0.0)
+        mask = u > 0.0
+        return np.maximum(u, 0.0, out=u), mask
     if kind == "tanh":
-        return np.tanh(u)
-    return u
+        out = np.tanh(u, out=u)
+        return out, out
+    return u, None
 
 
-def _nonlin_backward(kind: str, u: np.ndarray, out: np.ndarray,
-                     dout: np.ndarray) -> np.ndarray:
+def _nonlin_backward(kind: str, saved, dout: np.ndarray) -> np.ndarray:
     if kind == "relu":
-        return dout * (u > 0.0)
+        return dout * saved
     if kind == "tanh":
-        return dout * (1.0 - out * out)
+        grad = saved * saved        # a fresh array: the tape stays intact
+        np.subtract(1.0, grad, out=grad)
+        grad *= dout
+        return grad
     return dout
 
 
@@ -631,8 +640,13 @@ def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
         out_nodes = _check_out_nodes(spec, s, x, first_layer_zs, out_nodes)
     if first_layer_zs is not None:
         _check_first_layer_zs(spec.layers[0], x, first_layer_zs)
+    if s is None:
+        for i, layer in enumerate(spec.layers):
+            if layer.family != "edge_varying" and (i or first_layer_zs is None):
+                raise ModelError(f"layer {i} ({layer.family}) applies the shift, "
+                                 f"but s is None and it is not fed first_layer_zs")
     last = len(spec.layers) - 1
-    vjps, preacts, outputs = [], [], []
+    vjps, nonlin_saved = [], []
     cur = x
     for i, (layer, params) in enumerate(zip(spec.layers, state.layers)):
         if cur.shape[2] != layer.in_features:
@@ -647,16 +661,14 @@ def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
             u, vjp = _arma_forward(layer, params, s, cur)
         else:
             u, vjp = _edge_forward(layer, params, cur)
-        out = _nonlin_forward(layer.nonlinearity, u)
+        cur, saved = _nonlin_forward(layer.nonlinearity, u)
         vjps.append(vjp)
-        preacts.append(u)
-        outputs.append(out)
-        cur = out
+        nonlin_saved.append(saved)
     readout_input = None
     if spec.readout.kind == "per_node_linear":
         readout_input = cur
         cur = cur @ state.readout_weight + state.readout_bias
-    tape = Tape(state.version, vjps, preacts, outputs, readout_input, cur.shape)
+    tape = Tape(state.version, vjps, nonlin_saved, readout_input, cur.shape)
     return cur, tape
 
 
@@ -696,11 +708,12 @@ def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
         grad_readout_w = np.einsum("bnf,bno->fo", tape.readout_input, dcur,
                                    optimize=True)
         grad_readout_b = dcur.sum(axis=(0, 1))
-        dcur = dcur @ state.readout_weight.T
+        dcur = (dcur.reshape(-1, dcur.shape[2]) @ state.readout_weight.T
+                ).reshape(dcur.shape[:2] + state.readout_weight.shape[:1])
     layer_grads: list = [None] * len(spec.layers)
     for i in range(len(spec.layers) - 1, -1, -1):
-        du = _nonlin_backward(spec.layers[i].nonlinearity, tape.preacts[i],
-                              tape.outputs[i], dcur)
+        du = _nonlin_backward(spec.layers[i].nonlinearity, tape.nonlin_saved[i],
+                              dcur)
         layer_grads[i], dcur = tape.vjps[i](du, i > 0)
     return ModelState(layer_grads, grad_readout_w, grad_readout_b)
 

@@ -42,6 +42,27 @@ def delayed_stack_oracle(shifts, signals, order):
     return zs
 
 
+def trajectory_shift(sample, t):
+    """S(t) of a flocking trajectory from its step-t positions alone: the
+    per-step construction that the batched one in
+    ``TrajectorySample.delayed_stacks`` must reproduce bit for bit."""
+    from gspnn.flocking import _adjacency_mask, _normalized_shift_dense, _pairwise
+    mask = _adjacency_mask(_pairwise(sample.positions[t]), sample.config.comm_radius)
+    return _normalized_shift_dense(mask)
+
+
+def per_step_delayed_stacks(sample, order):
+    """A trajectory's (T, N, K+1, 6) delayed stack with one shift built per
+    step: the chain ``TrajectorySample.delayed_stacks`` ran before it built
+    every shift in one call."""
+    from gspnn.flocking import _advance_delayed
+    zs = np.zeros((sample.n_steps, sample.n_agents, order + 1, 6))
+    zs[:, :, 0] = sample.features
+    for t in range(1, sample.n_steps):
+        _advance_delayed(trajectory_shift(sample, t), zs[t - 1], zs[t])
+    return zs
+
+
 def edge_chain_oracle(support, diag, values, x):
     """Edge-varying output sum_k Phi_k ... Phi_1 diag(phi_0) x by a
     bincount chain run one column at a time, for checking the one chain

@@ -26,17 +26,41 @@ def test_spectral_theory_workload_runs_and_passes_its_checks():
     assert result["failed"] == 0 and result["attempted"] > 0
 
 
-def test_every_traced_name_exists(monkeypatch):
-    # the smoke run above uses --trace 0, which never installs the tracer;
-    # install() raises AttributeError for a traced name the program lost
+def load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing",
                                                   ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing
+
+
+def test_every_traced_name_exists(monkeypatch):
+    # the smoke run above uses --trace 0, which never installs the tracer;
+    # install() raises AttributeError for a traced name the program lost
+    tracer = load_tracing(monkeypatch).Tracer()
     try:
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_tracer_wraps_every_target_and_uninstall_restores_it(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    owners = []
+    for target in tracing.TARGETS:
+        mod_name, _, cls_name = target.owner.partition(".")
+        owner = importlib.import_module(f"gspnn.{mod_name}")
+        if cls_name:
+            owner = getattr(owner, cls_name)
+        owners.append((owner, target.attr, vars(owner)[target.attr]))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [attr for owner, attr, fn in owners
+                   if getattr(vars(owner)[attr], "__wrapped__", None) is fn]
+    finally:
+        tracer.uninstall()
+    assert wrapped == [attr for _, attr, _ in owners]
+    assert all(vars(owner)[attr] is fn for owner, attr, fn in owners)

@@ -27,7 +27,7 @@ from gspnn.neural import (
     model_backward,
 )
 
-from conftest import make_random_graph
+from conftest import make_random_graph, trajectory_shift
 
 RTOL = 1e-12
 
@@ -249,7 +249,8 @@ def test_flocking_time_varying_stack_matches_per_tap_oracle():
     cfg = FlockConfig(n_agents=7, duration=0.5)
     samples, _ = generate_dataset(2, cfg, seed=5)
     # the graph must change along the trajectory, or S(t) and S(t-1) coincide
-    assert any(not np.array_equal(smp.shift_dense(t), smp.shift_dense(t - 1))
+    assert any(not np.array_equal(trajectory_shift(smp, t),
+                                  trajectory_shift(smp, t - 1))
                for smp in samples for t in range(1, smp.n_steps))
     spec = build_policy_spec()
     order = spec.layers[0].order
@@ -264,7 +265,7 @@ def test_flocking_time_varying_stack_matches_per_tap_oracle():
             zs[t, 0] = sample.features[t]
             if t:
                 for k in range(1, order + 1):
-                    zs[t, k] = sample.shift_dense(t) @ zs[t - 1, k - 1]
+                    zs[t, k] = trajectory_shift(sample, t) @ zs[t - 1, k - 1]
         old_stacks.append(zs)
         assert_close(sample.delayed_stacks(order), zs.transpose(0, 2, 1, 3),
                      "delayed stack")

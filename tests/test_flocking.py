@@ -6,9 +6,9 @@ import pytest
 from gspnn.flocking import (
     ExpertAbort,
     FlockConfig,
+    ImitationProblem,
     SwarmState,
-    agent_features,
-    comm_graph,
+    build_policy_spec,
     expert_action,
     generate_dataset,
     load_dataset,
@@ -24,18 +24,71 @@ from gspnn.flocking import (
     velocity_variation_cost,
     zero_controller_cost,
     _adjacency_mask,
+    _features_raw,
     _normalized_shift_dense,
     _pairwise,
+    _PolicyRunner,
 )
-from gspnn.neural import FirLayerParams, ModelError, ModelState, forward_batch
+from gspnn.graphs import Graph, GraphSignal, ShiftOperator
+from gspnn.neural import (
+    FirLayerParams,
+    ModelError,
+    ModelState,
+    forward_batch,
+    init_state,
+    iter_params,
+    model_backward,
+)
+from gspnn.optim import loss_eval
 
-from conftest import delayed_stack_oracle
+from conftest import delayed_stack_oracle, per_step_delayed_stacks, trajectory_shift
 
 
 def make_state(positions, velocities, dt=0.01):
     r = np.asarray(positions, dtype=float)
     v = np.asarray(velocities, dtype=float)
     return SwarmState(r, v, np.zeros_like(r), 0, dt)
+
+
+def comm_graph(state: SwarmState, radius: float):
+    """Communication graph (by a double loop over agent pairs) and its
+    degree-normalized shift operator, for checking the array helpers."""
+    if state.n_agents < 2:
+        raise ValueError("need at least two agents")
+    mask = _adjacency_mask(_pairwise(state.positions), radius)
+    edges = []
+    for i in range(state.n_agents):
+        for j in range(i + 1, state.n_agents):
+            if mask[i, j]:
+                edges.append((i, j, 1.0))
+    graph = Graph(state.n_agents, tuple(edges))
+    shift = ShiftOperator.from_dense(_normalized_shift_dense(mask),
+                                     kind="degree_normalized_adjacency",
+                                     validate=False)
+    return graph, shift
+
+
+def agent_features(state: SwarmState, radius: float) -> GraphSignal:
+    """Decentralized input features (6 per agent) of one swarm state."""
+    dist = _pairwise(state.positions)
+    mask = _adjacency_mask(dist, radius)
+    return GraphSignal(_features_raw(state.positions, state.velocities,
+                                     mask, dist))
+
+
+def concatenated_batch_loss(problem, samples, indices):
+    """The per-sample path that ``ImitationProblem.batch_loss`` replaced:
+    each trajectory's stack (one shift built per step) and normalized
+    targets made on the fly and concatenated in batch order."""
+    order = problem.spec.layers[0].order
+    u_max = samples[0].config.u_max
+    zs = np.concatenate([per_step_delayed_stacks(samples[i], order)
+                         for i in indices])
+    target = np.concatenate([samples[i].actions / u_max for i in indices])
+    out, tape = forward_batch(problem.spec, problem.state, None, zs[:, :, 0],
+                              first_layer_zs=zs)
+    value, dpred = loss_eval(problem.loss, out, target)
+    return value, model_backward(tape, problem.spec, problem.state, dpred)
 
 
 SMALL = FlockConfig(n_agents=8, duration=0.5)
@@ -107,6 +160,25 @@ def test_comm_graph_matches_all_pairs_oracle():
         for j in range(i + 1, 5):
             expected = np.linalg.norm(positions[i] - positions[j]) <= 2.0
             assert ((i, j) in edges) == expected
+
+
+def test_pairwise_distances_equal_the_axis_sum_bitwise():
+    offsets = np.random.default_rng(4).normal(scale=3.0, size=(40, 25, 2))
+    diff = offsets[..., :, None, :] - offsets[..., None, :, :]
+    want = np.sqrt(np.sum(diff * diff, axis=-1))
+    assert _pairwise(offsets).tobytes() == want.tobytes()
+
+
+def test_batched_shifts_equal_per_step_calls_bitwise():
+    cfg = FlockConfig(n_agents=7, duration=0.5)
+    sample = run_expert_trajectory(cfg, seed=5)
+    per_step = np.stack([trajectory_shift(sample, t)
+                         for t in range(sample.n_steps + 1)])
+    # the graph must change along the trajectory
+    assert any(not np.array_equal(a, b) for a, b in zip(per_step, per_step[1:]))
+    batched = _normalized_shift_dense(
+        _adjacency_mask(_pairwise(sample.positions), cfg.comm_radius))
+    assert batched.tobytes() == per_step.tobytes()
 
 
 def test_comm_shift_symmetric_and_normalized():
@@ -366,17 +438,50 @@ def test_incremental_runner_matches_delayed_model(tiny_policy):
     sample = samples[0]
     order = bundle.spec.layers[0].order
     t = 5
-    zs = delayed_stack_oracle([sample.shift_dense(t - j) for j in range(order)],
+    zs = delayed_stack_oracle([trajectory_shift(sample, t - j) for j in range(order)],
                               [sample.features[t - k] for k in range(order + 1)],
                               order)
     ref, _ = forward_batch(bundle.spec, bundle.state, None, zs[:, :, 0],
                            first_layer_zs=zs)
 
-    from gspnn.flocking import _PolicyRunner
     runner = _PolicyRunner(bundle, cfg.n_agents)
     for step in range(t + 1):
-        act = runner.act(sample.shift_dense(step), sample.features[step])
+        act = runner.act(trajectory_shift(sample, step), sample.features[step])
     assert np.allclose(act, ref[0] * bundle.action_scale, atol=1e-12)
+
+
+def test_delayed_stacks_equal_the_per_step_chain_bitwise(tiny_policy):
+    _, samples, _, _ = tiny_policy
+    for sample in samples[:2]:
+        for order in (0, 1, 3):
+            zs = sample.delayed_stacks(order)
+            assert zs.flags.c_contiguous
+            assert zs.tobytes() == per_step_delayed_stacks(sample, order).tobytes()
+
+
+@pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])
+def test_batch_loss_on_a_shuffled_batch_equals_the_concatenated_path(
+        tiny_policy, nonlinearity):
+    cfg, samples, _, _ = tiny_policy
+    spec = build_policy_spec(nonlinearity)
+    state = init_state(spec, np.random.default_rng(6))
+    problem = ImitationProblem(spec, state, samples, cfg.u_max)
+    indices = np.array([4, 1, 5, 0])
+    value, grads = problem.batch_loss(indices)
+    want_value, want_grads = concatenated_batch_loss(problem, samples, indices)
+    assert value == want_value
+    for (name, got), (_, want) in zip(iter_params(grads), iter_params(want_grads)):
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_imitation_problem_rejects_trajectories_of_another_shape(tiny_policy):
+    cfg, samples, _, _ = tiny_policy
+    other, _ = generate_dataset(1, replace(cfg, duration=0.3), seed=1)
+    spec = build_policy_spec()
+    with pytest.raises(ValueError, match=r"trajectory 1 has actions of shape "
+                                         r"\(30, 8, 2\), trajectory 0 \(50, 8, 2\)"):
+        ImitationProblem(spec, init_state(spec, np.random.default_rng(0)),
+                         [samples[0], other[0]], cfg.u_max)
 
 
 def test_rollout_deterministic(tiny_policy):
@@ -455,12 +560,8 @@ def test_pipeline_permutation_invariance(tiny_policy):
     assert np.allclose(u_p, u[perm], atol=1e-8)
 
     # policy actions permute accordingly (fresh runners, one step)
-    from gspnn.flocking import _PolicyRunner, _normalized_shift_dense, \
-        _adjacency_mask, _pairwise
-    _, dist = _pairwise(state.positions)
-    shift = _normalized_shift_dense(_adjacency_mask(dist, cfg.comm_radius))
-    act = _PolicyRunner(bundle, cfg.n_agents).act(shift, feats)
-    _, dist_p = _pairwise(state_p.positions)
-    shift_p = _normalized_shift_dense(_adjacency_mask(dist_p, cfg.comm_radius))
-    act_p = _PolicyRunner(bundle, cfg.n_agents).act(shift_p, feats_p)
+    _, shift = comm_graph(state, cfg.comm_radius)
+    act = _PolicyRunner(bundle, cfg.n_agents).act(shift.dense(), feats)
+    _, shift_p = comm_graph(state_p, cfg.comm_radius)
+    act_p = _PolicyRunner(bundle, cfg.n_agents).act(shift_p.dense(), feats_p)
     assert np.allclose(act_p, act[perm], atol=1e-8)
