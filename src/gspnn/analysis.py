@@ -5,7 +5,9 @@ The relative distance between two equal-size graphs is the smallest operator
 norm of a symmetric error matrix E with P^T Shat P = S + ES + SE over node
 relabelings P. Filters whose response satisfies |lambda h'(lambda)| <= C
 give network outputs that move at most proportionally to that distance; the
-experiment driver here measures both sides of that inequality.
+experiment driver here measures both sides of that inequality. C is taken
+on a uniform lambda grid from the array responses of ``filters.fir_response``
+and ``filters.arma_response``, one call per filter or per FIR layer bank.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import ArmaParams, FirTaps, fir_response
+from .filters import ArmaParams, FirTaps, arma_response, fir_response
 from .graphs import (
     GraphSignal,
     ShiftOperator,
@@ -128,12 +130,20 @@ def default_lambda_interval(eigenvalues: np.ndarray,
     return lo - margin, hi + margin
 
 
+def _fir_slope(taps: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """h'(lambda) on the grid: the response of the differentiated taps."""
+    return fir_response(taps[..., 1:] * np.arange(1, taps.shape[-1]), grid)
+
+
 def integral_lipschitz(h, lambda_interval: tuple[float, float],
                        grid_points: int = DEFAULT_GRID_POINTS) -> LipschitzReport:
     """Evaluate C = max |lambda h'(lambda)| on a uniform grid.
 
-    ``h`` is FirTaps (polynomial derivative taken analytically) or ArmaParams
-    (rational derivative; poles inside the interval are an error).
+    ``h`` is FirTaps, a (..., K+1) tap array such as a layer's (F, G, K+1)
+    bank, or ArmaParams. The FIR derivative is the response of the
+    differentiated taps, a bank's C and max |h| are the maxima over all its
+    filters. The ARMA derivative adds -beta / (lambda - gamma)^2 per pole;
+    poles inside the interval are an error.
     """
     if grid_points < 2:
         raise AnalysisError("need at least two grid points")
@@ -142,27 +152,20 @@ def integral_lipschitz(h, lambda_interval: tuple[float, float],
         raise AnalysisError("empty lambda interval")
     grid = np.linspace(lo, hi, grid_points)
     if isinstance(h, FirTaps):
-        resp = np.array([fs.response for fs in fir_response(h, grid)])
-        dtaps = h.taps[1:] * np.arange(1, h.taps.size)
-        deriv = np.array([fs.response for fs in
-                          fir_response(FirTaps(dtaps), grid)]) \
-            if dtaps.size else np.zeros_like(grid)
+        h = h.taps
+    if isinstance(h, np.ndarray):
+        resp = fir_response(h, grid)
+        deriv = _fir_slope(h, grid)
     elif isinstance(h, ArmaParams):
         inside = (h.poles >= lo) & (h.poles <= hi)
         if np.any(inside):
             raise AnalysisError(f"pole {h.poles[inside][0]} inside the interval")
-        resp = np.zeros_like(grid)
+        resp = arma_response(h, grid)
         deriv = np.zeros_like(grid)
         for gamma, beta in zip(h.poles, h.residues):
             denom = grid - gamma
-            resp += beta / denom
             deriv += -beta / (denom * denom)
-        direct = FirTaps(h.direct_taps)
-        resp += np.array([fs.response for fs in fir_response(direct, grid)])
-        ddirect = direct.taps[1:] * np.arange(1, direct.taps.size)
-        if ddirect.size:
-            deriv += np.array([fs.response for fs in
-                               fir_response(FirTaps(ddirect), grid)])
+        deriv += _fir_slope(h.direct_taps, grid)
     else:
         raise AnalysisError(f"unsupported filter type {type(h)!r}")
     constant = float(np.max(np.abs(grid * deriv)))
@@ -214,19 +217,16 @@ class StabilityReport:
 def model_lipschitz_constant(spec: ModelSpec, state: ModelState,
                              interval: tuple[float, float],
                              grid_points: int = DEFAULT_GRID_POINTS):
-    """Largest per-filter C and |h| max across all FIR layers of a model."""
+    """Largest per-filter C and |h| max across all FIR layers of a model,
+    each layer's whole (F, G, K+1) bank evaluated in one call."""
     constant = 0.0
     max_resp = 0.0
     for layer, params in zip(spec.layers, state.layers):
         if layer.family != "fir":
             raise AnalysisError("stability bound evaluation expects FIR layers")
-        f_out, f_in, _ = params.taps.shape
-        for f in range(f_out):
-            for g in range(f_in):
-                rep = integral_lipschitz(FirTaps(params.taps[f, g]), interval,
-                                         grid_points)
-                constant = max(constant, rep.constant)
-                max_resp = max(max_resp, rep.max_abs_response)
+        rep = integral_lipschitz(params.taps, interval, grid_points)
+        constant = max(constant, rep.constant)
+        max_resp = max(max_resp, rep.max_abs_response)
     return constant, max_resp
 
 

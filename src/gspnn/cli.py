@@ -327,8 +327,9 @@ def cmd_flocking_generate(cfg: dict) -> int:
 def cmd_flocking_train(cfg: dict) -> int:
     ctx = RunContext("flocking train", cfg)
     dataset_dir = Path(cfg["dataset"])
-    ctx.note_input(dataset_dir / "manifest.json")
     samples = fl.load_dataset(dataset_dir)
+    for path in sorted(dataset_dir.iterdir()):
+        ctx.note_input(path)
     if cfg["model"] not in ("gcnn", "fir"):
         raise ConfigError("flocking model must be gcnn or fir")
     nonlinearity = "tanh" if cfg["model"] == "gcnn" else "identity"
@@ -410,10 +411,19 @@ def _filter_from_config(cfg: dict):
 
 
 def _lambda_range(cfg: dict):
-    lo, hi = _parse_floats(cfg["lambda_range"])
-    if not lo < hi:
-        raise ConfigError("lambda_range must be lo,hi with lo < hi")
-    return float(lo), float(hi)
+    """The checked (lo, hi) of ``lambda_range``; also checks ``points``."""
+    text = cfg["lambda_range"]
+    try:
+        bounds = _parse_floats(text)
+    except ValueError as exc:
+        raise ConfigError(f"lambda_range: {exc}") from exc
+    if bounds.size != 2 or not np.all(np.isfinite(bounds)) \
+            or not bounds[0] < bounds[1]:
+        raise ConfigError("lambda_range must be two finite values lo,hi with "
+                          f"lo < hi, got {text!r}")
+    if cfg["points"] < 2:
+        raise ConfigError(f"points must be at least 2, got {cfg['points']}")
+    return float(bounds[0]), float(bounds[1])
 
 
 def cmd_analyze_response(cfg: dict) -> int:
@@ -421,15 +431,14 @@ def cmd_analyze_response(cfg: dict) -> int:
     filt = _filter_from_config(cfg)
     lo, hi = _lambda_range(cfg)
     grid = np.linspace(lo, hi, cfg["points"])
-    samples = fir_response(filt, grid) if isinstance(filt, FirTaps) \
+    resp = fir_response(filt.taps, grid) if isinstance(filt, FirTaps) \
         else arma_response(filt, grid)
     with open(ctx.out_path("response.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "response"])
-        for fs in samples:
-            writer.writerow([repr(fs.lam), repr(fs.response)])
+        writer.writerows(zip(map(repr, grid.tolist()), map(repr, resp.tolist())))
     ctx.write_manifest()
-    print(f"wrote {len(samples)} response samples")
+    print(f"wrote {resp.size} response samples")
     return 0
 
 

@@ -4,9 +4,14 @@ A FIR graph filter is a polynomial in the shift operator applied by repeated
 one-hop shifts. An ARMA filter adds single-pole terms beta / (lambda - gamma)
 to the response; it is evaluated either exactly (dense solve, the reference
 path) or by unrolled Jacobi iterations (the trainable, distributable path).
-``jacobi_iterates`` is the one Jacobi recursion: ``jacobi_single_pole`` and
+``jacobi_iterates`` is the one Jacobi recursion: ``arma_apply_jacobi`` and
 the neural ARMA layer both run it. An edge-varying filter gives every stored
 coordinate of I + S its own weight at every step, generalizing both.
+
+Frequency responses are arrays over a lambda grid, one function per family:
+``fir_response`` evaluates a single filter or a whole (F, G, K+1) bank with
+one Horner loop over the taps, and ``arma_response`` adds the pole terms to
+the direct taps' ``fir_response``.
 
 Matrix powers of the shift are never materialized: the FIR and ARMA families
 are applied through repeated sparse shifts. An edge-varying step Phi_k
@@ -108,25 +113,27 @@ def fir_apply(h: FirTaps, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
     return GraphSignal(out[:, :, 0].T)
 
 
-@dataclass(frozen=True)
-class FrequencySample:
-    lam: float
-    response: float
+def fir_response(taps, lambdas) -> np.ndarray:
+    """Polynomial response h(lambda) = sum_k h_k lambda^k of a (..., K+1) tap
+    array (one filter's taps or a layer's (F, G, K+1) bank) at every lambda,
+    as a (..., n_grid) array.
 
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and np.isfinite(self.response)):
-            raise FilterError("non-finite frequency sample")
+    One Horner loop over the tap axis, broadcast over the bank and the grid:
+    each value goes through the operations of a scalar Horner loop started
+    at 0.0, in the same order, so it has the same bits.
+    """
+    taps = np.asarray(taps, dtype=float)
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    val = np.zeros(taps.shape[:-1] + lam.shape)
+    for k in range(taps.shape[-1] - 1, -1, -1):
+        val = val * lam + taps[..., k, None]
+    return _finite_response(val)
 
 
-def fir_response(h: FirTaps, lambdas) -> list[FrequencySample]:
-    """Pointwise polynomial response h(lambda) = sum_k h_k lambda^k."""
-    out = []
-    for lam in np.atleast_1d(np.asarray(lambdas, dtype=float)):
-        val = 0.0
-        for coef in h.taps[::-1]:
-            val = val * lam + coef
-        out.append(FrequencySample(float(lam), float(val)))
-    return out
+def _finite_response(val: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(val)):
+        raise FilterError("non-finite frequency response")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +204,19 @@ class ArmaParams:
         return self.poles.size
 
 
-def arma_response(p: ArmaParams, lambdas) -> list[FrequencySample]:
-    """Exact rational response of the partial-fraction form."""
-    out = []
-    direct = FirTaps(p.direct_taps)
-    for lam in np.atleast_1d(np.asarray(lambdas, dtype=float)):
-        denom = lam - p.poles
-        if np.any(np.abs(denom) < 1e-12):
-            raise FilterError(f"response pole hit at lambda={lam}")
-        val = float(np.sum(p.residues / denom)) + fir_response(direct, [lam])[0].response
-        out.append(FrequencySample(float(lam), val))
-    return out
+def arma_response(p: ArmaParams, lambdas) -> np.ndarray:
+    """Exact rational response of the partial-fraction form at every lambda,
+    as an (n_grid,) array: the pole terms beta / (lambda - gamma) summed
+    pole by pole, then the direct taps' ``fir_response``."""
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    denom = lam - p.poles[:, None]
+    hit = np.abs(denom) < 1e-12
+    if hit.any():
+        raise FilterError(f"response pole hit at lambda={lam[hit.any(axis=0)][0]}")
+    val = np.zeros_like(lam)
+    for beta, d in zip(p.residues, denom):
+        val += beta / d
+    return _finite_response(val + fir_response(p.direct_taps, lam))
 
 
 def arma_apply_direct(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
@@ -259,24 +268,6 @@ def jacobi_iterates(s: ShiftOperator, c: np.ndarray, b: np.ndarray,
     return us
 
 
-def jacobi_single_pole(s: ShiftOperator, gamma: float, beta: float, iters: int,
-                       x: GraphSignal) -> GraphSignal:
-    """Truncated Jacobi solve of (S - gamma I) u = beta x, started at u = x.
-
-    Iterates u <- (D - gamma I)^{-1} [beta x - (S - D) u]; for a convergent
-    recursion (spectral radius of R(gamma) below one) this approaches the
-    exact single-pole output beta (S - gamma I)^{-1} x.
-    """
-    if iters < 1:
-        raise FilterError("need at least one Jacobi iteration")
-    if x.n_nodes != s.n_nodes:
-        raise GraphError("signal size does not match shift")
-    c = _jacobi_scale(s, gamma)
-    xt = x.values.T
-    us = jacobi_iterates(s, c, beta * c * xt, xt, s.apply(x.values).T, iters)
-    return GraphSignal(us[-1].T)
-
-
 def arma_apply_jacobi(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
     """Jacobi-approximated ARMA output: pole terms unrolled to ``jacobi_iters``
     steps plus the exact direct polynomial part. All poles are checked
@@ -287,7 +278,7 @@ def arma_apply_jacobi(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphS
         check_poles(p.poles, d, pole_margin(s), name="poles")
         xt, sxt = x.values.T, s.apply(x.values).T
         for gamma, beta in zip(p.poles, p.residues):
-            c = 1.0 / (d - gamma)      # as jacobi_single_pole, checked above
+            c = 1.0 / (d - gamma)      # as _jacobi_scale, checked above
             us = jacobi_iterates(s, c, beta * c * xt, xt, sxt, p.jacobi_iters)
             acc = acc + us[-1].T
     return GraphSignal(acc)

@@ -290,21 +290,27 @@ def run_expert_trajectory(config: FlockConfig, seed: int) -> TrajectorySample:
     positions = np.zeros((t_steps + 1, n, 2))
     velocities = np.zeros((t_steps + 1, n, 2))
     actions = np.zeros((t_steps, n, 2))
-    features = np.zeros((t_steps, n, 6))
     for t in range(t_steps):
         positions[t] = state.positions
         velocities[t] = state.velocities
-        dist = _pairwise(state.positions)
-        mask = _adjacency_mask(dist, config.comm_radius)
-        features[t] = _features_raw(state.positions, state.velocities,
-                                    mask, dist)
         raw = expert_action(state, config.comm_radius)
         state = step_dynamics(state, raw, config.u_max)
         actions[t] = state.accelerations
     positions[t_steps] = state.positions
     velocities[t_steps] = state.velocities
-    return TrajectorySample(positions, velocities, actions, features, seed,
-                            config)
+    return TrajectorySample(positions, velocities, actions,
+                            _trajectory_features(positions, velocities, config),
+                            seed, config)
+
+
+def _trajectory_features(positions: np.ndarray, velocities: np.ndarray,
+                         config: FlockConfig) -> np.ndarray:
+    """(T, N, 6) features of a trajectory's T acted steps, from one batched
+    ``_features_raw`` call. Every acted step passed ``expert_action``'s
+    all-pairs distance check, which covers the neighbor check here."""
+    dist = _pairwise(positions[:-1])
+    mask = _adjacency_mask(dist, config.comm_radius)
+    return _features_raw(positions[:-1], velocities[:-1], mask, dist)
 
 
 def generate_dataset(n_traj: int, config: FlockConfig, seed: int):
@@ -394,11 +400,9 @@ def load_dataset(directory) -> list[TrajectorySample]:
         positions, velocities, actions = (
             _load_checked(directory / f"{stem}.{name}.npy", name, shape)
             for name, shape in shapes.items())
-        dist = _pairwise(positions[:-1])
-        mask = _adjacency_mask(dist, cfg.comm_radius)
-        features = _features_raw(positions[:-1], velocities[:-1], mask, dist)
-        samples.append(TrajectorySample(positions, velocities, actions,
-                                        features, seed, cfg))
+        samples.append(TrajectorySample(
+            positions, velocities, actions,
+            _trajectory_features(positions, velocities, cfg), seed, cfg))
     return samples
 
 

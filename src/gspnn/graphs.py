@@ -349,13 +349,6 @@ def igft(s: ShiftOperator, x_hat: GraphSignal) -> GraphSignal:
 # triples, 0-indexed, `#` comments.
 # ---------------------------------------------------------------------------
 
-def save_graph(graph: Graph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"nodes {graph.n_nodes}\n")
-        for i, j, w in graph.edges:
-            fh.write(f"{i} {j} {w!r}\n")
-
-
 def load_graph(path) -> Graph:
     n_nodes = None
     edges = []

@@ -407,12 +407,6 @@ def transfer_rmse(model: TrainedRating, table: RatingsTable,
     return evaluate_rmse(model.spec, model.state, model.shift, test_set, node)
 
 
-def most_rated_items(table: RatingsTable, k: int = 2) -> list[int]:
-    counts = np.bincount(table.item_idx, minlength=table.n_items)
-    order = np.lexsort((table.item_ids, -counts))
-    return [int(table.item_ids[i]) for i in order[:k]]
-
-
 def save_metrics_csv(path, rows: list[dict]) -> None:
     """`model,seed,target,rmse` rows."""
     with open(path, "w", newline="") as fh:

@@ -117,3 +117,96 @@ def check_error_matrix(s, s_hat, result):
     e = result.error_matrix
     rhs = s.dense() + e @ s.dense() + s.dense() @ e
     return float(np.linalg.norm(lhs - rhs))
+
+
+def save_graph(graph, path):
+    """Write ``graph`` in the edge-list format ``graphs.load_graph`` reads:
+    a `nodes N` header, then one `i j weight` line per edge."""
+    with open(path, "w") as fh:
+        fh.write(f"nodes {graph.n_nodes}\n")
+        for i, j, w in graph.edges:
+            fh.write(f"{i} {j} {w!r}\n")
+
+
+def most_rated_items(table, k=2):
+    """Ids of the ``k`` items with the most ratings, ties to the lower id."""
+    counts = np.bincount(table.item_idx, minlength=table.n_items)
+    order = np.lexsort((table.item_ids, -counts))
+    return [int(table.item_ids[i]) for i in order[:k]]
+
+
+def jacobi_single_pole(s, gamma, beta, iters, x):
+    """Truncated Jacobi solve of (S - gamma I) u = beta x from u = x, one pole
+    at a time through ``filters.jacobi_iterates``: the per-pole oracle for
+    ``filters.arma_apply_jacobi``, which checks all poles against one margin.
+    For a convergent recursion (spectral radius of R(gamma) below one) it
+    approaches the exact single-pole output beta (S - gamma I)^{-1} x."""
+    from gspnn.filters import FilterError, _jacobi_scale, jacobi_iterates
+    from gspnn.graphs import GraphError, GraphSignal
+    if iters < 1:
+        raise FilterError("need at least one Jacobi iteration")
+    if x.n_nodes != s.n_nodes:
+        raise GraphError("signal size does not match shift")
+    c = _jacobi_scale(s, gamma)
+    xt = x.values.T
+    us = jacobi_iterates(s, c, beta * c * xt, xt, s.apply(x.values).T, iters)
+    return GraphSignal(us[-1].T)
+
+
+def horner_response(taps, lambdas):
+    """h(lambda) of one filter's 1-D taps by a scalar Horner loop per lambda,
+    started at 0.0: the oracle that ``filters.fir_response`` must match bit
+    for bit on single filters and on banks."""
+    out = []
+    for lam in np.atleast_1d(np.asarray(lambdas, dtype=float)):
+        val = 0.0
+        for coef in np.asarray(taps, dtype=float)[::-1]:
+            val = val * lam + coef
+        out.append(float(val))
+    return np.array(out)
+
+
+def arma_pointwise_response(p, lambdas):
+    """Rational response of ``ArmaParams`` ``p`` one lambda at a time: the
+    pole terms reduced by ``np.sum`` plus the direct taps' Horner response.
+    ``np.sum`` reduces 8 or more terms pairwise, so ``filters.arma_response``,
+    which adds the poles one by one, matches it only to rounding there."""
+    out = []
+    for lam in np.atleast_1d(np.asarray(lambdas, dtype=float)):
+        out.append(float(np.sum(p.residues / (lam - p.poles)))
+                   + horner_response(p.direct_taps, [lam])[0])
+    return np.array(out)
+
+
+def per_filter_lipschitz(spec, state, interval, grid_points=512):
+    """``analysis.model_lipschitz_constant`` by one scalar Horner evaluation
+    per (f, g) filter of every layer: the max over filters of
+    max |lambda h'(lambda)| and of max |h(lambda)| on the uniform grid."""
+    grid = np.linspace(interval[0], interval[1], grid_points)
+    constant = max_resp = 0.0
+    for params in state.layers:
+        f_out, f_in, k1 = params.taps.shape
+        for f in range(f_out):
+            for g in range(f_in):
+                taps = params.taps[f, g]
+                resp = horner_response(taps, grid)
+                deriv = horner_response(taps[1:] * np.arange(1, k1), grid) \
+                    if k1 > 1 else np.zeros_like(grid)
+                constant = max(constant, float(np.max(np.abs(grid * deriv))))
+                max_resp = max(max_resp, float(np.max(np.abs(resp))))
+    return constant, max_resp
+
+
+def per_step_expert_features(sample):
+    """A trajectory's (T, N, 6) features with one ``_pairwise`` /
+    ``_adjacency_mask`` / ``_features_raw`` call per step, the way the expert
+    computed them while it ran: the oracle for the batched features that
+    ``run_expert_trajectory`` and ``load_dataset`` compute."""
+    from gspnn.flocking import _adjacency_mask, _features_raw, _pairwise
+    feats = np.zeros((sample.n_steps, sample.n_agents, 6))
+    for t in range(sample.n_steps):
+        dist = _pairwise(sample.positions[t])
+        mask = _adjacency_mask(dist, sample.config.comm_radius)
+        feats[t] = _features_raw(sample.positions[t], sample.velocities[t],
+                                 mask, dist)
+    return feats

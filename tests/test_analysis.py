@@ -21,15 +21,22 @@ from gspnn.graphs import (
     eigendecompose,
     permute_shift,
 )
+from gspnn.flocking import build_policy_spec
 from gspnn.neural import (
     FirLayerParams,
     LayerSpec,
     ModelSpec,
     ModelState,
     equivariant_forward_check,
+    init_state,
 )
 
-from conftest import check_error_matrix, make_random_graph
+from conftest import (
+    check_error_matrix,
+    horner_response,
+    make_random_graph,
+    per_filter_lipschitz,
+)
 from test_graphs import two_node_graph
 
 
@@ -123,6 +130,19 @@ def test_arma_lipschitz_matches_finite_difference():
 
     deriv_fd = (resp(grid + h) - resp(grid - h)) / (2 * h)
     assert rep.constant == pytest.approx(np.max(np.abs(grid * deriv_fd)), rel=1e-5)
+
+
+def test_fir_lipschitz_equals_scalar_horner_bitwise():
+    r = np.random.default_rng(31)
+    for order in range(6):
+        taps = r.normal(size=order + 1)
+        rep = integral_lipschitz(FirTaps(taps), (-1.3, 2.1), grid_points=300)
+        grid = np.linspace(-1.3, 2.1, 300)
+        deriv = horner_response(taps[1:] * np.arange(1, order + 1), grid) \
+            if order else np.zeros_like(grid)
+        assert rep.constant == float(np.max(np.abs(grid * deriv)))
+        assert rep.max_abs_response == float(np.max(np.abs(
+            horner_response(taps, grid))))
 
 
 def test_arma_pole_inside_interval_rejected():
@@ -250,3 +270,13 @@ def test_model_lipschitz_takes_max_over_layers():
     c, max_resp = model_lipschitz_constant(spec, state, (-2.0, 2.0))
     assert c == pytest.approx(4.0)  # |lambda * 2| at the edge
     assert max_resp == pytest.approx(4.0)
+
+
+def test_model_lipschitz_of_the_flocking_policy_equals_the_per_filter_loop():
+    # one bank call per layer against one scalar Horner loop per (f, g)
+    spec = build_policy_spec()
+    state = init_state(spec, np.random.default_rng(7))
+    assert state.layers[0].taps.shape == (32, 6, 4)
+    got = model_lipschitz_constant(spec, state, (-1.1, 1.1))
+    assert got == per_filter_lipschitz(spec, state, (-1.1, 1.1))
+

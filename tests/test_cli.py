@@ -1,11 +1,24 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
 from gspnn import cli, flocking, neural
 from gspnn import recsys as rs
 from gspnn.cli import ConfigError, main, parse_config
-from gspnn.flocking import FlockConfig, PolicyBundle, build_policy_spec, save_policy
+from gspnn.flocking import (
+    FlockConfig,
+    PolicyBundle,
+    build_policy_spec,
+    generate_dataset,
+    save_dataset,
+    save_policy,
+)
 from gspnn.neural import init_state
+
+from conftest import horner_response
 
 
 def test_threads_config_key_is_rejected_by_name(tmp_path, capsys):
@@ -106,3 +119,52 @@ def test_recsys_eval_rejects_a_pole_on_the_shift_diagonal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "layers.0.gamma[0, 0, 0] = 0.0 is within" in err
     assert "shift diagonal entry 0.0" in err
+
+
+@pytest.mark.parametrize("leaf", ["response", "lipschitz"])
+@pytest.mark.parametrize("field,value", [
+    ("lambda_range", "1"), ("lambda_range", "0,1,2"),
+    ("lambda_range", "-inf,1"), ("lambda_range", "0,nan"),
+    ("lambda_range", "1,1"), ("lambda_range", "2,1"), ("lambda_range", "a,1"),
+    ("points", "1"), ("points", "-3"),
+])
+def test_analyze_lambda_grid_is_checked_at_the_boundary(tmp_path, capsys, leaf,
+                                                         field, value):
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        cli.dispatch("analyze", leaf, {"taps": "1,0.5", field: value,
+                                       "out": str(tmp_path / "direct")})
+    code = main(["analyze", leaf, "--taps", "1,0.5",
+                 f"--{field.replace('_', '-')}={value}",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+def test_analyze_response_csv_equals_the_scalar_horner_rendering(tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", "response", "--taps", "0.3,-1.2,0.7,0.05",
+                 "--lambda-range", "-1.5,2", "--points", "97",
+                 "--out", str(out)]) == 0
+    grid = np.linspace(-1.5, 2.0, 97)
+    resp = horner_response([0.3, -1.2, 0.7, 0.05], grid)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["lambda", "response"])
+    for lam, val in zip(grid, resp):
+        writer.writerow([repr(float(lam)), repr(float(val))])
+    assert (out / "response.csv").read_bytes() == want.getvalue().encode()
+
+
+def test_flocking_train_hashes_every_dataset_file(tmp_path):
+    samples, n_res = generate_dataset(2, FlockConfig(n_agents=6, duration=0.05),
+                                      seed=3)
+    dataset = tmp_path / "dataset"
+    save_dataset(dataset, samples, n_res)
+    out = tmp_path / "out"
+    assert main(["flocking", "train", "--dataset", str(dataset),
+                 "--epochs", "1", "--out", str(out)]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["input_hashes"]
+    arrays = sorted(dataset.glob("*.npy"))
+    assert len(arrays) == 6
+    for path in arrays + [dataset / "manifest.json"]:
+        assert str(path) in inputs

@@ -17,7 +17,6 @@ from gspnn.filters import (
     fir_apply,
     fir_bank_contract,
     fir_response,
-    jacobi_single_pole,
     jacobi_spectral_radius,
 )
 from gspnn.flocking import _advance_delayed
@@ -32,9 +31,12 @@ from gspnn.graphs import (
 )
 
 from conftest import (
+    arma_pointwise_response,
     delayed_stack_oracle,
     edge_chain_oracle,
+    horner_response,
     jacobi_shift,
+    jacobi_single_pole,
     make_random_graph,
 )
 from test_graphs import path3_graph, two_node_graph
@@ -102,9 +104,9 @@ def test_fir_commutes_with_permutation(seed):
 
 
 def test_fir_response_values():
-    assert fir_response(FirTaps([1.0, 2.0]), [1.0])[0].response == 3.0
-    assert fir_response(FirTaps([1.0]), [-5.0, 0.0, 7.0])[1].response == 1.0
-    assert fir_response(FirTaps([0.0, 0.0, 1.0]), [2.0])[0].response == 4.0
+    assert fir_response([1.0, 2.0], [1.0])[0] == 3.0
+    assert fir_response([1.0], [-5.0, 0.0, 7.0])[1] == 1.0
+    assert fir_response([0.0, 0.0, 1.0], [2.0])[0] == 4.0
 
 
 @given(st.integers(0, 100))
@@ -115,7 +117,7 @@ def test_fir_spectral_pointwise_identity(seed):
     taps = FirTaps(r.normal(size=4))
     x = GraphSignal(r.normal(size=g.n_nodes))
     lhs = gft(s, fir_apply(taps, s, x)).values[:, 0]
-    resp = np.array([fs.response for fs in fir_response(taps, s.eigenvalues)])
+    resp = fir_response(taps.taps, s.eigenvalues)
     rhs = resp * gft(s, x).values[:, 0]
     assert np.allclose(lhs, rhs, atol=1e-9)
 
@@ -126,25 +128,64 @@ def test_fir_spectral_pointwise_identity(seed):
 
 def test_arma_response_degenerate_fir():
     p = ArmaParams(poles=[], residues=[], direct_taps=[1.0])
-    vals = [fs.response for fs in arma_response(p, [-1.0, 0.0, 2.5])]
-    assert vals == [1.0, 1.0, 1.0]
+    vals = arma_response(p, [-1.0, 0.0, 2.5])
+    assert vals.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_arma_response_single_pole():
     p = ArmaParams(poles=[2.0], residues=[1.0], direct_taps=[0.0])
-    assert arma_response(p, [0.0])[0].response == pytest.approx(-0.5)
+    assert arma_response(p, [0.0])[0] == pytest.approx(-0.5)
 
 
 def test_arma_response_two_poles_plus_direct():
     # 1/(1-2) + 1/(1+2) + 1 = 1/3  (scalar arithmetic oracle)
     p = ArmaParams(poles=[2.0, -2.0], residues=[1.0, 1.0], direct_taps=[1.0])
-    assert arma_response(p, [1.0])[0].response == pytest.approx(1.0 / 3.0)
+    assert arma_response(p, [1.0])[0] == pytest.approx(1.0 / 3.0)
 
 
 def test_arma_response_pole_hit():
     p = ArmaParams(poles=[2.0], residues=[1.0], direct_taps=[0.0])
     with pytest.raises(FilterError, match="pole hit"):
         arma_response(p, [2.0])
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_fir_response_of_a_bank_equals_scalar_horner_bitwise(order):
+    r = np.random.default_rng(900 + order)
+    bank = r.normal(size=(5, 3, order + 1)) * 10.0 ** r.integers(-3, 3, size=(5, 3, 1))
+    grid = np.linspace(-2.5, 3.0, 101)
+    got = fir_response(bank, grid)
+    assert got.shape == (5, 3, 101)
+    for f in range(5):
+        for g in range(3):
+            assert np.array_equal(got[f, g], horner_response(bank[f, g], grid))
+    assert np.array_equal(fir_response(bank[2, 1], grid), got[2, 1])
+
+
+def test_fir_response_rejects_a_non_finite_value():
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FilterError, match="non-finite frequency response"):
+        fir_response([1.0, 1e200, 1e200], [1e200])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FilterError, match="non-finite frequency response"):
+        fir_response([1.0], [-np.inf, 0.0])
+
+
+@pytest.mark.parametrize("n_poles", range(10))
+def test_arma_response_matches_the_pointwise_sum(n_poles):
+    # poles outside [-2, 2]; np.sum reduces 8 or more terms pairwise, so the
+    # pole-by-pole sum agrees only to rounding there: 1e-12 relative
+    r = np.random.default_rng(950 + n_poles)
+    poles = r.choice([-1.0, 1.0], size=n_poles) * r.uniform(2.5, 6.0, size=n_poles)
+    p = ArmaParams(poles=poles, residues=r.normal(size=n_poles),
+                   direct_taps=r.normal(size=3))
+    grid = np.linspace(-2.0, 2.0, 257)
+    got = arma_response(p, grid)
+    want = arma_pointwise_response(p, grid)
+    assert got.shape == grid.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    if n_poles < 8:
+        assert np.array_equal(got, want)
 
 
 def test_arma_direct_no_poles_equals_fir():

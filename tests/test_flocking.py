@@ -41,7 +41,12 @@ from gspnn.neural import (
 )
 from gspnn.optim import loss_eval
 
-from conftest import delayed_stack_oracle, per_step_delayed_stacks, trajectory_shift
+from conftest import (
+    delayed_stack_oracle,
+    per_step_delayed_stacks,
+    per_step_expert_features,
+    trajectory_shift,
+)
 
 
 def make_state(positions, velocities, dt=0.01):
@@ -343,13 +348,16 @@ def test_dataset_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("n_agents,radius", [(6, 2.0), (12, 1.0), (25, 2.0)])
 def test_loaded_features_equal_the_experts_bitwise(tmp_path, n_agents, radius):
-    # the loader computes every step at once; the expert one step at a time
+    # the expert and the loader compute every step at once; the oracle one
+    # step at a time, as the expert did while it ran
     cfg = FlockConfig(n_agents=n_agents, duration=0.3, comm_radius=radius)
     samples, n_res = generate_dataset(2, cfg, seed=n_agents)
     save_dataset(tmp_path, samples, n_res)
     for a, b in zip(samples, load_dataset(tmp_path)):
-        assert b.features.shape == a.features.shape
-        assert b.features.tobytes() == a.features.tobytes()
+        want = per_step_expert_features(a)
+        assert a.features.shape == b.features.shape == want.shape
+        assert a.features.tobytes() == want.tobytes()
+        assert b.features.tobytes() == want.tobytes()
 
 
 @pytest.fixture

@@ -17,12 +17,11 @@ from gspnn.graphs import (
     load_graph,
     permute_shift,
     random_graph,
-    save_graph,
     shift,
     symmetric_eigh,
 )
 
-from conftest import coo_loop_oracle, make_random_graph
+from conftest import coo_loop_oracle, make_random_graph, save_graph
 
 
 # ---------------------------------------------------------------------------

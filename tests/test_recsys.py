@@ -17,7 +17,6 @@ from gspnn.recsys import (
     build_similarity,
     ingest_movielens,
     make_samples,
-    most_rated_items,
     predict,
     select_top_items,
     save_metrics_csv,
@@ -26,6 +25,8 @@ from gspnn.recsys import (
     write_synthetic_fixture,
     _build_table,
 )
+
+from conftest import most_rated_items
 
 
 @pytest.fixture(scope="module")
