@@ -5,8 +5,9 @@ Subcommands: `recsys {train,eval,transfer}`, `flocking
 {response,lipschitz,distance,stability,equivariance}`. Values come from an
 optional YAML config file (nested: global keys plus one section per command
 group) overridden by flags; unknown keys are rejected by full path. Every
-run writes a manifest (resolved config, input hashes, produced files) into
-its output directory; nothing is written anywhere else. `recsys train`
+run writes a manifest (resolved config, input hashes, produced files, wall
+time and, for the train commands, per-phase seconds) into its output
+directory; nothing is written anywhere else. `recsys train`
 writes its model as `checkpoint.npz` and `flocking train` as `policy.npz`,
 the checkpoint archives that `--checkpoint` reads.
 """
@@ -14,6 +15,7 @@ the checkpoint archives that `--checkpoint` reads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -188,7 +190,8 @@ class RunContext:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        self.started = time.time()
+        self.phases: dict[str, float] = {}
+        self.started = time.perf_counter()
 
     def note_input(self, path) -> Path:
         path = Path(path)
@@ -201,13 +204,24 @@ class RunContext:
         self.outputs.append(name)
         return path
 
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        """Add the block's wall time to ``phases_s[name]`` in the manifest."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phases[name] = (self.phases.get(name, 0.0)
+                                 + time.perf_counter() - start)
+
     def write_manifest(self) -> None:
         doc = {
             "command": self.command,
             "config": self.config,
             "config_file": self.config_path,
             "toolkit_version": __version__,
-            "wall_clock_seconds": time.time() - self.started,
+            "wall_clock_seconds": time.perf_counter() - self.started,
+            "phases_s": self.phases,
             "input_hashes": self.inputs,
             "produced_files": sorted(set(self.outputs)),
         }
@@ -245,18 +259,21 @@ def _load_table(ctx: RunContext, cfg: dict) -> tuple:
 
 def cmd_recsys_train(cfg: dict) -> int:
     ctx = RunContext("recsys train", cfg)
-    table, sim = _load_table(ctx, cfg)
+    with ctx.phase("load"):
+        table, sim = _load_table(ctx, cfg)
     target = cfg["target"]
-    model = rs.train_rating_model(table, sim, cfg["model"], target,
-                                  seed=cfg["seed"], epochs=cfg["epochs"],
-                                  split=cfg["split"])
-    rs.save_rating_checkpoint(ctx.out_path("checkpoint.npz"), model)
-    write_loss_log(ctx.out_path("loss_log.csv"), model.history,
-                   {"train_rmse": model.train_rmse,
-                    "test_rmse": model.test_rmse})
-    rs.save_metrics_csv(ctx.out_path("metrics.csv"),
-                        [{"model": cfg["model"], "seed": cfg["seed"],
-                          "target": target, "rmse": model.test_rmse}])
+    with ctx.phase("train"):
+        model = rs.train_rating_model(table, sim, cfg["model"], target,
+                                      seed=cfg["seed"], epochs=cfg["epochs"],
+                                      split=cfg["split"])
+    with ctx.phase("save"):
+        rs.save_rating_checkpoint(ctx.out_path("checkpoint.npz"), model)
+        write_loss_log(ctx.out_path("loss_log.csv"), model.history,
+                       {"train_rmse": model.train_rmse,
+                        "test_rmse": model.test_rmse})
+        rs.save_metrics_csv(ctx.out_path("metrics.csv"),
+                            [{"model": cfg["model"], "seed": cfg["seed"],
+                              "target": target, "rmse": model.test_rmse}])
     ctx.write_manifest()
     print(f"test rmse {model.test_rmse:.4f} (train {model.train_rmse:.4f})")
     return 0
@@ -327,19 +344,23 @@ def cmd_flocking_generate(cfg: dict) -> int:
 def cmd_flocking_train(cfg: dict) -> int:
     ctx = RunContext("flocking train", cfg)
     dataset_dir = Path(cfg["dataset"])
-    samples = fl.load_dataset(dataset_dir)
-    for path in sorted(dataset_dir.iterdir()):
-        ctx.note_input(path)
+    with ctx.phase("load"):
+        samples = fl.load_dataset(dataset_dir)
+        for path in sorted(dataset_dir.iterdir()):
+            ctx.note_input(path)
     if cfg["model"] not in ("gcnn", "fir"):
         raise ConfigError("flocking model must be gcnn or fir")
     nonlinearity = "tanh" if cfg["model"] == "gcnn" else "identity"
-    bundle, history = fl.train_policy(samples, seed=cfg["seed"],
-                                      nonlinearity=nonlinearity,
-                                      epochs=cfg["epochs"])
-    fl.save_policy(ctx.out_path("policy.npz"), bundle,
-                   extra={"model": cfg["model"], "seed": cfg["seed"]})
-    write_loss_log(ctx.out_path("loss_log.csv"), history,
-                   {"final_loss": history[-1][2] if history else float("nan")})
+    with ctx.phase("train"):
+        bundle, history = fl.train_policy(samples, seed=cfg["seed"],
+                                          nonlinearity=nonlinearity,
+                                          epochs=cfg["epochs"])
+    with ctx.phase("save"):
+        fl.save_policy(ctx.out_path("policy.npz"), bundle,
+                       extra={"model": cfg["model"], "seed": cfg["seed"]})
+        write_loss_log(ctx.out_path("loss_log.csv"), history,
+                       {"final_loss": history[-1][2] if history
+                        else float("nan")})
     ctx.write_manifest()
     print(f"trained {cfg['model']} policy; final loss "
           f"{history[-1][2]:.5f}" if history else "no steps run")
@@ -579,9 +600,18 @@ def dispatch(group: str, leaf: str, flag_values: dict) -> int:
     return handler(config)
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _merge_dashed_values(argv: list[str]) -> list[str]:
     """Join `--flag -1,1` into `--flag=-1,1` so dash-leading numeric values
-    survive argparse."""
+    (`-inf,1` and `-nan,1` too) survive argparse and reach the field's own
+    check."""
     merged = []
     skip = False
     for i, tok in enumerate(argv):
@@ -590,8 +620,7 @@ def _merge_dashed_values(argv: list[str]) -> list[str]:
             continue
         nxt = argv[i + 1] if i + 1 < len(argv) else None
         if tok.startswith("--") and "=" not in tok and nxt is not None \
-                and len(nxt) > 1 and nxt[0] == "-" and (nxt[1].isdigit()
-                                                        or nxt[1] == "."):
+                and nxt.startswith("-") and _is_float(nxt.split(",")[0]):
             merged.append(f"{tok}={nxt}")
             skip = True
         else:

@@ -28,6 +28,7 @@ from .neural import (
     ReadoutSpec,
     forward_batch,
     init_state,
+    iter_params,
     load_checkpoint,
     model_backward,
     save_checkpoint,
@@ -433,8 +434,13 @@ class ImitationProblem(Problem):
     C-contiguous (n_traj, T, N, K+1, 6) array of n_traj*T*N*(K+1)*6*8 bytes
     (19.2 MB for 20 trajectories of 25 agents over 200 steps at order 3,
     384 MB for 100 trajectories of 100 agents), and the normalized targets
-    into one (n_traj, T, N, 2) array. There is no cache and no size cliff:
-    nothing is rebuilt per epoch, and a batch is one ``np.take``.
+    into one (n_traj, T, N, 2) array. Nothing is rebuilt per epoch.
+
+    A batch runs one trajectory at a time on its contiguous (T, N, K+1, 6)
+    view, so every temporary of the forward and backward pass is one
+    trajectory's size, whatever the batch size. Every trajectory has the
+    same T*N rows, so the batch's loss and gradients are the per-trajectory
+    ones summed in batch order and divided by the batch size.
     """
 
     def __init__(self, spec: ModelSpec, state: ModelState,
@@ -458,15 +464,22 @@ class ImitationProblem(Problem):
         return self.stack.shape[0]
 
     def batch_loss(self, indices):
-        zs = np.take(self.stack, indices, axis=0)
-        zs = zs.reshape((-1,) + zs.shape[2:])               # (B*T, N, K+1, 6)
-        target = np.take(self.targets, indices, axis=0).reshape(
-            (-1,) + self.targets.shape[2:])                 # (B*T, N, 2)
-        out, tape = forward_batch(self.spec, self.state, None, zs[:, :, 0],
-                                  first_layer_zs=zs)
-        value, dpred = loss_eval(self.loss, out, target)
-        grads = model_backward(tape, self.spec, self.state, dpred)
-        return value, grads
+        total, grads = 0.0, None
+        for i in indices:
+            zs = self.stack[i]                              # (T, N, K+1, 6)
+            out, tape = forward_batch(self.spec, self.state, None, zs[:, :, 0],
+                                      first_layer_zs=zs)
+            value, dpred = loss_eval(self.loss, out, self.targets[i])
+            step = model_backward(tape, self.spec, self.state, dpred)
+            total += value
+            if grads is None:
+                grads = step
+            else:
+                for (_, acc), (_, g) in zip(iter_params(grads), iter_params(step)):
+                    acc += g
+        for _, acc in iter_params(grads):
+            acc /= len(indices)
+        return total / len(indices), grads
 
 
 def train_policy(samples: list[TrajectorySample], seed: int,

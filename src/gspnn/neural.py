@@ -30,10 +30,12 @@ import numpy as np
 from .filters import (
     FIR_VARIANTS,
     EdgeVaryingSupport,
+    check_poles,
     edge_varying_chain,
     edge_varying_sweep,
     fir_bank_contract,
     jacobi_iterates,
+    pole_margin,
     shift_nd,
     shifted_stack,
 )
@@ -191,16 +193,20 @@ def init_state(spec: ModelSpec, rng: np.random.Generator,
     FIR taps and readout weights are uniform in +-1/sqrt(F_in*(K+1)). ARMA
     poles start in the Jacobi-convergent band [1.5, 3] * lambda_max with
     alternating signs; residues and direct taps are zero-mean uniform scaled
-    by 1/sqrt(K+P+1). Edge-varying weights shrink additionally with the mean
-    row occupancy of the support so a chain of steps preserves magnitude.
+    by 1/sqrt(K+P+1), and with a ``shift`` the drawn poles pass
+    ``check_poles`` against its diagonal. Edge-varying weights shrink
+    additionally with the mean row occupancy of the support so a chain of
+    steps preserves magnitude.
     """
     needs_spectrum = any(l.family == "arma" for l in spec.layers)
     if needs_spectrum and lambda_max is None:
         if shift is None:
             raise ModelError("arma layers need `shift` or `lambda_max` to init poles")
         lambda_max = shift.operator_norm()
+    if needs_spectrum and shift is not None:
+        diagonal, margin = shift.diagonal(), pole_margin(shift)
     layers = []
-    for l in spec.layers:
+    for i, l in enumerate(spec.layers):
         if l.family == "fir":
             a = 1.0 / np.sqrt(l.in_features * (l.order + 1))
             taps = rng.uniform(-a, a, size=(l.out_features, l.in_features, l.order + 1))
@@ -215,6 +221,8 @@ def init_state(spec: ModelSpec, rng: np.random.Generator,
             signs = np.ones(l.n_poles)
             signs[1::2] = -1.0
             gamma = mag * signs[None, None, :]
+            if shift is not None:
+                check_poles(gamma, diagonal, margin, name=f"layers.{i}.gamma")
             layers.append(ArmaLayerParams(alpha, beta, gamma))
         else:
             if shift is None:
@@ -705,8 +713,9 @@ def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
                          f"has shape {tape.out_shape}")
     grad_readout_w = grad_readout_b = None
     if spec.readout.kind == "per_node_linear":
-        grad_readout_w = np.einsum("bnf,bno->fo", tape.readout_input, dcur,
-                                   optimize=True)
+        f_last = tape.readout_input.shape[2]
+        grad_readout_w = (tape.readout_input.reshape(-1, f_last).T
+                          @ dcur.reshape(-1, dcur.shape[2]))
         grad_readout_b = dcur.sum(axis=(0, 1))
         dcur = (dcur.reshape(-1, dcur.shape[2]) @ state.readout_weight.T
                 ).reshape(dcur.shape[:2] + state.readout_weight.shape[:1])

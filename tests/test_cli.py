@@ -140,6 +140,25 @@ def test_analyze_lambda_grid_is_checked_at_the_boundary(tmp_path, capsys, leaf,
     assert capsys.readouterr().err.startswith(f"error: {field}")
 
 
+@pytest.mark.parametrize("leaf", ["response", "lipschitz"])
+@pytest.mark.parametrize("value", ["-inf,1", "-nan,1"])
+def test_analyze_dash_leading_non_finite_range_reaches_the_field_check(
+        tmp_path, capsys, leaf, value):
+    for args in (["--lambda-range", value], [f"--lambda-range={value}"]):
+        code = main(["analyze", leaf, "--taps", "1,0.5", *args,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: lambda_range must be")
+
+
+def test_dash_leading_values_join_only_when_they_read_as_numbers():
+    merged = cli._merge_dashed_values(
+        ["--lambda-range", "-inf,1", "--taps", "-1.5,2", "--a", "-x,1",
+         "--b", "--c"])
+    assert merged == ["--lambda-range=-inf,1", "--taps=-1.5,2", "--a", "-x,1",
+                      "--b", "--c"]
+
+
 def test_analyze_response_csv_equals_the_scalar_horner_rendering(tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", "response", "--taps", "0.3,-1.2,0.7,0.05",
@@ -168,3 +187,31 @@ def test_flocking_train_hashes_every_dataset_file(tmp_path):
     assert len(arrays) == 6
     for path in arrays + [dataset / "manifest.json"]:
         assert str(path) in inputs
+
+
+def _phases_cover_the_wall_clock(out, names):
+    doc = json.loads((out / "manifest.json").read_text())
+    phases, wall = doc["phases_s"], doc["wall_clock_seconds"]
+    assert sorted(phases) == sorted(names)
+    assert all(t >= 0.0 for t in phases.values())
+    assert abs(sum(phases.values()) - wall) <= 0.05 * wall, (phases, wall)
+
+
+def test_flocking_train_phases_cover_the_wall_clock(tmp_path):
+    samples, n_res = generate_dataset(3, FlockConfig(n_agents=8, duration=0.3),
+                                      seed=3)
+    dataset = tmp_path / "dataset"
+    save_dataset(dataset, samples, n_res)
+    out = tmp_path / "out"
+    assert main(["flocking", "train", "--dataset", str(dataset),
+                 "--epochs", "5", "--out", str(out)]) == 0
+    _phases_cover_the_wall_clock(out, ["load", "train", "save"])
+
+
+def test_recsys_train_phases_cover_the_wall_clock(tmp_path):
+    data = tmp_path / "u.data"
+    rs.write_synthetic_fixture(data)
+    out = tmp_path / "out"
+    assert main(["recsys", "train", "--data", str(data), "--target", "2",
+                 "--model", "gcnn", "--epochs", "20", "--out", str(out)]) == 0
+    _phases_cover_the_wall_clock(out, ["load", "train", "save"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -470,6 +471,9 @@ def test_delayed_stacks_equal_the_per_step_chain_bitwise(tiny_policy):
 @pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])
 def test_batch_loss_on_a_shuffled_batch_equals_the_concatenated_path(
         tiny_policy, nonlinearity):
+    # one trajectory at a time sums in another order than one concatenated
+    # batch; the two agree to rounding, relative to each gradient's largest
+    # entry (an entry that nearly cancels can differ more relative to itself)
     cfg, samples, _, _ = tiny_policy
     spec = build_policy_spec(nonlinearity)
     state = init_state(spec, np.random.default_rng(6))
@@ -477,9 +481,52 @@ def test_batch_loss_on_a_shuffled_batch_equals_the_concatenated_path(
     indices = np.array([4, 1, 5, 0])
     value, grads = problem.batch_loss(indices)
     want_value, want_grads = concatenated_batch_loss(problem, samples, indices)
-    assert value == want_value
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
     for (name, got), (_, want) in zip(iter_params(grads), iter_params(want_grads)):
-        assert got.tobytes() == want.tobytes(), name
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])
+def test_batch_loss_equals_a_serial_per_trajectory_oracle_bitwise(
+        tiny_policy, nonlinearity):
+    cfg, samples, _, _ = tiny_policy
+    spec = build_policy_spec(nonlinearity)
+    state = init_state(spec, np.random.default_rng(6))
+    problem = ImitationProblem(spec, state, samples, cfg.u_max)
+    indices = np.array([4, 1, 5, 0])
+    order = spec.layers[0].order
+    want_value, want = 0.0, None
+    for i in indices:
+        zs = per_step_delayed_stacks(samples[i], order)
+        out, tape = forward_batch(spec, state, None, zs[:, :, 0],
+                                  first_layer_zs=zs)
+        loss, dpred = loss_eval(problem.loss, out, samples[i].actions / cfg.u_max)
+        grads = [g for _, g in iter_params(model_backward(tape, spec, state, dpred))]
+        want_value += loss
+        want = grads if want is None else [a + g for a, g in zip(want, grads)]
+    value, got = problem.batch_loss(indices)
+    assert value == want_value / len(indices)
+    for (name, g), w in zip(iter_params(got), want):
+        assert g.tobytes() == (w / len(indices)).tobytes(), name
+
+
+def test_batch_loss_peak_memory_does_not_grow_with_the_batch(tiny_policy):
+    cfg, samples, _, _ = tiny_policy
+    spec = build_policy_spec()
+    problem = ImitationProblem(spec, init_state(spec, np.random.default_rng(6)),
+                               samples, cfg.u_max)
+    peaks = {}
+    for n_traj in (3, 6):
+        problem.batch_loss(np.arange(n_traj))       # warm any lazy state
+        tracemalloc.start()
+        try:
+            problem.batch_loss(np.arange(n_traj))
+            peaks[n_traj] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one trajectory's temporaries are about 100 kB at this size; a batch
+    # run as one array would need twice the peak for twice the trajectories
+    assert peaks[6] <= peaks[3] + 16_000, peaks
 
 
 def test_imitation_problem_rejects_trajectories_of_another_shape(tiny_policy):

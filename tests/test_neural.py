@@ -8,6 +8,7 @@ import pytest
 from gspnn.filters import (
     ArmaParams,
     EdgeVaryingParams,
+    FilterError,
     FirTaps,
     arma_apply_jacobi,
     edge_varying_apply,
@@ -16,6 +17,7 @@ from gspnn.filters import (
 from gspnn.graphs import (
     GraphSignal,
     ShiftKind,
+    ShiftOperator,
     build_shift,
     eigendecompose,
 )
@@ -543,6 +545,21 @@ def test_readout_locality_within_l_times_k_hops():
     diff = np.abs(moved.values - base.values)[:, 0]
     reach = 2 * 1 + 1 * 2  # sum of layer orders
     assert np.all(diff[reach + 1:] == 0.0)
+
+
+def test_init_state_checks_drawn_poles_against_the_shift():
+    spec = ModelSpec((LayerSpec("fir", 1, 2, 1),
+                      LayerSpec("arma", 2, 2, 1, n_poles=2)))
+    # the same seed draws the same poles with or without a shift
+    drawn = init_state(spec, np.random.default_rng(0), lambda_max=1.0)
+    pole = float(drawn.layers[1].gamma[1, 0, 1])
+    s = ShiftOperator.from_dense(np.diag([0.0, pole, 0.5]))
+    with pytest.raises(FilterError, match=re.escape(
+            f"layers.1.gamma[1, 0, 1] = {pole!r} is within")):
+        init_state(spec, np.random.default_rng(0), shift=s, lambda_max=1.0)
+    s, _ = small_shift()
+    state = init_state(spec, np.random.default_rng(0), shift=s)
+    assert np.all(np.abs(state.layers[1].gamma) >= 1.5 * s.operator_norm())
 
 
 # ---------------------------------------------------------------------------
