@@ -9,7 +9,9 @@ run writes a manifest (resolved config, input hashes, produced files, wall
 time and, for the train commands, per-phase seconds) into its output
 directory; nothing is written anywhere else. `recsys train`
 writes its model as `checkpoint.npz` and `flocking train` as `policy.npz`,
-the checkpoint archives that `--checkpoint` reads.
+the checkpoint archives that `--checkpoint` reads. `flocking generate`
+writes its trajectories as the archive `dataset/dataset.npz`, and
+`flocking train --dataset` reads that directory.
 """
 
 from __future__ import annotations
@@ -332,10 +334,8 @@ def cmd_flocking_generate(cfg: dict) -> int:
                             dt=cfg["dt"])
     samples, n_resampled = fl.generate_dataset(cfg["n_traj"], config,
                                                seed=cfg["seed"])
-    dataset_dir = ctx.out_dir / "dataset"
-    fl.save_dataset(dataset_dir, samples, n_resampled)
-    for f in sorted(p.name for p in dataset_dir.iterdir()):
-        ctx.outputs.append(f"dataset/{f}")
+    fl.save_dataset(ctx.out_dir / "dataset", samples, n_resampled)
+    ctx.outputs.append(f"dataset/{fl.DATASET_FILE}")
     ctx.write_manifest()
     print(f"wrote {len(samples)} trajectories ({n_resampled} resampled)")
     return 0
@@ -346,8 +346,7 @@ def cmd_flocking_train(cfg: dict) -> int:
     dataset_dir = Path(cfg["dataset"])
     with ctx.phase("load"):
         samples = fl.load_dataset(dataset_dir)
-        for path in sorted(dataset_dir.iterdir()):
-            ctx.note_input(path)
+        ctx.note_input(dataset_dir / fl.DATASET_FILE)
     if cfg["model"] not in ("gcnn", "fir"):
         raise ConfigError("flocking model must be gcnn or fir")
     nonlinearity = "tanh" if cfg["model"] == "gcnn" else "identity"

@@ -143,7 +143,7 @@ def _finite_response(val: np.ndarray) -> np.ndarray:
 
 def pole_margin(s: ShiftOperator) -> float:
     """Minimum allowed distance between a pole and any diagonal entry of S."""
-    return 1e-3 * (1.0 + s.operator_norm())
+    return 1e-3 * (1.0 + s.operator_norm)
 
 
 def check_poles(gamma, diagonal: np.ndarray, margin: float,

@@ -15,7 +15,6 @@ uniformly in team size (what lets one trained controller run at any N).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -31,11 +30,14 @@ from .neural import (
     iter_params,
     load_checkpoint,
     model_backward,
+    read_archive,
     save_checkpoint,
+    write_archive,
 )
 from .optim import LossSpec, Problem, TrainConfig, loss_eval, train
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
+DATASET_FILE = "dataset.npz"
 
 # architecture: one delayed filter bank into a per-node readout
 POLICY_FEATURES = 32
@@ -59,6 +61,18 @@ class FlockConfig:
     disc_radius_scale: float = 0.6   # initial disc radius = scale * sqrt(N)
     min_spawn_distance: float = 0.1
     speed_range: float = 3.0         # initial velocities uniform in +-range
+
+    def __post_init__(self):
+        if not isinstance(self.n_agents, int) or self.n_agents < 2:
+            raise ValueError(f"n_agents must be an int >= 2, got {self.n_agents!r}")
+        for name in [f.name for f in fields(self) if f.type == "float"]:
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and np.isfinite(value)
+                    and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.duration < self.dt:
+            raise ValueError(f"duration must be >= dt = {self.dt}, got "
+                             f"{self.duration}")
 
     @property
     def n_steps(self) -> int:
@@ -339,72 +353,77 @@ def velocity_variation_cost(velocities: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dataset persistence: one directory, plain .npy arrays plus a manifest
+# Dataset persistence: one ``write_archive`` archive, ``dataset.npz`` in the
+# given directory. Its header holds ``format_version``, ``config`` (the
+# FlockConfig fields), the trajectories' ``seeds`` and ``n_resampled``; its
+# float64 members are ``positions`` and ``velocities`` (n_traj, T+1, N, 2)
+# and ``actions`` (n_traj, T, N, 2). The loader recomputes the features.
 # ---------------------------------------------------------------------------
 
 def save_dataset(directory, samples: list[TrajectorySample],
                  n_resampled: int = 0) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     if not samples:
         raise ValueError("refusing to save an empty dataset")
     cfg = samples[0].config
-    manifest = {
-        "format_version": DATASET_FORMAT_VERSION,
-        "n_trajectories": len(samples),
-        **asdict(cfg),
-        "seeds": [s.seed for s in samples],
-        "n_resampled": n_resampled,
-        "files": [],
-    }
-    for idx, sample in enumerate(samples):
-        stem = f"traj_{idx:04d}"
-        for name, arr in (("positions", sample.positions),
-                          ("velocities", sample.velocities),
-                          ("actions", sample.actions)):
-            fname = f"{stem}.{name}.npy"
-            np.save(directory / fname, arr)
-            manifest["files"].append(fname)
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    header = {"format_version": DATASET_FORMAT_VERSION, "config": asdict(cfg),
+              "seeds": [s.seed for s in samples], "n_resampled": n_resampled}
+    members = {name: np.stack([getattr(s, name) for s in samples])
+               for name in ("positions", "velocities", "actions")}
+    write_archive(directory / DATASET_FILE, header, members)
 
 
-def _config_from_doc(doc: dict) -> FlockConfig:
-    return FlockConfig(**{f.name: doc[f.name] for f in fields(FlockConfig)})
+def _check_keys(doc: dict, names, where: str) -> None:
+    wrong = sorted(doc.keys() ^ set(names))
+    if wrong:
+        raise ValueError(f"{where} has missing or unknown keys {wrong}")
 
 
-def _load_checked(path: Path, name: str, shape: tuple) -> np.ndarray:
-    """One trajectory array, checked against the shape the manifest implies."""
-    arr = np.load(path, allow_pickle=False)
-    if arr.shape != shape:
-        raise ValueError(f"{path.name}: {name} has shape {arr.shape}, "
-                         f"the manifest needs {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{path.name}: {name} has non-finite entries")
-    return arr
+def _config_from_doc(doc, where: str) -> FlockConfig:
+    """The FlockConfig of a stored ``config`` mapping; errors name ``where``
+    and the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a mapping, got {type(doc).__name__}")
+    _check_keys(doc, (f.name for f in fields(FlockConfig)), where)
+    try:
+        return FlockConfig(**doc)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_dataset(directory) -> list[TrajectorySample]:
-    directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != DATASET_FORMAT_VERSION:
-        raise ValueError("unsupported dataset format version")
-    cfg = _config_from_doc(manifest)
+    """Read the archive ``save_dataset`` wrote; every header field and
+    member is checked here, and each error names it."""
+    path = Path(directory) / DATASET_FILE
+    header, members = read_archive(path, DATASET_FORMAT_VERSION, "dataset")
+    _check_keys(header, ("format_version", "config", "seeds", "n_resampled"),
+                f"{path} header")
+    cfg = _config_from_doc(header["config"], f"{path} config")
+    seeds = header["seeds"]
+    if not (isinstance(seeds, list) and seeds
+            and all(type(s) is int for s in seeds)):
+        raise ValueError(f"{path}: seeds must be a non-empty list of integers")
+    if not (type(header["n_resampled"]) is int and header["n_resampled"] >= 0):
+        raise ValueError(f"{path}: n_resampled must be an integer >= 0, got "
+                         f"{header['n_resampled']!r}")
     t, n = cfg.n_steps, cfg.n_agents
-    shapes = {"positions": (t + 1, n, 2), "velocities": (t + 1, n, 2),
-              "actions": (t, n, 2)}
-    samples = []
-    for idx, seed in enumerate(manifest["seeds"]):
-        stem = f"traj_{idx:04d}"
-        positions, velocities, actions = (
-            _load_checked(directory / f"{stem}.{name}.npy", name, shape)
-            for name, shape in shapes.items())
-        samples.append(TrajectorySample(
-            positions, velocities, actions,
-            _trajectory_features(positions, velocities, cfg), seed, cfg))
-    return samples
+    shapes = {"positions": (len(seeds), t + 1, n, 2),
+              "velocities": (len(seeds), t + 1, n, 2),
+              "actions": (len(seeds), t, n, 2)}
+    _check_keys(members, shapes, f"{path} members")
+    for name, shape in shapes.items():
+        arr = members[name]
+        if arr.dtype != np.float64:
+            raise ValueError(f"{path}: {name} has dtype {arr.dtype}, not float64")
+        if arr.shape != shape:
+            raise ValueError(f"{path}: {name} has shape {arr.shape}; "
+                             f"{len(seeds)} seeds and the config need {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: {name} has non-finite entries")
+    return [TrajectorySample(p, v, a, _trajectory_features(p, v, cfg), seed, cfg)
+            for p, v, a, seed in zip(members["positions"], members["velocities"],
+                                     members["actions"], seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +549,6 @@ def rollout_policy(bundle: PolicyBundle, n_agents: int, seed: int,
     """
     if duration is None:
         duration = bundle.config.duration
-    elif not (np.isfinite(duration) and duration > 0.0):
-        raise ValueError(f"duration must be positive and finite, got {duration}")
     config = replace(bundle.config, n_agents=n_agents, duration=duration)
     rng = np.random.default_rng(seed)
     state = spawn_state(config, rng)
@@ -603,5 +620,9 @@ def policy_from_checkpoint(spec: ModelSpec, state: ModelState,
     """Bundle a checkpoint read by ``load_checkpoint`` (which has already
     passed its state through ``validate_state``) with the flocking metadata
     save_policy stored next to it."""
+    for key in ("action_scale", "config"):
+        if key not in meta:
+            raise ValueError(f"checkpoint metadata has no {key}: not a "
+                             f"flocking policy")
     return PolicyBundle(spec, state, meta["action_scale"],
-                        _config_from_doc(meta["config"]))
+                        _config_from_doc(meta["config"], "policy config"))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,7 +129,7 @@ class ShiftOperator:
 
     @staticmethod
     def from_dense(matrix: np.ndarray, kind: ShiftKind | str = ShiftKind.CUSTOM,
-                   graph: Graph | None = None, validate: bool = True) -> "ShiftOperator":
+                   validate: bool = True) -> "ShiftOperator":
         kind = ShiftKind(kind)
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -136,8 +137,6 @@ class ShiftOperator:
         n = m.shape[0]
         if validate:
             _check_symmetric(m)
-            if graph is not None:
-                _check_sparsity(m, graph)
         rows, cols = np.nonzero(m)
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
@@ -174,8 +173,10 @@ class ShiftOperator:
         """Product via sparse coordinate traversal (no dense materialization)."""
         return coo_apply(self.rows, self.cols, self.vals, x.T, self.n_nodes).T
 
+    @cached_property
     def operator_norm(self) -> float:
-        """Spectral norm max |lambda_i| (symmetric matrix)."""
+        """Spectral norm max |lambda_i| (symmetric matrix), solved once per
+        operator."""
         if self.has_eig:
             return float(np.max(np.abs(self.eigenvalues)))
         lam = symmetric_eigenvalues(self.dense())
@@ -209,30 +210,13 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise GraphError("shift operator is not symmetric")
 
 
-def _check_sparsity(m: np.ndarray, graph: Graph) -> None:
-    if m.shape[0] != graph.n_nodes:
-        raise GraphError("shift operator size does not match graph")
-    allowed = np.eye(graph.n_nodes, dtype=bool)
-    for i, j, _ in graph.edges:
-        allowed[i, j] = allowed[j, i] = True
-    bad = np.nonzero(~allowed & (m != 0.0))
-    if bad[0].size:
-        i, j = int(bad[0][0]), int(bad[1][0])
-        raise GraphError(f"nonzero entry ({i},{j}) between disconnected nodes")
-
-
 # ---------------------------------------------------------------------------
 # Shift construction
 # ---------------------------------------------------------------------------
 
-def build_shift(graph: Graph, kind: ShiftKind | str,
-                allow_isolated: bool = False) -> ShiftOperator:
-    """Build the requested shift matrix for ``graph``.
-
-    ``allow_isolated`` relaxes the zero-degree check for the degree-scaled
-    kinds by giving isolated nodes all-zero rows (used for communication
-    graphs whose agents may drift out of range).
-    """
+def build_shift(graph: Graph, kind: ShiftKind | str) -> ShiftOperator:
+    """Build the requested shift matrix for ``graph``; the degree-scaled
+    kinds reject a zero-degree node."""
     kind = ShiftKind(kind)
     a = graph.adjacency()
     d = graph.degrees()
@@ -247,17 +231,16 @@ def build_shift(graph: Graph, kind: ShiftKind | str,
         m = a / lam_max
     elif kind in (ShiftKind.DEGREE_NORMALIZED_ADJACENCY, ShiftKind.NORMALIZED_LAPLACIAN):
         zero = d == 0.0
-        if np.any(zero) and not allow_isolated:
+        if np.any(zero):
             raise GraphError(f"zero-degree node {int(np.nonzero(zero)[0][0])}: "
                              f"cannot build {kind.value}")
-        inv_sqrt = np.zeros_like(d)
-        inv_sqrt[~zero] = 1.0 / np.sqrt(d[~zero])
+        inv_sqrt = 1.0 / np.sqrt(d)
         m = inv_sqrt[:, None] * a * inv_sqrt[None, :]
         if kind is ShiftKind.NORMALIZED_LAPLACIAN:
-            m = np.diag((~zero).astype(float)) - m
+            m = np.eye(graph.n_nodes) - m
     else:
         raise GraphError("custom shifts are built with ShiftOperator.from_dense")
-    return ShiftOperator.from_dense(m, kind, graph=None, validate=True)
+    return ShiftOperator.from_dense(m, kind)
 
 
 def shift(s: ShiftOperator, x: GraphSignal) -> GraphSignal:
@@ -374,8 +357,8 @@ def load_graph(path) -> Graph:
 
 
 def random_graph(n_nodes: int, edge_prob: float, rng: np.random.Generator,
-                 weighted: bool = False, ensure_connected: bool = True) -> Graph:
-    """Erdos-Renyi style test graph; re-samples until connected if asked."""
+                 weighted: bool = False) -> Graph:
+    """Erdos-Renyi style test graph, re-sampled until connected."""
     for _ in range(200):
         edges = []
         for i in range(n_nodes):
@@ -384,7 +367,7 @@ def random_graph(n_nodes: int, edge_prob: float, rng: np.random.Generator,
                     w = float(rng.uniform(0.5, 1.5)) if weighted else 1.0
                     edges.append((i, j, w))
         g = Graph(n_nodes, tuple(edges))
-        if not ensure_connected or _connected(g):
+        if _connected(g):
             return g
     raise GraphError("could not sample a connected graph; raise edge_prob")
 

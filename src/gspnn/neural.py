@@ -48,7 +48,7 @@ CHECKPOINT_VERSION = 2
 
 
 class ModelError(ValueError):
-    """Invalid model specification, parameters, or tape."""
+    """Invalid model specification, parameters, tape, or archive."""
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def init_state(spec: ModelSpec, rng: np.random.Generator,
     if needs_spectrum and lambda_max is None:
         if shift is None:
             raise ModelError("arma layers need `shift` or `lambda_max` to init poles")
-        lambda_max = shift.operator_norm()
+        lambda_max = shift.operator_norm
     if needs_spectrum and shift is not None:
         diagonal, margin = shift.diagonal(), pole_margin(shift)
     layers = []
@@ -863,13 +863,15 @@ def validate_state(spec: ModelSpec, state: ModelState) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one uncompressed np.savez archive. Member ``header`` holds the
-# UTF-8 bytes (uint8) of a JSON document with ``format_version``, the model
-# spec (``layers``: the LayerSpec fields, plus ``support_n_nodes`` for an
-# edge-varying layer; ``readout``; ``shift_mode``) and ``metadata``. Every
-# parameter array is its own member: ``layers.{i}.{field}`` for taps, alpha,
-# beta, gamma, diag and values, ``layers.{i}.rows`` / ``.cols`` for an edge
-# support, and ``readout_weight`` / ``readout_bias``.
+# Archives (checkpoints and flocking datasets): one uncompressed np.savez
+# file. Member ``header`` holds the UTF-8 bytes (uint8) of a JSON document
+# with ``format_version``; the other members are named arrays. A checkpoint's
+# header holds the model spec (``layers``: the LayerSpec fields, plus
+# ``support_n_nodes`` for an edge-varying layer; ``readout``; ``shift_mode``)
+# and ``metadata``. Every parameter array is its own member:
+# ``layers.{i}.{field}`` for taps, alpha, beta, gamma, diag and values,
+# ``layers.{i}.rows`` / ``.cols`` for an edge support, and
+# ``readout_weight`` / ``readout_bias``.
 # ---------------------------------------------------------------------------
 
 ZIP_MAGIC = b"PK\x03\x04"
@@ -901,28 +903,36 @@ def save_checkpoint(path, spec: ModelSpec, state: ModelState,
                   "shift_mode": spec.shift_mode},
         "metadata": metadata or {},
     }
+    write_archive(path, header, _state_members(state))
+
+
+def write_archive(path, header: dict, members: dict) -> None:
+    """Write the JSON-serializable ``header`` and the named arrays
+    ``members`` to exactly ``path`` (no suffix is added)."""
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        np.savez(fh, header=np.frombuffer(text, dtype=np.uint8),
-                 **_state_members(state))
+        np.savez(fh, header=np.frombuffer(text, dtype=np.uint8), **members)
 
 
-def _read_archive(path) -> tuple[dict, dict]:
-    """The JSON header and the other members of a checkpoint archive."""
+def read_archive(path, version: int, what: str) -> tuple[dict, dict]:
+    """The JSON header and the other members of an archive written by
+    ``write_archive``, read with ``allow_pickle=False``. The header's
+    ``format_version`` must be ``version``; ``what`` names the archive's
+    kind in errors."""
     with open(path, "rb") as fh:
         head = fh.read(256)
     if not head.startswith(ZIP_MAGIC):
         old = V1_HEAD.match(head)
         if old:
-            raise ModelError(f"{path}: checkpoint format version "
+            raise ModelError(f"{path}: {what} format version "
                              f"{int(old.group(1))} is not supported; this "
-                             f"version reads {CHECKPOINT_VERSION} (np.savez archives)")
-        raise ModelError(f"{path} is not a checkpoint archive")
+                             f"version reads {version} (np.savez archives)")
+        raise ModelError(f"{path} is not a {what} archive")
     try:
         with np.load(path, allow_pickle=False) as archive:
             members = {name: archive[name] for name in archive.files}
     except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise ModelError(f"{path} is not a readable checkpoint archive: "
+        raise ModelError(f"{path} is not a readable {what} archive: "
                          f"{exc}") from exc
     raw = members.pop("header", None)
     if raw is None or raw.dtype != np.uint8 or raw.ndim != 1:
@@ -931,9 +941,10 @@ def _read_archive(path) -> tuple[dict, dict]:
         header = json.loads(raw.tobytes().decode("utf-8"))
     except ValueError as exc:
         raise ModelError(f"{path} header is not UTF-8 JSON: {exc}") from exc
-    version = header.get("format_version") if isinstance(header, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise ModelError(f"{path}: unsupported checkpoint version {version}")
+    found = header.get("format_version") if isinstance(header, dict) else None
+    if found != version:
+        raise ModelError(f"{path}: {what} format_version is {found!r}, this "
+                         f"version reads {version}")
     return header, members
 
 
@@ -941,7 +952,7 @@ def load_checkpoint(path):
     """Read a checkpoint written by ``save_checkpoint``; returns (spec,
     state, metadata). The archive is read with ``allow_pickle=False`` and
     the state passes ``validate_state`` against the stored spec."""
-    header, members = _read_archive(path)
+    header, members = read_archive(path, CHECKPOINT_VERSION, "checkpoint")
 
     def member(name):
         try:

@@ -23,7 +23,7 @@ class TrainingError(RuntimeError):
 # Losses
 # ---------------------------------------------------------------------------
 
-LOSS_KINDS = ("smooth_l1", "mse", "cross_entropy")
+LOSS_KINDS = ("smooth_l1", "mse")
 
 
 @dataclass(frozen=True)
@@ -39,26 +39,9 @@ def loss_eval(spec: LossSpec, prediction: np.ndarray, target: np.ndarray):
     """Mean loss over all entries and its gradient w.r.t. the prediction.
 
     smooth_l1 is 0.5 (x-y)^2 where |x-y| < 1 and |x-y| - 0.5 elsewhere,
-    with gradient clamp(x-y, -1, 1). cross_entropy takes logits of shape
-    (batch, classes) and integer labels.
+    with gradient clamp(x-y, -1, 1).
     """
     prediction = np.asarray(prediction, dtype=float)
-    if spec.kind == "cross_entropy":
-        labels = np.asarray(target)
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("cross_entropy needs integer labels")
-        if prediction.ndim != 2 or labels.shape != prediction.shape[:1]:
-            raise ValueError("cross_entropy expects (batch, classes) logits "
-                             "and (batch,) labels")
-        shifted = prediction - prediction.max(axis=1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=1))
-        n = prediction.shape[0]
-        value = float(np.mean(logz - shifted[np.arange(n), labels]))
-        soft = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        grad = soft
-        grad[np.arange(n), labels] -= 1.0
-        return value, grad / n
-
     target = np.asarray(target, dtype=float)
     if prediction.shape != target.shape:
         raise ValueError(f"shape mismatch: prediction {prediction.shape} vs "

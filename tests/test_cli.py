@@ -183,10 +183,46 @@ def test_flocking_train_hashes_every_dataset_file(tmp_path):
     assert main(["flocking", "train", "--dataset", str(dataset),
                  "--epochs", "1", "--out", str(out)]) == 0
     inputs = json.loads((out / "manifest.json").read_text())["input_hashes"]
-    arrays = sorted(dataset.glob("*.npy"))
-    assert len(arrays) == 6
-    for path in arrays + [dataset / "manifest.json"]:
-        assert str(path) in inputs
+    archive = dataset / "dataset.npz"
+    assert [p.name for p in dataset.iterdir()] == ["dataset.npz"]
+    assert inputs == {str(archive): cli._git_blob_sha1(archive)}
+
+
+def test_flocking_generate_records_the_one_archive(tmp_path):
+    out = tmp_path / "out"
+    assert main(["flocking", "generate", "--n-traj", "2", "--agents", "6",
+                 "--duration", "0.05", "--out", str(out)]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["produced_files"] == ["dataset/dataset.npz"]
+    assert len(flocking.load_dataset(out / "dataset")) == 2
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dt", "0", "dt must be finite and > 0"),
+    ("--duration", "-1", "duration must be finite and > 0"),
+    ("--duration", "0.001", "duration must be >= dt"),
+    ("--agents", "1", "n_agents must be an int >= 2"),
+])
+def test_flocking_generate_rejects_a_bad_config_naming_the_field(
+        tmp_path, capsys, flag, value, message):
+    code = main(["flocking", "generate", "--n-traj", "1", flag, value,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_flocking_evaluate_rejects_a_recsys_checkpoint_naming_the_field(
+        tmp_path, capsys):
+    data = tmp_path / "u.data"
+    rs.write_synthetic_fixture(data)
+    assert main(["recsys", "train", "--data", str(data), "--target", "2",
+                 "--epochs", "1", "--out", str(tmp_path / "train")]) == 0
+    capsys.readouterr()
+    code = main(["flocking", "evaluate", "--checkpoint",
+                 str(tmp_path / "train" / "checkpoint.npz"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "metadata has no action_scale" in capsys.readouterr().err
 
 
 def _phases_cover_the_wall_clock(out, names):

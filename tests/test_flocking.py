@@ -1,5 +1,6 @@
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,9 @@ from gspnn.neural import (
     init_state,
     iter_params,
     model_backward,
+    read_archive,
+    save_checkpoint,
+    write_archive,
 )
 from gspnn.optim import loss_eval
 
@@ -341,10 +345,18 @@ def test_dataset_roundtrip(tmp_path):
     loaded = load_dataset(tmp_path / "ds")
     assert len(loaded) == 3
     for a, b in zip(samples, loaded):
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.actions, b.actions)
-        assert np.allclose(a.features, b.features, atol=1e-12)
-        assert a.config == b.config
+        for name in ("positions", "velocities", "actions", "features"):
+            want, got = getattr(a, name), getattr(b, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert (b.seed, b.config) == (a.seed, a.config)
+
+
+def test_save_dataset_leaves_one_archive(tmp_path):
+    samples, n_res = generate_dataset(2, SMALL, seed=9)
+    for _ in range(2):  # saving again overwrites the archive
+        save_dataset(tmp_path, samples, n_res)
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.npz"]
 
 
 @pytest.mark.parametrize("n_agents,radius", [(6, 2.0), (12, 1.0), (25, 2.0)])
@@ -370,33 +382,111 @@ def six_agent_dataset(tmp_path):
     return tmp_path
 
 
+def edit_archive(directory, edit):
+    """Let ``edit`` change a saved dataset's header and members in place,
+    then write them back as its archive."""
+    path = directory / "dataset.npz"
+    header, members = read_archive(path, 2, "dataset")
+    edit(header, members)
+    write_archive(path, header, members)
+
+
 def edit_array(directory, name, edit):
-    path = directory / f"traj_0000.{name}.npy"
-    np.save(path, edit(np.load(path)))
+    def edit_member(header, members):
+        members[name] = edit(members[name])
+    edit_archive(directory, edit_member)
 
 
 def test_dataset_with_missing_agent_fails_naming_positions(six_agent_dataset):
-    edit_array(six_agent_dataset, "positions", lambda a: a[:, :5])
-    with pytest.raises(ValueError, match=r"positions.npy: positions has "
-                                         r"shape \(6, 5, 2\).*\(6, 6, 2\)"):
+    edit_array(six_agent_dataset, "positions", lambda a: a[:, :, :5])
+    with pytest.raises(ValueError, match=r"positions has shape \(1, 6, 5, 2\)"
+                                         r".*\(1, 6, 6, 2\)"):
         load_dataset(six_agent_dataset)
 
 
 def test_dataset_with_short_actions_fails_naming_actions(six_agent_dataset):
-    edit_array(six_agent_dataset, "actions", lambda a: a[:3])
-    with pytest.raises(ValueError, match=r"actions.npy: actions has "
-                                         r"shape \(3, 6, 2\).*\(5, 6, 2\)"):
+    edit_array(six_agent_dataset, "actions", lambda a: a[:, :3])
+    with pytest.raises(ValueError, match=r"actions has shape \(1, 3, 6, 2\)"
+                                         r".*\(1, 5, 6, 2\)"):
         load_dataset(six_agent_dataset)
 
 
 def test_dataset_with_nan_velocity_fails_naming_velocities(six_agent_dataset):
     def poison(a):
-        a[2, 4, 1] = np.nan
+        a[0, 2, 4, 1] = np.nan
         return a
     edit_array(six_agent_dataset, "velocities", poison)
-    with pytest.raises(ValueError, match="velocities.npy: velocities has "
-                                         "non-finite entries"):
+    with pytest.raises(ValueError, match="velocities has non-finite entries"):
         load_dataset(six_agent_dataset)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h, m: m.pop("actions"), r"members has missing or unknown keys "
+                                    r"\['actions'\]"),
+    (lambda h, m: m.update(features=np.zeros(3)),
+     r"members has missing or unknown keys \['features'\]"),
+    (lambda h, m: m.update(actions=m["actions"].astype(np.float32)),
+     "actions has dtype float32, not float64"),
+    (lambda h, m: h["seeds"].append(4),
+     r"positions has shape \(1, 6, 6, 2\); 2 seeds and the config need "
+     r"\(2, 6, 6, 2\)"),
+    (lambda h, m: h.update(seeds=[3.0]), "seeds must be a non-empty list"),
+    (lambda h, m: h.update(seeds=[]), "seeds must be a non-empty list"),
+    (lambda h, m: h.update(n_resampled=-1), "n_resampled must be an integer"),
+    (lambda h, m: h.pop("config"), r"header has missing or unknown keys "
+                                   r"\['config'\]"),
+    (lambda h, m: h.update(extra=1), r"header has missing or unknown keys "
+                                     r"\['extra'\]"),
+    (lambda h, m: h["config"].pop("dt"), r"config has missing or unknown keys "
+                                         r"\['dt'\]"),
+    (lambda h, m: h["config"].update(comm_radius=-2.0),
+     "config: comm_radius must be finite and > 0"),
+    (lambda h, m: h.update(format_version=1),
+     "dataset format_version is 1, this version reads 2"),
+], ids=["missing member", "extra member", "float32 member", "seeds too long",
+        "float seed", "no seeds", "negative n_resampled", "no config",
+        "extra header field", "config without dt", "bad config value",
+        "version 1"])
+def test_bad_dataset_archive_fails_naming_the_field(six_agent_dataset, edit,
+                                                    message):
+    edit_archive(six_agent_dataset, edit)
+    with pytest.raises(ValueError, match=message):
+        load_dataset(six_agent_dataset)
+
+
+def test_old_directory_layout_fails_naming_the_archive(tmp_path):
+    (tmp_path / "manifest.json").write_text('{"format_version": 1}\n')
+    np.save(tmp_path / "traj_0000.positions.npy", np.zeros((2, 6, 2)))
+    with pytest.raises(FileNotFoundError, match="dataset.npz"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n_agents", 1, "n_agents must be an int >= 2, got 1"),
+    ("n_agents", 6.0, "n_agents must be an int >= 2, got 6.0"),
+    ("duration", -1.0, "duration must be finite and > 0"),
+    ("dt", 0.0, "dt must be finite and > 0"),
+    ("comm_radius", np.inf, "comm_radius must be finite and > 0"),
+    ("speed_range", np.nan, "speed_range must be finite and > 0"),
+    ("u_max", "10", "u_max must be finite and > 0"),
+    ("duration", 0.005, "duration must be >= dt"),
+])
+def test_flock_config_checks_each_field(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FlockConfig(**{field: value})
+
+
+@pytest.mark.parametrize("missing", ["action_scale", "config"])
+def test_policy_checkpoint_without_flocking_metadata_names_it(tmp_path,
+                                                              missing):
+    cfg = FlockConfig(n_agents=6, duration=0.05)
+    spec = build_policy_spec()
+    meta = {"action_scale": cfg.u_max, "config": asdict(cfg)}
+    del meta[missing]
+    save_checkpoint(tmp_path / "policy.npz", spec,
+                    init_state(spec, np.random.default_rng(0)), metadata=meta)
+    with pytest.raises(ValueError, match=f"metadata has no {missing}"):
+        load_policy(tmp_path / "policy.npz")
 
 
 # ---------------------------------------------------------------------------

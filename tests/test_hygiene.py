@@ -12,7 +12,9 @@ installed, such as scipy, are not enough.
 
 No file the program reads may run code: every ``np.load`` / ``numpy.load``
 call in ``src/gspnn`` passes ``allow_pickle=False`` literally, and nothing
-there imports ``pickle``.
+there imports ``pickle``. The program has one on-disk array format: every
+``np.save`` / ``np.savez`` / ``np.load`` call in ``src/gspnn`` sits in
+``neural.write_archive`` or ``neural.read_archive``.
 
 Every top-level function, class and constant of ``src/gspnn`` must be
 referenced somewhere in ``src``, ``bench`` or ``tests`` outside its own
@@ -137,6 +139,45 @@ def test_pickle_risk_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"gspnn/{p.name}")
 def test_no_load_can_unpickle(path):
     assert pickle_risks(path.read_text()) == []
+
+
+ARCHIVE_IO = ("save", "savez", "savez_compressed", "load")
+ARCHIVE_FUNCTIONS = ("write_archive", "read_archive")
+
+
+def archive_io_outside_the_archive_functions(source: str) -> list[str]:
+    """``np`` / ``numpy`` save, savez and load calls outside the bodies of
+    the top-level ``write_archive`` and ``read_archive``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in ARCHIVE_FUNCTIONS:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ARCHIVE_IO \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id in ("np", "numpy"):
+                found.append((node.lineno, f"{node.func.value.id}.{node.func.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_archive_io_outside_the_archive_functions_is_found():
+    source = ("import numpy as np\n"
+              "def write_archive(path, header, members):\n"
+              "    np.savez(path, **members)\n"
+              "def read_archive(path, version, what):\n"
+              "    return np.load(path, allow_pickle=False)\n"
+              "def save_rows(path, rows):\n    np.save(path, rows)\n"
+              "class Store:\n    def load(self, path):\n"
+              "        return numpy.load(path, allow_pickle=False)\n"
+              "np.savez_compressed('x', a=1)\nnp.loadtxt('y')\n")
+    assert archive_io_outside_the_archive_functions(source) == [
+        "line 7: np.save", "line 10: numpy.load", "line 11: np.savez_compressed"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"gspnn/{p.name}")
+def test_arrays_are_stored_only_through_the_archive_functions(path):
+    assert archive_io_outside_the_archive_functions(path.read_text()) == []
 
 
 def top_level_definitions(tree: ast.Module) -> list[tuple[str, int]]:

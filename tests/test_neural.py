@@ -148,7 +148,7 @@ def test_single_pole_arma_layer_reproduces_arma_apply_jacobi_bitwise(order, iter
     for seed in range(10):
         s, r = small_shift(30 + seed)
         alpha, beta = r.normal(size=order + 1), r.normal()
-        gamma = 2.0 * s.operator_norm()
+        gamma = 2.0 * s.operator_norm
         spec = ModelSpec((LayerSpec("arma", 1, 1, order, n_poles=1,
                                     jacobi_iters=iters,
                                     nonlinearity="identity"),))
@@ -559,7 +559,7 @@ def test_init_state_checks_drawn_poles_against_the_shift():
         init_state(spec, np.random.default_rng(0), shift=s, lambda_max=1.0)
     s, _ = small_shift()
     state = init_state(spec, np.random.default_rng(0), shift=s)
-    assert np.all(np.abs(state.layers[1].gamma) >= 1.5 * s.operator_norm())
+    assert np.all(np.abs(state.layers[1].gamma) >= 1.5 * s.operator_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -80,29 +80,6 @@ def test_mse_shape_mismatch():
         loss_eval(LossSpec("mse"), np.zeros(3), np.zeros(4))
 
 
-def test_cross_entropy_matches_log_softmax():
-    logits = np.array([[2.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
-    labels = np.array([0, 2])
-    val, grad = loss_eval(LossSpec("cross_entropy"), logits, labels)
-    # oracle via explicit softmax
-    p0 = np.exp(logits[0]) / np.exp(logits[0]).sum()
-    p1 = np.exp(logits[1]) / np.exp(logits[1]).sum()
-    assert val == pytest.approx(-(np.log(p0[0]) + np.log(p1[2])) / 2.0)
-    h = 1e-6
-    for i in range(3):
-        bumped = logits.copy()
-        bumped[0, i] += h
-        up, _ = loss_eval(LossSpec("cross_entropy"), bumped, labels)
-        bumped[0, i] -= 2 * h
-        down, _ = loss_eval(LossSpec("cross_entropy"), bumped, labels)
-        assert grad[0, i] == pytest.approx((up - down) / (2 * h), abs=1e-6)
-
-
-def test_cross_entropy_requires_integer_labels():
-    with pytest.raises(ValueError, match="integer"):
-        loss_eval(LossSpec("cross_entropy"), np.zeros((2, 2)), np.zeros(2))
-
-
 # ---------------------------------------------------------------------------
 # ADAM
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gspnn import graphs
 from gspnn.graphs import ShiftKind, build_shift, random_graph
 from gspnn.neural import forward_batch, init_state, model_backward
 from gspnn.filters import FilterError
@@ -335,6 +336,25 @@ def test_training_improves_over_init(fixture_table, family):
         [s.target for s in make_samples(fixture_table, sim, target, seed=0)[0]]
     ) ** 2))
     assert model.train_rmse < zeros_rmse
+
+
+def test_arma_training_solves_the_item_spectrum_twice(fixture_table,
+                                                     monkeypatch):
+    # build_shift solves it once to normalize A by its norm, and the shift's
+    # operator_norm once: init_state's lambda_max and both pole margins
+    # (init_state's and RatingProblem's) read the cached value
+    calls = []
+    original = graphs.symmetric_eigenvalues
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(graphs, "symmetric_eigenvalues", counting)
+    sim = build_similarity(fixture_table)
+    target = most_rated_items(fixture_table, 1)[0]
+    train_rating_model(fixture_table, sim, "arma", target, seed=0, epochs=3)
+    assert len(calls) == 2
 
 
 def test_edgenet_predict_keeps_no_full_output_tape():
