@@ -6,8 +6,8 @@ Subcommands: `recsys {train,eval,transfer}`, `flocking
 optional YAML config file (nested: global keys plus one section per command
 group) overridden by flags; unknown keys are rejected by full path. Every
 run writes a manifest (resolved config, input hashes, produced files, wall
-time and, for the train commands, per-phase seconds) into its output
-directory; nothing is written anywhere else. `recsys train`
+time and, for the train commands and every flocking command, per-phase
+seconds) into its output directory; nothing is written anywhere else. `recsys train`
 writes its model as `checkpoint.npz` and `flocking train` as `policy.npz`,
 the checkpoint archives that `--checkpoint` reads. `flocking generate`
 writes its trajectories as the archive `dataset/dataset.npz`, and
@@ -332,9 +332,11 @@ def cmd_flocking_generate(cfg: dict) -> int:
     ctx = RunContext("flocking generate", cfg)
     config = fl.FlockConfig(n_agents=cfg["agents"], duration=cfg["duration"],
                             dt=cfg["dt"])
-    samples, n_resampled = fl.generate_dataset(cfg["n_traj"], config,
-                                               seed=cfg["seed"])
-    fl.save_dataset(ctx.out_dir / "dataset", samples, n_resampled)
+    with ctx.phase("simulate"):
+        samples, n_resampled = fl.generate_dataset(cfg["n_traj"], config,
+                                                   seed=cfg["seed"])
+    with ctx.phase("save"):
+        fl.save_dataset(ctx.out_dir / "dataset", samples, n_resampled)
     ctx.outputs.append(f"dataset/{fl.DATASET_FILE}")
     ctx.write_manifest()
     print(f"wrote {len(samples)} trajectories ({n_resampled} resampled)")
@@ -383,14 +385,18 @@ def _load_policy(ctx: RunContext, cfg: dict):
 
 def cmd_flocking_evaluate(cfg: dict) -> int:
     ctx = RunContext("flocking evaluate", cfg)
-    bundle, model = _load_policy(ctx, cfg)
+    with ctx.phase("load"):
+        bundle, model = _load_policy(ctx, cfg)
     agents = cfg["agents"] or bundle.config.n_agents
-    rows = fl.scalability_sweep(bundle, [agents], cfg["trials"],
-                                base_seed=10_000 + cfg["seed"])
-    _sweep_csv(ctx.out_path("costs.csv"), rows, model)
-    expert = np.mean([fl.expert_rollout_cost(
-        replace(bundle.config, n_agents=agents),
-        10_000 + cfg["seed"] + t) for t in range(cfg["trials"])])
+    base_seed = 10_000 + cfg["seed"]
+    with ctx.phase("rollout"):
+        rows = fl.scalability_sweep(bundle, [agents], cfg["trials"],
+                                    base_seed=base_seed)
+        _sweep_csv(ctx.out_path("costs.csv"), rows, model)
+    with ctx.phase("expert"):
+        expert = np.mean(fl.expert_rollout_costs(
+            replace(bundle.config, n_agents=agents),
+            [base_seed + t for t in range(cfg["trials"])]))
     ctx.write_manifest()
     print(f"policy cost {rows[0]['mean_cost']:.1f} "
           f"(+-{rows[0]['std_cost']:.1f}); expert {expert:.1f}")
@@ -399,11 +405,13 @@ def cmd_flocking_evaluate(cfg: dict) -> int:
 
 def cmd_flocking_sweep(cfg: dict) -> int:
     ctx = RunContext("flocking sweep", cfg)
-    bundle, model = _load_policy(ctx, cfg)
+    with ctx.phase("load"):
+        bundle, model = _load_policy(ctx, cfg)
     sizes = _parse_ints(cfg["sizes"])
-    rows = fl.scalability_sweep(bundle, sizes, cfg["trials"],
-                                base_seed=10_000 + cfg["seed"])
-    _sweep_csv(ctx.out_path("sweep.csv"), rows, model)
+    with ctx.phase("rollout"):
+        rows = fl.scalability_sweep(bundle, sizes, cfg["trials"],
+                                    base_seed=10_000 + cfg["seed"])
+        _sweep_csv(ctx.out_path("sweep.csv"), rows, model)
     ctx.write_manifest()
     for row in rows:
         print(f"N={row['n_agents']}: {row['mean_cost']:.1f} "

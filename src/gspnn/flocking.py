@@ -95,20 +95,66 @@ class SwarmState:
 def step_dynamics(state: SwarmState, actions: np.ndarray,
                   u_max: float) -> SwarmState:
     """Saturated double-integrator step."""
-    if not np.all(np.isfinite(actions)):
-        raise ExpertAbort("non-finite actions")
+    members = _Lockstep(1)
+    r, v, u = _integrate(members, state.positions[None], state.velocities[None],
+                         np.asarray(actions)[None], u_max, state.dt)
+    members.raise_abort()
+    return SwarmState(r[0], v[0], u[0], state.time_index + 1, state.dt)
+
+
+class _Lockstep:
+    """The members of a batch of trajectories stepped together on a leading
+    axis. ``live`` holds the indices of the members still running, in
+    order; a member whose step would abort leaves the batch, and ``aborts``
+    keeps its ``ExpertAbort``."""
+
+    def __init__(self, size: int):
+        self.live = np.arange(size)
+        self.aborts: dict[int, ExpertAbort] = {}
+
+    def leave(self, member: int, abort: ExpertAbort) -> None:
+        self.aborts[member] = abort
+        self.live = self.live[self.live != member]
+
+    def drop(self, bad: np.ndarray, why: str, *arrays):
+        """Remove the live members flagged in ``bad`` (one flag per live
+        member) for the reason ``why``; returns ``arrays``, whose leading
+        axis runs over the live members, for the members that stay."""
+        if not np.any(bad):
+            return arrays
+        for member in self.live[bad]:
+            self.leave(int(member), ExpertAbort(why))
+        return tuple(a[~bad] for a in arrays)
+
+    def raise_abort(self) -> None:
+        """Raise the abort of a one-member batch whose member left."""
+        if self.aborts:
+            raise self.aborts[0]
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """Per batch member of (..., N, 2) arrays: are all entries finite?"""
+    return np.all(np.isfinite(x), axis=(-2, -1))
+
+
+def _integrate(members: _Lockstep, r: np.ndarray, v: np.ndarray,
+               actions: np.ndarray, u_max: float, dt: float, *carried):
+    """Saturated double-integrator step of the live members' (B, N, 2)
+    states. A member whose action or next state is not finite leaves
+    ``members``; returns the others' (r, v, u, *carried)."""
+    r, v, actions, *carried = members.drop(~_finite(actions), "non-finite actions",
+                                           r, v, actions, *carried)
     u = np.clip(actions, -u_max, u_max)
-    dt = state.dt
-    r = state.positions + state.velocities * dt + 0.5 * u * dt * dt
-    v = state.velocities + u * dt
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
-        raise ExpertAbort("non-finite state")
-    return SwarmState(r, v, u, state.time_index + 1, dt)
+    r_next = r + v * dt + 0.5 * u * dt * dt
+    v_next = v + u * dt
+    return members.drop(~(_finite(r_next) & _finite(v_next)), "non-finite state",
+                        r_next, v_next, u, *carried)
 
 
 # ---------------------------------------------------------------------------
 # Geometry, communication graph, features. Every helper takes leading batch
-# axes (time steps) and computes each step as a one-step call would.
+# axes (time steps or trajectories) and computes each step as a one-step
+# call would.
 # ---------------------------------------------------------------------------
 
 def _pairwise(positions: np.ndarray) -> np.ndarray:
@@ -149,18 +195,23 @@ def _features_raw(positions: np.ndarray, velocities: np.ndarray,
     trajectory's (T, N, 6) features come from one call; every sum and
     product is taken per step, so each step's features equal a one-step call.
     """
-    if np.any(dist[mask] < 1e-6):
+    if np.any(_touching(dist, mask)):
         raise ExpertAbort("zero-distance neighbor")
     deg = mask.sum(axis=-1).astype(float)
     vel_sum = deg[..., None] * velocities - mask @ velocities
     feats = np.empty(positions.shape[:-1] + (6,))
     feats[..., 0:2] = vel_sum
-    for col, power in ((2, 4.0), (4, 2.0)):
-        w = np.zeros_like(dist)
-        np.divide(mask.astype(float), dist ** power, out=w, where=mask)
-        feats[..., col:col + 2] = (w.sum(axis=-1)[..., None] * positions
-                                   - w @ positions)
+    with np.errstate(divide="ignore"):     # the zero diagonal, masked out
+        for col, power in ((2, 4.0), (4, 2.0)):
+            w = np.where(mask, 1.0 / dist ** power, 0.0)
+            feats[..., col:col + 2] = (w.sum(axis=-1)[..., None] * positions
+                                       - w @ positions)
     return feats
+
+
+def _touching(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per batch member: do two agents linked in ``mask`` sit within 1e-6?"""
+    return np.any((dist < 1e-6) & mask, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +233,8 @@ def _potential_slope_over_d(dist: np.ndarray, radius: float) -> np.ndarray:
         dw = -0.5 * np.pi / (radius - lo) * np.sin(phase)
         # U = d^-2 w(d): -U'/d = (2 w / d^3 - dw / d^2) / d
         out[band] = (2.0 * w / d ** 3 - dw / d ** 2) / d
-    np.fill_diagonal(out, 0.0)
+    idx = np.arange(out.shape[-1])
+    out[..., idx, idx] = 0.0
     return out
 
 
@@ -191,15 +243,24 @@ def expert_action(state: SwarmState, radius: float = 2.0) -> np.ndarray:
     avoidance; aborts if any two agents (numerically) coincide."""
     if state.n_agents < 2:
         raise ValueError("need at least two agents")
-    dist = _pairwise(state.positions)
-    off_diag = ~np.eye(state.n_agents, dtype=bool)
-    if np.min(dist[off_diag]) < 1e-6:
-        raise ExpertAbort("coincident agents")
-    n = state.n_agents
-    consensus = -(n * state.velocities - state.velocities.sum(axis=0))
+    members = _Lockstep(1)
+    _, _, actions = _expert_step(members, state.positions[None],
+                                 state.velocities[None], radius)
+    members.raise_abort()
+    return actions[0]
+
+
+def _expert_step(members: _Lockstep, r: np.ndarray, v: np.ndarray,
+                 radius: float):
+    """Expert actions of the live members' (B, N, 2) states. A member whose
+    agents coincide leaves ``members``; returns the others' (r, v, actions)."""
+    n = r.shape[-2]
+    dist = _pairwise(r)
+    r, v, dist = members.drop(_touching(dist, ~np.eye(n, dtype=bool)),
+                              "coincident agents", r, v, dist)
+    consensus = -(n * v - v.sum(axis=-2, keepdims=True))
     w = _potential_slope_over_d(dist, radius)
-    repulsion = w.sum(axis=1)[:, None] * state.positions - w @ state.positions
-    return consensus + repulsion
+    return r, v, consensus + (w.sum(axis=-1)[..., None] * r - w @ r)
 
 
 # ---------------------------------------------------------------------------
@@ -229,27 +290,40 @@ class TrajectorySample:
         the history is too short.
 
         Each step is one batch row of the (B, N, K+1, G) stack that
-        ``filters.fir_bank_contract`` reads. The shifts S(1) .. S(T-1) come
-        from one geometry call over the time axis.
+        ``filters.fir_bank_contract`` reads.
         """
-        t_steps, n = self.n_steps, self.n_agents
-        dist = _pairwise(self.positions[1:t_steps])
-        shifts = _normalized_shift_dense(
-            _adjacency_mask(dist, self.config.comm_radius))
-        zs = np.zeros((t_steps, n, order + 1, 6))
-        zs[:, :, 0] = self.features
-        for t in range(1, t_steps):
-            _advance_delayed(shifts[t - 1], zs[t - 1], zs[t])
-        return zs
+        zs = np.zeros((1, self.n_steps, self.n_agents, order + 1, 6))
+        _delayed_chains([self], zs)
+        return zs[0]
+
+
+def _delayed_chains(samples: list[TrajectorySample], out: np.ndarray) -> None:
+    """Fill ``out``, a zeroed (n_traj, T, N, K+1, 6) array, with each
+    trajectory's delayed stacks (``TrajectorySample.delayed_stacks``).
+
+    The trajectories' chains advance together: step t builds one
+    (n_traj, N, N) shift from every trajectory's step-t positions, so no
+    (n_traj, T, N, N) array of shifts is ever held. The samples share one
+    config.
+    """
+    radius = samples[0].config.comm_radius
+    positions = np.stack([s.positions for s in samples])
+    for i, sample in enumerate(samples):
+        out[i, :, :, 0] = sample.features
+    for t in range(1, out.shape[1]):
+        shift = _normalized_shift_dense(
+            _adjacency_mask(_pairwise(positions[:, t]), radius))
+        _advance_delayed(shift, out[:, t - 1], out[:, t])
 
 
 def _advance_delayed(shift_dense: np.ndarray, prev: np.ndarray,
                      out: np.ndarray) -> None:
-    """One step of the delayed chain on (N, K+1, G) stacks:
-    out[:, k] = S(t) prev[:, k-1] for k >= 1. ``out`` may be ``prev``."""
-    n, k1, g = prev.shape
-    shifted = shift_dense @ prev[:, :k1 - 1].reshape(n, (k1 - 1) * g)
-    out[:, 1:] = shifted.reshape(n, k1 - 1, g)
+    """One step of the delayed chain on (..., N, K+1, G) stacks with
+    (..., N, N) shifts: out[..., k, :] = S(t) prev[..., k-1, :] for k >= 1.
+    ``out`` may be ``prev``."""
+    *lead, n, k1, g = prev.shape
+    shifted = shift_dense @ prev[..., :k1 - 1, :].reshape(*lead, n, (k1 - 1) * g)
+    out[..., 1:, :] = shifted.reshape(*lead, n, k1 - 1, g)
 
 
 def _mask_connected(mask: np.ndarray) -> bool:
@@ -298,21 +372,47 @@ def spawn_state(config: FlockConfig, rng: np.random.Generator) -> SwarmState:
 
 
 def run_expert_trajectory(config: FlockConfig, seed: int) -> TrajectorySample:
-    rng = np.random.default_rng(seed)
-    state = spawn_state(config, rng)
-    t_steps = config.n_steps
-    n = config.n_agents
-    positions = np.zeros((t_steps + 1, n, 2))
-    velocities = np.zeros((t_steps + 1, n, 2))
-    actions = np.zeros((t_steps, n, 2))
+    (run,) = _run_experts(config, [seed])
+    if isinstance(run, ExpertAbort):
+        raise run
+    return _expert_sample(config, seed, run)
+
+
+def _run_experts(config: FlockConfig, seeds) -> list:
+    """The expert from each seed's spawn, every run stepping together in
+    one lockstep batch. Returns per seed its (positions, velocities,
+    actions) arrays, shaped (T+1, N, 2), (T+1, N, 2) and (T, N, 2), or the
+    ``ExpertAbort`` that ended its run."""
+    n, t_steps = config.n_agents, config.n_steps
+    members = _Lockstep(len(seeds))
+    spawned = []
+    for i, seed in enumerate(seeds):
+        try:
+            spawned.append(spawn_state(config, np.random.default_rng(seed)))
+        except ExpertAbort as exc:
+            members.leave(i, exc)
+    r = np.array([s.positions for s in spawned]).reshape(-1, n, 2)
+    v = np.array([s.velocities for s in spawned]).reshape(-1, n, 2)
+    positions = np.zeros((len(seeds), t_steps + 1, n, 2))
+    velocities = np.zeros((len(seeds), t_steps + 1, n, 2))
+    actions = np.zeros((len(seeds), t_steps, n, 2))
     for t in range(t_steps):
-        positions[t] = state.positions
-        velocities[t] = state.velocities
-        raw = expert_action(state, config.comm_radius)
-        state = step_dynamics(state, raw, config.u_max)
-        actions[t] = state.accelerations
-    positions[t_steps] = state.positions
-    velocities[t_steps] = state.velocities
+        if not members.live.size:
+            break
+        positions[members.live, t] = r
+        velocities[members.live, t] = v
+        r, v, raw = _expert_step(members, r, v, config.comm_radius)
+        r, v, u = _integrate(members, r, v, raw, config.u_max, config.dt)
+        actions[members.live, t] = u
+    positions[members.live, t_steps] = r
+    velocities[members.live, t_steps] = v
+    return [members.aborts[i] if i in members.aborts
+            else (positions[i], velocities[i], actions[i])
+            for i in range(len(seeds))]
+
+
+def _expert_sample(config: FlockConfig, seed: int, run) -> TrajectorySample:
+    positions, velocities, actions = run
     return TrajectorySample(positions, velocities, actions,
                             _trajectory_features(positions, velocities, config),
                             seed, config)
@@ -330,18 +430,25 @@ def _trajectory_features(positions: np.ndarray, velocities: np.ndarray,
 
 def generate_dataset(n_traj: int, config: FlockConfig, seed: int):
     """Expert trajectories; aborted spawns/rollouts are resampled with the
-    next seed and counted. Returns (samples, n_resampled)."""
+    next seed and counted. Returns (samples, n_resampled).
+
+    The seeds still needed run as one lockstep batch, then the next seeds
+    replace the aborted ones as a further batch; the kept seeds, their
+    order and the count are those of running the seeds one at a time.
+    """
     samples = []
     n_resampled = 0
     next_seed = seed
     while len(samples) < n_traj:
-        try:
-            samples.append(run_expert_trajectory(config, next_seed))
-        except ExpertAbort:
-            n_resampled += 1
-            if n_resampled > 50 * max(n_traj, 1):
-                raise
-        next_seed += 1
+        seeds = range(next_seed, next_seed + n_traj - len(samples))
+        for s, run in zip(seeds, _run_experts(config, seeds)):
+            if isinstance(run, ExpertAbort):
+                n_resampled += 1
+                if n_resampled > 50 * max(n_traj, 1):
+                    raise run
+            else:
+                samples.append(_expert_sample(config, s, run))
+        next_seed += len(seeds)
     return samples, n_resampled
 
 
@@ -364,6 +471,7 @@ def save_dataset(directory, samples: list[TrajectorySample],
                  n_resampled: int = 0) -> None:
     if not samples:
         raise ValueError("refusing to save an empty dataset")
+    _check_one_config(samples)
     cfg = samples[0].config
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -372,6 +480,20 @@ def save_dataset(directory, samples: list[TrajectorySample],
     members = {name: np.stack([getattr(s, name) for s in samples])
                for name in ("positions", "velocities", "actions")}
     write_archive(directory / DATASET_FILE, header, members)
+
+
+def _check_one_config(samples: list[TrajectorySample]) -> None:
+    """Every trajectory must share trajectory 0's config; the error names
+    the first that does not and its differing fields."""
+    cfg = samples[0].config
+    for i, sample in enumerate(samples):
+        if sample.config != cfg:
+            diff = ", ".join(
+                f"{f.name} {getattr(sample.config, f.name)!r} (trajectory 0: "
+                f"{getattr(cfg, f.name)!r})" for f in fields(FlockConfig)
+                if getattr(sample.config, f.name) != getattr(cfg, f.name))
+            raise ValueError(f"trajectory {i} has another config than "
+                             f"trajectory 0: {diff}")
 
 
 def _check_keys(doc: dict, names, where: str) -> None:
@@ -453,7 +575,9 @@ class ImitationProblem(Problem):
     C-contiguous (n_traj, T, N, K+1, 6) array of n_traj*T*N*(K+1)*6*8 bytes
     (19.2 MB for 20 trajectories of 25 agents over 200 steps at order 3,
     384 MB for 100 trajectories of 100 agents), and the normalized targets
-    into one (n_traj, T, N, 2) array. Nothing is rebuilt per epoch.
+    into one (n_traj, T, N, 2) array. Nothing is rebuilt per epoch. The
+    trajectories' chains advance together, one (n_traj, N, N) shift per
+    step, so every trajectory must have trajectory 0's config and shape.
 
     A batch runs one trajectory at a time on its contiguous (T, N, K+1, 6)
     view, so every temporary of the forward and backward pass is one
@@ -469,15 +593,15 @@ class ImitationProblem(Problem):
         self.loss = LossSpec("mse")
         order = spec.layers[0].order
         t_steps, n = samples[0].n_steps, samples[0].n_agents
-        self.stack = np.empty((len(samples), t_steps, n, order + 1, 6))
-        self.targets = np.empty((len(samples), t_steps, n, 2))
         for i, sample in enumerate(samples):
             if sample.actions.shape != (t_steps, n, 2):
                 raise ValueError(f"trajectory {i} has actions of shape "
                                  f"{sample.actions.shape}, trajectory 0 "
                                  f"{(t_steps, n, 2)}")
-            self.stack[i] = sample.delayed_stacks(order)
-            self.targets[i] = sample.actions / u_max
+        _check_one_config(samples)
+        self.stack = np.zeros((len(samples), t_steps, n, order + 1, 6))
+        _delayed_chains(samples, self.stack)
+        self.targets = np.stack([s.actions for s in samples]) / u_max
 
     def n_samples(self) -> int:
         return self.stack.shape[0]
@@ -523,22 +647,24 @@ def train_policy(samples: list[TrajectorySample], seed: int,
 # ---------------------------------------------------------------------------
 
 class _PolicyRunner:
-    """Incremental delayed-stack evaluation: at each step the chain states
-    advance by one fresh shift application, matching the full delayed filter
-    on complete histories."""
+    """Incremental delayed-stack evaluation for ``n_members`` teams at once:
+    at each step the chain states advance by one fresh shift application,
+    matching the full delayed filter on complete histories."""
 
-    def __init__(self, bundle: PolicyBundle, n_agents: int):
+    def __init__(self, bundle: PolicyBundle, n_agents: int, n_members: int = 1):
         self.bundle = bundle
         order = bundle.spec.layers[0].order
-        self.zs = np.zeros((1, n_agents, order + 1, 6))
+        self.zs = np.zeros((n_members, n_agents, order + 1, 6))
 
     def act(self, shift_dense: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """Actions from (B, N, N) shifts and (B, N, 6) features; without the
+        leading axis, of a one-member runner."""
         zs = self.zs
-        _advance_delayed(shift_dense, zs[0], zs[0])
-        zs[0, :, 0] = features
+        _advance_delayed(shift_dense, zs, zs)
+        zs[..., 0, :] = features
         out, _ = forward_batch(self.bundle.spec, self.bundle.state, None,
-                               zs[:, :, 0], first_layer_zs=zs)
-        return out[0] * self.bundle.action_scale
+                               zs[..., 0, :], first_layer_zs=zs)
+        return (out * self.bundle.action_scale).reshape(features.shape[:-1] + (2,))
 
 
 def rollout_policy(bundle: PolicyBundle, n_agents: int, seed: int,
@@ -547,35 +673,59 @@ def rollout_policy(bundle: PolicyBundle, n_agents: int, seed: int,
 
     ``duration`` defaults to the bundle's training duration.
     """
+    (run,) = _rollouts(bundle, n_agents, [seed], duration)
+    return run
+
+
+def _rollouts(bundle: PolicyBundle, n_agents: int, seeds,
+              duration: float | None = None) -> list:
+    """``rollout_policy`` from each seed, every team stepping together in
+    one lockstep batch. A team that diverges leaves the batch: its cost is
+    inf and its arrays are zero after the step it diverged at."""
     if duration is None:
         duration = bundle.config.duration
     config = replace(bundle.config, n_agents=n_agents, duration=duration)
-    rng = np.random.default_rng(seed)
-    state = spawn_state(config, rng)
+    spawned = [spawn_state(config, np.random.default_rng(seed)) for seed in seeds]
+    r = np.array([s.positions for s in spawned]).reshape(-1, n_agents, 2)
+    v = np.array([s.velocities for s in spawned]).reshape(-1, n_agents, 2)
     t_steps = config.n_steps
-    positions = np.zeros((t_steps + 1, n_agents, 2))
-    velocities = np.zeros((t_steps + 1, n_agents, 2))
-    runner = _PolicyRunner(bundle, n_agents)
+    positions = np.zeros((len(seeds), t_steps + 1, n_agents, 2))
+    velocities = np.zeros((len(seeds), t_steps + 1, n_agents, 2))
+    members = _Lockstep(len(seeds))
+    runner = _PolicyRunner(bundle, n_agents, len(seeds))
     for t in range(t_steps):
-        positions[t] = state.positions
-        velocities[t] = state.velocities
-        dist = _pairwise(state.positions)
+        positions[members.live, t] = r
+        velocities[members.live, t] = v
+        dist = _pairwise(r)
         mask = _adjacency_mask(dist, config.comm_radius)
-        try:
-            feats = _features_raw(state.positions, state.velocities, mask, dist)
-            actions = runner.act(_normalized_shift_dense(mask), feats)
-            state = step_dynamics(state, actions, config.u_max)
-        except ExpertAbort:
-            return (positions, velocities), float("inf"), True
-        if not np.all(np.isfinite(state.positions)):
-            return (positions, velocities), float("inf"), True
-    positions[t_steps] = state.positions
-    velocities[t_steps] = state.velocities
-    return (positions, velocities), velocity_variation_cost(velocities), False
+        r, v, dist, mask, runner.zs = members.drop(
+            _touching(dist, mask), "zero-distance neighbor",
+            r, v, dist, mask, runner.zs)
+        if not members.live.size:
+            break
+        actions = runner.act(_normalized_shift_dense(mask),
+                             _features_raw(r, v, mask, dist))
+        r, v, _, runner.zs = _integrate(members, r, v, actions, config.u_max,
+                                        config.dt, runner.zs)
+    positions[members.live, t_steps] = r
+    velocities[members.live, t_steps] = v
+    return [((positions[i], velocities[i]), float("inf"), True)
+            if i in members.aborts else
+            ((positions[i], velocities[i]),
+             velocity_variation_cost(velocities[i]), False)
+            for i in range(len(seeds))]
 
 
-def expert_rollout_cost(config: FlockConfig, seed: int) -> float:
-    return velocity_variation_cost(run_expert_trajectory(config, seed).velocities)
+def expert_rollout_costs(config: FlockConfig, seeds) -> list[float]:
+    """The expert's closed-loop cost from each seed, all seeds in one
+    lockstep batch; raises the ``ExpertAbort`` of the first seed whose run
+    aborts."""
+    costs = []
+    for run in _run_experts(config, seeds):
+        if isinstance(run, ExpertAbort):
+            raise run
+        costs.append(velocity_variation_cost(run[1]))
+    return costs
 
 
 def zero_controller_cost(config: FlockConfig, seed: int) -> float:
@@ -588,14 +738,12 @@ def zero_controller_cost(config: FlockConfig, seed: int) -> float:
 
 def scalability_sweep(bundle: PolicyBundle, sizes: list[int], trials: int,
                       base_seed: int = 10_000):
-    """Mean/std closed-loop cost per team size, parameters untouched."""
+    """Mean/std closed-loop cost per team size, parameters untouched; each
+    size's trials run as one lockstep batch."""
     rows = []
     for size in sizes:
-        costs = []
-        for trial in range(trials):
-            _, cost, _ = rollout_policy(bundle, size, base_seed + trial)
-            costs.append(cost)
-        costs = np.array(costs)
+        runs = _rollouts(bundle, size, [base_seed + t for t in range(trials)])
+        costs = np.array([cost for _, cost, _ in runs])
         rows.append({"n_agents": size, "mean_cost": float(np.mean(costs)),
                      "std_cost": float(np.std(costs))})
     return rows

@@ -197,16 +197,105 @@ def per_filter_lipschitz(spec, state, interval, grid_points=512):
     return constant, max_resp
 
 
+def features_raw_oracle(positions, velocities, mask, dist):
+    """``flocking._features_raw`` as it was written before it went
+    index-free: a boolean gather for the zero-distance check and two masked
+    ``np.divide`` calls. The batched features must equal it bit for bit."""
+    from gspnn.flocking import ExpertAbort
+    if np.any(dist[mask] < 1e-6):
+        raise ExpertAbort("zero-distance neighbor")
+    deg = mask.sum(axis=-1).astype(float)
+    vel_sum = deg[..., None] * velocities - mask @ velocities
+    feats = np.empty(positions.shape[:-1] + (6,))
+    feats[..., 0:2] = vel_sum
+    for col, power in ((2, 4.0), (4, 2.0)):
+        w = np.zeros_like(dist)
+        np.divide(mask.astype(float), dist ** power, out=w, where=mask)
+        feats[..., col:col + 2] = (w.sum(axis=-1)[..., None] * positions
+                                   - w @ positions)
+    return feats
+
+
 def per_step_expert_features(sample):
     """A trajectory's (T, N, 6) features with one ``_pairwise`` /
-    ``_adjacency_mask`` / ``_features_raw`` call per step, the way the expert
-    computed them while it ran: the oracle for the batched features that
-    ``run_expert_trajectory`` and ``load_dataset`` compute."""
-    from gspnn.flocking import _adjacency_mask, _features_raw, _pairwise
+    ``_adjacency_mask`` / ``features_raw_oracle`` call per step, the way the
+    expert computed them while it ran: the oracle for the batched features
+    that ``run_expert_trajectory`` and ``load_dataset`` compute."""
+    from gspnn.flocking import _adjacency_mask, _pairwise
     feats = np.zeros((sample.n_steps, sample.n_agents, 6))
     for t in range(sample.n_steps):
         dist = _pairwise(sample.positions[t])
         mask = _adjacency_mask(dist, sample.config.comm_radius)
-        feats[t] = _features_raw(sample.positions[t], sample.velocities[t],
-                                 mask, dist)
+        feats[t] = features_raw_oracle(sample.positions[t], sample.velocities[t],
+                                       mask, dist)
     return feats
+
+
+def serial_expert_run(config, seed):
+    """One expert run stepped alone through the one-team entry points:
+    the loop ``flocking.run_expert_trajectory`` ran before runs stepped in
+    lockstep. Returns (positions, velocities, actions); raises the
+    ``ExpertAbort`` that ends the run."""
+    from gspnn import flocking as fl
+    state = fl.spawn_state(config, np.random.default_rng(seed))
+    t_steps, n = config.n_steps, config.n_agents
+    positions = np.zeros((t_steps + 1, n, 2))
+    velocities = np.zeros((t_steps + 1, n, 2))
+    actions = np.zeros((t_steps, n, 2))
+    for t in range(t_steps):
+        positions[t] = state.positions
+        velocities[t] = state.velocities
+        state = fl.step_dynamics(state, fl.expert_action(state, config.comm_radius),
+                                 config.u_max)
+        actions[t] = state.accelerations
+    positions[t_steps] = state.positions
+    velocities[t_steps] = state.velocities
+    return positions, velocities, actions
+
+
+def serial_generate_dataset(n_traj, config, seed):
+    """``flocking.generate_dataset`` one seed at a time: returns the kept
+    seeds' runs as [(seed, (positions, velocities, actions))] and the
+    number of aborted runs, raising the abort past 50 per trajectory."""
+    from gspnn.flocking import ExpertAbort
+    runs, n_resampled, next_seed = [], 0, seed
+    while len(runs) < n_traj:
+        try:
+            runs.append((next_seed, serial_expert_run(config, next_seed)))
+        except ExpertAbort:
+            n_resampled += 1
+            if n_resampled > 50 * max(n_traj, 1):
+                raise
+        next_seed += 1
+    return runs, n_resampled
+
+
+def serial_rollout(bundle, n_agents, seed):
+    """One closed-loop policy run stepped alone, one ``_PolicyRunner`` step
+    and one ``step_dynamics`` call per step: the loop ``rollout_policy`` ran
+    before rollouts stepped in lockstep. Returns ((positions, velocities),
+    cost, diverged)."""
+    from dataclasses import replace
+
+    from gspnn import flocking as fl
+    config = replace(bundle.config, n_agents=n_agents)
+    state = fl.spawn_state(config, np.random.default_rng(seed))
+    t_steps = config.n_steps
+    positions = np.zeros((t_steps + 1, n_agents, 2))
+    velocities = np.zeros((t_steps + 1, n_agents, 2))
+    runner = fl._PolicyRunner(bundle, n_agents)
+    for t in range(t_steps):
+        positions[t] = state.positions
+        velocities[t] = state.velocities
+        dist = fl._pairwise(state.positions)
+        mask = fl._adjacency_mask(dist, config.comm_radius)
+        try:
+            feats = features_raw_oracle(state.positions, state.velocities,
+                                        mask, dist)
+            actions = runner.act(fl._normalized_shift_dense(mask), feats)
+            state = fl.step_dynamics(state, actions, config.u_max)
+        except fl.ExpertAbort:
+            return (positions, velocities), float("inf"), True
+    positions[t_steps] = state.positions
+    velocities[t_steps] = state.velocities
+    return (positions, velocities), fl.velocity_variation_cost(velocities), False

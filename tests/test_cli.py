@@ -244,6 +244,48 @@ def test_flocking_train_phases_cover_the_wall_clock(tmp_path):
     _phases_cover_the_wall_clock(out, ["load", "train", "save"])
 
 
+def test_flocking_generate_phases_cover_the_wall_clock(tmp_path):
+    out = tmp_path / "out"
+    assert main(["flocking", "generate", "--n-traj", "4", "--agents", "8",
+                 "--duration", "0.5", "--out", str(out)]) == 0
+    _phases_cover_the_wall_clock(out, ["simulate", "save"])
+
+
+@pytest.mark.parametrize("leaf,flags,names", [
+    ("evaluate", ["--trials", "3"], ["load", "rollout", "expert"]),
+    ("sweep", ["--trials", "2", "--sizes", "8,12"], ["load", "rollout"]),
+])
+def test_flocking_policy_command_phases_cover_the_wall_clock(tmp_path, leaf,
+                                                             flags, names):
+    config = FlockConfig(n_agents=8, duration=0.5)
+    spec = build_policy_spec()
+    checkpoint = tmp_path / "policy.npz"
+    save_policy(checkpoint, PolicyBundle(spec, init_state(
+        spec, np.random.default_rng(0)), config.u_max, config))
+    out = tmp_path / "out"
+    assert main(["flocking", leaf, "--checkpoint", str(checkpoint),
+                 "--out", str(out), *flags]) == 0
+    _phases_cover_the_wall_clock(out, names)
+
+
+def test_flocking_evaluate_fails_when_an_expert_run_aborts(
+        policy_checkpoint, tmp_path, capsys, monkeypatch):
+    original = flocking.spawn_state
+
+    def coincident_spawn(config, rng):
+        state = original(config, rng)
+        state.positions[1] = state.positions[0]
+        return state
+
+    monkeypatch.setattr(flocking, "spawn_state", coincident_spawn)
+    with np.errstate(invalid="ignore"):     # the policy's runs all cost inf
+        code = main(["flocking", "evaluate", "--checkpoint",
+                     str(policy_checkpoint), "--trials", "2",
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "coincident agents" in capsys.readouterr().err
+
+
 def test_recsys_train_phases_cover_the_wall_clock(tmp_path):
     data = tmp_path / "u.data"
     rs.write_synthetic_fixture(data)

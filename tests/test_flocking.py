@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from gspnn import flocking as fl
 from gspnn.flocking import (
     ExpertAbort,
     FlockConfig,
@@ -50,6 +51,9 @@ from conftest import (
     delayed_stack_oracle,
     per_step_delayed_stacks,
     per_step_expert_features,
+    serial_expert_run,
+    serial_generate_dataset,
+    serial_rollout,
     trajectory_shift,
 )
 
@@ -102,6 +106,42 @@ def concatenated_batch_loss(problem, samples, indices):
 
 
 SMALL = FlockConfig(n_agents=8, duration=0.5)
+
+
+def coincide(state: SwarmState) -> None:
+    """Put agent 1 on agent 0: the team aborts (or diverges) at step 0."""
+    state.positions[1] = state.positions[0]
+
+
+def run_away(state: SwarmState) -> None:
+    """Send agent 0 off at the edge of the float range, out of everyone's
+    reach: its position overflows, and the team aborts, some steps later."""
+    state.positions[0] = (1.79e308, 0.0)
+    state.velocities[0] = (7e306, 0.0)
+
+
+@pytest.fixture
+def crafted_spawns(monkeypatch):
+    """``install(config, {seed: edit})`` makes ``flocking.spawn_state`` apply
+    ``edit`` to the team it draws for ``seed`` (recognized by its drawn
+    positions), so the serial oracles and the lockstep runs start from the
+    same altered teams."""
+    original = fl.spawn_state
+
+    def install(config, edits):
+        marks = [(original(config, np.random.default_rng(seed)).positions, edit)
+                 for seed, edit in edits.items()]
+
+        def spawn(cfg, rng):
+            state = original(cfg, rng)
+            for positions, edit in marks:
+                if np.array_equal(state.positions, positions):
+                    edit(state)
+            return state
+
+        monkeypatch.setattr(fl, "spawn_state", spawn)
+
+    return install
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +357,60 @@ def test_generation_deterministic():
         assert np.array_equal(sa.actions, sb.actions)
 
 
+def test_generate_dataset_equals_the_serial_loop_around_aborted_runs(
+        crafted_spawns):
+    cfg = FlockConfig(n_agents=8, duration=0.3)
+    crafted_spawns(cfg, {41: coincide, 42: run_away})
+    with np.errstate(over="ignore"):
+        with pytest.raises(ExpertAbort, match="coincident agents"):
+            serial_expert_run(cfg, 41)
+        state = fl.spawn_state(cfg, np.random.default_rng(42))
+        step_dynamics(state, expert_action(state, cfg.comm_radius), cfg.u_max)
+        with pytest.raises(ExpertAbort, match="non-finite state"):
+            serial_expert_run(cfg, 42)
+        want, want_resampled = serial_generate_dataset(4, cfg, seed=40)
+        samples, n_resampled = generate_dataset(4, cfg, seed=40)
+    assert [seed for seed, _ in want] == [40, 43, 44, 45]
+    assert [s.seed for s in samples] == [40, 43, 44, 45]
+    assert n_resampled == want_resampled == 2
+    for (_, run), sample in zip(want, samples):
+        for name, arr in zip(("positions", "velocities", "actions"), run):
+            assert getattr(sample, name).tobytes() == arr.tobytes(), name
+        assert sample.features.tobytes() == per_step_expert_features(sample).tobytes()
+
+
+def test_generate_dataset_stops_at_the_resample_cap_like_the_serial_loop(
+        monkeypatch):
+    original = fl.spawn_state
+    spawned = []
+
+    def coincident_spawn(config, rng):
+        state = original(config, rng)
+        coincide(state)
+        spawned.append(state)
+        return state
+
+    monkeypatch.setattr(fl, "spawn_state", coincident_spawn)
+    cfg = FlockConfig(n_agents=6, duration=0.05)
+    with pytest.raises(ExpertAbort, match="coincident agents"):
+        serial_generate_dataset(2, cfg, seed=0)
+    assert len(spawned) == 101
+    spawned.clear()
+    with pytest.raises(ExpertAbort, match="coincident agents"):
+        generate_dataset(2, cfg, seed=0)
+    assert len(spawned) == 102      # the cap falls inside the last batch of 2
+
+
+def test_expert_rollout_costs_equal_serial_runs_and_raise_an_abort(
+        crafted_spawns):
+    seeds = [7, 8, 9]
+    want = [velocity_variation_cost(serial_expert_run(SMALL, s)[1]) for s in seeds]
+    assert fl.expert_rollout_costs(SMALL, seeds) == want
+    crafted_spawns(SMALL, {8: coincide})
+    with pytest.raises(ExpertAbort, match="coincident agents"):
+        fl.expert_rollout_costs(SMALL, seeds)
+
+
 def test_replaying_actions_reproduces_states():
     sample = run_expert_trajectory(SMALL, seed=3)
     state = SwarmState(sample.positions[0].copy(), sample.velocities[0].copy(),
@@ -371,6 +465,34 @@ def test_loaded_features_equal_the_experts_bitwise(tmp_path, n_agents, radius):
         assert a.features.shape == b.features.shape == want.shape
         assert a.features.tobytes() == want.tobytes()
         assert b.features.tobytes() == want.tobytes()
+
+
+MIXED_CONFIG = (r"trajectory 1 has another config than trajectory 0: "
+                r"comm_radius 1\.0 \(trajectory 0: 2\.0\)")
+
+
+@pytest.fixture
+def mixed_radius_samples():
+    samples = []
+    for radius in (2.0, 1.0):
+        cfg = FlockConfig(n_agents=6, duration=0.05, comm_radius=radius)
+        samples += generate_dataset(1, cfg, seed=3)[0]
+    return samples
+
+
+def test_save_dataset_rejects_a_trajectory_of_another_config(
+        tmp_path, mixed_radius_samples):
+    with pytest.raises(ValueError, match=MIXED_CONFIG):
+        save_dataset(tmp_path / "ds", mixed_radius_samples)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_imitation_problem_rejects_a_trajectory_of_another_config(
+        mixed_radius_samples):
+    spec = build_policy_spec()
+    with pytest.raises(ValueError, match=MIXED_CONFIG):
+        ImitationProblem(spec, init_state(spec, np.random.default_rng(0)),
+                         mixed_radius_samples, 10.0)
 
 
 @pytest.fixture
@@ -558,6 +680,21 @@ def test_delayed_stacks_equal_the_per_step_chain_bitwise(tiny_policy):
             assert zs.tobytes() == per_step_delayed_stacks(sample, order).tobytes()
 
 
+def test_imitation_stack_equals_the_per_step_chains_bitwise(tiny_policy):
+    # every trajectory's chain advances in one lockstep batch; the oracle
+    # builds one trajectory's shifts one step at a time
+    cfg, samples, _, _ = tiny_policy
+    spec = build_policy_spec()
+    problem = ImitationProblem(spec, init_state(spec, np.random.default_rng(0)),
+                               samples, cfg.u_max)
+    order = spec.layers[0].order
+    want = np.stack([per_step_delayed_stacks(s, order) for s in samples])
+    assert problem.stack.flags.c_contiguous
+    assert problem.stack.tobytes() == want.tobytes()
+    targets = np.stack([s.actions / cfg.u_max for s in samples])
+    assert problem.targets.tobytes() == targets.tobytes()
+
+
 @pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])
 def test_batch_loss_on_a_shuffled_batch_equals_the_concatenated_path(
         tiny_policy, nonlinearity):
@@ -660,6 +797,39 @@ def test_scalability_sweep_shape(tiny_policy):
     assert [r["n_agents"] for r in rows] == [8, 10]
     assert all(np.isfinite(r["mean_cost"]) or r["mean_cost"] == np.inf
                for r in rows)
+
+
+def test_scalability_sweep_equals_serial_rollouts_around_diverging_trials(
+        tiny_policy, crafted_spawns):
+    cfg, _, bundle, _ = tiny_policy
+    seeds = [60, 61, 62, 63]
+    crafted_spawns(cfg, {61: coincide, 62: run_away})
+    with np.errstate(over="ignore", invalid="ignore"):   # inf costs
+        want = [serial_rollout(bundle, cfg.n_agents, s) for s in seeds]
+        got = fl._rollouts(bundle, cfg.n_agents, seeds)
+        rows = scalability_sweep(bundle, [cfg.n_agents], trials=4, base_seed=60)
+        costs = np.array([cost for _, cost, _ in want])
+        want_rows = [{"n_agents": cfg.n_agents, "mean_cost": float(np.mean(costs)),
+                      "std_cost": float(np.std(costs))}]
+    assert [d for _, _, d in want] == [d for _, _, d in got] == [False, True,
+                                                                 True, False]
+    # the runaway team moved before it diverged; rows after that stay zero
+    (positions, _), _, _ = want[2]
+    assert np.any(positions[1] != 0.0) and not np.any(positions[-1])
+    for (want_arrays, want_cost, _), (arrays, cost, _) in zip(want, got):
+        assert cost == want_cost
+        for a, b in zip(arrays, want_arrays):
+            assert a.tobytes() == b.tobytes()
+    assert repr(rows) == repr(want_rows)
+
+
+def test_rollouts_end_when_every_team_diverged(tiny_policy, crafted_spawns):
+    cfg, _, bundle, _ = tiny_policy
+    crafted_spawns(cfg, {70: coincide, 71: coincide})
+    runs = fl._rollouts(bundle, cfg.n_agents, [70, 71])
+    assert [(cost, diverged) for _, cost, diverged in runs] == [(np.inf, True)] * 2
+    for (positions, velocities), _, _ in runs:
+        assert not np.any(positions[1:]) and not np.any(velocities[1:])
 
 
 def test_policy_checkpoint_roundtrip(tiny_policy, tmp_path):
