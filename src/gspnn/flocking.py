@@ -25,9 +25,9 @@ from .neural import (
     ModelSpec,
     ModelState,
     ReadoutSpec,
+    Workspace,
     forward_batch,
     init_state,
-    iter_params,
     load_checkpoint,
     model_backward,
     read_archive,
@@ -44,7 +44,13 @@ POLICY_FEATURES = 32
 POLICY_ORDER = 3
 POLICY_EPOCHS = 40
 POLICY_BATCH_TRAJ = 20
-POLICY_LEARNING_RATE = 5e-4
+POLICY_LEARNING_RATE = 5e-3
+
+# Imitation training runs a trajectory in blocks of whole time steps whose
+# (rows, F) contraction, tanh gradient and readout input gradient and whose
+# (rows, (K+1)*6) stack rows, float64 at N rows per step, take at most this
+# many bytes, so a block's forward and backward stay in a 2 MB L2 cache.
+_BLOCK_BYTES = 1 << 20
 
 
 class ExpertAbort(RuntimeError):
@@ -579,11 +585,16 @@ class ImitationProblem(Problem):
     trajectories' chains advance together, one (n_traj, N, N) shift per
     step, so every trajectory must have trajectory 0's config and shape.
 
-    A batch runs one trajectory at a time on its contiguous (T, N, K+1, 6)
-    view, so every temporary of the forward and backward pass is one
-    trajectory's size, whatever the batch size. Every trajectory has the
-    same T*N rows, so the batch's loss and gradients are the per-trajectory
-    ones summed in batch order and divided by the batch size.
+    A batch runs each trajectory, in batch order, as blocks of whole time
+    steps on contiguous (steps, N, K+1, 6) views of the stack, the block
+    size set by ``_BLOCK_BYTES`` (43 steps for 25 agents, the last block of
+    a trajectory shorter). Every forward and backward pass writes its
+    largest arrays into the problem's one ``Workspace``, so a pass's
+    temporaries are one block's size, whatever the trajectory length or
+    batch size, and after the first block no pass allocates them again.
+    Each block's loss and its gradient are weighted by its share of the
+    batch's rows, steps / (T * batch size), and summed into one gradient
+    state, so the result is the batch's mean squared error and its gradient.
     """
 
     def __init__(self, spec: ModelSpec, state: ModelState,
@@ -602,34 +613,37 @@ class ImitationProblem(Problem):
         self.stack = np.zeros((len(samples), t_steps, n, order + 1, 6))
         _delayed_chains(samples, self.stack)
         self.targets = np.stack([s.actions for s in samples]) / u_max
+        row_bytes = 8 * (3 * spec.layers[0].out_features + (order + 1) * 6)
+        self.block_steps = max(1, _BLOCK_BYTES // (n * row_bytes))
+        self.workspace = Workspace()
 
     def n_samples(self) -> int:
         return self.stack.shape[0]
 
     def batch_loss(self, indices):
+        t_steps = self.stack.shape[1]
         total, grads = 0.0, None
         for i in indices:
-            zs = self.stack[i]                              # (T, N, K+1, 6)
-            out, tape = forward_batch(self.spec, self.state, None, zs[:, :, 0],
-                                      first_layer_zs=zs)
-            value, dpred = loss_eval(self.loss, out, self.targets[i])
-            step = model_backward(tape, self.spec, self.state, dpred)
-            total += value
-            if grads is None:
-                grads = step
-            else:
-                for (_, acc), (_, g) in zip(iter_params(grads), iter_params(step)):
-                    acc += g
-        for _, acc in iter_params(grads):
-            acc /= len(indices)
-        return total / len(indices), grads
+            for start in range(0, t_steps, self.block_steps):
+                zs = self.stack[i, start:start + self.block_steps]
+                out, tape = forward_batch(self.spec, self.state, None, zs[:, :, 0],
+                                          first_layer_zs=zs,
+                                          workspace=self.workspace)
+                value, dpred = loss_eval(self.loss, out,
+                                         self.targets[i, start:start + len(zs)])
+                weight = len(zs) / (t_steps * len(indices))
+                dpred *= weight
+                total += weight * value
+                grads = model_backward(tape, self.spec, self.state, dpred,
+                                       into=grads)
+        return total, grads
 
 
 def train_policy(samples: list[TrajectorySample], seed: int,
-                 nonlinearity: str = "tanh",
-                 epochs: int = POLICY_EPOCHS,
-                 batch_trajectories: int = POLICY_BATCH_TRAJ,
-                 learning_rate: float = POLICY_LEARNING_RATE):
+                 nonlinearity: str = "tanh", epochs: int = POLICY_EPOCHS):
+    """Imitation-train the policy with the module recipe: ADAM at
+    ``POLICY_LEARNING_RATE`` on batches of ``POLICY_BATCH_TRAJ``
+    trajectories. Returns (PolicyBundle, the training history)."""
     if not samples:
         raise ValueError("empty dataset")
     config = samples[0].config
@@ -637,8 +651,8 @@ def train_policy(samples: list[TrajectorySample], seed: int,
     state = init_state(spec, np.random.default_rng(seed))
     problem = ImitationProblem(spec, state, samples, config.u_max)
     history = train(problem, TrainConfig(
-        epochs=epochs, batch_size=batch_trajectories,
-        learning_rate=learning_rate, seed=seed))
+        epochs=epochs, batch_size=POLICY_BATCH_TRAJ,
+        learning_rate=POLICY_LEARNING_RATE, seed=seed))
     return PolicyBundle(spec, state, config.u_max, config), history
 
 

@@ -48,12 +48,16 @@ def loss_eval(spec: LossSpec, prediction: np.ndarray, target: np.ndarray):
                          f"target {target.shape}")
     diff = prediction - target
     n = diff.size
+    # the mean is np.mean's sum-then-divide without its Python-level wrapper
     if spec.kind == "mse":
-        return float(np.mean(diff * diff)), 2.0 * diff / n
+        value = float(np.add.reduce(diff * diff, axis=None) / n)
+        diff *= 2.0
+        diff /= n
+        return value, diff
     absd = np.abs(diff)
     vals = np.where(absd < 1.0, 0.5 * diff * diff, absd - 0.5)
     grad = np.clip(diff, -1.0, 1.0) / n
-    return float(np.mean(vals)), grad
+    return float(np.add.reduce(vals, axis=None) / n), grad
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +75,28 @@ class AdamState:
     step: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
+    scratch: list = field(default_factory=list)   # two arrays per parameter
 
     @staticmethod
     def for_params(params: list[np.ndarray], learning_rate: float) -> "AdamState":
         return AdamState(
             learning_rate=learning_rate,
             first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params])
+            second_moment=[np.zeros_like(p) for p in params],
+            scratch=[(np.empty_like(p), np.empty_like(p)) for p in params])
 
 
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray],
               param_names: list[str] | None = None) -> None:
-    """One bias-corrected ADAM update, applied to the arrays in place."""
-    if len(params) != len(state.first_moment) or len(params) != len(grads):
-        raise TrainingError("parameter/gradient/moment counts differ")
+    """One bias-corrected ADAM update, applied to the arrays in place.
+
+    The update p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs through the
+    state's two scratch arrays per parameter, operation by operation in
+    that expression's order, so it allocates no parameter-sized array."""
+    if not (len(params) == len(grads) == len(state.first_moment)
+            == len(state.second_moment) == len(state.scratch)):
+        raise TrainingError("parameter/gradient/moment/scratch counts differ")
     for idx, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             name = param_names[idx] if param_names else f"param[{idx}]"
@@ -94,13 +105,20 @@ def adam_step(state: AdamState, params: list[np.ndarray],
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for p, g, m, v in zip(params, grads, state.first_moment,
-                          state.second_moment):
+    for p, g, m, v, (a, b) in zip(params, grads, state.first_moment,
+                                  state.second_moment, state.scratch):
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, bc1, out=a)
+        a *= state.learning_rate
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPSILON
+        a /= b
+        p -= a
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gspnn
 from gspnn import flocking as fl
 from gspnn.flocking import (
     ExpertAbort,
@@ -88,6 +93,51 @@ def agent_features(state: SwarmState, radius: float) -> GraphSignal:
     mask = _adjacency_mask(dist, radius)
     return GraphSignal(_features_raw(state.positions, state.velocities,
                                      mask, dist))
+
+
+def per_trajectory_batch_loss(problem, indices):
+    """The loop ``ImitationProblem.batch_loss`` ran before it ran blocks of
+    time steps: one forward and backward over each whole trajectory's
+    stack, the gradients summed in batch order and divided by the batch
+    size."""
+    total, grads = 0.0, None
+    for i in indices:
+        zs = problem.stack[i]
+        out, tape = forward_batch(problem.spec, problem.state, None, zs[:, :, 0],
+                                  first_layer_zs=zs)
+        value, dpred = loss_eval(problem.loss, out, problem.targets[i])
+        step = [g for _, g in iter_params(model_backward(tape, problem.spec,
+                                                         problem.state, dpred))]
+        total += value
+        grads = step if grads is None else [a + g for a, g in zip(grads, step)]
+    return total / len(indices), [g / len(indices) for g in grads]
+
+
+def per_block_batch_loss(problem, samples, indices):
+    """``ImitationProblem.batch_loss`` written out serially: each
+    trajectory's stack built one shift per step, cut into blocks of
+    ``problem.block_steps`` steps, and every block run with fresh arrays,
+    its loss and gradient weighted by steps / (T * batch size) and summed
+    in batch and block order."""
+    order = problem.spec.layers[0].order
+    t_steps = samples[0].n_steps
+    total, grads = 0.0, None
+    for i in indices:
+        stack = per_step_delayed_stacks(samples[i], order)
+        target = samples[i].actions / samples[i].config.u_max
+        for start in range(0, t_steps, problem.block_steps):
+            zs = stack[start:start + problem.block_steps]
+            out, tape = forward_batch(problem.spec, problem.state, None,
+                                      zs[:, :, 0], first_layer_zs=zs)
+            value, dpred = loss_eval(problem.loss, out,
+                                     target[start:start + len(zs)])
+            weight = len(zs) / (t_steps * len(indices))
+            total += weight * value
+            step = model_backward(tape, problem.spec, problem.state,
+                                  dpred * weight)
+            step = [g for _, g in iter_params(step)]
+            grads = step if grads is None else [a + g for a, g in zip(grads, step)]
+    return total, grads
 
 
 def concatenated_batch_loss(problem, samples, indices):
@@ -642,9 +692,25 @@ def test_zero_controller_cost_closed_form():
 def tiny_policy():
     cfg = FlockConfig(n_agents=8, duration=0.5)
     samples, _ = generate_dataset(6, cfg, seed=20)
-    bundle, history = train_policy(samples, seed=0, epochs=4,
-                                   batch_trajectories=3)
+    bundle, history = train_policy(samples, seed=0, epochs=4)
     return cfg, samples, bundle, history
+
+
+@pytest.fixture(scope="module")
+def blocked_problem():
+    """An imitation problem whose 100-step trajectories of 25 agents run as
+    two full blocks and a short last one."""
+    cfg = FlockConfig(n_agents=25, duration=1.0)
+    samples, _ = generate_dataset(3, cfg, seed=31)
+
+    def make(nonlinearity="tanh", seed=6):
+        spec = build_policy_spec(nonlinearity)
+        problem = ImitationProblem(spec, init_state(spec, np.random.default_rng(seed)),
+                                   samples, cfg.u_max)
+        assert 2 * problem.block_steps < cfg.n_steps < 3 * problem.block_steps
+        return problem
+
+    return samples, make
 
 
 def test_training_reduces_imitation_loss(tiny_policy):
@@ -714,27 +780,35 @@ def test_batch_loss_on_a_shuffled_batch_equals_the_concatenated_path(
 
 
 @pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])
-def test_batch_loss_equals_a_serial_per_trajectory_oracle_bitwise(
-        tiny_policy, nonlinearity):
-    cfg, samples, _, _ = tiny_policy
-    spec = build_policy_spec(nonlinearity)
-    state = init_state(spec, np.random.default_rng(6))
-    problem = ImitationProblem(spec, state, samples, cfg.u_max)
-    indices = np.array([4, 1, 5, 0])
-    order = spec.layers[0].order
-    want_value, want = 0.0, None
-    for i in indices:
-        zs = per_step_delayed_stacks(samples[i], order)
-        out, tape = forward_batch(spec, state, None, zs[:, :, 0],
-                                  first_layer_zs=zs)
-        loss, dpred = loss_eval(problem.loss, out, samples[i].actions / cfg.u_max)
-        grads = [g for _, g in iter_params(model_backward(tape, spec, state, dpred))]
-        want_value += loss
-        want = grads if want is None else [a + g for a, g in zip(want, grads)]
+def test_batch_loss_equals_a_serial_per_block_oracle_bitwise(
+        blocked_problem, nonlinearity):
+    # the workspace, the gradients added into one state and the blocks cut
+    # from the shared stack change no bit against fresh arrays per block
+    samples, make = blocked_problem
+    problem = make(nonlinearity)
+    indices = np.array([2, 0, 1])
+    want_value, want = per_block_batch_loss(problem, samples, indices)
+    for _ in range(2):                  # the second call reuses the workspace
+        value, got = problem.batch_loss(indices)
+        assert value == want_value
+        for (name, g), w in zip(iter_params(got), want):
+            assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])
+def test_batch_loss_stays_within_rounding_of_the_per_trajectory_path(
+        blocked_problem, nonlinearity):
+    # blocks sum each trajectory's rows in another order than one pass over
+    # the whole trajectory; measured differences are about 1e-15 of each
+    # gradient's largest entry
+    _, make = blocked_problem
+    problem = make(nonlinearity)
+    indices = np.array([1, 2, 0])
     value, got = problem.batch_loss(indices)
-    assert value == want_value / len(indices)
+    want_value, want = per_trajectory_batch_loss(problem, indices)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
     for (name, g), w in zip(iter_params(got), want):
-        assert g.tobytes() == (w / len(indices)).tobytes(), name
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
 
 
 def test_batch_loss_peak_memory_does_not_grow_with_the_batch(tiny_policy):
@@ -754,6 +828,72 @@ def test_batch_loss_peak_memory_does_not_grow_with_the_batch(tiny_policy):
     # one trajectory's temporaries are about 100 kB at this size; a batch
     # run as one array would need twice the peak for twice the trajectories
     assert peaks[6] <= peaks[3] + 16_000, peaks
+
+
+def test_batch_loss_peak_memory_does_not_grow_with_the_trajectory_length():
+    # 43-step blocks of 25 agents: after the first call the workspace holds
+    # every block-sized array, so a call allocates only small temporaries
+    # (about 80 kB), where one pass over a whole trajectory held about 1.3 MB
+    # per (T*N, 32) array at 200 steps
+    peaks = {}
+    for duration in (1.0, 2.0):
+        cfg = FlockConfig(n_agents=25, duration=duration)
+        samples, _ = generate_dataset(2, cfg, seed=40)
+        spec = build_policy_spec()
+        problem = ImitationProblem(spec, init_state(spec, np.random.default_rng(6)),
+                                   samples, cfg.u_max)
+        problem.batch_loss(np.arange(2))            # fill the workspace
+        tracemalloc.start()
+        try:
+            problem.batch_loss(np.arange(2))
+            peaks[duration] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2.0] <= peaks[1.0] + 16_000, peaks
+    assert peaks[2.0] < 200_000, peaks
+
+
+FIRST_TRAINING_FAULTS = """
+import resource
+from gspnn import flocking as fl
+samples, _ = fl.generate_dataset(4, fl.FlockConfig(), 701)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fl.train_policy(samples, seed=701, epochs=3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_first_training_of_a_fresh_process_takes_few_page_faults():
+    # glibc maps blocks above 128 kB fresh from the kernel until a freed
+    # mapping raises that threshold, so per-pass arrays of a whole
+    # trajectory (1.3 MB each) faulted in on every pass: 9.1k minor faults
+    # here, 55.7k for 20 trajectories and 60 epochs. Block-sized arrays
+    # reused from the workspace leave the 3.8 MB stack and the first
+    # blocks' buffers: about 1.0k.
+    src = Path(gspnn.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", FIRST_TRAINING_FAULTS],
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "OPENBLAS_NUM_THREADS": "1"},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert int(out.stdout) < 3000, out.stdout
+
+
+def test_a_policy_trained_on_25_agents_flocks_at_50_and_100():
+    # the paper's scalability claim: imitation-trained with the module
+    # recipe on teams of 25, the policy's cost stays within 2.5x of the
+    # expert's and below 0.2x of the zero controller's at 25, 50 and 100
+    # agents. Measured: policy/expert 1.12-1.66 and policy/zero 0.068-0.074;
+    # at a learning rate of 5e-4 policy/expert read 21-36.
+    cfg = FlockConfig()
+    samples, _ = generate_dataset(8, cfg, seed=701)
+    bundle, _ = train_policy(samples, seed=701, epochs=60)
+    seeds = [801, 802, 803]
+    for row in scalability_sweep(bundle, [25, 50, 100], trials=3, base_seed=801):
+        sized = replace(cfg, n_agents=row["n_agents"])
+        expert = np.mean(fl.expert_rollout_costs(sized, seeds))
+        zero = np.mean([zero_controller_cost(sized, s) for s in seeds])
+        assert row["mean_cost"] < 2.5 * expert, (row, expert)
+        assert row["mean_cost"] < 0.2 * zero, (row, zero)
 
 
 def test_imitation_problem_rejects_trajectories_of_another_shape(tiny_policy):

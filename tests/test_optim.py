@@ -15,6 +15,9 @@ from gspnn.neural import (
     model_forward,
 )
 from gspnn.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     LossSpec,
     Problem,
@@ -75,6 +78,27 @@ def test_mse_value_and_gradient():
     assert np.allclose(grad, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("kind", ["mse", "smooth_l1"])
+def test_loss_eval_equals_the_np_mean_expressions_bitwise(kind):
+    # the value is np.mean's sum-then-divide and the mse gradient is scaled
+    # in place; both must keep the bits of the expressions they replaced
+    r = np.random.default_rng(11)
+    for shape in [(1,), (7,), (3, 1, 1), (43, 25, 2), (200, 1, 1), (5, 129)]:
+        pred = r.normal(size=shape) * 2.0
+        target = r.normal(size=shape)
+        value, grad = loss_eval(LossSpec(kind), pred, target)
+        diff = pred - target
+        if kind == "mse":
+            want, want_grad = float(np.mean(diff * diff)), 2.0 * diff / diff.size
+        else:
+            absd = np.abs(diff)
+            want = float(np.mean(np.where(absd < 1.0, 0.5 * diff * diff,
+                                          absd - 0.5)))
+            want_grad = np.clip(diff, -1.0, 1.0) / diff.size
+        assert value == want, shape
+        assert grad.tobytes() == want_grad.tobytes(), shape
+
+
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         loss_eval(LossSpec("mse"), np.zeros(3), np.zeros(4))
@@ -133,6 +157,36 @@ def test_adam_error_names_parameter_path():
     with pytest.raises(TrainingError, match=r"layers\.0\.taps"):
         adam_step(st_, p, [np.zeros(1), np.array([np.inf])],
                   param_names=["readout_bias", "layers.0.taps"])
+
+
+def adam_expression_oracle(lr, step, params, grads, m, v):
+    """``adam_step`` as written before it ran through scratch arrays: the
+    update as one fresh-array expression per parameter."""
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
+    for p, g, mm, vv in zip(params, grads, m, v):
+        mm *= ADAM_BETA1
+        mm += (1.0 - ADAM_BETA1) * g
+        vv *= ADAM_BETA2
+        vv += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + ADAM_EPSILON)
+
+
+def test_adam_step_equals_the_expression_form_bitwise():
+    r = np.random.default_rng(12)
+    params = [r.normal(size=shape) for shape in [(3, 2, 4), (7,), (1, 1)]]
+    want = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    adam = AdamState.for_params(params, learning_rate=0.03)
+    for step in range(1, 9):
+        grads = [r.normal(size=p.shape) * 10.0 ** r.uniform(-6, 2) for p in params]
+        adam_step(adam, params, grads)
+        adam_expression_oracle(0.03, step, want, grads, m, v)
+        for got, w, mg, mw, vg, vw in zip(params, want, adam.first_moment, m,
+                                          adam.second_moment, v):
+            assert got.tobytes() == w.tobytes()
+            assert mg.tobytes() == mw.tobytes() and vg.tobytes() == vw.tobytes()
 
 
 # ---------------------------------------------------------------------------
