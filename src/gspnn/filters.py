@@ -72,19 +72,17 @@ class FirTaps:
         return self.taps.size - 1
 
 
-def fir_bank_contract(zs: np.ndarray, taps: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
+def fir_bank_contract(zs: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Filter-bank output u[b, n, f] = sum_{k, g} taps[f, g, k] zs[b, n, k, g].
 
     ``zs`` is a C-contiguous (B, N, K+1, G) shifted stack and ``taps`` is
     (F, G, K+1); the whole bank is one (B*N, (K+1)*G) @ ((K+1)*G, F) product,
-    returned as (B, N, F), written into the C-contiguous ``out`` when given.
-    Every FIR filter bank, neural or not, goes through this kernel.
+    returned as (B, N, F). Every FIR filter bank, neural or not, goes through
+    this kernel.
     """
     b, n, k1, g = zs.shape
     weights = taps.transpose(2, 1, 0).reshape(k1 * g, taps.shape[0])
-    flat = None if out is None else out.reshape(b * n, -1)
-    return np.matmul(zs.reshape(b * n, k1 * g), weights, out=flat).reshape(b, n, -1)
+    return (zs.reshape(b * n, k1 * g) @ weights).reshape(b, n, -1)
 
 
 def shifted_stack(s: ShiftOperator, x: np.ndarray, order: int) -> np.ndarray:

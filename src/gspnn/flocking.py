@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .graphs import mask_connected
 from .neural import (
     LayerSpec,
     ModelSpec,
     ModelState,
     ReadoutSpec,
-    Workspace,
     forward_batch,
     init_state,
     load_checkpoint,
@@ -89,23 +89,6 @@ class FlockConfig:
 class SwarmState:
     positions: np.ndarray    # (N, 2) meters
     velocities: np.ndarray   # (N, 2) m/s
-    accelerations: np.ndarray  # (N, 2) m/s^2, the last applied actions
-    time_index: int
-    dt: float
-
-    @property
-    def n_agents(self) -> int:
-        return self.positions.shape[0]
-
-
-def step_dynamics(state: SwarmState, actions: np.ndarray,
-                  u_max: float) -> SwarmState:
-    """Saturated double-integrator step."""
-    members = _Lockstep(1)
-    r, v, u = _integrate(members, state.positions[None], state.velocities[None],
-                         np.asarray(actions)[None], u_max, state.dt)
-    members.raise_abort()
-    return SwarmState(r[0], v[0], u[0], state.time_index + 1, state.dt)
 
 
 class _Lockstep:
@@ -131,11 +114,6 @@ class _Lockstep:
         for member in self.live[bad]:
             self.leave(int(member), ExpertAbort(why))
         return tuple(a[~bad] for a in arrays)
-
-    def raise_abort(self) -> None:
-        """Raise the abort of a one-member batch whose member left."""
-        if self.aborts:
-            raise self.aborts[0]
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -244,22 +222,12 @@ def _potential_slope_over_d(dist: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def expert_action(state: SwarmState, radius: float = 2.0) -> np.ndarray:
-    """Centralized actions: full-team velocity consensus plus collision
-    avoidance; aborts if any two agents (numerically) coincide."""
-    if state.n_agents < 2:
-        raise ValueError("need at least two agents")
-    members = _Lockstep(1)
-    _, _, actions = _expert_step(members, state.positions[None],
-                                 state.velocities[None], radius)
-    members.raise_abort()
-    return actions[0]
-
-
 def _expert_step(members: _Lockstep, r: np.ndarray, v: np.ndarray,
                  radius: float):
-    """Expert actions of the live members' (B, N, 2) states. A member whose
-    agents coincide leaves ``members``; returns the others' (r, v, actions)."""
+    """Centralized expert actions of the live members' (B, N, 2) states:
+    full-team velocity consensus plus collision avoidance. A member whose
+    agents (numerically) coincide leaves ``members``; returns the others'
+    (r, v, actions)."""
     n = r.shape[-2]
     dist = _pairwise(r)
     r, v, dist = members.drop(_touching(dist, ~np.eye(n, dtype=bool)),
@@ -332,18 +300,6 @@ def _advance_delayed(shift_dense: np.ndarray, prev: np.ndarray,
     out[..., 1:, :] = shifted.reshape(*lead, n, k1 - 1, g)
 
 
-def _mask_connected(mask: np.ndarray) -> bool:
-    n = mask.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = np.nonzero(mask[frontier].any(axis=0) & ~seen)[0]
-        seen[nxt] = True
-        frontier = nxt.tolist()
-    return bool(seen.all())
-
-
 def spawn_state(config: FlockConfig, rng: np.random.Generator) -> SwarmState:
     """Positions uniform in a density-constant disc with a minimum spacing
     and an initially connected communication graph; velocities uniform in
@@ -368,13 +324,13 @@ def spawn_state(config: FlockConfig, rng: np.random.Generator) -> SwarmState:
         if not placed:
             continue
         dist = _pairwise(positions)
-        if _mask_connected(_adjacency_mask(dist, config.comm_radius)):
+        if mask_connected(_adjacency_mask(dist, config.comm_radius)):
             break
     else:
         raise ExpertAbort("could not spawn a connected, spaced-out team")
     velocities = rng.uniform(-config.speed_range, config.speed_range,
                              size=(n, 2))
-    return SwarmState(positions, velocities, np.zeros((n, 2)), 0, config.dt)
+    return SwarmState(positions, velocities)
 
 
 def run_expert_trajectory(config: FlockConfig, seed: int) -> TrajectorySample:
@@ -427,8 +383,9 @@ def _expert_sample(config: FlockConfig, seed: int, run) -> TrajectorySample:
 def _trajectory_features(positions: np.ndarray, velocities: np.ndarray,
                          config: FlockConfig) -> np.ndarray:
     """(T, N, 6) features of a trajectory's T acted steps, from one batched
-    ``_features_raw`` call. Every acted step passed ``expert_action``'s
-    all-pairs distance check, which covers the neighbor check here."""
+    ``_features_raw`` call. Every acted step passed the all-pairs
+    coincidence check of ``_expert_step``, which covers the neighbor check
+    here."""
     dist = _pairwise(positions[:-1])
     mask = _adjacency_mask(dist, config.comm_radius)
     return _features_raw(positions[:-1], velocities[:-1], mask, dist)
@@ -588,13 +545,11 @@ class ImitationProblem(Problem):
     A batch runs each trajectory, in batch order, as blocks of whole time
     steps on contiguous (steps, N, K+1, 6) views of the stack, the block
     size set by ``_BLOCK_BYTES`` (43 steps for 25 agents, the last block of
-    a trajectory shorter). Every forward and backward pass writes its
-    largest arrays into the problem's one ``Workspace``, so a pass's
-    temporaries are one block's size, whatever the trajectory length or
-    batch size, and after the first block no pass allocates them again.
-    Each block's loss and its gradient are weighted by its share of the
-    batch's rows, steps / (T * batch size), and summed into one gradient
-    state, so the result is the batch's mean squared error and its gradient.
+    a trajectory shorter), so a pass's temporaries are one block's size,
+    whatever the trajectory length or batch size. Each block's loss and its
+    gradient are weighted by its share of the batch's rows, steps / (T *
+    batch size), and summed into one gradient state, so the result is the
+    batch's mean squared error and its gradient.
     """
 
     def __init__(self, spec: ModelSpec, state: ModelState,
@@ -615,7 +570,6 @@ class ImitationProblem(Problem):
         self.targets = np.stack([s.actions for s in samples]) / u_max
         row_bytes = 8 * (3 * spec.layers[0].out_features + (order + 1) * 6)
         self.block_steps = max(1, _BLOCK_BYTES // (n * row_bytes))
-        self.workspace = Workspace()
 
     def n_samples(self) -> int:
         return self.stack.shape[0]
@@ -627,8 +581,7 @@ class ImitationProblem(Problem):
             for start in range(0, t_steps, self.block_steps):
                 zs = self.stack[i, start:start + self.block_steps]
                 out, tape = forward_batch(self.spec, self.state, None, zs[:, :, 0],
-                                          first_layer_zs=zs,
-                                          workspace=self.workspace)
+                                          first_layer_zs=zs)
                 value, dpred = loss_eval(self.loss, out,
                                          self.targets[i, start:start + len(zs)])
                 weight = len(zs) / (t_steps * len(indices))

@@ -63,10 +63,6 @@ class Graph:
                 raise GraphError(f"duplicate edge ({i},{j})")
             seen.add(key)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n_nodes, self.n_nodes))
         for i, j, w in self.edges:
@@ -101,10 +97,6 @@ class GraphSignal:
     @property
     def n_nodes(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -243,13 +235,6 @@ def build_shift(graph: Graph, kind: ShiftKind | str) -> ShiftOperator:
     return ShiftOperator.from_dense(m, kind)
 
 
-def shift(s: ShiftOperator, x: GraphSignal) -> GraphSignal:
-    """One graph shift: column f of the output is S @ x[:, f]."""
-    if x.n_nodes != s.n_nodes:
-        raise GraphError(f"shift is {s.n_nodes} nodes, signal has {x.n_nodes}")
-    return GraphSignal(s.apply(x.values))
-
-
 def permute_shift(s: ShiftOperator, perm: np.ndarray) -> ShiftOperator:
     """Relabel nodes: node i of the result is node perm[i] of ``s``.
 
@@ -367,23 +352,19 @@ def random_graph(n_nodes: int, edge_prob: float, rng: np.random.Generator,
                     w = float(rng.uniform(0.5, 1.5)) if weighted else 1.0
                     edges.append((i, j, w))
         g = Graph(n_nodes, tuple(edges))
-        if _connected(g):
+        if mask_connected(g.adjacency() > 0):
             return g
     raise GraphError("could not sample a connected graph; raise edge_prob")
 
 
-def _connected(g: Graph) -> bool:
-    if g.n_nodes == 1:
-        return True
-    adj = [[] for _ in range(g.n_nodes)]
-    for i, j, _ in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == g.n_nodes
+def mask_connected(mask: np.ndarray) -> bool:
+    """Is the graph of the symmetric (N, N) boolean adjacency ``mask``
+    connected? A breadth-first search from node 0, one frontier per step."""
+    seen = np.zeros(mask.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        nxt = np.nonzero(mask[frontier].any(axis=0) & ~seen)[0]
+        seen[nxt] = True
+        frontier = nxt.tolist()
+    return bool(seen.all())

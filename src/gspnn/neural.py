@@ -14,15 +14,14 @@ stacks, Jacobi iterates, chain states, or the restricted layer's rows). The
 tape keeps one closure per layer and one array for its nonlinearity, so the
 backward pass runs them in reverse order with no per-family dispatch.
 Internally everything is batched: signals travel as (batch, nodes, features)
-arrays. A caller that runs many passes of one size hands both passes a
-``Workspace``, so the largest per-pass arrays are written into reused
-buffers instead of fresh ones.
+arrays. Every pass returns fresh arrays: a caller that must bound its
+temporaries, such as flocking imitation training, bounds the batch it hands
+in (``flocking.ImitationProblem`` runs blocks of time steps).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 import zipfile
 from dataclasses import asdict, dataclass, fields
@@ -290,50 +289,19 @@ def _shift_batched(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
 # Layer forward/backward
 # ---------------------------------------------------------------------------
 
-class Workspace:
-    """Reused float64 buffers for ``forward_batch`` and ``model_backward``.
-
-    A forward pass handed a workspace writes each FIR contraction (a
-    layer's pre-activation, then its activation in place) into a leading
-    view of the buffer kept for that layer, unless it is the model's own
-    output; its tape's backward writes the nonlinearity gradients and the
-    readout's input gradient the same way. A buffer grows to the largest
-    request and is never shrunk, so passes of one size or smaller allocate
-    none of these arrays. Each forward pass that uses the workspace starts
-    a new generation and overwrites what the tapes of earlier ones read, so
-    ``model_backward`` rejects those tapes as stale.
-    """
-
-    def __init__(self):
-        self.generation = 0
-        self._buffers: dict = {}
-
-    def array(self, key, shape: tuple) -> np.ndarray:
-        """A C-contiguous ``shape`` view of the leading entries of buffer
-        ``key``; its contents are whatever the last user left there."""
-        size = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
 @dataclass
 class Tape:
     """Recorded intermediates from one forward pass: per layer its VJP and
     the one array its nonlinearity's backward reads (the output for tanh,
     the bool mask u > 0 for relu, None for identity). Backward passes only
-    read the tape, so one forward can serve several. A tape recorded with a
-    ``workspace`` holds views of its buffers and stays valid while the
-    workspace is at ``generation``."""
+    read the tape, and no later pass writes into it, so one forward can
+    serve several."""
 
     state_version: int
     vjps: list                   # per layer vjp(du, need_dx) -> (grads, dx)
     nonlin_saved: list           # per layer what _nonlin_backward reads
     readout_input: np.ndarray | None
     out_shape: tuple             # the model output's shape
-    workspace: Workspace | None = None
-    generation: int = 0
 
 
 def _nonlin_forward(kind: str, u: np.ndarray):
@@ -348,14 +316,13 @@ def _nonlin_forward(kind: str, u: np.ndarray):
     return u, None
 
 
-def _nonlin_backward(kind: str, saved, dout: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """The gradient at the pre-activation, in ``out`` when given (an array
-    other than ``saved``, so the tape stays intact) or a fresh array."""
+def _nonlin_backward(kind: str, saved, dout: np.ndarray) -> np.ndarray:
+    """The gradient at the pre-activation, as a fresh array (identity
+    passes ``dout`` through)."""
     if kind == "relu":
-        return np.multiply(dout, saved, out=out)
+        return dout * saved
     if kind == "tanh":
-        grad = np.multiply(saved, saved, out=out)
+        grad = saved * saved
         np.subtract(1.0, grad, out=grad)
         grad *= dout
         return grad
@@ -371,16 +338,15 @@ def _bank_tap_grad(zs: np.ndarray, du: np.ndarray) -> np.ndarray:
 
 
 def _fir_forward(layer: LayerSpec, params: FirLayerParams, s: ShiftOperator,
-                 x: np.ndarray, zs: np.ndarray | None = None,
-                 out: np.ndarray | None = None):
+                 x: np.ndarray, zs: np.ndarray | None = None):
     """``zs`` is the C-contiguous (B, N, K+1, G) stack zs[b, n, k, g] =
     (S^k x_g)[b, n], or the delayed chain S(t)...S(t-k+1) x(t-k) in
     time-varying mode: the layout ``fir_bank_contract`` reads as one
-    (B*N, (K+1)*G) matrix. The output goes into ``out`` when given."""
+    (B*N, (K+1)*G) matrix."""
     if zs is None:
         zs = shifted_stack(s, x, layer.order)
-    return fir_bank_contract(zs, params.taps, out), partial(_fir_backward, layer,
-                                                            params, zs, s)
+    return fir_bank_contract(zs, params.taps), partial(_fir_backward, layer,
+                                                       params, zs, s)
 
 
 def _fir_backward(layer: LayerSpec, params: FirLayerParams, zs: np.ndarray,
@@ -399,10 +365,10 @@ def _fir_backward(layer: LayerSpec, params: FirLayerParams, zs: np.ndarray,
 
 
 def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
-                  x: np.ndarray, out: np.ndarray | None = None):
+                  x: np.ndarray):
     # Direct polynomial part reuses the FIR path.
     zs = shifted_stack(s, x, layer.order)
-    u = fir_bank_contract(zs, params.alpha, out)
+    u = fir_bank_contract(zs, params.alpha)
 
     if layer.n_poles == 0:
         return u, partial(_arma_backward, layer, params, s, zs, None, None)
@@ -671,16 +637,12 @@ def _check_first_layer_zs(layer: LayerSpec, x: np.ndarray, zs) -> None:
 
 def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
                   x: np.ndarray, first_layer_zs: np.ndarray | None = None,
-                  out_nodes=None, workspace: Workspace | None = None):
+                  out_nodes=None):
     """Batched forward pass on a (batch, nodes, features) array.
 
     ``first_layer_zs`` is a precomputed (B, N, K+1, G) stack for a first FIR
     layer (the delayed chain in time-varying mode); ``x`` is then its k = 0
     slice.
-
-    With a ``workspace`` the outputs are the same bits, the tape holds views
-    of its buffers and the tapes of earlier passes with it turn stale (see
-    ``Workspace``). The returned output is never such a view.
 
     ``out_nodes`` (a 1-D integer array T, repeats and any order allowed)
     computes only the output nodes a loss reads: every layer but the last
@@ -689,6 +651,9 @@ def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
     T, computed once per call from one-hot starts, and meets the batch in one
     (B, N*G) @ (N*G, |T|*F) product. It needs a static shift and no
     ``first_layer_zs``.
+
+    Returns (output, tape). The output and the intermediates the tape
+    records are fresh arrays, so a later pass changes neither.
     """
     if out_nodes is not None:
         out_nodes = _check_out_nodes(spec, s, x, first_layer_zs, out_nodes)
@@ -699,42 +664,30 @@ def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
             if layer.family != "edge_varying" and (i or first_layer_zs is None):
                 raise ModelError(f"layer {i} ({layer.family}) applies the shift, "
                                  f"but s is None and it is not fed first_layer_zs")
-    readout = spec.readout.kind == "per_node_linear"
-    # the last layer's activation is the model's output unless a readout follows
-    buffered = len(spec.layers) if readout else len(spec.layers) - 1
-    generation = 0
-    if workspace is not None:
-        workspace.generation += 1
-        generation = workspace.generation
     vjps, nonlin_saved = [], []
     cur = x
     for i, (layer, params) in enumerate(zip(spec.layers, state.layers)):
         if cur.shape[2] != layer.in_features:
             raise ModelError(f"layer {i} expects {layer.in_features} features, "
                              f"got {cur.shape[2]}")
-        out = None
-        if workspace is not None and i < buffered:
-            out = workspace.array(("u", i), cur.shape[:2] + (layer.out_features,))
         if out_nodes is not None and i == len(spec.layers) - 1:
             u, vjp = _rows_forward(layer, params, s, cur, out_nodes)
         elif layer.family == "fir":
             zs = first_layer_zs if i == 0 else None
-            u, vjp = _fir_forward(layer, params, s, cur, zs, out)
+            u, vjp = _fir_forward(layer, params, s, cur, zs)
         elif layer.family == "arma":
-            u, vjp = _arma_forward(layer, params, s, cur, out)
+            u, vjp = _arma_forward(layer, params, s, cur)
         else:
             u, vjp = _edge_forward(layer, params, cur)
         cur, saved = _nonlin_forward(layer.nonlinearity, u)
         vjps.append(vjp)
         nonlin_saved.append(saved)
     readout_input = None
-    if readout:
+    if spec.readout.kind == "per_node_linear":
         readout_input = cur
         cur = cur @ state.readout_weight
         cur += state.readout_bias
-    tape = Tape(state.version, vjps, nonlin_saved, readout_input, cur.shape,
-                workspace, generation)
-    return cur, tape
+    return cur, Tape(state.version, vjps, nonlin_saved, readout_input, cur.shape)
 
 
 def model_forward(spec: ModelSpec, state: ModelState, s: ShiftOperator,
@@ -759,16 +712,9 @@ def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
     ModelState-shaped container of gradient arrays: a fresh one, or
     ``into`` (the gradients of an earlier call for this model) with these
     gradients added to its arrays in place.
-
-    A tape recorded with a workspace has its backward write the gradients
-    at each layer's pre-activation and the readout's input gradient into
-    that workspace, and is rejected once a later forward pass reused it.
     """
     if tape.state_version != state.version:
         raise ModelError("stale tape: parameters changed since the forward pass")
-    ws = tape.workspace
-    if ws is not None and tape.generation != ws.generation:
-        raise ModelError("stale tape: a later forward pass reused its workspace")
     if isinstance(loss_grad, GraphSignal):
         dcur = loss_grad.values[None]
     else:
@@ -786,13 +732,11 @@ def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
         # numpy sums an (R, k) array's axis 0 one row at a time; a (k, R)
         # copy sums each row in one contiguous pass
         grad_readout_b = np.ascontiguousarray(flat.T).sum(axis=1)
-        out = None if ws is None else ws.array("readout", (b * n, f_last))
-        dcur = np.matmul(flat, state.readout_weight.T, out=out).reshape(b, n, f_last)
+        dcur = (flat @ state.readout_weight.T).reshape(b, n, f_last)
     layer_grads: list = [None] * len(spec.layers)
     for i in range(len(spec.layers) - 1, -1, -1):
-        out = None if ws is None else ws.array(("du", i), dcur.shape)
         du = _nonlin_backward(spec.layers[i].nonlinearity, tape.nonlin_saved[i],
-                              dcur, out)
+                              dcur)
         layer_grads[i], dcur = tape.vjps[i](du, i > 0)
     if into is None:
         return ModelState(layer_grads, grad_readout_w, grad_readout_b)

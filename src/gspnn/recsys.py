@@ -434,25 +434,3 @@ def save_rating_checkpoint(path, model: TrainedRating) -> None:
     save_checkpoint(path, model.spec, model.state,
                     metadata=checkpoint_metadata(model))
 
-
-# ---------------------------------------------------------------------------
-# Synthetic fixture: a small, learnable two-taste-group ratings table
-# ---------------------------------------------------------------------------
-
-def write_synthetic_fixture(path, n_users: int = 20, n_items: int = 12,
-                            seed: int = 7) -> None:
-    """Emit a u.data-style file with block structure: half the users love
-    even items, half love odd items, plus noise and a few unrated holes."""
-    rng = np.random.default_rng(seed)
-    lines = []
-    for u in range(1, n_users + 1):
-        likes_even = u % 2 == 0
-        for i in range(1, n_items + 1):
-            if rng.random() < 0.15:
-                continue  # unrated
-            aligned = (i % 2 == 0) == likes_even
-            base = 4.5 if aligned else 1.5
-            r = int(np.clip(round(base + rng.normal(scale=0.7)), 1, 5))
-            lines.append(f"{u}\t{i}\t{r}\t{874000000 + u * 1000 + i}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -22,6 +22,19 @@ def make_random_graph(seed, n=None, edge_prob=0.4, weighted=True):
     return random_graph(n, edge_prob, r, weighted=weighted), r
 
 
+def closure_connected(mask):
+    """Connectivity of the graph of a symmetric (N, N) boolean adjacency
+    by its transitive closure: the oracle for ``graphs.mask_connected``.
+    Reachability over at most N - 1 edges from every node is (I + A)^(N-1);
+    the graph is connected when that has no zero entry."""
+    n = mask.shape[0]
+    step = (np.eye(n, dtype=bool) | mask).astype(int)
+    reach = np.eye(n, dtype=int)
+    for _ in range(n - 1):
+        reach = np.minimum(reach @ step, 1)
+    return bool(reach.all())
+
+
 def delayed_stack_oracle(shifts, signals, order):
     """Delayed-chain stack by explicit products, for checking the one chain
     kernel (``flocking._advance_delayed``) and the layers that consume it.
@@ -128,6 +141,25 @@ def save_graph(graph, path):
             fh.write(f"{i} {j} {w!r}\n")
 
 
+def write_synthetic_fixture(path, n_users: int = 20, n_items: int = 12,
+                            seed: int = 7) -> None:
+    """Emit a u.data-style file with block structure: half the users love
+    even items, half love odd items, plus noise and a few unrated holes."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for u in range(1, n_users + 1):
+        likes_even = u % 2 == 0
+        for i in range(1, n_items + 1):
+            if rng.random() < 0.15:
+                continue  # unrated
+            aligned = (i % 2 == 0) == likes_even
+            base = 4.5 if aligned else 1.5
+            r = int(np.clip(round(base + rng.normal(scale=0.7)), 1, 5))
+            lines.append(f"{u}\t{i}\t{r}\t{874000000 + u * 1000 + i}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def most_rated_items(table, k=2):
     """Ids of the ``k`` items with the most ratings, ties to the lower id."""
     counts = np.bincount(table.item_idx, minlength=table.n_items)
@@ -231,25 +263,40 @@ def per_step_expert_features(sample):
     return feats
 
 
+def one_member(step, arrays, *args):
+    """Run a lockstep step of ``flocking`` (``_expert_step`` or
+    ``_integrate``) on a one-member batch: ``arrays`` are one team's
+    unbatched arrays and ``args`` follow them. Returns the step's outputs
+    without the batch axis, or raises the ``ExpertAbort`` of the member if
+    it left the batch."""
+    from gspnn.flocking import _Lockstep
+    members = _Lockstep(1)
+    out = step(members, *(np.asarray(a)[None] for a in arrays), *args)
+    if members.aborts:
+        raise members.aborts[0]
+    return tuple(a[0] for a in out)
+
+
 def serial_expert_run(config, seed):
-    """One expert run stepped alone through the one-team entry points:
-    the loop ``flocking.run_expert_trajectory`` ran before runs stepped in
-    lockstep. Returns (positions, velocities, actions); raises the
-    ``ExpertAbort`` that ends the run."""
+    """One expert run stepped alone, one ``one_member`` call of each step
+    kernel per step: the loop ``flocking.run_expert_trajectory`` ran before
+    runs stepped in lockstep. Returns (positions, velocities, actions);
+    raises the ``ExpertAbort`` that ends the run."""
     from gspnn import flocking as fl
     state = fl.spawn_state(config, np.random.default_rng(seed))
+    r, v = state.positions, state.velocities
     t_steps, n = config.n_steps, config.n_agents
     positions = np.zeros((t_steps + 1, n, 2))
     velocities = np.zeros((t_steps + 1, n, 2))
     actions = np.zeros((t_steps, n, 2))
     for t in range(t_steps):
-        positions[t] = state.positions
-        velocities[t] = state.velocities
-        state = fl.step_dynamics(state, fl.expert_action(state, config.comm_radius),
-                                 config.u_max)
-        actions[t] = state.accelerations
-    positions[t_steps] = state.positions
-    velocities[t_steps] = state.velocities
+        positions[t] = r
+        velocities[t] = v
+        _, _, raw = one_member(fl._expert_step, (r, v), config.comm_radius)
+        r, v, actions[t] = one_member(fl._integrate, (r, v, raw), config.u_max,
+                                      config.dt)
+    positions[t_steps] = r
+    velocities[t_steps] = v
     return positions, velocities, actions
 
 
@@ -272,30 +319,31 @@ def serial_generate_dataset(n_traj, config, seed):
 
 def serial_rollout(bundle, n_agents, seed):
     """One closed-loop policy run stepped alone, one ``_PolicyRunner`` step
-    and one ``step_dynamics`` call per step: the loop ``rollout_policy`` ran
-    before rollouts stepped in lockstep. Returns ((positions, velocities),
-    cost, diverged)."""
+    and one ``one_member`` integration per step: the loop ``rollout_policy``
+    ran before rollouts stepped in lockstep. Returns ((positions,
+    velocities), cost, diverged)."""
     from dataclasses import replace
 
     from gspnn import flocking as fl
     config = replace(bundle.config, n_agents=n_agents)
     state = fl.spawn_state(config, np.random.default_rng(seed))
+    r, v = state.positions, state.velocities
     t_steps = config.n_steps
     positions = np.zeros((t_steps + 1, n_agents, 2))
     velocities = np.zeros((t_steps + 1, n_agents, 2))
     runner = fl._PolicyRunner(bundle, n_agents)
     for t in range(t_steps):
-        positions[t] = state.positions
-        velocities[t] = state.velocities
-        dist = fl._pairwise(state.positions)
+        positions[t] = r
+        velocities[t] = v
+        dist = fl._pairwise(r)
         mask = fl._adjacency_mask(dist, config.comm_radius)
         try:
-            feats = features_raw_oracle(state.positions, state.velocities,
-                                        mask, dist)
+            feats = features_raw_oracle(r, v, mask, dist)
             actions = runner.act(fl._normalized_shift_dense(mask), feats)
-            state = fl.step_dynamics(state, actions, config.u_max)
+            r, v, _ = one_member(fl._integrate, (r, v, actions), config.u_max,
+                                 config.dt)
         except fl.ExpertAbort:
             return (positions, velocities), float("inf"), True
-    positions[t_steps] = state.positions
-    velocities[t_steps] = state.velocities
+    positions[t_steps] = r
+    velocities[t_steps] = v
     return (positions, velocities), fl.velocity_variation_cost(velocities), False

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gspnn import cli, flocking, neural
-from gspnn import recsys as rs
 from gspnn.cli import ConfigError, main, parse_config
 from gspnn.flocking import (
     FlockConfig,
@@ -18,7 +17,7 @@ from gspnn.flocking import (
 )
 from gspnn.neural import init_state
 
-from conftest import horner_response
+from conftest import horner_response, write_synthetic_fixture
 
 
 def test_threads_config_key_is_rejected_by_name(tmp_path, capsys):
@@ -103,7 +102,7 @@ def test_analyze_equivariance_fails_on_a_trial_that_stays_dead(tmp_path,
 
 def test_recsys_eval_rejects_a_pole_on_the_shift_diagonal(tmp_path, capsys):
     data = tmp_path / "u.data"
-    rs.write_synthetic_fixture(data)
+    write_synthetic_fixture(data)
     train_out = tmp_path / "train"
     assert main(["recsys", "train", "--data", str(data), "--target", "2",
                  "--model", "arma", "--epochs", "1", "--out", str(train_out)]) == 0
@@ -214,7 +213,7 @@ def test_flocking_generate_rejects_a_bad_config_naming_the_field(
 def test_flocking_evaluate_rejects_a_recsys_checkpoint_naming_the_field(
         tmp_path, capsys):
     data = tmp_path / "u.data"
-    rs.write_synthetic_fixture(data)
+    write_synthetic_fixture(data)
     assert main(["recsys", "train", "--data", str(data), "--target", "2",
                  "--epochs", "1", "--out", str(tmp_path / "train")]) == 0
     capsys.readouterr()
@@ -288,7 +287,7 @@ def test_flocking_evaluate_fails_when_an_expert_run_aborts(
 
 def test_recsys_train_phases_cover_the_wall_clock(tmp_path):
     data = tmp_path / "u.data"
-    rs.write_synthetic_fixture(data)
+    write_synthetic_fixture(data)
     out = tmp_path / "out"
     assert main(["recsys", "train", "--data", str(data), "--target", "2",
                  "--model", "gcnn", "--epochs", "20", "--out", str(out)]) == 0

@@ -440,11 +440,11 @@ def test_edge_varying_parameter_count():
     g, _ = make_random_graph(16, n=6)
     s = build_shift(g, ShiftKind.ADJACENCY)
     support = EdgeVaryingSupport.from_shift(s)
-    assert support.nnz == 2 * g.n_edges + g.n_nodes
+    assert support.nnz == 2 * len(g.edges) + g.n_nodes
     k = 3
     e = EdgeVaryingParams(support, np.zeros(6), np.zeros((k, support.nnz)))
     n_params = e.diag.size + e.values.size
-    assert n_params == k * (2 * g.n_edges + g.n_nodes) + g.n_nodes
+    assert n_params == k * (2 * len(g.edges) + g.n_nodes) + g.n_nodes
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,17 @@ from gspnn.graphs import (
     igft,
     load_graph,
     permute_shift,
+    mask_connected,
     random_graph,
-    shift,
     symmetric_eigh,
 )
 
-from conftest import coo_loop_oracle, make_random_graph, save_graph
+from conftest import (
+    closure_connected,
+    coo_loop_oracle,
+    make_random_graph,
+    save_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +58,7 @@ def test_graph_rejects_out_of_range_index():
 def test_signal_promotes_1d():
     x = GraphSignal(np.array([1.0, 2.0]))
     assert x.values.shape == (2, 1)
-    assert x.n_nodes == 2 and x.n_features == 1
+    assert x.n_nodes == 2 and x.values.shape[1] == 1
 
 
 def test_signal_rejects_nan():
@@ -140,30 +145,30 @@ def test_custom_shift_requires_symmetry():
 
 def test_shift_swaps_on_single_edge():
     s = build_shift(two_node_graph(), ShiftKind.ADJACENCY)
-    y = shift(s, GraphSignal(np.array([1.0, 0.0])))
-    assert np.array_equal(y.values[:, 0], [0.0, 1.0])
+    y = s.apply(GraphSignal(np.array([1.0, 0.0])).values)
+    assert np.array_equal(y[:, 0], [0.0, 1.0])
 
 
 def test_shift_of_zero_is_zero():
     g, _ = make_random_graph(3)
     s = build_shift(g, ShiftKind.ADJACENCY)
-    y = shift(s, GraphSignal(np.zeros(g.n_nodes)))
-    assert np.all(y.values == 0.0)
+    y = s.apply(GraphSignal(np.zeros(g.n_nodes)).values)
+    assert np.all(y == 0.0)
 
 
 def test_shift_path3_impulse():
     s = build_shift(path3_graph(), ShiftKind.ADJACENCY)
     x = np.array([1.0, 0.0, 0.0])
-    y = shift(s, GraphSignal(x))
+    y = s.apply(GraphSignal(x).values)
     # dense matrix-vector oracle
-    assert np.allclose(y.values[:, 0], s.dense() @ x, atol=1e-15)
-    assert np.array_equal(y.values[:, 0], [0.0, 1.0, 0.0])
+    assert np.allclose(y[:, 0], s.dense() @ x, atol=1e-15)
+    assert np.array_equal(y[:, 0], [0.0, 1.0, 0.0])
 
 
 def test_shift_dimension_mismatch():
     s = build_shift(path3_graph(), ShiftKind.ADJACENCY)
     with pytest.raises(GraphError):
-        shift(s, GraphSignal(np.zeros(4)))
+        s.apply(GraphSignal(np.zeros(4)).values)
 
 
 @given(st.integers(0, 200))
@@ -354,7 +359,7 @@ def test_graph_file_comments_and_errors(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# a comment\nnodes 3\n0 1 2.0  # inline\n1 2 0.5\n")
     g = load_graph(path)
-    assert g.n_nodes == 3 and g.n_edges == 2
+    assert g.n_nodes == 3 and len(g.edges) == 2
     bad = tmp_path / "bad.edges"
     bad.write_text("0 1 2.0\n")
     with pytest.raises(GraphError, match="header"):
@@ -366,3 +371,40 @@ def test_random_graph_connected():
     s = build_shift(g, ShiftKind.LAPLACIAN)
     lam = np.linalg.eigvalsh(s.dense())
     assert lam[1] > 1e-9  # algebraic connectivity positive
+
+
+def test_mask_connected_on_small_graphs():
+    assert mask_connected(np.zeros((1, 1), dtype=bool))          # one node
+    assert not mask_connected(np.zeros((2, 2), dtype=bool))
+    assert mask_connected(path3_graph().adjacency() > 0)
+    split = Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+    assert not mask_connected(split.adjacency() > 0)
+
+
+@given(st.integers(0, 200))
+def test_mask_connected_matches_the_closure_oracle(seed):
+    r = np.random.default_rng(seed)
+    n = int(r.integers(1, 12))
+    upper = np.triu(r.random((n, n)) < 0.25, 1)
+    mask = upper | upper.T
+    assert mask_connected(mask) == closure_connected(mask)
+
+
+def test_random_graph_keeps_the_first_connected_draw():
+    # at edge_prob 0.2 most 8-node draws are disconnected; the graph must be
+    # the first connected one of the edge sets drawn in turn, so redrawing
+    # consumes the generator as before
+    redraws = 0
+    for seed in range(5):
+        g = random_graph(8, 0.2, np.random.default_rng(seed), weighted=True)
+        r = np.random.default_rng(seed)
+        while True:
+            edges = tuple((i, j, float(r.uniform(0.5, 1.5)))
+                          for i in range(8) for j in range(i + 1, 8)
+                          if r.random() < 0.2)
+            if closure_connected(Graph(8, edges).adjacency() > 0):
+                break
+            redraws += 1
+        assert g.edges == edges
+    assert redraws > 0
+    assert random_graph(1, 0.5, np.random.default_rng(0)) == Graph(1, ())

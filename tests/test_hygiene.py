@@ -19,7 +19,9 @@ there imports ``pickle``. The program has one on-disk array format: every
 Every top-level function, class and constant of ``src/gspnn`` must be
 referenced somewhere in ``src``, ``bench`` or ``tests`` outside its own
 definition: as a name, an attribute, an imported name or a string equal to
-it (``bench/tracing.py`` looks functions up by name).
+it (``bench/tracing.py`` looks functions up by name). Only the program
+counts as a caller: a name that nothing in ``src`` or ``bench`` (outside
+``bench/tests``) references is test code, which lives in ``tests``.
 """
 
 import ast
@@ -240,3 +242,47 @@ def test_every_top_level_name_is_referenced():
     referencing = {str(p.relative_to(ROOT)): p.read_text() for p in REFERENCING}
     defining = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
     assert unreferenced_definitions(defining, referencing) == []
+
+
+# Test-only names allowed in ``src``: name -> the reason.
+TEST_ONLY_EXEMPT = {
+    "src/gspnn/analysis.py:eigenvector_misalignment":
+        "ROADMAP item 3 gives it a caller: the stability check computes the "
+        "eigenvector misalignment of the perturbation bound with it",
+}
+
+
+def names_only_tests_use(root: Path) -> list[str]:
+    """``path:name`` for each top-level definition of ``root/src/gspnn``
+    that no module of ``root/src`` or ``root/bench`` references, the
+    bench's own tests not counted."""
+    def read(paths):
+        return {str(p.relative_to(root)): p.read_text() for p in paths}
+    defining = read(sorted((root / "src" / "gspnn").glob("*.py")))
+    program = read(sorted(p for d in ("src", "bench") for p in (root / d).rglob("*.py")
+                          if "tests" not in p.relative_to(root).parts))
+    return unreferenced_definitions(defining, program)
+
+
+def test_a_name_only_tests_use_is_found(tmp_path):
+    files = {
+        "src/gspnn/lib.py": ("def program():\n    pass\n"
+                             "def benched():\n    pass\n"
+                             "def oracle():\n    pass\n"),
+        "src/gspnn/app.py": "from .lib import program\nprogram()\n",
+        "bench/run.py": "from gspnn.lib import benched\nbenched()\n",
+        "bench/tests/test_run.py": "from gspnn.lib import oracle\noracle()\n",
+        "tests/test_lib.py": "from gspnn.lib import oracle, program\noracle()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert names_only_tests_use(tmp_path) == ["src/gspnn/lib.py:oracle"]
+
+
+def test_no_top_level_name_is_used_only_by_tests():
+    found = names_only_tests_use(ROOT)
+    leaks = [name for name in found if name not in TEST_ONLY_EXEMPT]
+    assert not leaks, f"only tests use {leaks}: move them to tests/ or delete them"
+    # an exemption whose name gained a program caller is stale
+    assert sorted(TEST_ONLY_EXEMPT) == sorted(set(found) & set(TEST_ONLY_EXEMPT))

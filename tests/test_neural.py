@@ -30,7 +30,6 @@ from gspnn.neural import (
     ModelSpec,
     ModelState,
     ReadoutSpec,
-    Workspace,
     apply_tap_constraints,
     equivariant_forward_check,
     forward_batch,
@@ -382,7 +381,7 @@ def test_model_backward_twice_on_one_tape_gives_equal_gradients(nonlinearity):
         assert a.tobytes() == b.tobytes(), name
 
 
-WORKSPACE_LAYERS = {
+FIRST_LAYERS = {
     "fir": LayerSpec("fir", 2, 3, 2, nonlinearity="tanh"),
     "arma": LayerSpec("arma", 2, 3, 1, n_poles=2, jacobi_iters=2,
                       nonlinearity="tanh"),
@@ -390,66 +389,17 @@ WORKSPACE_LAYERS = {
 }
 
 
-def workspace_model(family, readout, seed):
-    """Two layers of ``family``, with or without a readout, and a batch."""
+def two_layer_model(family, seed):
+    """Two layers of ``family`` into a readout, and a batch."""
     s, r = small_shift(seed)
-    first = WORKSPACE_LAYERS[family]
+    first = FIRST_LAYERS[family]
     layers = (first, replace(first, in_features=3, out_features=2))
-    spec = ModelSpec(layers, ReadoutSpec("per_node_linear", 2) if readout
-                     else ReadoutSpec())
+    spec = ModelSpec(layers, ReadoutSpec("per_node_linear", 2))
     return spec, init_state(spec, r, shift=s), s, r.normal(size=(3, s.n_nodes, 2))
 
 
-def grad_bytes(grads):
-    return [(name, g.tobytes()) for name, g in iter_params(grads)]
-
-
-@pytest.mark.parametrize("readout", [True, False])
-@pytest.mark.parametrize("family", sorted(WORKSPACE_LAYERS))
-def test_a_workspace_changes_no_output_or_gradient_bit(family, readout):
-    spec, state, s, x = workspace_model(family, readout, 46)
-    ws = Workspace()
-    first = None
-    for batch in (x, x[:2], x):         # a smaller pass reuses leading rows
-        want, tape = forward_batch(spec, state, s, batch)
-        dout = np.random.default_rng(7).normal(size=want.shape)
-        want_grads = grad_bytes(model_backward(tape, spec, state, dout))
-        out, tape = forward_batch(spec, state, s, batch, workspace=ws)
-        assert out.tobytes() == want.tobytes()
-        assert grad_bytes(model_backward(tape, spec, state, dout)) == want_grads
-        if family != "edge_varying":    # the FIR contraction is buffered
-            first = first if first is not None else tape.nonlin_saved[0]
-            assert np.shares_memory(tape.nonlin_saved[0], first)
-
-
-@pytest.mark.parametrize("family", sorted(WORKSPACE_LAYERS))
-def test_a_later_forward_pass_on_the_workspace_makes_the_older_tape_stale(
-        family):
-    spec, state, s, x = workspace_model(family, True, 47)
-    ws = Workspace()
-    out, old = forward_batch(spec, state, s, x, workspace=ws)
-    dout = np.random.default_rng(8).normal(size=out.shape)
-    want = grad_bytes(model_backward(old, spec, state, dout))
-    _, new = forward_batch(spec, state, s, x[::-1], workspace=ws)
-    with pytest.raises(ModelError, match="stale tape: a later forward pass "
-                                         "reused its workspace"):
-        model_backward(old, spec, state, dout)
-    first = grad_bytes(model_backward(new, spec, state, dout))
-    assert grad_bytes(model_backward(new, spec, state, dout)) == first != want
-
-
-@pytest.mark.parametrize("family", sorted(WORKSPACE_LAYERS))
-def test_the_output_of_a_workspace_pass_survives_the_next_pass(family):
-    spec, state, s, x = workspace_model(family, False, 48)
-    ws = Workspace()
-    out, _ = forward_batch(spec, state, s, x, workspace=ws)
-    kept = out.copy()
-    forward_batch(spec, state, s, -x, workspace=ws)
-    assert out.tobytes() == kept.tobytes()
-
-
 def test_model_backward_adds_into_the_given_gradients_in_place():
-    spec, state, s, x = workspace_model("arma", True, 49)
+    spec, state, s, x = two_layer_model("arma", 49)
     out, tape = forward_batch(spec, state, s, x)
     dout = np.random.default_rng(9).normal(size=out.shape)
     acc = model_backward(tape, spec, state, dout)
@@ -462,7 +412,7 @@ def test_model_backward_adds_into_the_given_gradients_in_place():
     for family, message in (("fir", "into holds FirLayerParams where the "
                                      "gradient is ArmaLayerParams"),
                             ("edge_varying", "into holds EdgeLayerParams")):
-        other, other_state, _, _ = workspace_model(family, True, 49)
+        other, other_state, _, _ = two_layer_model(family, 49)
         with pytest.raises(ModelError, match=message):
             model_backward(tape, spec, state, dout, into=other_state)
     wide = replace(spec, layers=(replace(spec.layers[0], order=2),

@@ -23,11 +23,10 @@ from gspnn.recsys import (
     save_metrics_csv,
     train_rating_model,
     transfer_rmse,
-    write_synthetic_fixture,
     _build_table,
 )
 
-from conftest import most_rated_items
+from conftest import most_rated_items, write_synthetic_fixture
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +178,7 @@ def test_identical_ratings_give_correlation_one():
     ratings = np.array([1, 2, 3, 4, 5, 1, 2, 3, 4, 5], dtype=float)
     table = _build_table(users, items, ratings)
     sim = build_similarity(table)
-    assert sim.graph.n_edges == 1
+    assert len(sim.graph.edges) == 1
     i, j, w = sim.graph.edges[0]
     assert w == pytest.approx(1.0)
 
@@ -190,7 +189,7 @@ def test_anticorrelated_items_get_no_edge():
     ratings = np.array([1, 2, 3, 4, 5, 5, 4, 3, 2, 1], dtype=float)
     table = _build_table(users, items, ratings)
     sim = build_similarity(table)
-    assert sim.graph.n_edges == 0
+    assert len(sim.graph.edges) == 0
 
 
 def test_pearson_matches_double_loop_oracle():
@@ -255,7 +254,7 @@ def test_top_k_sparsification_cap():
     # every node has at most k + (edges chosen by others) <= n-1 neighbors,
     # and at least one node must sit at exactly <= k chosen edges
     assert all(len(v) <= n_items - 1 for v in adjacency.values())
-    assert sim.graph.n_edges <= n_items * 3  # union of <=3 picks per node
+    assert len(sim.graph.edges) <= n_items * 3  # union of <=3 picks per node
 
 
 def test_similarity_deterministic(fixture_table):
