@@ -1,13 +1,15 @@
 """Graphs, shift operators, graph signals, and the graph Fourier transform.
 
-A graph is an undirected weighted edge list. A shift operator is a symmetric
-N x N matrix whose sparsity pattern matches the graph: multiplying a signal
-by it mixes each node's value with its neighbors' values. Diagonalizing the
-shift operator gives the graph frequency basis; projecting signals onto it
-is the graph Fourier transform.
+A graph is an undirected weighted edge list, checked once into read-only
+node and weight arrays that every method reads. A shift operator is a
+symmetric N x N matrix whose sparsity pattern matches the graph: multiplying
+a signal by it mixes each node's value with its neighbors' values.
+Diagonalizing the shift operator gives the graph frequency basis; projecting
+signals onto it is the graph Fourier transform.
 
-All containers are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads.
+All containers are immutable after construction (a graph's arrays are
+read-only) and all operations are pure functions, so everything here is safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -42,40 +44,92 @@ class ShiftKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph. Each edge is stored once as (i, j, w), w > 0."""
+    """Undirected weighted graph. Each edge is stored once as (i, j, w), w > 0.
+
+    The constructor checks ``edges`` once, in whole-array passes, into the
+    read-only ``rows``, ``cols`` and ``weights`` arrays that the methods
+    read; they are left out of ``==``, hashing and ``repr``, which see only
+    ``n_nodes`` and ``edges``. Every edge must be a triple of two integer
+    node indices and a real weight; the first edge that is not is named
+    before any value is checked. Then the first edge that breaks a value
+    rule is named, the rules checked in the order: node range, self-loop,
+    weight, duplicate.
+    """
 
     n_nodes: int
     edges: tuple[tuple[int, int, float], ...]
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise GraphError("graph needs at least one node")
-        seen = set()
-        for i, j, w in self.edges:
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise GraphError(f"edge ({i},{j}) out of range for {self.n_nodes} nodes")
-            if i == j:
-                raise GraphError(f"self-loop on node {i} not allowed in the edge list")
-            if not (w > 0 and np.isfinite(w)):
-                raise GraphError(f"edge ({i},{j}) needs a positive finite weight, got {w}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise GraphError(f"duplicate edge ({i},{j})")
-            seen.add(key)
+        rows, cols, weights = _edge_arrays(self.n_nodes, self.edges)
+        for name, arr in (("rows", rows), ("cols", cols), ("weights", weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j, w in self.edges:
-            a[i, j] = w
-            a[j, i] = w
+        a[self.rows, self.cols] = self.weights
+        a[self.cols, self.rows] = self.weights
         return a
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n_nodes)
-        for i, j, w in self.edges:
-            d[i] += w
-            d[j] += w
-        return d
+        """Weighted degrees, summed edge by edge in list order (i before j)."""
+        ends = np.stack((self.rows, self.cols), axis=1).ravel()
+        d = np.bincount(ends, weights=np.repeat(self.weights, 2),
+                        minlength=self.n_nodes)
+        return d.astype(float, copy=False)  # bincount of no edges is integer
+
+
+def _edge_arrays(n_nodes: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked (rows, cols, weights) arrays of an edge list."""
+    try:
+        triples = set(map(len, edges)) <= {3}
+    except TypeError:  # an edge without a length
+        triples = False
+    if not triples:
+        bad = next(e for e in edges if not (hasattr(e, "__len__") and len(e) == 3))
+        raise GraphError(f"edge {bad!r} is not an (i, j, weight) triple")
+    i, j, w = zip(*edges) if edges else ((), (), ())
+    _check_types(edges, i + j, (0, 1), (int, np.integer),
+                 "node index is not an integer")
+    _check_types(edges, w, (2,), (int, float, np.integer, np.floating),
+                 "weight is not a real number")
+    rows, cols = np.array((i, j), dtype=np.int64)
+    weights = np.array(w, dtype=float)
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    failing = ((lo < 0) | (hi >= n_nodes) | (lo == hi)
+               | ~((weights > 0.0) & np.isfinite(weights)))
+    first = int(np.argmax(failing)) if failing.any() else len(edges)
+    # a repeat counts only ahead of the first edge that fails another rule
+    _, firsts = np.unique(lo[:first] * n_nodes + hi[:first], return_index=True)
+    if firsts.size < first:
+        repeat = np.ones(first, dtype=bool)
+        repeat[firsts] = False
+        i, j, _ = edges[int(np.argmax(repeat))]
+        raise GraphError(f"duplicate edge ({i},{j})")
+    if first < len(edges):
+        i, j, w = edges[first]
+        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+            raise GraphError(f"edge ({i},{j}) out of range for {n_nodes} nodes")
+        if i == j:
+            raise GraphError(f"self-loop on node {i} not allowed in the edge list")
+        raise GraphError(f"edge ({i},{j}) needs a positive finite weight, got {w}")
+    return rows, cols, weights
+
+
+def _check_types(edges, values, positions, accepted, problem: str) -> None:
+    """Raise naming the first edge whose entries at ``positions`` (their
+    values, all edges' in turn, are ``values``) are not of an ``accepted``
+    type; ``bool`` is not accepted."""
+    bad_types = {t for t in set(map(type, values))
+                 if t is bool or not issubclass(t, accepted)}
+    if bad_types:
+        bad = next(e for e in edges if any(type(e[p]) in bad_types for p in positions))
+        raise GraphError(f"edge {bad!r}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +183,7 @@ class ShiftOperator:
         n = m.shape[0]
         if validate:
             _check_symmetric(m)
-        rows, cols = np.nonzero(m)
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
+        rows, cols = np.nonzero(m)  # in row-major order
         vals = m[rows, cols]
         dense = m if n <= DENSE_CACHE_LIMIT else None
         return ShiftOperator(n, kind, rows, cols, vals, _dense=dense)
@@ -211,17 +263,17 @@ def build_shift(graph: Graph, kind: ShiftKind | str) -> ShiftOperator:
     kinds reject a zero-degree node."""
     kind = ShiftKind(kind)
     a = graph.adjacency()
-    d = graph.degrees()
     if kind is ShiftKind.ADJACENCY:
         m = a
     elif kind is ShiftKind.LAPLACIAN:
-        m = np.diag(d) - a
+        m = np.diag(graph.degrees()) - a
     elif kind is ShiftKind.NORMALIZED_ADJACENCY:
         lam_max = np.max(np.abs(symmetric_eigenvalues(a)))
         if lam_max == 0.0:
             raise GraphError("normalized_adjacency undefined: graph has no edges")
         m = a / lam_max
     elif kind in (ShiftKind.DEGREE_NORMALIZED_ADJACENCY, ShiftKind.NORMALIZED_LAPLACIAN):
+        d = graph.degrees()
         zero = d == 0.0
         if np.any(zero):
             raise GraphError(f"zero-degree node {int(np.nonzero(zero)[0][0])}: "

@@ -93,14 +93,19 @@ def adam_step(state: AdamState, params: list[np.ndarray],
 
     The update p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs through the
     state's two scratch arrays per parameter, operation by operation in
-    that expression's order, so it allocates no parameter-sized array."""
+    that expression's order, so it allocates no parameter-sized array.
+    Every gradient is checked first. The sum of g is finite when all of g
+    is, unless it overflows, so each entry is checked only when the sum
+    is not finite."""
     if not (len(params) == len(grads) == len(state.first_moment)
             == len(state.second_moment) == len(state.scratch)):
         raise TrainingError("parameter/gradient/moment/scratch counts differ")
-    for idx, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            name = param_names[idx] if param_names else f"param[{idx}]"
-            raise TrainingError(f"non-finite gradient in {name}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        for idx, g in enumerate(grads):
+            if not np.isfinite(np.add.reduce(g, axis=None)) \
+                    and not np.all(np.isfinite(g)):
+                name = param_names[idx] if param_names else f"param[{idx}]"
+                raise TrainingError(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t

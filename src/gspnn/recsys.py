@@ -180,8 +180,6 @@ def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTabl
 @dataclass(frozen=True)
 class SimilarityGraph:
     graph: Graph
-    correlation_method: str
-    top_edges_per_node: int
 
 
 def build_similarity(table: RatingsTable,
@@ -192,10 +190,28 @@ def build_similarity(table: RatingsTable,
     is then accumulated over users who rated both items. Pairs with fewer
     than two co-raters or no co-rating variance get weight zero; negative
     correlations are dropped. Each node keeps its ``top_edges`` strongest
-    edges and the result is symmetrized by union.
+    edges, equal weights keeping the lower node index, and the result is
+    symmetrized by union.
     """
     if table.n_items < 2:
         raise DataError("need at least two items to build a similarity graph")
+    if top_edges < 0:
+        raise DataError(f"top_edges must be >= 0, got {top_edges}")
+    corr = _item_correlation(table)
+    n = table.n_items
+    # a stable sort keeps the lower node index among equal weights
+    picks = np.argsort(-corr, axis=1, kind="stable")[:, :top_edges]
+    i, rank = np.nonzero(np.take_along_axis(corr, picks, axis=1) > 0.0)
+    j = picks[i, rank]
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    lo, hi = keys // n, keys % n
+    edges = tuple(zip(lo.tolist(), hi.tolist(), corr[lo, hi].tolist()))
+    return SimilarityGraph(Graph(n, edges))
+
+
+def _item_correlation(table: RatingsTable) -> np.ndarray:
+    """(items x items) Pearson correlation over co-rating users, zero on
+    the diagonal and where ``build_similarity`` gives a pair weight zero."""
     x, mask = table.rating_matrix()
     rated_counts = mask.sum(axis=0)
     means = np.zeros(table.n_items)
@@ -213,19 +229,7 @@ def build_similarity(table: RatingsTable,
     invalid = (co_counts < 2) | (var_ab <= 0) | (var_ab.T <= 0)
     corr[invalid] = 0.0
     np.fill_diagonal(corr, 0.0)
-
-    n = table.n_items
-    kept = set()
-    for i in range(n):
-        weights = corr[i]
-        candidates = np.nonzero(weights > 0.0)[0]
-        if candidates.size == 0:
-            continue
-        order = sorted(candidates.tolist(), key=lambda j: (-weights[j], j))
-        for j in order[:top_edges]:
-            kept.add((min(i, j), max(i, j)))
-    edges = tuple(sorted((i, j, float(corr[i, j])) for i, j in kept))
-    return SimilarityGraph(Graph(n, edges), "pearson_co_rated", top_edges)
+    return corr
 
 
 @dataclass(frozen=True)

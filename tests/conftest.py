@@ -22,6 +22,84 @@ def make_random_graph(seed, n=None, edge_prob=0.4, weighted=True):
     return random_graph(n, edge_prob, r, weighted=weighted), r
 
 
+def edge_loop_check(n_nodes, edges):
+    """The per-edge checks ``graphs.Graph`` ran as a loop before it checked
+    edges in whole-array passes: the oracle for which edge is reported
+    first and for the text of its ``GraphError``."""
+    from gspnn.graphs import GraphError
+    seen = set()
+    for i, j, w in edges:
+        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+            raise GraphError(f"edge ({i},{j}) out of range for {n_nodes} nodes")
+        if i == j:
+            raise GraphError(f"self-loop on node {i} not allowed in the edge list")
+        if not (w > 0 and np.isfinite(w)):
+            raise GraphError(f"edge ({i},{j}) needs a positive finite weight, got {w}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise GraphError(f"duplicate edge ({i},{j})")
+        seen.add(key)
+
+
+def loop_adjacency(graph):
+    """Dense adjacency written edge by edge: the oracle for
+    ``Graph.adjacency``."""
+    a = np.zeros((graph.n_nodes, graph.n_nodes))
+    for i, j, w in graph.edges:
+        a[i, j] = w
+        a[j, i] = w
+    return a
+
+
+def loop_degrees(graph):
+    """Weighted degrees summed edge by edge, i before j: the oracle that
+    ``Graph.degrees`` must match bit for bit."""
+    d = np.zeros(graph.n_nodes)
+    for i, j, w in graph.edges:
+        d[i] += w
+        d[j] += w
+    return d
+
+
+def sorted_coordinates(m):
+    """(rows, cols, vals) of the nonzero entries of ``m`` sorted by (row,
+    col) with ``np.lexsort``: the oracle for ``ShiftOperator.from_dense``."""
+    rows, cols = np.nonzero(m)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    return rows, cols, m[rows, cols]
+
+
+def loop_shift_dense(graph, kind):
+    """The dense shift matrix of ``kind`` from ``loop_adjacency`` and
+    ``loop_degrees``, by the formulas of ``graphs.build_shift``."""
+    from gspnn.graphs import ShiftKind
+    a, d = loop_adjacency(graph), loop_degrees(graph)
+    if kind is ShiftKind.ADJACENCY:
+        return a
+    if kind is ShiftKind.LAPLACIAN:
+        return np.diag(d) - a
+    if kind is ShiftKind.NORMALIZED_ADJACENCY:
+        return a / np.max(np.abs(np.linalg.eigvalsh(a)))
+    inv_sqrt = 1.0 / np.sqrt(d)
+    m = inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    return np.eye(graph.n_nodes) - m if kind is ShiftKind.NORMALIZED_LAPLACIAN else m
+
+
+def loop_similarity_edges(corr, top_edges):
+    """Each node's ``top_edges`` strongest positive weights of ``corr``,
+    picked by a per-node sort on (-weight, node) and united as (min, max)
+    pairs: the oracle for the edge tuple of ``recsys.build_similarity``."""
+    kept = set()
+    for i in range(corr.shape[0]):
+        weights = corr[i]
+        candidates = np.nonzero(weights > 0.0)[0]
+        order = sorted(candidates.tolist(), key=lambda j: (-weights[j], j))
+        for j in order[:top_edges]:
+            kept.add((min(i, j), max(i, j)))
+    return tuple(sorted((i, j, float(corr[i, j])) for i, j in kept))
+
+
 def closure_connected(mask):
     """Connectivity of the graph of a symmetric (N, N) boolean adjacency
     by its transitive closure: the oracle for ``graphs.mask_connected``.

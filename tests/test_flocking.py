@@ -206,6 +206,22 @@ def crafted_spawns(monkeypatch):
     return install
 
 
+@pytest.fixture
+def relabelled_spawns(monkeypatch):
+    """``install(perm)`` makes ``flocking.spawn_state`` relabel every team
+    it draws: agent i of the team it returns is agent perm[i] of the draw."""
+    original = fl.spawn_state
+
+    def install(perm):
+        def spawn(cfg, rng):
+            state = original(cfg, rng)
+            return SwarmState(state.positions[perm], state.velocities[perm])
+
+        monkeypatch.setattr(fl, "spawn_state", spawn)
+
+    return install
+
+
 # ---------------------------------------------------------------------------
 # Dynamics
 # ---------------------------------------------------------------------------
@@ -1025,6 +1041,47 @@ def test_load_policy_validates_the_state(tiny_policy, tmp_path):
     save_policy(path, replace(bundle, state=bad))
     with pytest.raises(ModelError, match=r"layers\.0\.taps has non-finite entries"):
         load_policy(path)
+
+
+# Relabelled runs sum the same terms in another order, so they drift apart
+# by rounding only: over 2 s of 25 agents, 1.3e-12 on positions and
+# velocities (metres, m/s), 1.9e-12 on saturated actions (up to 10 m/s^2)
+# and 1.6e-14 relative on the cost. A run that is not relabelled with its
+# agents is off by O(1).
+RELABEL_ATOL = 1e-9
+RELABEL_COST_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("n_agents, duration", [(8, None), (25, 2.0)])
+def test_relabelling_the_agents_at_spawn_relabels_the_policy_rollouts(
+        tiny_policy, relabelled_spawns, n_agents, duration):
+    _, _, bundle, _ = tiny_policy
+    seeds = [90, 91, 92]
+    runs = fl._rollouts(bundle, n_agents, seeds, duration)
+    perm = np.random.default_rng(3).permutation(n_agents)
+    relabelled_spawns(perm)
+    relabelled = fl._rollouts(bundle, n_agents, seeds, duration)
+    for ((r, v), cost, diverged), ((r_p, v_p), cost_p, diverged_p) in zip(
+            runs, relabelled):
+        assert not diverged and not diverged_p
+        assert np.max(np.abs(r_p - r[:, perm])) <= RELABEL_ATOL
+        assert np.max(np.abs(v_p - v[:, perm])) <= RELABEL_ATOL
+        assert cost_p == pytest.approx(cost, rel=RELABEL_COST_RTOL, abs=0.0)
+
+
+def test_relabelling_the_agents_at_spawn_relabels_the_expert_runs(
+        relabelled_spawns):
+    cfg = FlockConfig(n_agents=25, duration=2.0)
+    seeds = [40, 41, 42]
+    runs = fl._run_experts(cfg, seeds)
+    perm = np.random.default_rng(4).permutation(cfg.n_agents)
+    relabelled_spawns(perm)
+    relabelled = fl._run_experts(cfg, seeds)
+    for run, run_p in zip(runs, relabelled):
+        assert not isinstance(run, ExpertAbort) and not isinstance(run_p, ExpertAbort)
+        # positions, velocities and actions, each (time, agent, 2)
+        for got, want in zip(run_p, run):
+            assert np.max(np.abs(got - want[:, perm])) <= RELABEL_ATOL
 
 
 def test_pipeline_permutation_invariance(tiny_policy):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,8 +26,13 @@ from gspnn.graphs import (
 from conftest import (
     closure_connected,
     coo_loop_oracle,
+    edge_loop_check,
+    loop_adjacency,
+    loop_degrees,
+    loop_shift_dense,
     make_random_graph,
     save_graph,
+    sorted_coordinates,
 )
 
 
@@ -53,6 +60,80 @@ def test_graph_rejects_bad_weight():
 def test_graph_rejects_out_of_range_index():
     with pytest.raises(GraphError):
         Graph(2, ((0, 2, 1.0),))
+
+
+@pytest.mark.parametrize("edges, named", [
+    (((0, 1),), "(0, 1)"),                        # a pair, not a triple
+    (((0, 1, 1.0), (1, 2, 1.0, 3.0)), "(1, 2, 1.0, 3.0)"),
+    ((0, 1, 1.0), "0"),                           # one flat triple
+    ((0, 1, 1.0, 1, 2, 1.0), "0"),                # a flat list of six
+])
+def test_graph_rejects_an_edge_that_is_not_a_triple(edges, named):
+    with pytest.raises(GraphError, match=re.escape(f"edge {named} is not")):
+        Graph(3, edges)
+
+
+@pytest.mark.parametrize("edge", [(0.5, 1, 1.0), (0, 1.0, 1.0), (0, "1", 1.0),
+                                  (True, 2, 1.0), (0, np.float64(2.0), 1.0)])
+def test_graph_rejects_a_node_index_that_is_not_an_integer(edge):
+    with pytest.raises(GraphError, match=re.escape(f"edge {edge!r}: node index")):
+        Graph(3, ((0, 2, 1.0), edge))
+
+
+def test_graph_rejects_a_weight_that_is_not_a_real_number():
+    with pytest.raises(GraphError, match="edge \\(0, 1, None\\): weight"):
+        Graph(3, ((1, 2, 1.0), (0, 1, None)))
+
+
+def test_graph_accepts_numpy_scalars():
+    g = Graph(3, ((np.int64(0), np.int32(2), np.float32(0.5)), (1, 2, 1)))
+    assert np.array_equal(g.adjacency(), loop_adjacency(g))
+    assert g.rows.dtype == np.int64 and g.weights.dtype == float
+
+
+BAD_EDGES = [(-1, 1, 1.0), (0, 9, 1.0), (2, 2, 1.0), (0, 1, 0.0), (0, 1, -2.0),
+             (0, 1, np.nan), (0, 1, np.inf), (9, 9, np.nan), (1, 1, -1.0)]
+
+
+@given(st.lists(st.one_of(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                    st.sampled_from([0.5, 1.0, 2.0])),
+                          st.sampled_from(BAD_EDGES)),
+                max_size=12))
+def test_graph_reports_the_first_bad_edge_of_the_loop_oracle(edges):
+    edges = tuple(edges)
+    try:
+        edge_loop_check(6, edges)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            Graph(6, edges)
+        assert str(got.value) == str(exc)
+    else:
+        g = Graph(6, edges)
+        assert np.array_equal(g.adjacency(), loop_adjacency(g))
+
+
+def test_graph_arrays_are_read_only_and_left_out_of_equality():
+    g = Graph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+    for arr in (g.rows, g.cols, g.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert g == Graph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+    assert hash(g) == hash(Graph(3, ((0, 1, 1.0), (1, 2, 2.0))))
+    assert repr(g) == "Graph(n_nodes=3, edges=((0, 1, 1.0), (1, 2, 2.0)))"
+
+
+@given(st.integers(0, 200))
+def test_adjacency_and_degrees_equal_the_edge_loops_bitwise(seed):
+    g, _ = make_random_graph(seed, edge_prob=0.5)
+    for got, want in ((g.adjacency(), loop_adjacency(g)),
+                      (g.degrees(), loop_degrees(g))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_graph_without_edges_has_float_zero_degrees():
+    g = Graph(4, ())
+    assert g.degrees().dtype == float and not g.degrees().any()
+    assert g.adjacency().tobytes() == np.zeros((4, 4)).tobytes()
 
 
 def test_signal_promotes_1d():
@@ -132,6 +213,29 @@ def test_zero_degree_node_rejected_for_degree_scaling():
     g = Graph(3, ((0, 1, 1.0),))  # node 2 isolated
     with pytest.raises(GraphError, match="zero-degree"):
         build_shift(g, ShiftKind.DEGREE_NORMALIZED_ADJACENCY)
+
+
+BUILT_KINDS = [k for k in ShiftKind if k is not ShiftKind.CUSTOM]
+
+
+@pytest.mark.parametrize("kind", BUILT_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("seed", range(6))
+def test_build_shift_equals_the_loop_oracle_bitwise(kind, seed):
+    g, _ = make_random_graph(seed, n=[3, 7, 16, 30, 60, 120][seed])
+    s = build_shift(g, kind)
+    m = loop_shift_dense(g, kind)
+    for got, want in zip((s.rows, s.cols, s.vals), sorted_coordinates(m)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert s.dense().tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_from_dense_coordinates_are_in_row_major_order(order, rng):
+    m = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
+    m = np.array(m + m.T, order=order)
+    s = ShiftOperator.from_dense(m)
+    for got, want in zip((s.rows, s.cols, s.vals), sorted_coordinates(m)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_custom_shift_requires_symmetry():

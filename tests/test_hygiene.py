@@ -21,7 +21,11 @@ referenced somewhere in ``src``, ``bench`` or ``tests`` outside its own
 definition: as a name, an attribute, an imported name or a string equal to
 it (``bench/tracing.py`` looks functions up by name). Only the program
 counts as a caller: a name that nothing in ``src`` or ``bench`` (outside
-``bench/tests``) references is test code, which lives in ``tests``.
+``bench/tests``) references is test code, which lives in ``tests``. For
+that check a reference must resolve to the module-level name: an import
+of it, an attribute of its imported module, or a load in its own module
+that no enclosing function shadows. A local variable or an attribute of
+another object that shares the name does not count.
 """
 
 import ast
@@ -249,35 +253,210 @@ TEST_ONLY_EXEMPT = {
     "src/gspnn/analysis.py:eigenvector_misalignment":
         "ROADMAP item 3 gives it a caller: the stability check computes the "
         "eigenvector misalignment of the perturbation bound with it",
+    "src/gspnn/flocking.py:zero_controller_cost":
+        "bench/tests/test_bench.py checks the bench's zero-controller oracle "
+        "against it; it moves to tests/ with the next change to the benchmark",
 }
+
+
+class _ProgramReferences(ast.NodeVisitor):
+    """The (module, name) pairs a program file references, where module is
+    the name of a ``gspnn`` module (``graphs`` for ``src/gspnn/graphs.py``).
+
+    A reference counts only when it resolves to that module's top-level
+    name: ``from module import name``, ``module.name`` on an imported
+    module, or, inside the module itself, a load of ``name`` that no
+    enclosing function binds. A string equal to a name counts for every
+    module (``bench/tracing.py`` looks functions up by name); its module is
+    None. ``refs`` maps each pair to the top-level statements using it."""
+
+    def __init__(self, module: str | None):
+        self.module = module
+        self.aliases = {}      # local name -> gspnn module ("" for the package)
+        self.scopes = []       # names bound by each enclosing function
+        self.refs = {}
+        self.statement = 0
+
+    def visit_Module(self, node):
+        for stmt in ast.walk(node):
+            if isinstance(stmt, ast.Import):
+                for alias in stmt.names:
+                    if alias.name == "gspnn" or alias.name.startswith("gspnn."):
+                        if alias.asname:
+                            self.aliases[alias.asname] = alias.name[len("gspnn."):]
+                        else:
+                            self.aliases["gspnn"] = ""
+            elif isinstance(stmt, ast.ImportFrom):
+                source = self._imported_module(stmt)
+                for alias in stmt.names if source == "" else ():
+                    self.aliases[alias.asname or alias.name] = alias.name
+        for self.statement, stmt in enumerate(node.body):
+            self.visit(stmt)
+
+    @staticmethod
+    def _imported_module(node: ast.ImportFrom) -> str | None:
+        if node.level == 1:
+            return node.module or ""
+        if node.level == 0 and node.module and node.module.split(".")[0] == "gspnn":
+            return node.module.partition(".")[2]
+        return None
+
+    def _use(self, module, name):
+        self.refs.setdefault((module, name), set()).add(self.statement)
+
+    def _module_of(self, node) -> str | None:
+        """The gspnn module an expression denotes, if any."""
+        if isinstance(node, ast.Name) and not self._bound(node.id):
+            return self.aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and self._module_of(node.value) == "":
+            return node.attr
+        return None
+
+    def _bound(self, name) -> bool:
+        return any(name in scope for scope in self.scopes)
+
+    def visit_ImportFrom(self, node):
+        source = self._imported_module(node)
+        if source:
+            for alias in node.names:
+                self._use(source, alias.name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and not self._bound(node.id) \
+                and self.module is not None:
+            self._use(self.module, node.id)
+
+    def visit_Attribute(self, node):
+        module = self._module_of(node.value)
+        if module:
+            self._use(module, node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self._use(None, node.value)
+
+    def _visit_function(self, node):
+        args = node.args
+        outside = args.defaults + args.kw_defaults + getattr(node, "decorator_list", [])
+        outside += [a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs
+                    + [args.vararg, args.kwarg] if a is not None]
+        for expr in outside + [getattr(node, "returns", None)]:
+            if expr is not None:
+                self.visit(expr)
+        self.scopes.append(_local_names(node))
+        for stmt in node.body if isinstance(node.body, list) else [node.body]:
+            self.visit(stmt)
+        self.scopes.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _visit_function
+
+
+def _local_names(func) -> set[str]:
+    """Names a function or lambda binds: its arguments and every name it
+    stores, imports or defines, nested functions and classes not searched;
+    ``global`` names excepted."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared_global = set()
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            todo += node.decorator_list
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared_global |= set(node.names)
+        todo += ast.iter_child_nodes(node)
+    return names - declared_global
+
+
+def program_references(root: Path) -> dict[tuple, set]:
+    """(module, name) -> {(path, top-level statement index)} over the
+    modules of ``root/src`` and ``root/bench``, the bench's tests not
+    counted."""
+    refs = {}
+    for path in sorted(p for d in ("src", "bench") for p in (root / d).rglob("*.py")
+                       if "tests" not in p.relative_to(root).parts):
+        label = str(path.relative_to(root))
+        visitor = _ProgramReferences(path.stem if path.parent.name == "gspnn" else None)
+        visitor.visit(ast.parse(path.read_text()))
+        for key, statements in visitor.refs.items():
+            refs.setdefault(key, set()).update((label, i) for i in statements)
+    return refs
 
 
 def names_only_tests_use(root: Path) -> list[str]:
     """``path:name`` for each top-level definition of ``root/src/gspnn``
-    that no module of ``root/src`` or ``root/bench`` references, the
-    bench's own tests not counted."""
-    def read(paths):
-        return {str(p.relative_to(root)): p.read_text() for p in paths}
-    defining = read(sorted((root / "src" / "gspnn").glob("*.py")))
-    program = read(sorted(p for d in ("src", "bench") for p in (root / d).rglob("*.py")
-                          if "tests" not in p.relative_to(root).parts))
-    return unreferenced_definitions(defining, program)
+    that no module of ``root/src`` or ``root/bench`` (the bench's own tests
+    not counted) references as that module's name, other than in its own
+    definition."""
+    refs = program_references(root)
+    found = []
+    for path in sorted((root / "src" / "gspnn").glob("*.py")):
+        label = str(path.relative_to(root))
+        for name, i in top_level_definitions(ast.parse(path.read_text())):
+            users = refs.get((path.stem, name), set()) | refs.get((None, name), set())
+            if not users - {(label, i)}:
+                found.append(f"{label}:{name}")
+    return found
 
 
 def test_a_name_only_tests_use_is_found(tmp_path):
     files = {
         "src/gspnn/lib.py": ("def program():\n    pass\n"
                              "def benched():\n    pass\n"
-                             "def oracle():\n    pass\n"),
-        "src/gspnn/app.py": "from .lib import program\nprogram()\n",
-        "bench/run.py": "from gspnn.lib import benched\nbenched()\n",
+                             "def oracle():\n    pass\n"
+                             "def helper():\n    pass\n"
+                             "def looked_up():\n    pass\n"
+                             "def shadowed():\n    pass\n"
+                             "def called_in_lib(shadowed):\n"
+                             "    return helper(), shadowed\n"),
+        "src/gspnn/app.py": ("from .lib import program\nfrom . import lib as L\n"
+                             "program()\nL.called_in_lib(1)\n"),
+        "bench/run.py": ("import gspnn.lib\nfrom gspnn.lib import benched\nbenched()\n"
+                         "getattr(gspnn.lib, 'looked_up')\n"),
         "bench/tests/test_run.py": "from gspnn.lib import oracle\noracle()\n",
         "tests/test_lib.py": "from gspnn.lib import oracle, program\noracle()\n",
     }
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
-    assert names_only_tests_use(tmp_path) == ["src/gspnn/lib.py:oracle"]
+    assert names_only_tests_use(tmp_path) == ["src/gspnn/lib.py:oracle",
+                                              "src/gspnn/lib.py:shadowed"]
+
+
+def test_a_test_only_name_that_is_also_a_local_in_the_program_is_found(tmp_path):
+    files = {
+        "src/gspnn/lib.py": ("def program(x):\n    oracle = x.oracle\n"
+                             "    return [oracle for oracle in oracle]\n"
+                             "def oracle():\n    pass\n"
+                             "class Typed:\n    pass\n"
+                             "def annotated(x: Typed) -> None:\n    return x\n"),
+        "src/gspnn/app.py": ("from .lib import annotated, program\n"
+                             "def run(oracle):\n    lam = lambda oracle: oracle\n"
+                             "    return program(oracle).oracle, lam\n"
+                             "class Holder:\n    def oracle(self):\n"
+                             "        return self.oracle\n"),
+        "bench/run.py": ("import gspnn.lib as lib\nfrom gspnn.app import run\n"
+                         "def oracle(s):\n    return s\nrun(oracle)\n"),
+        "tests/test_lib.py": "from gspnn.lib import oracle\noracle()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert names_only_tests_use(tmp_path) == ["src/gspnn/app.py:Holder",
+                                              "src/gspnn/lib.py:oracle"]
 
 
 def test_no_top_level_name_is_used_only_by_tests():

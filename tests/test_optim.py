@@ -159,6 +159,49 @@ def test_adam_error_names_parameter_path():
                   param_names=["readout_bias", "layers.0.taps"])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_rejects_a_non_finite_gradient_before_any_update(bad):
+    r = np.random.default_rng(5)
+    params = [r.normal(size=shape) for shape in [(4, 3), (6,), (2, 2)]]
+    adam = AdamState.for_params(params, learning_rate=0.1)
+    adam_step(adam, params, [np.ones_like(p) for p in params])
+    before = [a.copy() for a in params + adam.first_moment + adam.second_moment]
+    grads = [np.full_like(p, 1e300) for p in params]
+    grads[2][1, 0] = bad
+    with pytest.raises(TrainingError, match=r"non-finite gradient in param\[2\]"):
+        adam_step(adam, params, grads)
+    after = params + adam.first_moment + adam.second_moment
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+    assert adam.step == 1
+
+
+def test_adam_accepts_a_finite_gradient_whose_sum_overflows():
+    params = [np.zeros(4)]
+    adam = AdamState.for_params(params, learning_rate=0.1)
+    want = [np.zeros(4)]
+    grads = [np.array([1e308, 1e308, -1.0, 2.0])]
+    with np.errstate(over="ignore"):   # the second moment of 1e308 is inf
+        adam_step(adam, params, grads)
+        adam_expression_oracle(0.1, 1, want, grads, [np.zeros(4)], [np.zeros(4)])
+    assert params[0].tobytes() == want[0].tobytes() and adam.step == 1
+
+
+def test_adam_step_allocates_no_parameter_sized_array():
+    import tracemalloc
+    params = [np.ones((1000, 1000)), np.ones(64)]
+    grads = [np.full_like(p, 0.5) for p in params]
+    adam = AdamState.for_params(params, learning_rate=0.1)
+    adam_step(adam, params, grads)      # warm up
+    tracemalloc.start()
+    try:
+        adam_step(adam, params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the finiteness check's bool arrays alone took 1,000,064 bytes
+    assert peak < 50_000
+
+
 def adam_expression_oracle(lr, step, params, grads, m, v):
     """``adam_step`` as written before it ran through scratch arrays: the
     update as one fresh-array expression per parameter."""

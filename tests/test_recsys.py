@@ -24,9 +24,10 @@ from gspnn.recsys import (
     train_rating_model,
     transfer_rmse,
     _build_table,
+    _item_correlation,
 )
 
-from conftest import most_rated_items, write_synthetic_fixture
+from conftest import loop_similarity_edges, most_rated_items, write_synthetic_fixture
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +262,54 @@ def test_similarity_deterministic(fixture_table):
     a = build_similarity(fixture_table)
     b = build_similarity(fixture_table)
     assert a.graph.edges == b.graph.edges
+
+
+def _coarse_ratings_table(seed):
+    """25 items rated 1, 3 or 5 by 4 + seed users, a fifth of the pairs
+    unrated: few users and few rating values give many exactly equal
+    correlations."""
+    rng = np.random.default_rng(seed)
+    users, items = np.nonzero(rng.random((4 + seed, 25)) >= 0.2)
+    ratings = rng.choice([1.0, 3.0, 5.0], size=users.size)
+    return _build_table(users + 1, items + 1, ratings)
+
+
+@pytest.mark.parametrize("top_edges", [0, 1, 2, 3, 10, 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_similarity_edges_equal_the_per_node_sort_oracle(seed, top_edges):
+    table = _coarse_ratings_table(seed)
+    corr = _item_correlation(table)
+    want = loop_similarity_edges(corr, top_edges)
+    got = build_similarity(table, top_edges=top_edges).graph.edges
+    assert got == want
+    assert [tuple(map(type, e)) for e in got] == [(int, int, float)] * len(want)
+
+
+def test_similarity_ties_keep_the_lower_node_index():
+    # items 2, 3 and 4 carry item 1's ratings, so item 1 ties three ways
+    users = np.tile(np.arange(1, 6), 4)
+    items = np.repeat([1, 2, 3, 4], 5)
+    ratings = np.tile([1.0, 2.0, 4.0, 3.0, 5.0], 4)
+    table = _build_table(users, items, ratings)
+    corr = _item_correlation(table)
+    assert corr[0, 1] == corr[0, 2] == corr[0, 3] > 0.0
+    sim = build_similarity(table, top_edges=1)
+    assert sim.graph.edges == loop_similarity_edges(corr, 1)
+    assert [(i, j) for i, j, _ in sim.graph.edges] == [(0, 1), (0, 2), (0, 3)]
+
+
+def test_similarity_ties_occur_in_the_oracle_tables():
+    ties = 0
+    for seed in range(4):
+        for row in _item_correlation(_coarse_ratings_table(seed)):
+            positive = row[row > 0.0]
+            ties += positive.size - np.unique(positive).size
+    assert ties > 50
+
+
+def test_similarity_rejects_a_negative_edge_count(fixture_table):
+    with pytest.raises(DataError, match="top_edges"):
+        build_similarity(fixture_table, top_edges=-1)
 
 
 # ---------------------------------------------------------------------------
