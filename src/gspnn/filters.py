@@ -2,8 +2,9 @@
 
 A FIR graph filter is a polynomial in the shift operator applied by repeated
 one-hop shifts. An ARMA filter adds single-pole terms beta / (lambda - gamma)
-to the response; it is evaluated either exactly (dense solve, the reference
-path) or by unrolled Jacobi iterations (the trainable, distributable path).
+to the response; it is evaluated either exactly (in the eigenbasis of the
+shift, the reference path) or by unrolled Jacobi iterations (the trainable,
+distributable path).
 ``jacobi_iterates`` is the one Jacobi recursion: ``arma_apply_jacobi`` and
 the neural ARMA layer both run it. An edge-varying filter gives every stored
 coordinate of I + S its own weight at every step, generalizing both.
@@ -38,6 +39,7 @@ from .graphs import (
     GraphSignal,
     ShiftOperator,
     coo_apply,
+    eigendecompose,
     symmetric_eigenvalues,
 )
 
@@ -142,7 +144,8 @@ def _finite_response(val: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def pole_margin(s: ShiftOperator) -> float:
-    """Minimum allowed distance between a pole and any diagonal entry of S."""
+    """Minimum allowed distance between a pole and any diagonal entry of S,
+    1e-3 (1 + ||S||); the norm reads the operator's cached spectrum."""
     return 1e-3 * (1.0 + s.operator_norm)
 
 
@@ -152,7 +155,8 @@ def check_poles(gamma, diagonal: np.ndarray, margin: float,
     first pole of ``gamma`` (a scalar or an array) that is not at least
     ``margin`` away from every entry of ``diagonal``, the diagonal of S,
     where the Jacobi scaling 1 / (d - gamma) blows up. Callers compute the
-    margin (``pole_margin``, an eigensolve) once per shift."""
+    margin once per shift with ``pole_margin``, which reads the operator's
+    cached spectrum."""
     poles = np.asarray(gamma, dtype=float)
     flat = poles.reshape(-1)
     entries = np.unique(diagonal)
@@ -220,25 +224,29 @@ def arma_response(p: ArmaParams, lambdas) -> np.ndarray:
 
 
 def arma_apply_direct(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
-    """Exact ARMA output via dense solves: the reference for the Jacobi path."""
+    """Exact ARMA output, the reference for the Jacobi path.
+
+    The pole terms are V diag(sum_p beta_p / (lambda - gamma_p)) V^T x in
+    the eigenbasis of ``eigendecompose(s)``, which solves nothing when ``s``
+    carries its eigenpairs; the direct taps go through ``fir_apply``. A pole
+    within 1e-12 of an eigenvalue, where S - gamma I is singular, raises a
+    FilterError naming it.
+    """
     if x.n_nodes != s.n_nodes:
         raise GraphError("signal size does not match shift")
-    dense = s.dense()
-    eye = np.eye(s.n_nodes)
-    out = np.zeros_like(x.values)
-    for gamma, beta in zip(p.poles, p.residues):
-        try:
-            out += beta * np.linalg.solve(dense - gamma * eye, x.values)
-        except np.linalg.LinAlgError as exc:
-            raise FilterError(f"S - {gamma} I is singular") from exc
-    out += fir_apply(FirTaps(p.direct_taps), s, x).values
+    out = fir_apply(FirTaps(p.direct_taps), s, x).values
+    if p.n_poles:
+        s = eigendecompose(s)
+        denom = s.eigenvalues - p.poles[:, None]
+        hit = (np.abs(denom) < 1e-12).any(axis=1)
+        if hit.any():
+            k = int(np.argmax(hit))
+            raise FilterError(f"pole {k} = {float(p.poles[k])!r} is an eigenvalue "
+                              f"of S: S - gamma I is singular")
+        h = (p.residues[:, None] / denom).sum(axis=0)
+        v = s.eigenvectors
+        out = out + v @ (h[:, None] * (v.T @ x.values))
     return GraphSignal(out)
-
-
-def _jacobi_scale(s: ShiftOperator, gamma: float) -> np.ndarray:
-    d = s.diagonal()
-    check_poles(gamma, d, pole_margin(s))
-    return 1.0 / (d - gamma)
 
 
 def shift_nd(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
@@ -271,27 +279,37 @@ def jacobi_iterates(s: ShiftOperator, c: np.ndarray, b: np.ndarray,
 def arma_apply_jacobi(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphSignal:
     """Jacobi-approximated ARMA output: pole terms unrolled to ``jacobi_iters``
     steps plus the exact direct polynomial part. All poles are checked
-    against one ``pole_margin`` (an eigensolve) and share one S x."""
+    against one ``pole_margin`` (the operator's cached spectrum) and share
+    one S x."""
     acc = fir_apply(FirTaps(p.direct_taps), s, x).values
     if p.n_poles:
         d = s.diagonal()
         check_poles(p.poles, d, pole_margin(s), name="poles")
         xt, sxt = x.values.T, s.apply(x.values).T
         for gamma, beta in zip(p.poles, p.residues):
-            c = 1.0 / (d - gamma)      # as _jacobi_scale, checked above
+            c = 1.0 / (d - gamma)      # checked above
             us = jacobi_iterates(s, c, beta * c * xt, xt, sxt, p.jacobi_iters)
             acc = acc + us[-1].T
     return GraphSignal(acc)
 
 
 def jacobi_spectral_radius(s: ShiftOperator, gamma: float) -> float:
-    """Spectral radius of R(gamma); reported per pole by the analysis tools.
+    """Spectral radius of the Jacobi matrix R(gamma) = (D - gamma I)^{-1}
+    (D - S), D the diagonal of S; reported per pole by the analysis tools.
 
-    When the diagonal scaling (d_i - gamma)^{-1} has one sign, R is similar
-    to a symmetric matrix and the radius is exact; otherwise falls back to a
-    dense nonsymmetric eigenvalue solve.
+    With a constant diagonal D = d I, which every built kind but the
+    Laplacian has, R = (d I - S) / (d - gamma) and the radius is
+    max_i |d - lambda_i| / |d - gamma| over the operator's cached spectrum:
+    no eigensolve beyond the one the pole margin already reads. A varying
+    diagonal runs a dense solve: when the scaling (d_i - gamma)^{-1} has one
+    sign, R is similar to a symmetric matrix whose eigenvalues give the
+    exact radius; otherwise a nonsymmetric eigenvalue solve.
     """
-    c = _jacobi_scale(s, gamma)
+    d = s.diagonal()
+    check_poles(gamma, d, pole_margin(s))
+    if np.all(d == d[0]):
+        return float(np.max(np.abs(d[0] - s.spectrum)) / abs(d[0] - gamma))
+    c = 1.0 / (d - gamma)
     m = s.dense()
     off = np.diag(np.diag(m)) - m  # D - S
     if np.all(c > 0) or np.all(c < 0):

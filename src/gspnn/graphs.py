@@ -46,7 +46,8 @@ class ShiftKind(enum.Enum):
 class Graph:
     """Undirected weighted graph. Each edge is stored once as (i, j, w), w > 0.
 
-    The constructor checks ``edges`` once, in whole-array passes, into the
+    ``n_nodes`` must be a positive integer (a bool is not one). The
+    constructor checks ``edges`` once, in whole-array passes, into the
     read-only ``rows``, ``cols`` and ``weights`` arrays that the methods
     read; they are left out of ``==``, hashing and ``repr``, which see only
     ``n_nodes`` and ``edges``. Every edge must be a triple of two integer
@@ -63,7 +64,10 @@ class Graph:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_nodes <= 0:
+        n = self.n_nodes
+        if type(n) is bool or not isinstance(n, (int, np.integer)):
+            raise GraphError(f"n_nodes must be an integer, got {n!r}")
+        if n <= 0:
             raise GraphError("graph needs at least one node")
         rows, cols, weights = _edge_arrays(self.n_nodes, self.edges)
         for name, arr in (("rows", rows), ("cols", cols), ("weights", weights)):
@@ -98,7 +102,13 @@ def _edge_arrays(n_nodes: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarra
                  "node index is not an integer")
     _check_types(edges, w, (2,), (int, float, np.integer, np.floating),
                  "weight is not a real number")
-    rows, cols = np.array((i, j), dtype=np.int64)
+    try:
+        rows, cols = np.array((i, j), dtype=np.int64)
+    except OverflowError:
+        # an index beyond 64 bits is out of range: clipped to -1 or n_nodes,
+        # it fails the range rule, which names the edge with its own values
+        rows, cols = np.array([[min(max(v, -1), n_nodes) for v in k]
+                               for k in (i, j)], dtype=np.int64)
     weights = np.array(w, dtype=float)
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     failing = ((lo < 0) | (hi >= n_nodes) | (lo == hi)
@@ -218,13 +228,19 @@ class ShiftOperator:
         return coo_apply(self.rows, self.cols, self.vals, x.T, self.n_nodes).T
 
     @cached_property
-    def operator_norm(self) -> float:
-        """Spectral norm max |lambda_i| (symmetric matrix), solved once per
-        operator."""
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues, ascending: the eigendecomposition's when present,
+        otherwise one symmetric eigenvalue solve, cached on the operator.
+        Every spectral reader of the operator (the norm, the pole margin,
+        the Jacobi radius) shares it."""
         if self.has_eig:
-            return float(np.max(np.abs(self.eigenvalues)))
-        lam = symmetric_eigenvalues(self.dense())
-        return float(np.max(np.abs(lam)))
+            return self.eigenvalues
+        return symmetric_eigenvalues(self.dense())
+
+    @cached_property
+    def operator_norm(self) -> float:
+        """Spectral norm max |lambda_i| (symmetric matrix) of ``spectrum``."""
+        return float(np.max(np.abs(self.spectrum)))
 
 
 def coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -200,6 +202,105 @@ def jacobi_shift(s, gamma):
     return -c[:, None] * (m - np.diag(np.diag(m)))
 
 
+def similarity_jacobi_radius(s, gamma):
+    """Spectral radius of R(gamma) = (D - gamma I)^{-1} (D - S) by one
+    eigensolve of the symmetric similar matrix |c|^(1/2) (D - S) |c|^(1/2),
+    c = 1 / (d - gamma) of one sign: the oracle for
+    ``filters.jacobi_spectral_radius``, which reads the cached spectrum
+    when the diagonal is constant and runs this solve otherwise."""
+    m = s.dense()
+    c = 1.0 / (np.diag(m) - gamma)
+    assert np.all(c > 0) or np.all(c < 0)
+    off = np.diag(np.diag(m)) - m
+    sq = np.sqrt(np.abs(c))
+    sym = sq[:, None] * off * sq[None, :]
+    return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+
+
+def dense_solve_arma(p, s, x):
+    """Exact ARMA output with one dense solve of (S - gamma I) u = beta x per
+    pole, plus the direct taps: the oracle for ``filters.arma_apply_direct``,
+    which sums the pole terms in the eigenbasis of S."""
+    from gspnn.filters import FirTaps, fir_apply
+    dense = s.dense()
+    out = np.zeros_like(x.values)
+    for gamma, beta in zip(p.poles, p.residues):
+        out += beta * np.linalg.solve(dense - gamma * np.eye(s.n_nodes), x.values)
+    return out + fir_apply(FirTaps(p.direct_taps), s, x).values
+
+
+def per_input_stability(spec, state, s, perturbation, inputs, safety_factor=10.0):
+    """(measured, n_violations) of ``analysis.stability_experiment`` with one
+    ``model_forward`` per input on S and on the perturbed shift: the oracle
+    for its one batched forward per shift."""
+    from gspnn.analysis import default_lambda_interval, model_lipschitz_constant
+    from gspnn.graphs import GraphSignal, eigendecompose
+    from gspnn.neural import model_forward
+    eps = perturbation.epsilon
+    s = eigendecompose(s)
+    s_hat = eigendecompose(perturbation.apply(s))
+    interval = default_lambda_interval(np.sort(np.concatenate(
+        [s.eigenvalues, s_hat.eigenvalues])))
+    constant, _ = model_lipschitz_constant(spec, state, interval)
+    bound = 2.0 * constant * len(spec.layers) * eps
+    measured, violations = 0.0, 0
+    for x in inputs:
+        xs = GraphSignal(x)
+        base, _ = model_forward(spec, state, s, xs)
+        pert, _ = model_forward(spec, state, s_hat, xs)
+        deviation = float(np.linalg.norm(pert.values - base.values))
+        xnorm = float(np.linalg.norm(xs.values))
+        measured = max(measured, deviation / max(xnorm, 1e-300))
+        if deviation > bound * xnorm + safety_factor * eps * eps * xnorm:
+            violations += 1
+    return measured, violations
+
+
+def per_probe_lipschitz_gcnn(s, depth, order, rng, dilation_headroom=1.15,
+                             max_attempts=50):
+    """``analysis.sample_lipschitz_gcnn`` with one ``model_forward`` per probe
+    input, stopping at the first dead one: the oracle for its batched probes.
+    Returns (spec, state, attempts), attempts counting the draws made."""
+    from gspnn.analysis import default_lambda_interval, integral_lipschitz
+    from gspnn.filters import FirTaps
+    from gspnn.graphs import GraphSignal, eigendecompose
+    from gspnn.neural import (FirLayerParams, LayerSpec, ModelSpec, ModelState,
+                              model_forward)
+    s = eigendecompose(s)
+    lam = np.sort(np.concatenate([s.eigenvalues,
+                                  dilation_headroom * s.eigenvalues]))
+    interval = default_lambda_interval(lam)
+    probes = rng.normal(size=(3, s.n_nodes))
+    for attempt in range(1, max_attempts + 1):
+        layers, params = [], []
+        for _ in range(depth):
+            taps = rng.normal(size=order + 1)
+            taps = taps / integral_lipschitz(FirTaps(taps), interval).max_abs_response
+            layers.append(LayerSpec("fir", 1, 1, order, nonlinearity="relu"))
+            params.append(FirLayerParams(taps.reshape(1, 1, order + 1)))
+        spec, state = ModelSpec(tuple(layers)), ModelState(params)
+        if all(np.linalg.norm(model_forward(spec, state, s, GraphSignal(p))[0].values)
+               > 1e-9 for p in probes):
+            return spec, state, attempt
+    raise AssertionError("no live relu filter stack")
+
+
+@pytest.fixture
+def count_linalg(monkeypatch):
+    """Counter of calls to ``numpy.linalg`` ``eigh``, ``eigvalsh``,
+    ``eigvals`` and ``solve`` made while the test runs, by function name."""
+    counts = collections.Counter()
+    for name in ("eigh", "eigvalsh", "eigvals", "solve"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 def check_error_matrix(s, s_hat, result):
     """Residual of the relation P^T S_hat P = S + E S + S E for the (E, P)
     that ``analysis.relative_distance`` reports."""
@@ -251,13 +352,15 @@ def jacobi_single_pole(s, gamma, beta, iters, x):
     ``filters.arma_apply_jacobi``, which checks all poles against one margin.
     For a convergent recursion (spectral radius of R(gamma) below one) it
     approaches the exact single-pole output beta (S - gamma I)^{-1} x."""
-    from gspnn.filters import FilterError, _jacobi_scale, jacobi_iterates
+    from gspnn.filters import FilterError, check_poles, jacobi_iterates, pole_margin
     from gspnn.graphs import GraphError, GraphSignal
     if iters < 1:
         raise FilterError("need at least one Jacobi iteration")
     if x.n_nodes != s.n_nodes:
         raise GraphError("signal size does not match shift")
-    c = _jacobi_scale(s, gamma)
+    d = s.diagonal()
+    check_poles(gamma, d, pole_margin(s))
+    c = 1.0 / (d - gamma)
     xt = x.values.T
     us = jacobi_iterates(s, c, beta * c * xt, xt, s.apply(x.values).T, iters)
     return GraphSignal(us[-1].T)

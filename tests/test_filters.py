@@ -33,6 +33,7 @@ from gspnn.graphs import (
 from conftest import (
     arma_pointwise_response,
     delayed_stack_oracle,
+    dense_solve_arma,
     edge_chain_oracle,
     horner_response,
     jacobi_shift,
@@ -201,8 +202,19 @@ def test_arma_direct_no_poles_equals_fir():
 def test_arma_direct_two_node_hand_solve():
     # (S - 2I)^{-1} [1,0]^T = [-2/3, -1/3]^T by hand
     p = ArmaParams(poles=[2.0], residues=[1.0], direct_taps=[0.0])
-    y = arma_apply_direct(p, swap_shift(), GraphSignal(np.array([1.0, 0.0])))
+    x = GraphSignal(np.array([1.0, 0.0]))
+    y = arma_apply_direct(p, swap_shift(), x)
     assert np.allclose(y.values[:, 0], [-2.0 / 3.0, -1.0 / 3.0], atol=1e-12)
+    assert np.allclose(y.values, dense_solve_arma(p, swap_shift(), x),
+                       rtol=0.0, atol=1e-12)
+
+
+def test_arma_direct_names_a_pole_on_an_eigenvalue():
+    # the swap shift has eigenvalues -1 and 1; S + I is singular
+    p = ArmaParams(poles=[2.0, -1.0 + 5e-13], residues=[1.0, 1.0],
+                   direct_taps=[0.0])
+    with pytest.raises(FilterError, match=r"pole 1 = -0\.99.* is an eigenvalue"):
+        arma_apply_direct(p, swap_shift(), GraphSignal(np.array([1.0, 0.0])))
 
 
 def test_arma_direct_zero_residues():

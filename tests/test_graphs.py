@@ -62,6 +62,25 @@ def test_graph_rejects_out_of_range_index():
         Graph(2, ((0, 2, 1.0),))
 
 
+@pytest.mark.parametrize("n_nodes", [2.5, True, False, 3.0, "3", None])
+def test_graph_rejects_an_n_nodes_that_is_not_an_integer(n_nodes):
+    with pytest.raises(GraphError, match=re.escape(f"n_nodes must be an "
+                                                   f"integer, got {n_nodes!r}")):
+        Graph(n_nodes, ((0, 1, 1.0),) if n_nodes else ())
+
+
+@pytest.mark.parametrize("edge", [(0, 2 ** 70, 1.0), (-2 ** 70, 1, 1.0),
+                                  (2 ** 64, 2 ** 64, 1.0), (0, 2 ** 63, 1.0)])
+def test_graph_names_an_edge_whose_node_index_is_beyond_64_bits(edge):
+    i, j, _ = edge
+    want = f"edge ({i},{j}) out of range for 3 nodes"
+    with pytest.raises(GraphError, match=re.escape(want)):
+        Graph(3, ((0, 1, 1.0), edge))
+    # the rule order still holds: an earlier bad edge is named first
+    with pytest.raises(GraphError, match=re.escape("edge (0,1) needs a positive")):
+        Graph(3, ((0, 1, 0.0), edge))
+
+
 @pytest.mark.parametrize("edges, named", [
     (((0, 1),), "(0, 1)"),                        # a pair, not a triple
     (((0, 1, 1.0), (1, 2, 1.0, 3.0)), "(1, 2, 1.0, 3.0)"),
