@@ -182,9 +182,8 @@ def dilate(s: ShiftOperator, epsilon: float) -> ShiftOperator:
         raise AnalysisError("dilation needs epsilon > -1")
     factor = 1.0 + epsilon
     eig = s.eigenvalues * factor if s.has_eig else None
-    return ShiftOperator(s.n_nodes, s.kind, s.rows, s.cols, s.vals * factor,
-                         eigenvalues=eig, eigenvectors=s.eigenvectors,
-                         _dense=None if s._dense is None else s._dense * factor)
+    return ShiftOperator(s.kind, s.matrix * factor, eigenvalues=eig,
+                         eigenvectors=s.eigenvectors)
 
 
 @dataclass(frozen=True)

@@ -118,14 +118,14 @@ KEY_HELP = {"checkpoint": "model archive written by `recsys train` "
                           "(checkpoint.npz) or `flocking train` (policy.npz)"}
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    if not text:
-        return np.array([])
-    return np.array([float(tok) for tok in text.split(",") if tok.strip()])
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(cfg: dict, key: str, typ=float) -> np.ndarray:
+    """The comma-separated ``typ`` values of config key ``key``; a value
+    that does not parse raises a ``ConfigError`` naming the key."""
+    try:
+        return np.array([typ(tok) for tok in cfg[key].split(",") if tok.strip()],
+                        dtype=typ)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def parse_config(group: str, leaf: str, flag_values: dict) -> dict:
@@ -404,10 +404,10 @@ def cmd_flocking_evaluate(cfg: dict) -> int:
 
 
 def cmd_flocking_sweep(cfg: dict) -> int:
+    sizes = _parse_list(cfg, "sizes", int).tolist()
     ctx = RunContext("flocking sweep", cfg)
     with ctx.phase("load"):
         bundle, model = _load_policy(ctx, cfg)
-    sizes = _parse_ints(cfg["sizes"])
     with ctx.phase("rollout"):
         rows = fl.scalability_sweep(bundle, sizes, cfg["trials"],
                                     base_seed=10_000 + cfg["seed"])
@@ -424,15 +424,15 @@ def cmd_flocking_sweep(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _filter_from_config(cfg: dict):
-    taps = _parse_floats(cfg["taps"])
-    poles = _parse_floats(cfg["arma_poles"])
+    taps = _parse_list(cfg, "taps")
+    poles = _parse_list(cfg, "arma_poles")
     if taps.size and poles.size:
         raise ConfigError("give either taps or arma parameters, not both")
     if taps.size:
         return FirTaps(taps)
     if poles.size:
-        residues = _parse_floats(cfg["arma_residues"])
-        direct = _parse_floats(cfg["arma_direct"])
+        residues = _parse_list(cfg, "arma_residues")
+        direct = _parse_list(cfg, "arma_direct")
         return ArmaParams(poles=poles, residues=residues,
                           direct_taps=direct if direct.size else [0.0])
     raise ConfigError("need --taps or --arma-poles/--arma-residues")
@@ -440,15 +440,11 @@ def _filter_from_config(cfg: dict):
 
 def _lambda_range(cfg: dict):
     """The checked (lo, hi) of ``lambda_range``; also checks ``points``."""
-    text = cfg["lambda_range"]
-    try:
-        bounds = _parse_floats(text)
-    except ValueError as exc:
-        raise ConfigError(f"lambda_range: {exc}") from exc
+    bounds = _parse_list(cfg, "lambda_range")
     if bounds.size != 2 or not np.all(np.isfinite(bounds)) \
             or not bounds[0] < bounds[1]:
         raise ConfigError("lambda_range must be two finite values lo,hi with "
-                          f"lo < hi, got {text!r}")
+                          f"lo < hi, got {cfg['lambda_range']!r}")
     if cfg["points"] < 2:
         raise ConfigError(f"points must be at least 2, got {cfg['points']}")
     return float(bounds[0]), float(bounds[1])
@@ -502,6 +498,7 @@ def cmd_analyze_distance(cfg: dict) -> int:
 
 
 def cmd_analyze_stability(cfg: dict) -> int:
+    epsilons = _parse_list(cfg, "epsilons")
     ctx = RunContext("analyze stability", cfg)
     rng = np.random.default_rng(cfg["seed"])
     g = random_graph(cfg["nodes"], 0.35, rng, weighted=True)
@@ -513,7 +510,7 @@ def cmd_analyze_stability(cfg: dict) -> int:
               (rng.normal(size=cfg["nodes"]) for _ in range(cfg["n_inputs"]))]
     reports = [stability_experiment(spec, state, s, DilationPerturbation(eps),
                                     inputs)
-               for eps in _parse_floats(cfg["epsilons"])]
+               for eps in epsilons]
     write_stability_csv(ctx.out_path("stability.csv"), reports)
     ctx.write_manifest()
     for rep in reports:

@@ -6,8 +6,9 @@ to the response; it is evaluated either exactly (in the eigenbasis of the
 shift, the reference path) or by unrolled Jacobi iterations (the trainable,
 distributable path).
 ``jacobi_iterates`` is the one Jacobi recursion: ``arma_apply_jacobi`` and
-the neural ARMA layer both run it. An edge-varying filter gives every stored
-coordinate of I + S its own weight at every step, generalizing both.
+the neural ARMA layer both run it. An edge-varying filter gives every
+coordinate of the support of I + S (the nonzeros of S and the diagonal)
+its own weight at every step, generalizing both.
 
 Frequency responses are arrays over a lambda grid, one function per family:
 ``fir_response`` evaluates a single filter or a whole (F, G, K+1) bank with
@@ -15,13 +16,13 @@ one Horner loop over the taps, and ``arma_response`` adds the pole terms to
 the direct taps' ``fir_response``.
 
 Matrix powers of the shift are never materialized: the FIR and ARMA families
-are applied through repeated sparse shifts. An edge-varying step Phi_k
-differs per step and per feature pair, so it is applied on its coordinate
-list: one ``graphs.coo_apply`` gather + ``np.bincount`` per step, costing
-nnz per vector. ``edge_varying_chain`` and its transposed sweep
-``edge_varying_sweep`` are the one edge-varying recursion:
-``edge_varying_apply`` and the neural edge-varying layer, full-output or
-restricted to a few output nodes, all run them. Dense (N, N) step
+are applied through repeated products with the dense shift matrix. An
+edge-varying step Phi_k differs per step and per feature pair, so it is
+applied on its coordinate list: one ``graphs.coo_apply`` gather +
+``np.bincount`` per step, costing nnz per vector. ``edge_varying_chain``
+and its transposed sweep ``edge_varying_sweep`` are the one edge-varying
+recursion: ``edge_varying_apply`` and the neural edge-varying layer,
+full-output or restricted to a few output nodes, all run them. Dense (N, N) step
 matrices with batched products win only on wide full-output batches (8x
 faster for 440 signals on 200 nodes with 64 filters) and cost the most on
 one signal (4x the time, 10x the memory); no caller runs full-output
@@ -333,11 +334,9 @@ class EdgeVaryingSupport:
 
     @staticmethod
     def from_shift(s: ShiftOperator) -> "EdgeVaryingSupport":
-        n = s.n_nodes
-        diag = np.arange(n)
-        keys = np.unique(np.concatenate([s.rows, diag]) * n
-                         + np.concatenate([s.cols, diag]))
-        return EdgeVaryingSupport(n, keys // n, keys % n)
+        mask = s.matrix != 0.0
+        np.fill_diagonal(mask, True)
+        return EdgeVaryingSupport(s.n_nodes, *np.nonzero(mask))  # row-major
 
     @property
     def nnz(self) -> int:
@@ -359,7 +358,7 @@ class EdgeVaryingParams:
     """Weights for an order-K edge-varying filter on a fixed support.
 
     ``diag`` (N,) holds the step-0 diagonal weights; ``values`` (K, nnz)
-    holds one weight per stored coordinate of I + S for steps 1..K.
+    holds one weight per coordinate of the support for steps 1..K.
     """
 
     support: EdgeVaryingSupport

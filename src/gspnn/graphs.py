@@ -1,15 +1,15 @@
 """Graphs, shift operators, graph signals, and the graph Fourier transform.
 
 A graph is an undirected weighted edge list, checked once into read-only
-node and weight arrays that every method reads. A shift operator is a
+node and weight arrays that every method reads. A shift operator is a dense
 symmetric N x N matrix whose sparsity pattern matches the graph: multiplying
 a signal by it mixes each node's value with its neighbors' values.
 Diagonalizing the shift operator gives the graph frequency basis; projecting
 signals onto it is the graph Fourier transform.
 
-All containers are immutable after construction (a graph's arrays are
-read-only) and all operations are pure functions, so everything here is safe
-to share across threads.
+All containers are immutable after construction (the arrays of a graph
+and of a shift operator are read-only) and all operations are pure
+functions, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,11 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-# Dense matvec is faster than the coordinate-list path up to a few hundred
-# nodes, so cache a dense copy below this size. (Storage stays coordinate
-# based either way.)
-DENSE_CACHE_LIMIT = 256
 
 SYMMETRY_RTOL = 1e-12
 EIG_RECON_RTOL = 1e-8
@@ -165,51 +160,48 @@ class GraphSignal:
 
 @dataclass(frozen=True)
 class ShiftOperator:
-    """Symmetric shift matrix in sorted coordinate-list form.
+    """Symmetric shift matrix S, held as one read-only dense (N, N) array.
 
-    ``rows``/``cols``/``vals`` store every nonzero entry (both directions of
-    each edge, plus any diagonal mass), sorted by (row, col). ``eigenvalues``
-    ascending and ``eigenvectors`` orthonormal-by-column are populated by
-    :func:`eigendecompose`; the sign of each eigenvector is fixed so its
-    largest-magnitude entry is positive (lowest index on ties).
+    ``eigenvalues`` ascending and ``eigenvectors`` orthonormal-by-column are
+    populated by :func:`eigendecompose`; the sign of each eigenvector is
+    fixed so its largest-magnitude entry is positive (lowest index on ties).
+    The arrays are kept read-only; a writeable one or a view is copied
+    first, so no caller can change the operator through its own array.
     """
 
-    n_nodes: int
     kind: ShiftKind
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    matrix: np.ndarray
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
-    _dense: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name in ("matrix", "eigenvalues", "eigenvectors"):
+            arr = getattr(self, name)
+            if arr is not None and (arr.flags.writeable or not arr.flags.owndata):
+                arr = np.array(arr, dtype=float)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
 
     @staticmethod
-    def from_dense(matrix: np.ndarray, kind: ShiftKind | str = ShiftKind.CUSTOM,
-                   validate: bool = True) -> "ShiftOperator":
+    def from_dense(matrix: np.ndarray,
+                   kind: ShiftKind | str = ShiftKind.CUSTOM) -> "ShiftOperator":
+        """The operator of the symmetric square ``matrix``."""
         kind = ShiftKind(kind)
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GraphError(f"shift matrix must be square, got {m.shape}")
-        n = m.shape[0]
-        if validate:
-            _check_symmetric(m)
-        rows, cols = np.nonzero(m)  # in row-major order
-        vals = m[rows, cols]
-        dense = m if n <= DENSE_CACHE_LIMIT else None
-        return ShiftOperator(n, kind, rows, cols, vals, _dense=dense)
+        _check_symmetric(m)
+        return ShiftOperator(kind, m)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.matrix.shape[0]
 
     def dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
-        m = np.zeros((self.n_nodes, self.n_nodes))
-        m[self.rows, self.cols] = self.vals
-        return m
+        return self.matrix
 
     def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.n_nodes)
-        on_diag = self.rows == self.cols
-        d[self.rows[on_diag]] = self.vals[on_diag]
-        return d
+        return self.matrix.diagonal()
 
     @property
     def has_eig(self) -> bool:
@@ -219,13 +211,7 @@ class ShiftOperator:
         """Matrix-vector/matrix product S @ x; x is (N,) or (N, F)."""
         if x.shape[0] != self.n_nodes:
             raise GraphError(f"shift is {self.n_nodes} nodes, signal has {x.shape[0]}")
-        if self._dense is not None:
-            return self._dense @ x
-        return self.apply_coo(x)
-
-    def apply_coo(self, x: np.ndarray) -> np.ndarray:
-        """Product via sparse coordinate traversal (no dense materialization)."""
-        return coo_apply(self.rows, self.cols, self.vals, x.T, self.n_nodes).T
+        return self.matrix @ x
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -235,7 +221,9 @@ class ShiftOperator:
         the Jacobi radius) shares it."""
         if self.has_eig:
             return self.eigenvalues
-        return symmetric_eigenvalues(self.dense())
+        lam = symmetric_eigenvalues(self.matrix)
+        lam.flags.writeable = False
+        return lam
 
     @cached_property
     def operator_norm(self) -> float:
@@ -250,9 +238,9 @@ def coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     The node axis of ``z`` is last, ``vals`` (..., nnz) broadcasts against
     its leading axes, and the (..., n) result is one gather and one
     ``np.bincount``. Swapping ``rows`` and ``cols`` applies the transpose.
-    Every coordinate-list product in the package runs this kernel. The
-    gather is ``np.take``, whose result is C-ordered; ``z[..., cols]`` lays
-    the coordinate axis out first and makes the product and ravel slow.
+    Every edge-varying filter step runs this kernel. The gather is
+    ``np.take``, whose result is C-ordered; ``z[..., cols]`` lays the
+    coordinate axis out first and makes the product and ravel slow.
     """
     contrib = vals * np.take(z, cols, axis=-1)
     lead = contrib.shape[:-1]
@@ -312,8 +300,7 @@ def permute_shift(s: ShiftOperator, perm: np.ndarray) -> ShiftOperator:
     perm = np.asarray(perm)
     if sorted(perm.tolist()) != list(range(s.n_nodes)):
         raise GraphError("perm is not a permutation of the node indices")
-    m = s.dense()[np.ix_(perm, perm)]
-    return ShiftOperator.from_dense(m, s.kind, validate=False)
+    return ShiftOperator(s.kind, s.matrix[np.ix_(perm, perm)])
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +340,12 @@ def eigendecompose(s: ShiftOperator) -> ShiftOperator:
     """Return ``s`` with eigenvalues (ascending) and eigenvectors populated."""
     if s.has_eig:
         return s
-    lam, v = symmetric_eigh(s.dense())
+    lam, v = symmetric_eigh(s.matrix)
     recon = (v * lam) @ v.T
-    scale = max(np.linalg.norm(s.dense()), 1e-300)
-    if np.linalg.norm(recon - s.dense()) > EIG_RECON_RTOL * scale:
+    scale = max(np.linalg.norm(s.matrix), 1e-300)
+    if np.linalg.norm(recon - s.matrix) > EIG_RECON_RTOL * scale:
         raise GraphError("eigendecomposition reconstruction check failed")
-    return ShiftOperator(s.n_nodes, s.kind, s.rows, s.cols, s.vals,
-                         eigenvalues=lam, eigenvectors=v, _dense=s._dense)
+    return ShiftOperator(s.kind, s.matrix, eigenvalues=lam, eigenvectors=v)
 
 
 def gft(s: ShiftOperator, x: GraphSignal) -> GraphSignal:
@@ -386,6 +372,8 @@ def igft(s: ShiftOperator, x_hat: GraphSignal) -> GraphSignal:
 # ---------------------------------------------------------------------------
 
 def load_graph(path) -> Graph:
+    """The graph of an edge-list file. A malformed line raises a
+    ``GraphError`` that names ``path:line`` and the field."""
     n_nodes = None
     edges = []
     with open(path) as fh:
@@ -393,20 +381,34 @@ def load_graph(path) -> Graph:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split()
             if parts[0] == "nodes":
                 if n_nodes is not None:
-                    raise GraphError(f"{path}:{lineno}: duplicate nodes header")
-                n_nodes = int(parts[1])
+                    raise GraphError(f"{where}: duplicate nodes header")
+                if len(parts) != 2:
+                    raise GraphError(f"{where}: expected `nodes N`, got {line!r}")
+                n_nodes = _field(int, parts[1], where, "node count N")
                 continue
             if n_nodes is None:
-                raise GraphError(f"{path}:{lineno}: missing `nodes N` header")
+                raise GraphError(f"{where}: missing `nodes N` header")
             if len(parts) != 3:
-                raise GraphError(f"{path}:{lineno}: expected `i j weight`")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                raise GraphError(f"{where}: expected `i j weight`, got {line!r}")
+            edges.append((_field(int, parts[0], where, "node index i"),
+                          _field(int, parts[1], where, "node index j"),
+                          _field(float, parts[2], where, "weight")))
     if n_nodes is None:
         raise GraphError(f"{path}: missing `nodes N` header")
     return Graph(n_nodes, tuple(edges))
+
+
+def _field(typ, text: str, where: str, name: str):
+    """``text`` as ``typ``, or a ``GraphError`` naming the line and field."""
+    try:
+        return typ(text)
+    except ValueError:
+        kind = "an integer" if typ is int else "a real number"
+        raise GraphError(f"{where}: {name} {text!r} is not {kind}") from None
 
 
 def random_graph(n_nodes: int, edge_prob: float, rng: np.random.Generator,

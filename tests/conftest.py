@@ -65,7 +65,9 @@ def loop_degrees(graph):
 
 def sorted_coordinates(m):
     """(rows, cols, vals) of the nonzero entries of ``m`` sorted by (row,
-    col) with ``np.lexsort``: the oracle for ``ShiftOperator.from_dense``."""
+    col) with ``np.lexsort``: the coordinate list of a shift matrix, which
+    ``coo_loop_oracle`` sums over and ``EdgeVaryingSupport.from_shift``
+    must equal once the diagonal is added."""
     rows, cols = np.nonzero(m)
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
@@ -179,17 +181,18 @@ def edge_chain_oracle(support, diag, values, x):
 
 
 def coo_loop_oracle(s, x):
-    """S x by one ``np.bincount`` per feature column, for checking the one
-    coordinate kernel (``graphs.coo_apply``) behind ``ShiftOperator.apply_coo``;
-    ``x`` is (N,) or (N, F)."""
+    """S x by one ``np.bincount`` per feature column over the
+    ``sorted_coordinates`` of S, the summation order of the coordinate-list
+    product that shifts above 256 nodes ran before every shift became one
+    dense matrix: the oracle for ``ShiftOperator.apply``; ``x`` is (N,) or
+    (N, F)."""
+    rows, cols, vals = sorted_coordinates(s.dense())
     if x.ndim == 1:
-        return np.bincount(s.rows, weights=s.vals * x[s.cols],
-                           minlength=s.n_nodes)
-    contrib = s.vals[:, None] * x[s.cols]
+        return np.bincount(rows, weights=vals * x[cols], minlength=s.n_nodes)
+    contrib = vals[:, None] * x[cols]
     out = np.empty((s.n_nodes, x.shape[1]))
     for f in range(x.shape[1]):
-        out[:, f] = np.bincount(s.rows, weights=contrib[:, f],
-                                minlength=s.n_nodes)
+        out[:, f] = np.bincount(rows, weights=contrib[:, f], minlength=s.n_nodes)
     return out
 
 

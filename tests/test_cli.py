@@ -150,6 +150,33 @@ def test_analyze_dash_leading_non_finite_range_reaches_the_field_check(
         assert capsys.readouterr().err.startswith("error: lambda_range must be")
 
 
+@pytest.mark.parametrize("argv,key,token", [
+    (["analyze", "response", "--taps", "1,x"], "taps", "x"),
+    (["analyze", "lipschitz", "--arma-poles", "2,y"], "arma_poles", "y"),
+    (["analyze", "response", "--arma-poles", "2", "--arma-residues", "1,q"],
+     "arma_residues", "q"),
+    (["analyze", "response", "--arma-poles", "2", "--arma-residues", "1",
+      "--arma-direct", "0,w"], "arma_direct", "w"),
+    (["analyze", "stability", "--epsilons", "0.1,zz"], "epsilons", "zz"),
+    (["flocking", "sweep", "--checkpoint", "none.npz", "--sizes", "25,1.5"],
+     "sizes", "1.5"),
+])
+def test_list_keys_that_do_not_parse_are_named(tmp_path, capsys, argv, key, token):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and f"'{token}'" in err
+
+
+def test_analyze_distance_names_the_bad_graph_line(tmp_path, capsys):
+    good, bad = tmp_path / "g.edges", tmp_path / "bad.edges"
+    good.write_text("nodes 3\n0 1 1.0\n1 2 1.0\n")
+    bad.write_text("nodes 3\n0 1 1.0\n1 2 x\n")
+    code = main(["analyze", "distance", "--graph", str(good), "--graph-hat",
+                 str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{bad}:3: weight 'x' is not a real number" in capsys.readouterr().err
+
+
 def test_dash_leading_values_join_only_when_they_read_as_numbers():
     merged = cli._merge_dashed_values(
         ["--lambda-range", "-inf,1", "--taps", "-1.5,2", "--a", "-x,1",

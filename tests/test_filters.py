@@ -39,6 +39,7 @@ from conftest import (
     jacobi_shift,
     jacobi_single_pole,
     make_random_graph,
+    sorted_coordinates,
 )
 from test_graphs import path3_graph, two_node_graph
 
@@ -433,9 +434,26 @@ def test_edge_varying_support_is_sorted_row_major():
     g, _ = make_random_graph(17)
     s = build_shift(g, ShiftKind.ADJACENCY)
     support = EdgeVaryingSupport.from_shift(s)
-    coords = sorted(set(zip(s.rows.tolist(), s.cols.tolist()))
+    rows, cols = np.nonzero(s.dense())
+    coords = sorted(set(zip(rows.tolist(), cols.tolist()))
                     | {(i, i) for i in range(s.n_nodes)})
     assert list(zip(support.rows.tolist(), support.cols.tolist())) == coords
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_edge_varying_support_equals_the_sorted_coordinates(order, rng):
+    # the support of I + S is every nonzero of S and the whole diagonal,
+    # row-major, whether S holds a zero, a positive or a -1 on its diagonal
+    # (1 + S_ii may be zero) and whichever memory order S is given in
+    m = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
+    m = m + m.T
+    m[np.diag_indices(9)] = 0.0
+    m[1, 1], m[2, 2] = 0.5, -1.0
+    s = ShiftOperator.from_dense(np.array(m, order=order))
+    support = EdgeVaryingSupport.from_shift(s)
+    rows, cols, _ = sorted_coordinates(m + 2.0 * np.eye(9))
+    for got, want in ((support.rows, rows), (support.cols, cols)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_edge_varying_support_violation():

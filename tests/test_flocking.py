@@ -94,8 +94,7 @@ def comm_graph(state: SwarmState, radius: float):
                 edges.append((i, j, 1.0))
     graph = Graph(n, tuple(edges))
     shift = ShiftOperator.from_dense(_normalized_shift_dense(mask),
-                                     kind="degree_normalized_adjacency",
-                                     validate=False)
+                                     kind="degree_normalized_adjacency")
     return graph, shift
 
 

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gspnn.graphs import (
-    DENSE_CACHE_LIMIT,
     Graph,
     GraphError,
     GraphSignal,
@@ -32,7 +31,6 @@ from conftest import (
     loop_shift_dense,
     make_random_graph,
     save_graph,
-    sorted_coordinates,
 )
 
 
@@ -243,18 +241,25 @@ def test_build_shift_equals_the_loop_oracle_bitwise(kind, seed):
     g, _ = make_random_graph(seed, n=[3, 7, 16, 30, 60, 120][seed])
     s = build_shift(g, kind)
     m = loop_shift_dense(g, kind)
-    for got, want in zip((s.rows, s.cols, s.vals), sorted_coordinates(m)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert s.dense().tobytes() == m.tobytes()
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_from_dense_coordinates_are_in_row_major_order(order, rng):
-    m = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
-    m = np.array(m + m.T, order=order)
-    s = ShiftOperator.from_dense(m)
-    for got, want in zip((s.rows, s.cols, s.vals), sorted_coordinates(m)):
-        assert got.tobytes() == want.tobytes()
+def test_shift_keeps_a_read_only_copy_of_its_arrays():
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    s = ShiftOperator.from_dense(a)
+    a[0, 0] = 7.0  # the caller's array, not the operator's
+    assert s.dense()[0, 0] == 0.0 and s.diagonal()[0] == 0.0
+    assert np.array_equal(s.apply(np.array([1.0, 2.0])), [2.0, 1.0])
+    e = eigendecompose(s)
+    for arr in (s.dense(), s.diagonal(), s.spectrum, e.eigenvalues, e.eigenvectors,
+                permute_shift(s, [1, 0]).dense()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    b = np.eye(2)
+    view = ShiftOperator(ShiftKind.CUSTOM, b.T)  # a writeable view of b
+    b[0, 0] = 5.0
+    assert view.dense()[0, 0] == 1.0
 
 
 def test_custom_shift_requires_symmetry():
@@ -294,26 +299,19 @@ def test_shift_dimension_mismatch():
         s.apply(GraphSignal(np.zeros(4)).values)
 
 
-@given(st.integers(0, 200))
-def test_sparse_traversal_matches_dense(seed):
-    g, r = make_random_graph(seed)
-    s = build_shift(g, ShiftKind.ADJACENCY)
-    x = r.normal(size=(g.n_nodes, 3))
-    assert np.allclose(s.apply_coo(x), s.dense() @ x, atol=1e-12)
-
-
-@pytest.mark.parametrize("features", [None, 6])
-def test_apply_coo_equals_per_feature_bincount_loop(features):
-    # above the dense-cache limit, apply() runs the coordinate kernel
-    r = np.random.default_rng(17)
-    n = DENSE_CACHE_LIMIT + 10
-    s = build_shift(random_graph(n, 0.03, r, weighted=True),
-                    ShiftKind.NORMALIZED_LAPLACIAN)
-    assert s._dense is None
-    x = r.normal(size=n if features is None else (n, features))
-    want = coo_loop_oracle(s, x)
-    assert np.array_equal(s.apply_coo(x), want)
-    assert np.array_equal(s.apply(x), want)
+@pytest.mark.parametrize("kind", [ShiftKind.ADJACENCY, ShiftKind.LAPLACIAN,
+                                  ShiftKind.NORMALIZED_LAPLACIAN],
+                         ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [257, 300, 600])
+def test_apply_matches_the_coordinate_product_above_256_nodes(n, kind):
+    # above 256 nodes products used to sum by bincount over the nonzero
+    # coordinates; the matrix product may sum in another order, so each
+    # entry must agree to 1e-13 of its sum of |S_ij x_j|
+    r = np.random.default_rng(n)
+    s = build_shift(random_graph(n, 0.03, r, weighted=True), kind)
+    for x in (r.normal(size=n), r.normal(size=(n, 6))):
+        err = np.abs(s.apply(x) - coo_loop_oracle(s, x))
+        assert np.all(err <= 1e-13 * (np.abs(s.dense()) @ np.abs(x)))
 
 
 @given(st.integers(0, 100))
@@ -335,20 +333,6 @@ def test_shift_locality(seed):
             x2 = x.copy()
             x2[other] += 1.0
             assert s.apply(x2)[node] == y0[node]
-
-
-def test_coo_path_used_above_dense_limit():
-    n = DENSE_CACHE_LIMIT + 10
-    r = np.random.default_rng(5)
-    edges = tuple((i, (i + 1) % n, 1.0) for i in range(n - 1))
-    g = Graph(n, edges)
-    s = build_shift(g, ShiftKind.ADJACENCY)
-    assert s._dense is None
-    x = r.normal(size=n)
-    dense = np.zeros((n, n))
-    for i, j, w in edges:
-        dense[i, j] = dense[j, i] = w
-    assert np.allclose(s.apply(x), dense @ x, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +471,22 @@ def test_graph_file_comments_and_errors(tmp_path):
     bad.write_text("0 1 2.0\n")
     with pytest.raises(GraphError, match="header"):
         load_graph(bad)
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("nodes\n", "1: expected `nodes N`, got 'nodes'"),
+    ("nodes 3 4\n", "1: expected `nodes N`, got 'nodes 3 4'"),
+    ("nodes x\n", "1: node count N 'x' is not an integer"),
+    ("nodes 3\n0 1 x\n", "2: weight 'x' is not a real number"),
+    ("nodes 3\n0 1.5 1\n", "2: node index j '1.5' is not an integer"),
+    ("nodes 3\n# c\n\nb 1 1\n", "4: node index i 'b' is not an integer"),
+    ("nodes 3\n0 1\n", "2: expected `i j weight`, got '0 1'"),
+])
+def test_graph_file_errors_name_the_line_and_field(tmp_path, text, problem):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(GraphError, match=f"^{re.escape(f'{path}:{problem}')}$"):
+        load_graph(path)
 
 
 def test_random_graph_connected():

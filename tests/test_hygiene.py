@@ -26,6 +26,11 @@ that check a reference must resolve to the module-level name: an import
 of it, an attribute of its imported module, or a load in its own module
 that no enclosing function shadows. A local variable or an attribute of
 another object that shares the name does not count.
+
+Every top-level helper and fixture of ``tests/conftest.py`` must be reached
+from a test module: referenced by one (a fixture also by a parameter of
+that name), or by a helper or fixture that is itself reached. An oracle
+whose last test is gone is dead code.
 """
 
 import ast
@@ -465,3 +470,52 @@ def test_no_top_level_name_is_used_only_by_tests():
     assert not leaks, f"only tests use {leaks}: move them to tests/ or delete them"
     # an exemption whose name gained a program caller is stale
     assert sorted(TEST_ONLY_EXEMPT) == sorted(set(found) & set(TEST_ONLY_EXEMPT))
+
+
+
+def unreached_conftest_names(conftest: str, tests: list[str]) -> list[str]:
+    """Top-level definitions of the ``conftest`` source that no module of
+    ``tests`` (their sources) reaches: by a reference or a parameter name
+    in the module, or through a definition of ``conftest`` that is
+    reached."""
+    tree = ast.parse(conftest)
+    defined = dict(top_level_definitions(tree))
+
+    def uses(node):
+        params = {sub.arg for sub in ast.walk(node) if isinstance(sub, ast.arg)}
+        return (referenced_names(node) | params) & defined.keys()
+
+    reached = set().union(*(uses(ast.parse(text)) for text in tests))
+    todo = list(reached)
+    while todo:
+        new = uses(tree.body[defined[todo.pop()]]) - reached
+        reached |= new
+        todo += new
+    return [name for name in defined if name not in reached]
+
+
+def test_an_unreached_conftest_helper_is_found():
+    conftest = ("import pytest\nLIMIT = 3\n"
+                "def oracle(x):\n    return inner(x) + LIMIT\n"
+                "def inner(x):\n    return x\n"
+                "def orphan(x):\n    return helper_of_orphan(x)\n"
+                "def helper_of_orphan(x):\n    return x\n"
+                "def named_in_a_string():\n    pass\n"
+                "@pytest.fixture\ndef rng():\n    pass\n"
+                "@pytest.fixture\ndef graph(rng):\n    pass\n"
+                "@pytest.fixture\ndef unused_fixture():\n    pass\n")
+    tests = ["from conftest import oracle\ndef test_a(graph):\n    oracle(1)\n",
+             "import pytest\n@pytest.mark.usefixtures('named_in_a_string')\n"
+             "def test_b():\n    pass\n"]
+    assert unreached_conftest_names(conftest, tests) == [
+        "orphan", "helper_of_orphan", "unused_fixture"]
+    # a fixture reached only through another fixture is dead with it
+    assert unreached_conftest_names(conftest, tests[1:]) == [
+        "LIMIT", "oracle", "inner", "orphan", "helper_of_orphan", "rng",
+        "graph", "unused_fixture"]
+
+
+def test_every_conftest_helper_is_reached_from_a_test_module():
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("test_*.py"))]
+    conftest = (ROOT / "tests" / "conftest.py").read_text()
+    assert unreached_conftest_names(conftest, tests) == []
