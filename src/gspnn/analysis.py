@@ -31,6 +31,9 @@ SYLVESTER_SINGULAR_TOL = 1e-9
 DEFAULT_GRID_POINTS = 512
 DEFAULT_MARGIN_FRACTION = 0.1
 EXACT_SEARCH_MAX_NODES = 8
+# sample_lipschitz_gcnn: spectrum headroom for dilations, and draws it makes
+DILATION_HEADROOM = 1.15
+SAMPLE_ATTEMPTS = 50
 
 
 class AnalysisError(ValueError):
@@ -86,8 +89,6 @@ def relative_distance(s: ShiftOperator, s_hat: ShiftOperator,
         raise AnalysisError(f"unknown method {method!r}")
     n = s.n_nodes
     s_eig = eigendecompose(s)
-    dense_hat = s_hat.dense()
-    dense_s = s.dense()
 
     if method == "identity_permutation":
         perms = [tuple(range(n))]
@@ -101,7 +102,7 @@ def relative_distance(s: ShiftOperator, s_hat: ShiftOperator,
     best = None
     for perm in perms:
         p = np.asarray(perm)
-        delta = dense_hat[np.ix_(p, p)] - dense_s
+        delta = s_hat.matrix[np.ix_(p, p)] - s.matrix
         e, singular = _solve_error_matrix(s_eig, delta)
         norm = _operator_norm_symmetric(e)
         key = (norm, perm)  # deterministic tie-break: lexicographic permutation
@@ -122,11 +123,10 @@ class LipschitzReport:
     grid: np.ndarray
 
 
-def default_lambda_interval(eigenvalues: np.ndarray,
-                            margin_fraction: float = DEFAULT_MARGIN_FRACTION):
+def default_lambda_interval(eigenvalues: np.ndarray):
     lo = float(min(eigenvalues[0], 0.0))
     hi = float(eigenvalues[-1])
-    margin = margin_fraction * max(hi - float(eigenvalues[0]), 1e-12)
+    margin = DEFAULT_MARGIN_FRACTION * max(hi - float(eigenvalues[0]), 1e-12)
     return lo - margin, hi + margin
 
 
@@ -213,8 +213,7 @@ class StabilityReport:
 
 
 def model_lipschitz_constant(spec: ModelSpec, state: ModelState,
-                             interval: tuple[float, float],
-                             grid_points: int = DEFAULT_GRID_POINTS):
+                             interval: tuple[float, float]):
     """Largest per-filter C and |h| max across all FIR layers of a model,
     each layer's whole (F, G, K+1) bank evaluated in one call."""
     constant = 0.0
@@ -222,7 +221,7 @@ def model_lipschitz_constant(spec: ModelSpec, state: ModelState,
     for layer, params in zip(spec.layers, state.layers):
         if layer.family != "fir":
             raise AnalysisError("stability bound evaluation expects FIR layers")
-        rep = integral_lipschitz(params.taps, interval, grid_points)
+        rep = integral_lipschitz(params.taps, interval)
         constant = max(constant, rep.constant)
         max_resp = max(max_resp, rep.max_abs_response)
     return constant, max_resp
@@ -287,9 +286,7 @@ def eigenvector_misalignment(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def sample_lipschitz_gcnn(s: ShiftOperator, depth: int, order: int,
-                          rng: np.random.Generator,
-                          dilation_headroom: float = 1.15,
-                          max_attempts: int = 50):
+                          rng: np.random.Generator):
     """Random single-feature relu FIR stack with every layer response
     normalized to max |h(lambda)| = 1 over the (dilation-inflated) spectrum.
 
@@ -300,10 +297,10 @@ def sample_lipschitz_gcnn(s: ShiftOperator, depth: int, order: int,
     """
     s = eigendecompose(s)
     lam = np.sort(np.concatenate([s.eigenvalues,
-                                  dilation_headroom * s.eigenvalues]))
+                                  DILATION_HEADROOM * s.eigenvalues]))
     interval = default_lambda_interval(lam)
     probes = rng.normal(size=(3, s.n_nodes, 1))
-    for _ in range(max_attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         layers, params = [], []
         for _ in range(depth):
             taps = rng.normal(size=order + 1)

@@ -16,10 +16,11 @@ one Horner loop over the taps, and ``arma_response`` adds the pole terms to
 the direct taps' ``fir_response``.
 
 Matrix powers of the shift are never materialized: the FIR and ARMA families
-are applied through repeated products with the dense shift matrix. An
-edge-varying step Phi_k differs per step and per feature pair, so it is
-applied on its coordinate list: one ``graphs.coo_apply`` gather +
-``np.bincount`` per step, costing nnz per vector. ``edge_varying_chain``
+are applied through repeated ``ShiftOperator.apply`` calls, the one product
+with the dense shift matrix. An edge-varying step Phi_k differs per step and
+per feature pair, so it is applied on its coordinate list: one
+``graphs.coo_apply`` gather + ``np.bincount`` per step, costing nnz per
+vector. ``edge_varying_chain``
 and its transposed sweep ``edge_varying_sweep`` are the one edge-varying
 recursion: ``edge_varying_apply`` and the neural edge-varying layer,
 full-output or restricted to a few output nodes, all run them. Dense (N, N) step
@@ -94,10 +95,10 @@ def shifted_stack(s: ShiftOperator, x: np.ndarray, order: int) -> np.ndarray:
     b, n, g = x.shape
     zs = np.empty((b, n, order + 1, g))
     zs[:, :, 0] = x
-    cur = x.transpose(1, 0, 2).reshape(n, b * g)
+    cur = x.swapaxes(0, 1)
     for k in range(1, order + 1):
         cur = s.apply(cur)
-        zs[:, :, k] = cur.reshape(n, b, g).transpose(1, 0, 2)
+        zs[:, :, k] = cur.swapaxes(0, 1)
     return zs
 
 
@@ -250,15 +251,6 @@ def arma_apply_direct(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphS
     return GraphSignal(out)
 
 
-def shift_nd(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
-    """Apply S along the last axis of an (..., N) array."""
-    lead = arr.shape[:-1]
-    n = arr.shape[-1]
-    flat = arr.reshape(-1, n).T
-    out = s.apply(flat)
-    return out.T.reshape(lead + (n,))
-
-
 def jacobi_iterates(s: ShiftOperator, c: np.ndarray, b: np.ndarray,
                     x: np.ndarray, sx: np.ndarray, iters: int) -> np.ndarray:
     """Jacobi iterates u_1 ... u_T of u_m = b + c * (d * u_{m-1} - S u_{m-1})
@@ -273,7 +265,8 @@ def jacobi_iterates(s: ShiftOperator, c: np.ndarray, b: np.ndarray,
     us = np.empty((iters,) + u.shape)
     us[0] = u
     for m in range(1, iters):
-        us[m] = b + c * (d * us[m - 1] - shift_nd(s, us[m - 1]))
+        su = np.moveaxis(s.apply(np.moveaxis(us[m - 1], -1, 0)), 0, -1)
+        us[m] = b + c * (d * us[m - 1] - su)
     return us
 
 
@@ -311,8 +304,7 @@ def jacobi_spectral_radius(s: ShiftOperator, gamma: float) -> float:
     if np.all(d == d[0]):
         return float(np.max(np.abs(d[0] - s.spectrum)) / abs(d[0] - gamma))
     c = 1.0 / (d - gamma)
-    m = s.dense()
-    off = np.diag(np.diag(m)) - m  # D - S
+    off = np.diag(d) - s.matrix  # D - S
     if np.all(c > 0) or np.all(c < 0):
         sq = np.sqrt(np.abs(c))
         sym = sq[:, None] * off * sq[None, :]
@@ -443,6 +435,6 @@ def edge_varying_from_fir(s: ShiftOperator, h: FirTaps) -> EdgeVaryingParams:
     if np.any(taps == 0.0):
         raise FilterError("nested FIR reduction needs nonzero taps throughout")
     support = EdgeVaryingSupport.from_shift(s)
-    base = support.values_from_dense(s.dense())
+    base = support.values_from_dense(s.matrix)
     vals = (taps[1:] / taps[:-1])[:, None] * base[None, :]
     return EdgeVaryingParams(support, np.full(s.n_nodes, taps[0]), vals)

@@ -28,6 +28,14 @@ class GraphError(ValueError):
     """Invalid graph, shift operator, or signal."""
 
 
+class EdgeRuleError(GraphError):
+    """An edge that breaks a graph rule; ``index`` is its place in the list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class ShiftKind(enum.Enum):
     ADJACENCY = "adjacency"
     LAPLACIAN = "laplacian"
@@ -48,8 +56,8 @@ class Graph:
     ``n_nodes`` and ``edges``. Every edge must be a triple of two integer
     node indices and a real weight; the first edge that is not is named
     before any value is checked. Then the first edge that breaks a value
-    rule is named, the rules checked in the order: node range, self-loop,
-    weight, duplicate.
+    rule is named in an ``EdgeRuleError`` that carries its index, the rules
+    checked in the order: node range, self-loop, weight, duplicate.
     """
 
     n_nodes: int
@@ -112,17 +120,18 @@ def _edge_arrays(n_nodes: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # a repeat counts only ahead of the first edge that fails another rule
     _, firsts = np.unique(lo[:first] * n_nodes + hi[:first], return_index=True)
     if firsts.size < first:
-        repeat = np.ones(first, dtype=bool)
-        repeat[firsts] = False
-        i, j, _ = edges[int(np.argmax(repeat))]
-        raise GraphError(f"duplicate edge ({i},{j})")
+        k = int(np.setdiff1d(np.arange(first), firsts)[0])  # the first repeat
+        i, j, _ = edges[k]
+        raise EdgeRuleError(k, f"duplicate edge ({i},{j})")
     if first < len(edges):
         i, j, w = edges[first]
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-            raise GraphError(f"edge ({i},{j}) out of range for {n_nodes} nodes")
-        if i == j:
-            raise GraphError(f"self-loop on node {i} not allowed in the edge list")
-        raise GraphError(f"edge ({i},{j}) needs a positive finite weight, got {w}")
+            problem = f"edge ({i},{j}) out of range for {n_nodes} nodes"
+        elif i == j:
+            problem = f"self-loop on node {i} not allowed in the edge list"
+        else:
+            problem = f"edge ({i},{j}) needs a positive finite weight, got {w}"
+        raise EdgeRuleError(first, problem)
     return rows, cols, weights
 
 
@@ -165,8 +174,10 @@ class ShiftOperator:
     ``eigenvalues`` ascending and ``eigenvectors`` orthonormal-by-column are
     populated by :func:`eigendecompose`; the sign of each eigenvector is
     fixed so its largest-magnitude entry is positive (lowest index on ties).
-    The arrays are kept read-only; a writeable one or a view is copied
-    first, so no caller can change the operator through its own array.
+    A normalized adjacency from :func:`build_shift` carries the eigenvalues
+    its normalization solved, without eigenvectors. The arrays are kept
+    read-only; a writeable one or a view is copied first, so no caller can
+    change the operator through its own array.
     """
 
     kind: ShiftKind
@@ -185,7 +196,7 @@ class ShiftOperator:
     @staticmethod
     def from_dense(matrix: np.ndarray,
                    kind: ShiftKind | str = ShiftKind.CUSTOM) -> "ShiftOperator":
-        """The operator of the symmetric square ``matrix``."""
+        """The operator of the finite, symmetric square ``matrix``."""
         kind = ShiftKind(kind)
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -208,18 +219,20 @@ class ShiftOperator:
         return self.eigenvalues is not None and self.eigenvectors is not None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector/matrix product S @ x; x is (N,) or (N, F)."""
+        """S x along the first axis of an (N, ...) array, shaped like ``x``:
+        the package's one product with S, (N, N) @ ``x.reshape(N, -1)``. A
+        caller whose node axis is elsewhere moves it to the front as a view."""
         if x.shape[0] != self.n_nodes:
             raise GraphError(f"shift is {self.n_nodes} nodes, signal has {x.shape[0]}")
-        return self.matrix @ x
+        return (self.matrix @ x.reshape(self.n_nodes, -1)).reshape(x.shape)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues, ascending: the eigendecomposition's when present,
-        otherwise one symmetric eigenvalue solve, cached on the operator.
-        Every spectral reader of the operator (the norm, the pole margin,
-        the Jacobi radius) shares it."""
-        if self.has_eig:
+        """Eigenvalues, ascending: ``eigenvalues`` when set (an
+        eigendecomposition's, or a built normalized adjacency's), otherwise
+        one symmetric eigenvalue solve, cached on the operator. Every spectral
+        reader (the norm, the pole margin, the Jacobi radius) shares it."""
+        if self.eigenvalues is not None:
             return self.eigenvalues
         lam = symmetric_eigenvalues(self.matrix)
         lam.flags.writeable = False
@@ -251,6 +264,9 @@ def coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 
 
 def _check_symmetric(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise GraphError(f"shift matrix entry ({i},{j}) is {m[i, j]}, not finite")
     scale = np.max(np.abs(m)) if m.size else 0.0
     if scale == 0.0:
         return
@@ -264,7 +280,8 @@ def _check_symmetric(m: np.ndarray) -> None:
 
 def build_shift(graph: Graph, kind: ShiftKind | str) -> ShiftOperator:
     """Build the requested shift matrix for ``graph``; the degree-scaled
-    kinds reject a zero-degree node."""
+    kinds reject a zero-degree node. A normalized adjacency A / ||A|| keeps
+    the eigenvalues of A solved for its norm, scaled, as ``eigenvalues``."""
     kind = ShiftKind(kind)
     a = graph.adjacency()
     if kind is ShiftKind.ADJACENCY:
@@ -272,10 +289,11 @@ def build_shift(graph: Graph, kind: ShiftKind | str) -> ShiftOperator:
     elif kind is ShiftKind.LAPLACIAN:
         m = np.diag(graph.degrees()) - a
     elif kind is ShiftKind.NORMALIZED_ADJACENCY:
-        lam_max = np.max(np.abs(symmetric_eigenvalues(a)))
+        lam = symmetric_eigenvalues(a)
+        lam_max = np.max(np.abs(lam))
         if lam_max == 0.0:
             raise GraphError("normalized_adjacency undefined: graph has no edges")
-        m = a / lam_max
+        return ShiftOperator(kind, a / lam_max, eigenvalues=lam / lam_max)
     elif kind in (ShiftKind.DEGREE_NORMALIZED_ADJACENCY, ShiftKind.NORMALIZED_LAPLACIAN):
         d = graph.degrees()
         zero = d == 0.0
@@ -372,10 +390,10 @@ def igft(s: ShiftOperator, x_hat: GraphSignal) -> GraphSignal:
 # ---------------------------------------------------------------------------
 
 def load_graph(path) -> Graph:
-    """The graph of an edge-list file. A malformed line raises a
-    ``GraphError`` that names ``path:line`` and the field."""
+    """The graph of an edge-list file. A malformed line or an edge breaking a
+    ``Graph`` rule raises a ``GraphError`` naming ``path:line`` and the fault."""
     n_nodes = None
-    edges = []
+    edges = {}  # line number -> edge
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -394,12 +412,15 @@ def load_graph(path) -> Graph:
                 raise GraphError(f"{where}: missing `nodes N` header")
             if len(parts) != 3:
                 raise GraphError(f"{where}: expected `i j weight`, got {line!r}")
-            edges.append((_field(int, parts[0], where, "node index i"),
-                          _field(int, parts[1], where, "node index j"),
-                          _field(float, parts[2], where, "weight")))
+            edges[lineno] = (_field(int, parts[0], where, "node index i"),
+                             _field(int, parts[1], where, "node index j"),
+                             _field(float, parts[2], where, "weight"))
     if n_nodes is None:
         raise GraphError(f"{path}: missing `nodes N` header")
-    return Graph(n_nodes, tuple(edges))
+    try:
+        return Graph(n_nodes, tuple(edges.values()))
+    except EdgeRuleError as err:
+        raise GraphError(f"{path}:{list(edges)[err.index]}: {err}") from None
 
 
 def _field(typ, text: str, where: str, name: str):

@@ -38,7 +38,6 @@ from .filters import (
     fir_bank_contract,
     jacobi_iterates,
     pole_margin,
-    shift_nd,
     shifted_stack,
 )
 from .graphs import GraphSignal, ShiftOperator, permute_shift
@@ -275,17 +274,6 @@ def fold_tap_gradients(layer: LayerSpec, gtaps: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batched shift application helpers.  Signals are (B, N, G).
-# ---------------------------------------------------------------------------
-
-def _shift_batched(s: ShiftOperator, arr: np.ndarray) -> np.ndarray:
-    b, n, g = arr.shape
-    flat = arr.transpose(1, 0, 2).reshape(n, b * g)
-    out = s.apply(flat)
-    return out.reshape(n, b, g).transpose(1, 0, 2)
-
-
-# ---------------------------------------------------------------------------
 # Layer forward/backward
 # ---------------------------------------------------------------------------
 
@@ -360,7 +348,7 @@ def _fir_backward(layer: LayerSpec, params: FirLayerParams, zs: np.ndarray,
         k = layer.order
         dx = du @ params.taps[:, :, k]
         for kk in range(k - 1, -1, -1):
-            dx = _shift_batched(s, dx) + du @ params.taps[:, :, kk]
+            dx = s.apply(dx.swapaxes(0, 1)).swapaxes(0, 1) + du @ params.taps[:, :, kk]
     return FirLayerParams(gtaps), dx
 
 
@@ -377,7 +365,7 @@ def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
     c = 1.0 / (s.diagonal()[None, None, None, :] - params.gamma[..., None])
     # x and S x as (B, 1, G, 1, N), broadcast against c's (F, G, P, N); S x
     # is shared by every (f, p), so x is shifted once.
-    sx = zs[:, :, 1] if layer.order else _shift_batched(s, x)
+    sx = zs[:, :, 1] if layer.order else s.apply(x.swapaxes(0, 1)).swapaxes(0, 1)
     xt = x.transpose(0, 2, 1)[:, None, :, None, :]
     sxt = sx.transpose(0, 2, 1)[:, None, :, None, :]
     b = params.beta[None, ..., None] * c[None] * xt
@@ -408,7 +396,7 @@ def _jacobi_adjoint(s: ShiftOperator, c: np.ndarray, a: np.ndarray, iters: int,
             au += np.einsum("bfgpn,bfgpn->fgpn", a, us[m])
         if m or need_a0:
             ca = c[None] * a
-            a = d * ca - shift_nd(s, ca)
+            a = d * ca - np.moveaxis(s.apply(np.moveaxis(ca, -1, 0)), 0, -1)
     return a_sum, au, a
 
 
@@ -544,7 +532,8 @@ def _arma_rows_vjp(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
                                np.zeros_like(params.gamma))
     xb = xbar[:, :, :, None, :]                          # (T, F, G, 1, N)
     b = params.beta[..., None] * c * xb
-    us = jacobi_iterates(s, c, b, xb, shift_nd(s, xb), layer.jacobi_iters)
+    sxb = np.moveaxis(s.apply(np.moveaxis(xb, -1, 0)), 0, -1)
+    us = jacobi_iterates(s, c, b, xb, sxb, layer.jacobi_iters)
     a = _pole_rows_start(nodes, c)
     a_sum, au, _ = _jacobi_adjoint(s, c, a, layer.jacobi_iters, us, False)
     gbeta = np.einsum("tfgpn,tfgn,fgpn->fgp", a_sum, xbar, c, optimize=True)

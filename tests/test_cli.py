@@ -177,6 +177,23 @@ def test_analyze_distance_names_the_bad_graph_line(tmp_path, capsys):
     assert f"{bad}:3: weight 'x' is not a real number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,problem", [
+    ("1 5 1.0", "edge (1,5) out of range for 3 nodes"),
+    ("2 2 1.0", "self-loop on node 2 not allowed in the edge list"),
+    ("1 2 -1.0", "edge (1,2) needs a positive finite weight, got -1.0"),
+    ("1 0 2.0", "duplicate edge (1,0)"),
+])
+def test_analyze_distance_names_the_line_of_a_broken_graph_rule(tmp_path, capsys,
+                                                                line, problem):
+    good, bad = tmp_path / "g.edges", tmp_path / "bad.edges"
+    good.write_text("nodes 3\n0 1 1.0\n1 2 1.0\n")
+    bad.write_text(f"nodes 3\n# two edges\n0 1 1.0\n\n{line}\n")
+    code = main(["analyze", "distance", "--graph", str(good), "--graph-hat",
+                 str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{bad}:5: {problem}" in capsys.readouterr().err
+
+
 def test_dash_leading_values_join_only_when_they_read_as_numbers():
     merged = cli._merge_dashed_values(
         ["--lambda-range", "-inf,1", "--taps", "-1.5,2", "--a", "-x,1",

@@ -160,6 +160,31 @@ def shift_with_diagonal(seed, n=9):
     return ShiftOperator.from_dense(dense), r
 
 
+def test_apply_matches_the_reshaping_oracles():
+    # apply takes any (N, ...) array; callers move the node axis to the front
+    # as a view. Where the (N, M) operand keeps the oracle's layout the
+    # product is the same GEMM, so the bits are equal.
+    s, r = shift_with_diagonal(90, n=40)
+    n = s.n_nodes
+    x = r.normal(size=n)
+    assert s.apply(x).tobytes() == shift_nd(s, x).tobytes()
+    x = r.normal(size=(n, 3))
+    assert s.apply(x).tobytes() == (s.matrix @ x).tobytes()
+    x = r.normal(size=(5, n, 2))                          # (B, N, G)
+    got = s.apply(x.swapaxes(0, 1)).swapaxes(0, 1)
+    assert got.shape == x.shape
+    assert got.tobytes() == shift_batched(s, x).tobytes()
+    x = r.normal(size=(2, 3, 4, n))                       # node axis last
+    got = np.moveaxis(s.apply(np.moveaxis(x, -1, 0)), 0, -1)
+    assert got.tobytes() == shift_nd(s, x).tobytes()
+    # a node-last array that is not C-ordered is copied node-first here and
+    # node-last by the oracle, which may change the summation order
+    x = r.normal(size=(n, 4, 3)).transpose(2, 1, 0)
+    got = np.moveaxis(s.apply(np.moveaxis(x, -1, 0)), 0, -1)
+    want = shift_nd(s, x)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # Layer kernels against the oracles
 # ---------------------------------------------------------------------------

@@ -267,6 +267,16 @@ def test_custom_shift_requires_symmetry():
         ShiftOperator.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("m,entry", [
+    ([[0.0, np.nan], [np.nan, 0.0]], "(0,1) is nan"),
+    ([[0.0, np.inf], [1.0, 0.0]], "(0,1) is inf"),   # its symmetry bound is inf
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, -np.inf], [0.0, -np.inf, 0.0]], "(1,2) is -inf"),
+])
+def test_custom_shift_rejects_a_non_finite_entry(m, entry):
+    with pytest.raises(GraphError, match=re.escape(f"entry {entry}, not finite")):
+        ShiftOperator.from_dense(np.array(m))
+
+
 # ---------------------------------------------------------------------------
 # shift operation
 # ---------------------------------------------------------------------------

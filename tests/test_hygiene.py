@@ -16,6 +16,11 @@ there imports ``pickle``. The program has one on-disk array format: every
 ``np.save`` / ``np.savez`` / ``np.load`` call in ``src/gspnn`` sits in
 ``neural.write_archive`` or ``neural.read_archive``.
 
+The program has one product with a shift matrix, ``ShiftOperator.apply``:
+no module of ``src/gspnn`` but ``graphs.py`` uses a ``.matrix`` attribute
+(or a slice or transpose of one) as an operand of ``@``, ``np.matmul`` or
+``np.dot``.
+
 Every top-level function, class and constant of ``src/gspnn`` must be
 referenced somewhere in ``src``, ``bench`` or ``tests`` outside its own
 definition: as a name, an attribute, an imported name or a string equal to
@@ -189,6 +194,49 @@ def test_archive_io_outside_the_archive_functions_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"gspnn/{p.name}")
 def test_arrays_are_stored_only_through_the_archive_functions(path):
     assert archive_io_outside_the_archive_functions(path.read_text()) == []
+
+
+def _is_shift_matrix(node: ast.AST) -> bool:
+    while isinstance(node, ast.Subscript) or (isinstance(node, ast.Attribute)
+                                              and node.attr == "T"):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "matrix"
+
+
+def shift_matrix_products(source: str) -> list[str]:
+    """``@``, ``np.matmul`` and ``np.dot`` (or ``numpy.``) with a ``.matrix``
+    operand."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands, what = (node.left, node.right), "@"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("matmul", "dot") \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id in ("np", "numpy"):
+            operands, what = node.args, f"{node.func.value.id}.{node.func.attr}"
+        else:
+            continue
+        if any(map(_is_shift_matrix, operands)):
+            found.append((node.lineno, what))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_a_shift_matrix_product_is_found():
+    source = ("import numpy as np\n"
+              "y = s.matrix @ x\n"
+              "y = x @ s.matrix.T + s.matrix * 2.0\n"
+              "y = np.matmul(s.matrix, x)\n"
+              "y = numpy.dot(x, self.matrix[:, 0])\n"
+              "y = s.apply(x) @ w + np.dot(s.matrices, x) + np.matmul(x, m)\n")
+    assert shift_matrix_products(source) == [
+        "line 2: @", "line 3: @", "line 4: np.matmul", "line 5: numpy.dot"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graphs.py"],
+                         ids=lambda p: f"gspnn/{p.name}")
+def test_only_apply_multiplies_by_the_shift_matrix(path):
+    assert shift_matrix_products(path.read_text()) == []
 
 
 def top_level_definitions(tree: ast.Module) -> list[tuple[str, int]]:

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gspnn import graphs
-from gspnn.graphs import ShiftKind, build_shift, random_graph
+from gspnn import graphs, recsys
+from gspnn.graphs import ShiftKind, ShiftOperator, build_shift, random_graph
 from gspnn.neural import forward_batch, init_state, model_backward
 from gspnn.filters import FilterError
 from gspnn.recsys import (
@@ -386,11 +386,10 @@ def test_training_improves_over_init(fixture_table, family):
     assert model.train_rmse < zeros_rmse
 
 
-def test_arma_training_solves_the_item_spectrum_twice(fixture_table,
-                                                     monkeypatch):
-    # build_shift solves it once to normalize A by its norm, and the shift's
-    # operator_norm once: init_state's lambda_max and both pole margins
-    # (init_state's and RatingProblem's) read the cached value
+def test_arma_training_solves_the_item_spectrum_once(fixture_table, monkeypatch):
+    # build_shift solves it once to normalize A by its norm and keeps the
+    # scaled eigenvalues: init_state's lambda_max and both pole margins
+    # (init_state's and RatingProblem's) read them
     calls = []
     original = graphs.symmetric_eigenvalues
 
@@ -402,7 +401,24 @@ def test_arma_training_solves_the_item_spectrum_twice(fixture_table,
     sim = build_similarity(fixture_table)
     target = most_rated_items(fixture_table, 1)[0]
     train_rating_model(fixture_table, sim, "arma", target, seed=0, epochs=3)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_arma_training_matches_the_solved_item_spectrum(fixture_table,
+                                                        monkeypatch):
+    # the item shift's norm is now max |eigvalsh(A)| / ||A|| = 1.0, not the
+    # norm of A / ||A|| solved again (1 - 8e-16 here), so the drawn poles and
+    # the pole margin move by an ulp: a tolerance, not bitwise equality
+    sim = build_similarity(fixture_table)
+    target = most_rated_items(fixture_table, 1)[0]
+    got = train_rating_model(fixture_table, sim, "arma", target, seed=0, epochs=3)
+    monkeypatch.setattr(recsys, "build_item_shift", lambda graph: ShiftOperator(
+        ShiftKind.NORMALIZED_ADJACENCY, build_item_shift(graph).matrix))
+    want = train_rating_model(fixture_table, sim, "arma", target, seed=0, epochs=3)
+    assert want.shift.operator_norm != 1.0 == got.shift.operator_norm
+    got_run = [row[2] for row in got.history] + [got.train_rmse, got.test_rmse]
+    want_run = [row[2] for row in want.history] + [want.train_rmse, want.test_rmse]
+    np.testing.assert_allclose(got_run, want_run, rtol=1e-12, atol=0.0)
 
 
 def test_edgenet_predict_keeps_no_full_output_tape():

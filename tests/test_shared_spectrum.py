@@ -1,5 +1,6 @@
 """One spectrum per shift: the Jacobi radius, the exact ARMA output and the
-stability experiment read the eigendecomposition the shift carries.
+stability experiment read the eigendecomposition the shift carries, and a
+built normalized adjacency carries the eigenvalues its normalization solved.
 
 Each is compared with the solve it replaced (the oracles in ``conftest``) at
 1e-12 relative, and the solves and forward passes they make are counted.
@@ -15,8 +16,20 @@ from gspnn.analysis import (
     sample_lipschitz_gcnn,
     stability_experiment,
 )
-from gspnn.filters import ArmaParams, arma_apply_direct, jacobi_spectral_radius
-from gspnn.graphs import GraphSignal, ShiftKind, build_shift, eigendecompose
+from gspnn.filters import (
+    ArmaParams,
+    arma_apply_direct,
+    jacobi_spectral_radius,
+    pole_margin,
+)
+from gspnn.graphs import (
+    GraphSignal,
+    ShiftKind,
+    ShiftOperator,
+    build_shift,
+    eigendecompose,
+)
+from gspnn.neural import LayerSpec, ModelSpec, init_state
 
 from conftest import (
     dense_solve_arma,
@@ -124,10 +137,35 @@ def test_sampled_taps_equal_the_per_probe_loop():
     assert max(attempts) > 1, attempts
 
 
+@pytest.mark.parametrize("seed,n,weighted", [(31, 12, True), (32, 50, False),
+                                             (33, 200, True)])
+def test_built_normalized_adjacency_keeps_the_spectrum_of_its_norm(seed, n,
+                                                                   weighted):
+    # eigvalsh(A) / ||A|| is not bitwise eigvalsh(A / ||A||): the old solve is
+    # the oracle, at 1e-14 of the norm
+    g, _ = make_random_graph(seed, n=n, edge_prob=0.15, weighted=weighted)
+    s = build_shift(g, ShiftKind.NORMALIZED_ADJACENCY)
+    assert s.eigenvectors is None and not s.has_eig
+    assert np.max(np.abs(s.spectrum - np.linalg.eigvalsh(s.matrix))) <= 1e-14
+    assert s.operator_norm == 1.0
+
+
+def test_a_built_normalized_adjacency_costs_one_solve(count_linalg):
+    g, r = make_random_graph(34, n=40)
+    count_linalg.clear()
+    s = build_shift(g, ShiftKind.NORMALIZED_ADJACENCY)
+    assert s.operator_norm == 1.0
+    pole_margin(s)
+    jacobi_spectral_radius(s, 1.8)
+    spec = ModelSpec((LayerSpec("arma", 1, 2, 1, n_poles=2),))
+    init_state(spec, r, shift=s)
+    assert count_linalg == {"eigvalsh": 1}
+
+
 def test_spectral_readers_solve_once_per_shift(count_linalg, monkeypatch):
     g, r = make_random_graph(31, n=40)
-    bare = build_shift(g, ShiftKind.NORMALIZED_ADJACENCY)
     s = eigendecompose(build_shift(g, ShiftKind.NORMALIZED_ADJACENCY))
+    bare = ShiftOperator.from_dense(s.matrix)   # no spectrum of its own
     p = ArmaParams([1.8, -2.1], r.normal(size=2), [0.3, -0.2])
     x = GraphSignal(r.normal(size=(40, 2)))
 
