@@ -20,14 +20,18 @@ are applied through repeated ``ShiftOperator.apply`` calls, the one product
 with the dense shift matrix. An edge-varying step Phi_k differs per step and
 per feature pair, so it is applied on its coordinate list: one
 ``graphs.coo_apply`` gather + ``np.bincount`` per step, costing nnz per
-vector. ``edge_varying_chain``
-and its transposed sweep ``edge_varying_sweep`` are the one edge-varying
-recursion: ``edge_varying_apply`` and the neural edge-varying layer,
-full-output or restricted to a few output nodes, all run them. Dense (N, N) step
-matrices with batched products win only on wide full-output batches (8x
-faster for 440 signals on 200 nodes with 64 filters) and cost the most on
-one signal (4x the time, 10x the memory); no caller runs full-output
-batches that wide, so there is no dense path.
+vector on the full output. ``edge_varying_chain`` and its transposed sweep
+``edge_varying_sweep`` are the one edge-varying recursion:
+``edge_varying_apply`` and the neural edge-varying layer, full-output or
+restricted to a few output nodes, all run them. Restricted to output nodes
+T, step k of an order-K filter reaches T only through the entries whose row
+lies within K - k hops of T (``edge_varying_reach``), so each step costs
+the entries of that ball per vector: on the 200-item recsys graph with one
+target node, 12 to 994 of the 2896 entries per step, 2063 of 11584 over the
+four steps. Dense (N, N) step matrices with batched products win only on
+wide full-output batches (8x faster for 440 signals on 200 nodes with 64
+filters) and cost the most on one signal (4x the time, 10x the memory); no
+caller runs full-output batches that wide, so there is no dense path.
 """
 
 from __future__ import annotations
@@ -374,38 +378,74 @@ class EdgeVaryingParams:
         return self.values.shape[0]
 
 
+def edge_varying_reach(support: EdgeVaryingSupport, order: int,
+                       nodes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per step k = 1..K of an order-K filter read at ``nodes`` only, the
+    ascending indices of the support entries through which step k reaches
+    them: the entries whose row lies within K - k hops of ``nodes``.
+
+    The transposed sweep from one-hot starts at ``nodes`` is exactly zero
+    off those rows, so a dropped entry would add an exact +-0 to each sum,
+    and the rows it gives are bitwise the full sweep's. A kept row keeps all
+    its entries in support order, so the chain run on these entries equals
+    the full chain on every row the next step reads, and the value gradient
+    is zero on every entry left out.
+    """
+    near = np.zeros(support.n_nodes, dtype=bool)
+    near[nodes] = True
+    reach = []
+    for _ in range(order):
+        entries = np.flatnonzero(near[support.rows])
+        reach.append(entries)
+        near[support.cols[entries]] = True
+    return tuple(reversed(reach))
+
+
+def _step_operands(support: EdgeVaryingSupport, values: np.ndarray, k: int,
+                   reach: tuple | None):
+    """(rows, cols, weights) of step k + 1, on the entries ``reach[k]`` when
+    a reach is given; the weights broadcast against a (..., B, N) state."""
+    if reach is None:
+        return support.rows, support.cols, values[..., k, None, :]
+    e = reach[k]
+    # indexing, not np.take, which would first copy the strided step slice
+    return support.rows[e], support.cols[e], values[..., k, e][..., None, :]
+
+
 def edge_varying_chain(support: EdgeVaryingSupport, values: np.ndarray,
-                       z0: np.ndarray) -> list[np.ndarray]:
+                       z0: np.ndarray, reach: tuple | None = None) -> list[np.ndarray]:
     """Chain states [z^(0), ..., z^(K)] of z^(k) = Phi_k z^(k-1) from the
     (..., B, N) start ``z0``, which is kept as given.
 
     ``values`` is (..., K, nnz) on ``support``: step k's weights
     ``values[..., k-1, :]`` broadcast against the axes of ``z0`` before its
     batch axis. Each step is one ``coo_apply`` on the support, nnz
-    multiply-adds per vector; no dense step matrix is built. Every
-    edge-varying filter, neural or not, runs this chain and its transpose,
-    ``edge_varying_sweep``.
+    multiply-adds per vector; no dense step matrix is built. With a
+    ``reach`` (``edge_varying_reach``, one entry array per step) step k runs
+    on ``reach[k-1]`` only: z^(k) is exact on the rows those entries hold
+    and zero elsewhere. Every edge-varying filter, neural or not, runs this
+    chain and its transpose, ``edge_varying_sweep``.
     """
     zs = [z0]
     for k in range(values.shape[-2]):
-        zs.append(coo_apply(support.rows, support.cols, values[..., k, None, :],
-                            zs[-1], support.n_nodes))
+        rows, cols, vals = _step_operands(support, values, k, reach)
+        zs.append(coo_apply(rows, cols, vals, zs[-1], support.n_nodes))
     return zs
 
 
 def edge_varying_sweep(support: EdgeVaryingSupport, values: np.ndarray,
-                       e: np.ndarray) -> list[np.ndarray]:
+                       e: np.ndarray, reach: tuple | None = None) -> list[np.ndarray]:
     """Transposed sweep [v_0, ..., v_K] with v_K = e and
     v_{k-1} = e + Phi_k^T v_k, on the operands of ``edge_varying_chain``.
 
     From e = dJ/du it gives the sensitivities v_k = dJ/dz^(k) of the chain
-    states; from a one-hot e_t it gives row t of the filter, diag * v_0.
+    states; from a one-hot e_t it gives row t of the filter, diag * v_0,
+    and then the ``reach`` of t leaves every v_k bitwise unchanged.
     """
     vs = [e]
     for k in range(values.shape[-2], 0, -1):
-        vs.append(e + coo_apply(support.cols, support.rows,
-                                values[..., k - 1, None, :], vs[-1],
-                                support.n_nodes))
+        rows, cols, vals = _step_operands(support, values, k - 1, reach)
+        vs.append(e + coo_apply(cols, rows, vals, vs[-1], support.n_nodes))
     vs.reverse()
     return vs
 

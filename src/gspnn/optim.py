@@ -150,7 +150,10 @@ class Problem:
     ``state`` exposes the trainable ModelState; ``batch_loss`` evaluates one
     mini-batch (by sample indices) and returns (loss value, gradient
     ModelState); ``post_step`` re-imposes parameter constraints after an
-    update (tied taps, pole projection).
+    update (tied taps, pole projection). ``reach`` names the parameters
+    whose gradient is zero off a fixed set of entries, with the index of
+    those entries: ``batch_loss`` gives such a gradient on them alone, as
+    ``grad[index]`` would be, and ``train`` updates only them.
     """
 
     state: ModelState
@@ -164,14 +167,28 @@ class Problem:
     def post_step(self) -> None:
         pass
 
+    def reach(self) -> dict:
+        return {}
+
 
 def train(problem: Problem, config: TrainConfig) -> list[tuple[int, int, float]]:
-    """Run epochs x ceil(n/batch) ADAM steps; returns (epoch, batch, loss) rows."""
+    """Run epochs x ceil(n/batch) ADAM steps; returns (epoch, batch, loss) rows.
+
+    A parameter in ``problem.reach()`` keeps its ADAM moments on the reached
+    entries only; each step gathers them, updates them and writes them back.
+    ADAM leaves a weight with a zero gradient bitwise unchanged, so this is
+    the full update without its work on the entries left out."""
     n = problem.n_samples()
     if n == 0:
         raise TrainingError("empty dataset")
+    reach = problem.reach()
     names = [name for name, _ in iter_params(problem.state)]
-    params = [arr for _, arr in iter_params(problem.state)]
+    full = [arr for _, arr in iter_params(problem.state)]
+    gathered = [(j, reach[name]) for j, name in enumerate(names) if name in reach]
+    # every other entry references a state array, updated in place
+    params = list(full)
+    for j, index in gathered:
+        params[j] = full[j][index]
     adam = AdamState.for_params(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history = []
@@ -181,8 +198,11 @@ def train(problem: Problem, config: TrainConfig) -> list[tuple[int, int, float]]
             indices = order[start:start + config.batch_size]
             loss, grads = problem.batch_loss(indices)
             grad_arrays = [arr for _, arr in iter_params(grads)]
-            # params list references the state arrays, updated in place
+            for j, index in gathered:
+                params[j] = full[j][index]
             adam_step(adam, params, grad_arrays, param_names=names)
+            for j, index in gathered:
+                full[j][index] = params[j]
             problem.post_step()
             problem.state.bump_version()
             history.append((epoch, batch_idx, float(loss)))

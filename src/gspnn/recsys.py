@@ -9,7 +9,14 @@ item's node.
 
 Training and prediction read that one node only, so they run the model with
 ``out_nodes=[target_node]``: the last layer computes its rows at the target
-item once per batch instead of its output at every item.
+item once per batch instead of its output at every item. An edgenet's rows
+at one item depend only on the weights of the support entries within reach
+of it (the rows of step k within K - k hops, ``filters.edge_varying_reach``),
+so its training sweeps, differentiates and ADAM-updates those alone: 2063
+of the 11584 (step, entry) columns of ``values`` on the benchmark's
+200-item graph at seed 17. The others keep their initial values, and the
+checkpoint keeps every weight, because ``transfer_rmse`` reads the model at
+other items, where those weights count.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .neural import (
     forward_batch,
     init_state,
     model_backward,
+    out_node_reach,
     save_checkpoint,
 )
 from .optim import LossSpec, Problem, TrainConfig, loss_eval, project_poles, train
@@ -320,6 +328,7 @@ class RatingProblem(Problem):
         self.targets = np.array([smp.target for smp in samples])
         self.loss = LossSpec("smooth_l1")
         self.pole_bounds = checked_pole_bounds(state, shift)
+        self._reach = out_node_reach(spec, state, [target_node])
 
     def n_samples(self) -> int:
         return self.targets.size
@@ -331,6 +340,9 @@ class RatingProblem(Problem):
         value, dpred = loss_eval(self.loss, out[:, 0, 0], self.targets[indices])
         grads = model_backward(tape, self.spec, self.state, dpred[:, None, None])
         return value, grads
+
+    def reach(self) -> dict:
+        return self._reach
 
     def post_step(self):
         for layer_spec, params in zip(self.spec.layers, self.state.layers):

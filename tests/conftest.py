@@ -180,6 +180,87 @@ def edge_chain_oracle(support, diag, values, x):
     return out
 
 
+def edge_rows_oracle(params, nodes):
+    """An edge-varying last layer's rows at ``nodes`` and their VJP over
+    every support entry: the transposed sweep, the chain and the value
+    gradient ``neural`` ran before they ran on the reach of the output
+    nodes. The oracle for ``neural._edge_rows``, with its return layout:
+    the (T, F, G, N) rows and ``vjp(xbar)`` giving an ``EdgeLayerParams``
+    of full-shape gradients, so that patched in for ``_edge_rows`` it
+    restores the full-width path."""
+    from gspnn.filters import edge_varying_chain, edge_varying_sweep
+    from gspnn.neural import EdgeLayerParams
+    sup = params.support
+    e = np.zeros((nodes.size, sup.n_nodes))
+    e[np.arange(nodes.size), nodes] = 1.0
+    vs = edge_varying_sweep(sup, params.values,
+                            np.broadcast_to(e, params.diag.shape[:2] + e.shape))
+    w = (params.diag[:, :, None, :] * vs[0]).transpose(2, 0, 1, 3)
+
+    def vjp(xbar):
+        xb = xbar.transpose(1, 2, 0, 3)
+        zs = edge_varying_chain(sup, params.values[:, :, :-1],
+                                params.diag[:, :, None, :] * xb)
+        gvals = np.empty_like(params.values)
+        for k in range(1, len(vs)):
+            gvals[:, :, k - 1] = np.einsum("fgbe,fgbe->fge", zs[k - 1][..., sup.cols],
+                                           vs[k][..., sup.rows])
+        return EdgeLayerParams(sup, (xb * vs[0]).sum(axis=2), gvals)
+
+    return w, vjp
+
+
+def full_shape_grads(spec, state, grads, nodes):
+    """(name, gradient) pairs of ``iter_params(grads)`` for a tape recorded
+    with ``out_nodes=nodes``, each at its parameter's full shape: a
+    gradient given on the entries ``out_node_reach`` names is written
+    into zeros there."""
+    from gspnn.neural import iter_params, out_node_reach
+    reach = out_node_reach(spec, state, nodes)
+    params = dict(iter_params(state))
+    out = []
+    for name, g in iter_params(grads):
+        if name in reach:
+            full = np.zeros_like(params[name])
+            full[reach[name]] = g
+            g = full
+        out.append((name, g))
+    return out
+
+
+def train_step_peaks(problem, config):
+    """Run ``optim.train`` under tracemalloc; returns (history, peaks), per
+    step the most bytes held above what was held when the step began. A
+    step runs from one ``batch_loss`` call to the next, the last one to the
+    return of ``train``, so it covers the gradient, the update and
+    ``post_step``; what ``train`` allocates before the first step (the
+    ADAM moments) is not in it."""
+    import tracemalloc
+
+    from gspnn.optim import train
+    inner, starts, peaks = problem.batch_loss, [], []
+
+    def end_step():
+        if starts:
+            peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+
+    def batch_loss(indices):
+        end_step()
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return inner(indices)
+
+    problem.batch_loss = batch_loss
+    tracemalloc.start()
+    try:
+        history = train(problem, config)
+        end_step()
+    finally:
+        tracemalloc.stop()
+        del problem.batch_loss
+    return history, peaks
+
+
 def coo_loop_oracle(s, x):
     """S x by one ``np.bincount`` per feature column over the
     ``sorted_coordinates`` of S, the summation order of the coordinate-list

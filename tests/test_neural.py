@@ -1016,6 +1016,35 @@ def test_checkpoint_rejects_bad_edge_support(tmp_path, edit, message):
         load_checkpoint(path)
 
 
+def _set_support_n_nodes(value):
+    def edit(members):
+        header = json.loads(members["header"].tobytes().decode("utf-8"))
+        header["model"]["layers"][0]["support_n_nodes"] = value
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        members["header"] = np.frombuffer(text, dtype=np.uint8)
+    return edit
+
+
+@pytest.mark.parametrize("value", ["x", "8", 2.7, 8.0, True, 0, -8],
+                         ids=["string", "digit string", "float", "whole float",
+                              "true", "zero", "negative"])
+def test_checkpoint_rejects_a_support_size_that_is_not_a_positive_integer(
+        tmp_path, value):
+    # "x" escaped as a bare ValueError naming neither the path nor the
+    # field, and 2.7 or true were truncated and blamed on a support entry
+    path = _edit_saved_array(tmp_path, CHECKPOINT_EDGE, _set_support_n_nodes(value))
+    want = (f"{path}: layers.0.support_n_nodes is {value!r}, "
+            f"not an integer >= 1")
+    with pytest.raises(ModelError, match=re.escape(want)):
+        load_checkpoint(path)
+
+
+def test_checkpoint_reads_the_support_size_it_wrote(tmp_path):
+    path = _edit_saved_array(tmp_path, CHECKPOINT_EDGE, _set_support_n_nodes(8))
+    _, state, _ = load_checkpoint(path)
+    assert state.layers[0].support.n_nodes == 8
+
+
 def test_validate_state_checks_readout_presence_and_layer_kind():
     s, r = small_shift(28)
     state = init_state(CHECKPOINT_MIXED, r, shift=s)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gspnn import optim
 from gspnn.graphs import GraphSignal, ShiftKind, build_shift
 from gspnn.neural import (
     FirLayerParams,
@@ -30,7 +31,7 @@ from gspnn.optim import (
     write_loss_log,
 )
 
-from conftest import make_random_graph
+from conftest import make_random_graph, train_step_peaks
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,70 @@ def test_adam_step_allocates_no_parameter_sized_array():
         tracemalloc.stop()
     # the finiteness check's bool arrays alone took 1,000,064 bytes
     assert peak < 50_000
+
+
+class ReachProblem(Problem):
+    """A (200, 10, 100) tap array whose gradient lives on five of its
+    last-axis columns, a fresh random draw per step. It names them in
+    ``reach`` and gives the gradient there only; with ``full`` it names
+    nothing and gives the same draws zero-padded to the whole array."""
+
+    COLUMNS = np.array([3, 17, 42, 60, 99])
+
+    def __init__(self, full):
+        self.full = full
+        taps = np.random.default_rng(1).normal(size=(200, 10, 100))
+        self.state = ModelState([FirLayerParams(taps)])
+        self.rng = np.random.default_rng(2)
+
+    def n_samples(self):
+        return 12
+
+    def batch_loss(self, indices):
+        g = self.rng.normal(size=(200, 10, self.COLUMNS.size))
+        if self.full:
+            padded = np.zeros(self.state.layers[0].taps.shape)
+            padded[..., self.COLUMNS] = g
+            g = padded
+        return 0.0, ModelState([FirLayerParams(g)])
+
+    def reach(self):
+        return {} if self.full else {"layers.0.taps": (Ellipsis, self.COLUMNS)}
+
+
+def test_restricted_update_equals_the_full_update_bitwise():
+    # ADAM leaves a weight with an all-zero gradient bitwise unchanged
+    config = TrainConfig(epochs=3, batch_size=4, learning_rate=0.03)
+    part, full = ReachProblem(False), ReachProblem(True)
+    train(part, config)
+    train(full, config)
+    got, want = part.state.layers[0].taps, full.state.layers[0].taps
+    assert got.tobytes() == want.tobytes()
+    off = np.setdiff1d(np.arange(100), ReachProblem.COLUMNS)
+    start = ReachProblem(False).state.layers[0].taps
+    assert got[..., off].tobytes() == start[..., off].tobytes()
+    assert np.all(got[..., ReachProblem.COLUMNS] != start[..., ReachProblem.COLUMNS])
+
+
+def test_restricted_update_allocates_no_parameter_sized_array(monkeypatch):
+    # the restricted update of train(): a step gathers, updates and writes
+    # back the five reached columns; the moments hold those columns only
+    moments = []
+    step = optim.adam_step
+
+    def adam_step(adam, params, grads, param_names=None):
+        moments.append([m.shape for m in adam.first_moment + adam.second_moment])
+        step(adam, params, grads, param_names)
+
+    monkeypatch.setattr(optim, "adam_step", adam_step)
+    problem = ReachProblem(False)
+    history, peaks = train_step_peaks(problem, TrainConfig(
+        epochs=2, batch_size=4, learning_rate=0.03))
+    assert len(history) == len(peaks) == 6
+    full = problem.state.layers[0].taps.nbytes      # 1.6 MB
+    # a step holds the 80 kB gradient and gathered columns, and their update
+    assert max(peaks) < full / 4, peaks
+    assert moments == [[(200, 10, 5)] * 2] * 6
 
 
 def adam_expression_oracle(lr, step, params, grads, m, v):

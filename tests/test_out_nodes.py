@@ -4,7 +4,8 @@
 T instead of its output at every node, which changes the summation order.
 The full-output path is the oracle: outputs and every gradient must match
 it, sliced at T (outputs) or with the loss gradient scattered at T, to a
-relative tolerance.
+relative tolerance. An edge-varying last layer gives its value gradient on
+the reach of T only; it is compared at full shape, zero off the reach.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from gspnn.neural import (
 )
 from gspnn.recsys import RecSample, build_model_spec, predict
 
-from conftest import make_random_graph
+from conftest import full_shape_grads, make_random_graph
 
 RTOL = 1e-12
 
@@ -65,7 +66,8 @@ def assert_matches_full(spec, state, s, x, nodes, r):
     dfull = np.zeros_like(full)
     np.add.at(dfull, (slice(None), nodes), dpart)
     want = iter_params(model_backward(full_tape, spec, state, dfull))
-    got = iter_params(model_backward(part_tape, spec, state, dpart))
+    got = full_shape_grads(spec, state,
+                           model_backward(part_tape, spec, state, dpart), nodes)
     for (name, gw), (_, gg) in zip(want, got):
         assert rel(gg, gw) <= RTOL, f"{name}: {rel(gg, gw):.2e}"
 
@@ -105,7 +107,8 @@ def test_restricted_gradients_match_finite_differences(name):
         return 0.5 * float(np.sum((out - y) ** 2))
 
     out, tape = forward_batch(spec, state, s, x, out_nodes=nodes)
-    grads = iter_params(model_backward(tape, spec, state, out - y))
+    grads = full_shape_grads(spec, state, model_backward(tape, spec, state, out - y),
+                             nodes)
     h = 1e-5
     for (name, arr), (_, ga) in zip(iter_params(state), grads):
         gn = np.zeros_like(arr)
