@@ -26,12 +26,13 @@ vector on the full output. ``edge_varying_chain`` and its transposed sweep
 restricted to a few output nodes, all run them. Restricted to output nodes
 T, step k of an order-K filter reaches T only through the entries whose row
 lies within K - k hops of T (``edge_varying_reach``), so each step costs
-the entries of that ball per vector: on the 200-item recsys graph with one
-target node, 12 to 994 of the 2896 entries per step, 2063 of 11584 over the
-four steps. Dense (N, N) step matrices with batched products win only on
-wide full-output batches (8x faster for 440 signals on 200 nodes with 64
-filters) and cost the most on one signal (4x the time, 10x the memory); no
-caller runs full-output batches that wide, so there is no dense path.
+the entries of that ball per vector: with one target item on the
+benchmark's 200-item recsys graph at seed 17, 12 to 994 of the 2896 entries
+per step, 2063 of 11584 over the four steps. Dense (N, N) step matrices
+with batched products win only on wide full-output batches (8x faster for
+440 signals on 200 nodes with 64 filters) and cost the most on one signal
+(4x the time, 10x the memory); no caller runs full-output batches that
+wide, so there is no dense path.
 """
 
 from __future__ import annotations
