@@ -17,6 +17,12 @@ of the 11584 (step, entry) columns of ``values`` on the benchmark's
 200-item graph at seed 17. The others keep their initial values, and the
 checkpoint keeps every weight, because ``transfer_rmse`` reads the model at
 other items, where those weights count.
+
+Each piece of data is built once and kept read-only: a ``RatingsTable``
+holds its arrays and, from first use, its (users x items) rating matrix and
+mask, which the correlation and every ``make_samples`` call share; a
+``SimilarityGraph`` holds its item shift from first use, so the models
+trained and evaluated on one graph share one spectrum solve.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,16 +69,37 @@ class DataError(ValueError):
     pass
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject ``value`` unless it is an integer (not a bool) >= ``minimum``."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise DataError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RatingsTable:
     """Deduplicated (user, item, rating) triples with index maps sorted by
-    original id."""
+    original id.
+
+    The arrays are stored read-only; a writeable one or a view is copied
+    first, so no caller can change the table through its own array.
+    ``rating_matrix`` is built once, on first use, and is read-only too, so
+    every reader of one table shares it.
+    """
 
     user_ids: np.ndarray    # sorted original user ids
     item_ids: np.ndarray    # sorted original item ids
     user_idx: np.ndarray    # per-triple internal user index
     item_idx: np.ndarray    # per-triple internal item index
     ratings: np.ndarray     # per-triple rating in 1..5
+
+    def __post_init__(self):
+        for name in ("user_ids", "item_ids", "user_idx", "item_idx", "ratings"):
+            arr = getattr(self, name)
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = np.array(arr)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
 
     @property
     def n_users(self) -> int:
@@ -91,12 +119,14 @@ class RatingsTable:
             raise DataError(f"unknown item id {original_item_id}")
         return int(pos)
 
-    def rating_matrix(self):
-        """(users x items) rating matrix and its rated mask."""
+    @cached_property
+    def rating_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """(users x items) rating matrix and its rated mask, both read-only."""
         x = np.zeros((self.n_users, self.n_items))
         x[self.user_idx, self.item_idx] = self.ratings
         mask = np.zeros((self.n_users, self.n_items), dtype=bool)
         mask[self.user_idx, self.item_idx] = True
+        x.flags.writeable = mask.flags.writeable = False
         return x, mask
 
 
@@ -127,9 +157,11 @@ def ingest_movielens(path) -> RatingsTable:
     if bad.size:
         errors.append((bad[0], f"rating {ratings[bad[0]]} out of 1..5"))
     table = _build_table(users, items, ratings)
-    _, first = np.unique(table.user_idx * table.n_items + table.item_idx,
-                         return_index=True)
-    if first.size < data.shape[0]:
+    pairs = table.user_idx * table.n_items + table.item_idx
+    keys = np.sort(pairs)
+    if np.any(keys[1:] == keys[:-1]):
+        # only a file with a duplicate pays for the search that names it
+        _, first = np.unique(pairs, return_index=True)
         repeat = np.ones(data.shape[0], dtype=bool)
         repeat[first] = False
         e = np.argmax(repeat)  # the first row whose pair came before
@@ -148,7 +180,9 @@ def _data_lineno(text: str, row: int) -> int | None:
 
 def _parse_error(path, text: str, exc: Exception) -> DataError:
     """A loadtxt failure as a DataError naming the first file line that
-    is short of three fields or has a field that is not an integer."""
+    is short of three fields or has a field that is not an integer or does
+    not fit in int64."""
+    limits = np.iinfo(np.int64)
     for lineno, line in enumerate(text.split("\n"), start=1):
         fields = line.split()
         if not fields:
@@ -156,9 +190,13 @@ def _parse_error(path, text: str, exc: Exception) -> DataError:
         if len(fields) < 3:
             return DataError(f"{path}:{lineno}: expected user item rating [...]")
         try:
-            [int(field) for field in fields[:3]]
+            values = [int(field) for field in fields[:3]]
         except ValueError:
             return DataError(f"{path}:{lineno}: non-integer field")
+        wide = [field for field, value in zip(fields, values)
+                if not limits.min <= value <= limits.max]
+        if wide:
+            return DataError(f"{path}:{lineno}: field {wide[0]} is beyond int64")
     return DataError(f"{path}: {exc}")
 
 
@@ -171,23 +209,45 @@ def _build_table(users: np.ndarray, items: np.ndarray,
 
 
 def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTable:
-    """Keep the ``count`` items with the most ratings; ties keep lower ids."""
+    """Keep the ``count`` items with the most ratings; ties keep lower ids.
+
+    Item positions follow the sorted ids, so a stable sort by count alone
+    puts the lower id first among ties. The kept ratings are re-indexed
+    through a lookup of the kept positions, and users left with no rating
+    leave the user index.
+    """
+    _check_count("count", count, 1)
     if count > table.n_items:
         raise DataError(f"asked for {count} items, table has {table.n_items}")
     counts = np.bincount(table.item_idx, minlength=table.n_items)
-    order = np.lexsort((table.item_ids, -counts))  # by count desc, then id asc
-    keep_positions = np.sort(order[:count])
-    keep_mask = np.zeros(table.n_items, dtype=bool)
-    keep_mask[keep_positions] = True
-    row_keep = keep_mask[table.item_idx]
-    return _build_table(table.user_ids[table.user_idx[row_keep]],
-                        table.item_ids[table.item_idx[row_keep]],
-                        table.ratings[row_keep])
+    keep = np.zeros(table.n_items, dtype=bool)
+    keep[np.argsort(-counts, kind="stable")[:count]] = True
+    rows = keep[table.item_idx]
+    users = table.user_idx[rows]
+    rated = np.zeros(table.n_users, dtype=bool)
+    rated[users] = True
+    # cumsum - 1 maps a kept position to its index among the kept ones
+    return RatingsTable(table.user_ids[rated], table.item_ids[keep],
+                        (np.cumsum(rated) - 1)[users],
+                        (np.cumsum(keep) - 1)[table.item_idx[rows]],
+                        table.ratings[rows])
 
 
 @dataclass(frozen=True)
 class SimilarityGraph:
+    """An item graph from ``build_similarity`` and its item shift.
+
+    ``shift``, the normalized adjacency A / ||A|| with the eigenvalues its
+    normalization solved, is built once, on first use, and is read-only:
+    every model trained or evaluated on the graph shares it. An edgeless
+    graph raises only when its shift is asked for.
+    """
+
     graph: Graph
+
+    @cached_property
+    def shift(self) -> ShiftOperator:
+        return build_shift(self.graph, ShiftKind.NORMALIZED_ADJACENCY)
 
 
 def build_similarity(table: RatingsTable,
@@ -203,8 +263,7 @@ def build_similarity(table: RatingsTable,
     """
     if table.n_items < 2:
         raise DataError("need at least two items to build a similarity graph")
-    if top_edges < 0:
-        raise DataError(f"top_edges must be >= 0, got {top_edges}")
+    _check_count("top_edges", top_edges, 0)
     corr = _item_correlation(table)
     n = table.n_items
     # a stable sort keeps the lower node index among equal weights
@@ -220,7 +279,7 @@ def build_similarity(table: RatingsTable,
 def _item_correlation(table: RatingsTable) -> np.ndarray:
     """(items x items) Pearson correlation over co-rating users, zero on
     the diagonal and where ``build_similarity`` gives a pair weight zero."""
-    x, mask = table.rating_matrix()
+    x, mask = table.rating_matrix
     rated_counts = mask.sum(axis=0)
     means = np.zeros(table.n_items)
     np.divide(x.sum(axis=0), rated_counts, out=means, where=rated_counts > 0)
@@ -249,20 +308,25 @@ class RecSample:
 
 def make_samples(table: RatingsTable, graph: SimilarityGraph, target_item: int,
                  split: float = 0.9, seed: int = 0):
-    """Per-user samples for one target item, split at the user level."""
+    """Per-user samples for one target item, split at the user level.
+
+    The raters' rows of the table's rating matrix are taken with one gather
+    and their target column zeroed with one store; each sample's input is a
+    read-only row of that block.
+    """
     if not 0.0 <= split <= 1.0:
         raise DataError("split must be in [0, 1]")
     node = table.item_node(target_item)
     if graph.graph.n_nodes != table.n_items:
         raise DataError("graph does not match the table's item set")
-    x, mask = table.rating_matrix()
-    raters = np.nonzero(mask[:, node])[0]
-    samples = []
-    for u in raters:
-        inp = x[u].copy()
-        target = float(inp[node])
-        inp[node] = 0.0
-        samples.append(RecSample(int(table.user_ids[u]), inp, target))
+    x, mask = table.rating_matrix
+    raters = np.flatnonzero(mask[:, node])
+    inputs = x[raters]
+    targets = inputs[:, node].tolist()
+    inputs[:, node] = 0.0
+    inputs.flags.writeable = False
+    samples = [RecSample(user, inp, target) for user, inp, target
+               in zip(table.user_ids[raters].tolist(), inputs, targets)]
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(samples))
     n_train = int(split * len(samples))
@@ -276,8 +340,10 @@ def make_samples(table: RatingsTable, graph: SimilarityGraph, target_item: int,
 # ---------------------------------------------------------------------------
 
 def build_item_shift(graph: SimilarityGraph) -> ShiftOperator:
-    """Adjacency scaled by its spectral norm, keeping powers bounded."""
-    return build_shift(graph.graph, ShiftKind.NORMALIZED_ADJACENCY)
+    """Adjacency scaled by its spectral norm, keeping powers bounded: the
+    graph's ``shift``, built on the first call and the same read-only
+    operator on every later one."""
+    return graph.shift
 
 
 def build_model_spec(family: str) -> ModelSpec:

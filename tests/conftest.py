@@ -430,6 +430,41 @@ def most_rated_items(table, k=2):
     return [int(table.item_ids[i]) for i in order[:k]]
 
 
+def per_user_samples(table, target_item, split=0.9, seed=0):
+    """``recsys.make_samples`` as a per-user loop over a freshly built
+    rating matrix: each rater's row copied, its target read and zeroed."""
+    from gspnn.recsys import RecSample
+    node = table.item_node(target_item)
+    x = np.zeros((table.n_users, table.n_items))
+    x[table.user_idx, table.item_idx] = table.ratings
+    mask = np.zeros((table.n_users, table.n_items), dtype=bool)
+    mask[table.user_idx, table.item_idx] = True
+    samples = []
+    for u in np.nonzero(mask[:, node])[0]:
+        inp = x[u].copy()
+        target = float(inp[node])
+        inp[node] = 0.0
+        samples.append(RecSample(int(table.user_ids[u]), inp, target))
+    order = np.random.default_rng(seed).permutation(len(samples))
+    n_train = int(split * len(samples))
+    return ([samples[i] for i in order[:n_train]],
+            [samples[i] for i in order[n_train:]])
+
+
+def raw_id_top_items(table, count):
+    """``recsys.select_top_items`` by a lexsort on (count, id) and a table
+    rebuilt from the kept rows' original ids."""
+    from gspnn.recsys import _build_table
+    counts = np.bincount(table.item_idx, minlength=table.n_items)
+    order = np.lexsort((table.item_ids, -counts))
+    keep_mask = np.zeros(table.n_items, dtype=bool)
+    keep_mask[np.sort(order[:count])] = True
+    row_keep = keep_mask[table.item_idx]
+    return _build_table(table.user_ids[table.user_idx[row_keep]],
+                        table.item_ids[table.item_idx[row_keep]],
+                        table.ratings[row_keep])
+
+
 def jacobi_single_pole(s, gamma, beta, iters, x):
     """Truncated Jacobi solve of (S - gamma I) u = beta x from u = x, one pole
     at a time through ``filters.jacobi_iterates``: the per-pole oracle for

@@ -15,14 +15,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_spectral_theory_workload_runs_and_passes_its_checks():
+def run_workload(name):
+    """The (details, result) lines of a one-second untraced run."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "spectral_theory",
+        [sys.executable, "bench/run.py", "--workload", name,
          "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return [json.loads(line) for line in proc.stdout.strip().splitlines()[-2:]]
+
+
+def test_spectral_theory_workload_runs_and_passes_its_checks():
+    _, result = run_workload("spectral_theory")
     assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
+
+
+def test_recsys_workload_runs_and_passes_its_checks():
+    detail, result = run_workload("recsys_ml100k")
+    assert result["correct"] is True and detail["rounds_identical"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
 
 

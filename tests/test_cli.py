@@ -120,6 +120,18 @@ def test_recsys_eval_rejects_a_pole_on_the_shift_diagonal(tmp_path, capsys):
     assert "shift diagonal entry 0.0" in err
 
 
+def test_recsys_train_rejects_a_negative_top_items_count(tmp_path, capsys):
+    data = tmp_path / "u.data"
+    write_synthetic_fixture(data)
+    config = tmp_path / "config.yaml"
+    config.write_text("recsys:\n  top_items: -1\n")
+    code = main(["recsys", "train", "--config", str(config), "--data", str(data),
+                 "--target", "2", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error in recsys train: count must be "
+                                       "an integer >= 1, got -1\n")
+
+
 @pytest.mark.parametrize("leaf", ["response", "lipschitz"])
 @pytest.mark.parametrize("field,value", [
     ("lambda_range", "1"), ("lambda_range", "0,1,2"),

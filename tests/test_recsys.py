@@ -4,15 +4,27 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gspnn import graphs, recsys
-from gspnn.graphs import ShiftKind, ShiftOperator, build_shift, random_graph
+from gspnn.graphs import (
+    Graph,
+    GraphError,
+    ShiftKind,
+    ShiftOperator,
+    build_shift,
+    random_graph,
+)
 from gspnn.neural import forward_batch, init_state, model_backward
 from gspnn.filters import FilterError
 from gspnn.recsys import (
+    MODEL_FAMILIES,
     DataError,
     RatingProblem,
+    RatingsTable,
     RecSample,
+    SimilarityGraph,
     build_item_shift,
     build_model_spec,
     build_similarity,
@@ -27,7 +39,15 @@ from gspnn.recsys import (
     _item_correlation,
 )
 
-from conftest import loop_similarity_edges, most_rated_items, write_synthetic_fixture
+from conftest import (
+    loop_similarity_edges,
+    most_rated_items,
+    per_user_samples,
+    raw_id_top_items,
+    write_synthetic_fixture,
+)
+
+TABLE_FIELDS = ("user_ids", "item_ids", "user_idx", "item_idx", "ratings")
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +68,7 @@ def test_ingest_three_line_fixture(tmp_path):
     assert table.n_users == 3 and table.n_items == 2 and table.n_ratings == 3
     assert table.user_ids.tolist() == [1, 2, 3]
     assert table.item_ids.tolist() == [10, 20]
-    x, mask = table.rating_matrix()
+    x, mask = table.rating_matrix
     assert x[2, 0] == 4.0 and x[0, 0] == 5.0 and x[1, 1] == 1.0
     assert mask.sum() == 3
 
@@ -87,10 +107,23 @@ def test_ingest_rejects_duplicates_and_range(tmp_path):
     ("1 2 3.5 0\n", ":1: non-integer field"),
     ("1 2 3 0\n\n1 2.0 4 0\n", ":3: non-integer field"),
     ("1 2 9 0\n1 x 3 0\n", ":2: non-integer field"),
+    ("1 2 3 0\n3 4 5 0\n3 4 1 0\n1 2 4 0\n3 4 2 0\n",
+     ":3: duplicate rating for user 3, item 4"),
+    ("\n\n1 2 3 0\n\n5 5 5 0\n \n\t\n5 5 1 0\n1 2 2 0\n",
+     ":8: duplicate rating for user 5, item 5"),
+    ("1 2 3 0\n1 3 7 0\n\n1 2 4 0\n1 3 4 0\n", ":2: rating 7 out of 1..5"),
+    ("1 2 3 0\n\n99999999999999999999 2 3 0\n",
+     ":3: field 99999999999999999999 is beyond int64"),
+    ("1 2 3 0\n1 -9223372036854775809 3 0\n",
+     ":2: field -9223372036854775809 is beyond int64"),
+    ("1 x 3 0\n99999999999999999999 2 3 0\n", ":1: non-integer field"),
 ], ids=["bad field after blanks", "short line after blanks", "duplicate",
         "range before a later duplicate", "duplicate before a later range",
         "decimal rating", "decimal item after blanks",
-        "parse error before an earlier range error"])
+        "parse error before an earlier range error",
+        "earliest of several duplicates", "duplicate after blank lines",
+        "range error before later duplicates", "user beyond int64",
+        "item below int64", "parse error before a field beyond int64"])
 def test_ingest_names_the_file_line(tmp_path, text, message):
     path = tmp_path / "u.data"
     path.write_text(text)
@@ -169,6 +202,114 @@ def test_select_tie_keeps_lower_id():
     assert sub.item_ids.tolist() == [5]
 
 
+@pytest.mark.parametrize("count", [-1, 0, True, False, 1.5, "2", None])
+def test_select_top_items_rejects_a_bad_count(fixture_table, count):
+    with pytest.raises(DataError, match=re.escape(
+            f"count must be an integer >= 1, got {count!r}")):
+        select_top_items(fixture_table, count)
+
+
+def test_select_top_items_takes_a_numpy_count(fixture_table):
+    assert_tables_equal(select_top_items(fixture_table, np.int64(3)),
+                        raw_id_top_items(fixture_table, 3))
+
+
+def assert_tables_equal(got, want):
+    for name in TABLE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def assert_samples_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a.user_id) is int and a.user_id == b.user_id
+        assert type(a.target) is float and a.target == b.target
+        assert a.input.dtype == b.input.dtype
+        assert a.input.tobytes() == b.input.tobytes()
+
+
+def check_cut_and_samples(table, count, split, seed):
+    """The cut equals the raw-id oracle bit for bit, and so do the samples
+    of every kept item."""
+    top = select_top_items(table, count)
+    assert_tables_equal(top, raw_id_top_items(table, count))
+    graph = SimilarityGraph(Graph(top.n_items, ()))
+    for item in top.item_ids.tolist():
+        got = make_samples(top, graph, item, split=split, seed=seed)
+        want = per_user_samples(top, item, split=split, seed=seed)
+        for got_part, want_part in zip(got, want):
+            assert_samples_equal(got_part, want_part)
+
+
+def test_top_items_and_samples_equal_their_oracles_on_the_fixture(fixture_table):
+    for count in range(1, fixture_table.n_items + 1):
+        check_cut_and_samples(fixture_table, count, split=0.7, seed=count)
+
+
+def test_top_items_and_samples_equal_their_oracles_on_the_edge_cases():
+    # items 10, 30 and 50 tie at three ratings, items 20 and 40 at one; user
+    # 8 rated only item 20, which the cut to three items drops and the cut
+    # to four keeps over item 40, with its one rater
+    rows = [(5, 30, 4), (1, 10, 2), (8, 20, 5), (2, 30, 1), (5, 10, 3),
+            (2, 10, 5), (1, 30, 3), (9, 40, 2), (3, 50, 1), (1, 50, 4),
+            (9, 50, 5)]
+    users, items, ratings = map(np.array, zip(*rows))
+    table = _build_table(users, items, ratings)
+    top = select_top_items(table, 3)
+    counts = np.bincount(top.item_idx)
+    assert top.item_ids.tolist() == [10, 30, 50] and counts.tolist() == [3, 3, 3]
+    assert 8 not in top.user_ids.tolist() and top.n_users == table.n_users - 1
+    assert np.bincount(table.item_idx).tolist() == [3, 1, 3, 1, 3]
+    check_cut_and_samples(table, 3, split=0.5, seed=1)
+    check_cut_and_samples(table, 4, split=1.0, seed=2)  # keeps item 20 too
+
+
+@st.composite
+def rating_tables(draw):
+    """Small tables with few users, items and ratings per item, so counts
+    tie, a cut leaves users with no rating and items have one rater."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 8)),
+                          min_size=1, max_size=30, unique=True))
+    ratings = draw(st.lists(st.integers(1, 5), min_size=len(pairs),
+                            max_size=len(pairs)))
+    users, items = map(np.array, zip(*pairs))
+    return _build_table(users * 7, items * 11, np.array(ratings))
+
+
+@given(rating_tables(), st.data())
+def test_top_items_and_samples_equal_their_oracles(table, data):
+    count = data.draw(st.integers(1, table.n_items), label="count")
+    split = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), label="split")
+    check_cut_and_samples(table, count, split, seed=data.draw(
+        st.integers(0, 3), label="seed"))
+
+
+def test_a_table_keeps_no_writeable_array(fixture_table):
+    x, mask = fixture_table.rating_matrix
+    assert fixture_table.rating_matrix[0] is x
+    sim = build_similarity(fixture_table)
+    target = most_rated_items(fixture_table, 1)[0]
+    train_set, test_set = make_samples(fixture_table, sim, target, seed=3)
+    arrays = [getattr(fixture_table, name) for name in TABLE_FIELDS]
+    arrays += [x, mask, train_set[0].input, test_set[-1].input]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_a_table_copies_the_arrays_it_is_given():
+    fields = [np.array([3, 4]), np.array([7]), np.array([0, 1]),
+              np.array([0, 0]), np.array([2.0, 5.0])]
+    table = RatingsTable(*fields)
+    for arr in fields:
+        arr[...] = 0
+    assert table.user_ids.tolist() == [3, 4] and table.ratings.tolist() == [2.0, 5.0]
+    view = np.arange(4)[::2]
+    view.flags.writeable = False
+    assert RatingsTable(view, *fields[1:]).user_ids.base is None
+
+
 # ---------------------------------------------------------------------------
 # Similarity graph
 # ---------------------------------------------------------------------------
@@ -191,6 +332,10 @@ def test_anticorrelated_items_get_no_edge():
     table = _build_table(users, items, ratings)
     sim = build_similarity(table)
     assert len(sim.graph.edges) == 0
+    # the shift is built lazily: only asking for it raises, every time
+    for _ in range(2):
+        with pytest.raises(GraphError, match="no edges"):
+            build_item_shift(sim)
 
 
 def test_pearson_matches_double_loop_oracle():
@@ -204,7 +349,7 @@ def test_pearson_matches_double_loop_oracle():
             rows.append((u, i, int(rng.integers(1, 6))))
     users, items, ratings = map(np.array, zip(*rows))
     table = _build_table(users, items, ratings.astype(float))
-    x, mask = table.rating_matrix()
+    x, mask = table.rating_matrix
 
     # definitional oracle: own-item means, sums over co-rating users
     def pearson(a, b):
@@ -312,6 +457,13 @@ def test_similarity_rejects_a_negative_edge_count(fixture_table):
         build_similarity(fixture_table, top_edges=-1)
 
 
+@pytest.mark.parametrize("top_edges", [True, False, 2.5, "3", None])
+def test_similarity_rejects_a_non_integer_edge_count(fixture_table, top_edges):
+    with pytest.raises(DataError, match=re.escape(
+            f"top_edges must be an integer >= 0, got {top_edges!r}")):
+        build_similarity(fixture_table, top_edges=top_edges)
+
+
 # ---------------------------------------------------------------------------
 # Samples
 # ---------------------------------------------------------------------------
@@ -402,6 +554,28 @@ def test_arma_training_solves_the_item_spectrum_once(fixture_table, monkeypatch)
     target = most_rated_items(fixture_table, 1)[0]
     train_rating_model(fixture_table, sim, "arma", target, seed=0, epochs=3)
     assert len(calls) == 1
+
+
+def test_the_item_shift_is_built_once_per_graph(fixture_table):
+    sim = build_similarity(fixture_table)
+    shift = build_item_shift(sim)
+    assert build_item_shift(sim) is shift
+    assert shift.kind is ShiftKind.NORMALIZED_ADJACENCY
+    assert not shift.matrix.flags.writeable
+    assert build_item_shift(build_similarity(fixture_table)) is not shift
+
+
+def test_every_family_and_a_transfer_share_one_spectrum_solve(fixture_table,
+                                                              count_linalg):
+    sim = build_similarity(fixture_table)
+    targets = most_rated_items(fixture_table, 2)
+    models = [train_rating_model(fixture_table, sim, family, targets[0],
+                                 seed=0, epochs=1)
+              for family in MODEL_FAMILIES]
+    shift = build_item_shift(sim)
+    assert np.isfinite(transfer_rmse(models[2], fixture_table, sim, targets[1]))
+    assert count_linalg == {"eigvalsh": 1}
+    assert all(model.shift is shift for model in models)
 
 
 def test_arma_training_matches_the_solved_item_spectrum(fixture_table,
