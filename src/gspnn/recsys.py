@@ -28,6 +28,7 @@ trained and evaluated on one graph share one spectrum solve.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,6 +64,11 @@ BATCH_SIZE = 5
 LEARNING_RATE = 5e-3
 ARMA_POLES = 1
 ARMA_ITERS = 1
+
+
+# what loadtxt parses as an integer field; int() also takes "1_0" and
+# non-ASCII digits
+_INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 class DataError(ValueError):
@@ -189,12 +195,10 @@ def _parse_error(path, text: str, exc: Exception) -> DataError:
             continue
         if len(fields) < 3:
             return DataError(f"{path}:{lineno}: expected user item rating [...]")
-        try:
-            values = [int(field) for field in fields[:3]]
-        except ValueError:
+        if not all(_INTEGER_FIELD.fullmatch(field) for field in fields[:3]):
             return DataError(f"{path}:{lineno}: non-integer field")
-        wide = [field for field, value in zip(fields, values)
-                if not limits.min <= value <= limits.max]
+        wide = [field for field in fields[:3]
+                if not limits.min <= int(field) <= limits.max]
         if wide:
             return DataError(f"{path}:{lineno}: field {wide[0]} is beyond int64")
     return DataError(f"{path}: {exc}")
@@ -209,13 +213,9 @@ def _build_table(users: np.ndarray, items: np.ndarray,
 
 
 def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTable:
-    """Keep the ``count`` items with the most ratings; ties keep lower ids.
-
-    Item positions follow the sorted ids, so a stable sort by count alone
-    puts the lower id first among ties. The kept ratings are re-indexed
-    through a lookup of the kept positions, and users left with no rating
-    leave the user index.
-    """
+    """Keep the ``count`` items with the most ratings; ties keep lower ids
+    (positions follow the sorted ids, so a stable sort by count keeps them).
+    Users left with no rating leave the table."""
     _check_count("count", count, 1)
     if count > table.n_items:
         raise DataError(f"asked for {count} items, table has {table.n_items}")
@@ -235,13 +235,9 @@ def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTabl
 
 @dataclass(frozen=True)
 class SimilarityGraph:
-    """An item graph from ``build_similarity`` and its item shift.
-
-    ``shift``, the normalized adjacency A / ||A|| with the eigenvalues its
-    normalization solved, is built once, on first use, and is read-only:
-    every model trained or evaluated on the graph shares it. An edgeless
-    graph raises only when its shift is asked for.
-    """
+    """An item graph and its read-only ``shift``, the normalized adjacency
+    A / ||A||, built once on first use and shared by every model trained or
+    evaluated on the graph; an edgeless graph raises only when asked for it."""
 
     graph: Graph
 
@@ -308,12 +304,8 @@ class RecSample:
 
 def make_samples(table: RatingsTable, graph: SimilarityGraph, target_item: int,
                  split: float = 0.9, seed: int = 0):
-    """Per-user samples for one target item, split at the user level.
-
-    The raters' rows of the table's rating matrix are taken with one gather
-    and their target column zeroed with one store; each sample's input is a
-    read-only row of that block.
-    """
+    """Per-user samples for one target item, split at the user level. Each
+    input is a read-only row of one block gathered from the rating matrix."""
     if not 0.0 <= split <= 1.0:
         raise DataError("split must be in [0, 1]")
     node = table.item_node(target_item)

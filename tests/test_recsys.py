@@ -117,13 +117,17 @@ def test_ingest_rejects_duplicates_and_range(tmp_path):
     ("1 2 3 0\n1 -9223372036854775809 3 0\n",
      ":2: field -9223372036854775809 is beyond int64"),
     ("1 x 3 0\n99999999999999999999 2 3 0\n", ":1: non-integer field"),
+    ("1 2 3 0\n1 2_0 3 0\n", ":2: non-integer field"),
+    ("1 2 3 0\n\n1 \u0663 3 0\n", ":3: non-integer field"),
+    ("+1 2 3 0\n-1 2 3 0\n1 2 3 0\n", ":3: duplicate rating for user 1, item 2"),
 ], ids=["bad field after blanks", "short line after blanks", "duplicate",
         "range before a later duplicate", "duplicate before a later range",
         "decimal rating", "decimal item after blanks",
         "parse error before an earlier range error",
         "earliest of several duplicates", "duplicate after blank lines",
         "range error before later duplicates", "user beyond int64",
-        "item below int64", "parse error before a field beyond int64"])
+        "item below int64", "parse error before a field beyond int64",
+        "digit separator", "non-ASCII digit", "signed fields"])
 def test_ingest_names_the_file_line(tmp_path, text, message):
     path = tmp_path / "u.data"
     path.write_text(text)
