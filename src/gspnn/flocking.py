@@ -73,6 +73,8 @@ class FlockConfig:
             raise ValueError(f"n_agents must be an int >= 2, got {self.n_agents!r}")
         for name in [f.name for f in fields(self) if f.type == "float"]:
             value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not the bool {value!r}")
             if not (isinstance(value, (int, float)) and np.isfinite(value)
                     and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -162,11 +164,14 @@ def _adjacency_mask(dist: np.ndarray, radius: float) -> np.ndarray:
 
 def _normalized_shift_dense(mask: np.ndarray) -> np.ndarray:
     """D^-1/2 A D^-1/2 of (..., N, N) symmetric masks, zero rows for
-    isolated agents."""
+    isolated agents: the outer product of the inverse square-root degrees
+    over every entry, then zeroed off the mask in place."""
     deg = mask.sum(axis=-1).astype(float)
     inv_sqrt = np.zeros_like(deg)
     np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
-    return inv_sqrt[..., :, None] * mask * inv_sqrt[..., None, :]
+    shift = inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    shift *= mask
+    return shift
 
 
 def _features_raw(positions: np.ndarray, velocities: np.ndarray,
@@ -178,18 +183,27 @@ def _features_raw(positions: np.ndarray, velocities: np.ndarray,
     Leading axes of the (..., N, .) inputs are batch axes, so a whole
     trajectory's (T, N, 6) features come from one call; every sum and
     product is taken per step, so each step's features equal a one-step call.
+
+    The powers and divisions run on the neighbor entries of ``mask`` only,
+    gathered once; both weight matrices are those values scattered into one
+    zeroed (..., N, N) array.
     """
-    if np.any(_touching(dist, mask)):
+    # The returned array is allocated before the temporaries: placed above
+    # them, the outputs of a dataset's trajectories would pin their freed
+    # heap memory (about 10 MB more peak RSS in the training that follows).
+    feats = np.empty(positions.shape[:-1] + (6,))
+    links = np.flatnonzero(mask)
+    d = np.take(dist, links)
+    if np.any(d < 1e-6):
         raise ExpertAbort("zero-distance neighbor")
     deg = mask.sum(axis=-1).astype(float)
     vel_sum = deg[..., None] * velocities - mask @ velocities
-    feats = np.empty(positions.shape[:-1] + (6,))
     feats[..., 0:2] = vel_sum
-    with np.errstate(divide="ignore"):     # the zero diagonal, masked out
-        for col, power in ((2, 4.0), (4, 2.0)):
-            w = np.where(mask, 1.0 / dist ** power, 0.0)
-            feats[..., col:col + 2] = (w.sum(axis=-1)[..., None] * positions
-                                       - w @ positions)
+    w = np.zeros(dist.shape)
+    for col, power in ((2, 4.0), (4, 2.0)):
+        w.reshape(-1)[links] = 1.0 / d ** power
+        feats[..., col:col + 2] = (w.sum(axis=-1)[..., None] * positions
+                                   - w @ positions)
     return feats
 
 
@@ -204,21 +218,28 @@ def _touching(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _potential_slope_over_d(dist: np.ndarray, radius: float) -> np.ndarray:
     """-U'(d)/d for the repulsion U(d) = d^-2 cosine-tapered to zero on
-    [0.9 R, R]; entries beyond R (and the diagonal) are zero."""
+    [0.9 R, R]; entries beyond R (and the diagonal) are zero.
+
+    The core value 2 / d^4 is evaluated on every entry, then zeroed outside
+    d < 0.9 R (a far pair's d^4 may overflow, and 2 / inf is 0); the taper
+    is evaluated on the gathered band entries only, those below R that are
+    not core."""
     lo = 0.9 * radius
-    out = np.zeros_like(dist)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    dist = np.ascontiguousarray(dist)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.power(dist, 4.0)
+        np.divide(2.0, out, out=out)
         core = dist < lo
-        out[core] = 2.0 / dist[core] ** 4
-        band = (dist >= lo) & (dist < radius)
-        d = dist[band]
+        out *= core
+        idx = np.arange(out.shape[-1])
+        out[..., idx, idx] = 0.0
+        band = np.flatnonzero((dist < radius) & ~core)
+        d = np.take(dist, band)
         phase = np.pi * (d - lo) / (radius - lo)
         w = 0.5 * (1.0 + np.cos(phase))
         dw = -0.5 * np.pi / (radius - lo) * np.sin(phase)
         # U = d^-2 w(d): -U'/d = (2 w / d^3 - dw / d^2) / d
-        out[band] = (2.0 * w / d ** 3 - dw / d ** 2) / d
-    idx = np.arange(out.shape[-1])
-    out[..., idx, idx] = 0.0
+        out.reshape(-1)[band] = (2.0 * w / d ** 3 - dw / d ** 2) / d
     return out
 
 
@@ -506,9 +527,22 @@ def load_dataset(directory) -> list[TrajectorySample]:
                              f"{len(seeds)} seeds and the config need {shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: {name} has non-finite entries")
-    return [TrajectorySample(p, v, a, _trajectory_features(p, v, cfg), seed, cfg)
-            for p, v, a, seed in zip(members["positions"], members["velocities"],
-                                     members["actions"], seeds)]
+    samples = []
+    for i, (p, v, a, seed) in enumerate(zip(members["positions"],
+                                            members["velocities"],
+                                            members["actions"], seeds)):
+        try:
+            features = _trajectory_features(p, v, cfg)
+        except ExpertAbort:
+            dist = _pairwise(p[:-1])
+            linked = _adjacency_mask(dist, cfg.comm_radius)
+            step, j, k = np.argwhere((dist < 1e-6) & linked)[0]
+            raise ValueError(
+                f"{path}: trajectory {i} (seed {seed}) has linked agents {j} and "
+                f"{k} at distance {dist[step, j, k]:.3g} at step {step}; linked "
+                f"agents must be at least 1e-06 apart") from None
+        samples.append(TrajectorySample(p, v, a, features, seed, cfg))
+    return samples
 
 
 # ---------------------------------------------------------------------------

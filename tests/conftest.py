@@ -530,9 +530,10 @@ def per_filter_lipschitz(spec, state, interval, grid_points=512):
 
 
 def features_raw_oracle(positions, velocities, mask, dist):
-    """``flocking._features_raw`` as it was written before it went
-    index-free: a boolean gather for the zero-distance check and two masked
-    ``np.divide`` calls. The batched features must equal it bit for bit."""
+    """``flocking._features_raw`` as it was written before it gathered the
+    neighbor entries: a boolean gather for the zero-distance check and
+    ``np.where`` weights from a power and a division of every entry. The
+    features must equal it bit for bit."""
     from gspnn.flocking import ExpertAbort
     if np.any(dist[mask] < 1e-6):
         raise ExpertAbort("zero-distance neighbor")
@@ -540,12 +541,42 @@ def features_raw_oracle(positions, velocities, mask, dist):
     vel_sum = deg[..., None] * velocities - mask @ velocities
     feats = np.empty(positions.shape[:-1] + (6,))
     feats[..., 0:2] = vel_sum
-    for col, power in ((2, 4.0), (4, 2.0)):
-        w = np.zeros_like(dist)
-        np.divide(mask.astype(float), dist ** power, out=w, where=mask)
-        feats[..., col:col + 2] = (w.sum(axis=-1)[..., None] * positions
-                                   - w @ positions)
+    with np.errstate(divide="ignore"):     # the zero diagonal, masked out
+        for col, power in ((2, 4.0), (4, 2.0)):
+            w = np.where(mask, 1.0 / dist ** power, 0.0)
+            feats[..., col:col + 2] = (w.sum(axis=-1)[..., None] * positions
+                                       - w @ positions)
     return feats
+
+
+def potential_slope_oracle(dist, radius):
+    """``flocking._potential_slope_over_d`` as it was written before it
+    evaluated the core on every entry: boolean gathers and scatters of the
+    core d < 0.9 R and of the band 0.9 R <= d < R."""
+    lo = 0.9 * radius
+    out = np.zeros_like(dist)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        core = dist < lo
+        out[core] = 2.0 / dist[core] ** 4
+        band = (dist >= lo) & (dist < radius)
+        d = dist[band]
+        phase = np.pi * (d - lo) / (radius - lo)
+        w = 0.5 * (1.0 + np.cos(phase))
+        dw = -0.5 * np.pi / (radius - lo) * np.sin(phase)
+        out[band] = (2.0 * w / d ** 3 - dw / d ** 2) / d
+    idx = np.arange(out.shape[-1])
+    out[..., idx, idx] = 0.0
+    return out
+
+
+def normalized_shift_oracle(mask):
+    """``flocking._normalized_shift_dense`` as it was written before it
+    masked an outer product in place: the three-factor product
+    D^-1/2 * A * D^-1/2."""
+    deg = mask.sum(axis=-1).astype(float)
+    inv_sqrt = np.zeros_like(deg)
+    np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
+    return inv_sqrt[..., :, None] * mask * inv_sqrt[..., None, :]
 
 
 def per_step_expert_features(sample):

@@ -638,6 +638,17 @@ def test_dataset_with_nan_velocity_fails_naming_velocities(six_agent_dataset):
         load_dataset(six_agent_dataset)
 
 
+def test_dataset_with_coincident_linked_agents_names_step_and_agents(
+        six_agent_dataset):
+    def coincide_at_step_3(a):
+        a[0, 3, 4] = a[0, 3, 1]
+        return a
+    edit_array(six_agent_dataset, "positions", coincide_at_step_3)
+    with pytest.raises(ValueError, match=r"dataset\.npz: trajectory 0 \(seed 3\) "
+                       r"has linked agents 1 and 4 at distance 0 at step 3"):
+        load_dataset(six_agent_dataset)
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda h, m: m.pop("actions"), r"members has missing or unknown keys "
                                     r"\['actions'\]"),
@@ -659,12 +670,14 @@ def test_dataset_with_nan_velocity_fails_naming_velocities(six_agent_dataset):
                                          r"\['dt'\]"),
     (lambda h, m: h["config"].update(comm_radius=-2.0),
      "config: comm_radius must be finite and > 0"),
+    (lambda h, m: h["config"].update(dt=True),
+     "config: dt must be a number, not the bool True"),
     (lambda h, m: h.update(format_version=1),
      "dataset format_version is 1, this version reads 2"),
 ], ids=["missing member", "extra member", "float32 member", "seeds too long",
         "float seed", "no seeds", "negative n_resampled", "no config",
         "extra header field", "config without dt", "bad config value",
-        "version 1"])
+        "bool config value", "version 1"])
 def test_bad_dataset_archive_fails_naming_the_field(six_agent_dataset, edit,
                                                     message):
     edit_archive(six_agent_dataset, edit)
@@ -687,6 +700,8 @@ def test_old_directory_layout_fails_naming_the_archive(tmp_path):
     ("comm_radius", np.inf, "comm_radius must be finite and > 0"),
     ("speed_range", np.nan, "speed_range must be finite and > 0"),
     ("u_max", "10", "u_max must be finite and > 0"),
+    ("dt", True, "dt must be a number, not the bool True"),
+    ("comm_radius", True, "comm_radius must be a number, not the bool True"),
     ("duration", 0.005, "duration must be >= dt"),
 ])
 def test_flock_config_checks_each_field(field, value, message):
