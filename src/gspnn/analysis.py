@@ -30,6 +30,8 @@ from .neural import FirLayerParams, LayerSpec, ModelSpec, ModelState, forward_ba
 SYLVESTER_SINGULAR_TOL = 1e-9
 DEFAULT_GRID_POINTS = 512
 DEFAULT_MARGIN_FRACTION = 0.1
+# stability_experiment: weight of the bound's second-order term eps^2 ||x||
+STABILITY_SAFETY_FACTOR = 10.0
 EXACT_SEARCH_MAX_NODES = 8
 # sample_lipschitz_gcnn: spectrum headroom for dilations, and draws it makes
 DILATION_HEADROOM = 1.15
@@ -229,16 +231,15 @@ def model_lipschitz_constant(spec: ModelSpec, state: ModelState,
 
 def stability_experiment(spec: ModelSpec, state: ModelState, s: ShiftOperator,
                          perturbation: DilationPerturbation,
-                         inputs: list[np.ndarray],
-                         safety_factor: float = 10.0) -> StabilityReport:
+                         inputs: list[np.ndarray]) -> StabilityReport:
     """Measure output deviation under a dilation against the first-order bound.
 
     For a dilation the minimizing relabeling is the identity and the error
     matrix is proportional to I, whose eigenbasis can be chosen equal to the
     shift's, so the misalignment term is zero. The bound per input is
     2 C (1 + delta sqrt(N)) L eps ||x|| plus a safety term
-    ``safety_factor`` * eps^2 ||x|| covering the second order. The inputs
-    (each (N,) or (N, G)) are stacked into one (B, N, G) batch, so the
+    ``STABILITY_SAFETY_FACTOR`` * eps^2 ||x|| covering the second order. The
+    inputs (each (N,) or (N, G)) are stacked into one (B, N, G) batch, so the
     deviation ||Phi(Shat) x - Phi(S) x|| of every input comes from one
     ``forward_batch`` on S and one on Shat.
     """
@@ -257,6 +258,7 @@ def stability_experiment(spec: ModelSpec, state: ModelState, s: ShiftOperator,
     depth = len(spec.layers)
     n = s.n_nodes
     bound_unit = 2.0 * constant * (1.0 + delta_term * np.sqrt(n)) * depth * eps
+    second_order = STABILITY_SAFETY_FACTOR * eps * eps
 
     xs = np.stack([GraphSignal(x).values for x in inputs])
     out_base, _ = forward_batch(spec, state, s, xs)
@@ -267,7 +269,7 @@ def stability_experiment(spec: ModelSpec, state: ModelState, s: ShiftOperator,
         deviation = float(np.linalg.norm(pert - base))
         xnorm = float(np.linalg.norm(x))
         measured = max(measured, deviation / max(xnorm, 1e-300))
-        if deviation > bound_unit * xnorm + safety_factor * eps * eps * xnorm:
+        if deviation > bound_unit * xnorm + second_order * xnorm:
             violations += 1
     multi_feature = any(l.in_features > 1 or l.out_features > 1
                         for l in spec.layers)

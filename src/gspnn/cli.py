@@ -73,6 +73,10 @@ DATA_DIR_ENV = "GSPNN_DATA_DIR"
 # required. Global keys apply to every command.
 GLOBAL_KEYS = {"seed": (int, 0), "out": (str, "gspnn_out"),
                "config": (str, "")}
+# the filter that `analyze response` and `analyze lipschitz` evaluate
+FILTER_KEYS = {"taps": (str, ""), "arma_poles": (str, ""),
+               "arma_residues": (str, ""), "arma_direct": (str, ""),
+               "lambda_range": (str, "-1,1"), "points": (int, 512)}
 
 SCHEMA = {
     "recsys": {
@@ -96,12 +100,8 @@ SCHEMA = {
                   "trials": (int, 20)},
     },
     "analyze": {
-        "response": {"taps": (str, ""), "arma_poles": (str, ""),
-                     "arma_residues": (str, ""), "arma_direct": (str, ""),
-                     "lambda_range": (str, "-1,1"), "points": (int, 512)},
-        "lipschitz": {"taps": (str, ""), "arma_poles": (str, ""),
-                      "arma_residues": (str, ""), "arma_direct": (str, ""),
-                      "lambda_range": (str, "-1,1"), "points": (int, 512)},
+        "response": FILTER_KEYS,
+        "lipschitz": FILTER_KEYS,
         "distance": {"graph": (str, None), "graph_hat": (str, None),
                      "method": (str, "identity_permutation"),
                      "shift_kind": (str, "adjacency")},
@@ -166,11 +166,13 @@ def parse_config(group: str, leaf: str, flag_values: dict) -> dict:
 
 
 def _coerce(path: str, value, typ):
-    try:
-        return typ(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: expected {typ.__name__}, got {value!r}") \
-            from exc
+    """``value`` as ``typ``. A numeric key takes a string that ``typ``
+    parses or a number it holds exactly, never a bool (YAML's ``true``)."""
+    takes = {int: (str, int), float: (str, int, float), str: (object,)}[typ]
+    if isinstance(value, takes) and not (isinstance(value, bool) and typ is not str):
+        with contextlib.suppress(ValueError):
+            return typ(value)
+    raise ConfigError(f"{path}: expected {typ.__name__}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,6 @@ class FilterError(ValueError):
 # FIR filters
 # ---------------------------------------------------------------------------
 
-FIR_VARIANTS = ("plain", "gcn", "sgc", "gin")
-
-
 @dataclass(frozen=True)
 class FirTaps:
     """Polynomial filter taps h = [h0, ..., hK]."""

@@ -668,24 +668,18 @@ class _PolicyRunner:
         return (out * self.bundle.action_scale).reshape(features.shape[:-1] + (2,))
 
 
-def rollout_policy(bundle: PolicyBundle, n_agents: int, seed: int,
-                   duration: float | None = None):
-    """Closed-loop run; returns (trajectory arrays, cost, diverged flag).
-
-    ``duration`` defaults to the bundle's training duration.
-    """
-    (run,) = _rollouts(bundle, n_agents, [seed], duration)
+def rollout_policy(bundle: PolicyBundle, n_agents: int, seed: int):
+    """Closed-loop run for the bundle's training duration; returns
+    (trajectory arrays, cost, diverged flag)."""
+    (run,) = _rollouts(bundle, n_agents, [seed])
     return run
 
 
-def _rollouts(bundle: PolicyBundle, n_agents: int, seeds,
-              duration: float | None = None) -> list:
+def _rollouts(bundle: PolicyBundle, n_agents: int, seeds) -> list:
     """``rollout_policy`` from each seed, every team stepping together in
     one lockstep batch. A team that diverges leaves the batch: its cost is
     inf and its arrays are zero after the step it diverged at."""
-    if duration is None:
-        duration = bundle.config.duration
-    config = replace(bundle.config, n_agents=n_agents, duration=duration)
+    config = replace(bundle.config, n_agents=n_agents)
     spawned = [spawn_state(config, np.random.default_rng(seed)) for seed in seeds]
     r = np.array([s.positions for s in spawned]).reshape(-1, n_agents, 2)
     v = np.array([s.velocities for s in spawned]).reshape(-1, n_agents, 2)

@@ -30,7 +30,6 @@ from functools import partial
 import numpy as np
 
 from .filters import (
-    FIR_VARIANTS,
     EdgeVaryingSupport,
     check_poles,
     edge_varying_chain,
@@ -55,12 +54,7 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One filter-bank layer: family, feature sizes, orders, nonlinearity.
-
-    A FIR layer's ``fir_variant`` constrains its taps (``apply_tap_constraints``):
-    gcn (order 1, h0 fixed at 0), sgc (only the top tap hK trainable) or gin
-    (order 1, h0 tied to (1 + gin_epsilon) * h1); plain trains every tap.
-    """
+    """One filter-bank layer: family, feature sizes, orders, nonlinearity."""
 
     family: str
     in_features: int
@@ -69,8 +63,6 @@ class LayerSpec:
     n_poles: int = 0
     jacobi_iters: int = 1
     nonlinearity: str = "relu"
-    fir_variant: str = "plain"
-    gin_epsilon: float = 0.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -84,14 +76,6 @@ class LayerSpec:
         if self.family == "arma":
             if self.n_poles < 0 or self.jacobi_iters < 1:
                 raise ModelError("arma needs n_poles >= 0 and jacobi_iters >= 1")
-        if self.family == "fir" and self.fir_variant != "plain":
-            if self.fir_variant not in FIR_VARIANTS:
-                raise ModelError(f"unknown FIR variant {self.fir_variant!r}")
-            if self.order < 1:
-                raise ModelError(f"{self.fir_variant} needs order >= 1")
-            if self.fir_variant in ("gcn", "gin") and self.order != 1:
-                raise ModelError(f"{self.fir_variant} is defined for order 1, "
-                                 f"got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -191,31 +175,26 @@ def iter_params(state: ModelState):
 
 
 def init_state(spec: ModelSpec, rng: np.random.Generator,
-               shift: ShiftOperator | None = None,
-               lambda_max: float | None = None) -> ModelState:
+               shift: ShiftOperator | None = None) -> ModelState:
     """Draw initial parameters.
 
     FIR taps and readout weights are uniform in +-1/sqrt(F_in*(K+1)). ARMA
-    poles start in the Jacobi-convergent band [1.5, 3] * lambda_max with
-    alternating signs; residues and direct taps are zero-mean uniform scaled
-    by 1/sqrt(K+P+1), and with a ``shift`` the drawn poles pass
-    ``check_poles`` against its diagonal. Edge-varying weights shrink
-    additionally with the mean row occupancy of the support so a chain of
-    steps preserves magnitude.
+    poles start in the Jacobi-convergent band [1.5, 3] * ||S|| of the
+    ``shift`` with alternating signs and pass ``check_poles`` against its
+    diagonal; residues and direct taps are zero-mean uniform scaled by
+    1/sqrt(K+P+1). Edge-varying weights shrink additionally with the mean
+    row occupancy of the support so a chain of steps preserves magnitude.
     """
-    needs_spectrum = any(l.family == "arma" for l in spec.layers)
-    if needs_spectrum and lambda_max is None:
+    if any(l.family == "arma" for l in spec.layers):
         if shift is None:
-            raise ModelError("arma layers need `shift` or `lambda_max` to init poles")
+            raise ModelError("arma layers need `shift` to init poles")
         lambda_max = shift.operator_norm
-    if needs_spectrum and shift is not None:
         diagonal, margin = shift.diagonal(), pole_margin(shift)
     layers = []
     for i, l in enumerate(spec.layers):
         if l.family == "fir":
             a = 1.0 / np.sqrt(l.in_features * (l.order + 1))
             taps = rng.uniform(-a, a, size=(l.out_features, l.in_features, l.order + 1))
-            apply_tap_constraints(l, taps)
             layers.append(FirLayerParams(taps))
         elif l.family == "arma":
             b = 1.0 / np.sqrt(l.order + l.n_poles + 1)
@@ -226,8 +205,7 @@ def init_state(spec: ModelSpec, rng: np.random.Generator,
             signs = np.ones(l.n_poles)
             signs[1::2] = -1.0
             gamma = mag * signs[None, None, :]
-            if shift is not None:
-                check_poles(gamma, diagonal, margin, name=f"layers.{i}.gamma")
+            check_poles(gamma, diagonal, margin, name=f"layers.{i}.gamma")
             layers.append(ArmaLayerParams(alpha, beta, gamma))
         else:
             if shift is None:
@@ -247,31 +225,6 @@ def init_state(spec: ModelSpec, rng: np.random.Generator,
         state.readout_weight = rng.uniform(-c, c, size=(f_last, spec.readout.out_dim))
         state.readout_bias = np.zeros(spec.readout.out_dim)
     return state
-
-
-def apply_tap_constraints(layer: LayerSpec, taps: np.ndarray) -> None:
-    """Re-impose fixed/tied tap values in place (after init or an update)."""
-    if layer.family != "fir" or layer.fir_variant == "plain":
-        return
-    if layer.fir_variant == "gcn":
-        taps[..., 0] = 0.0
-    elif layer.fir_variant == "sgc":
-        taps[..., :layer.order] = 0.0
-    elif layer.fir_variant == "gin":
-        taps[..., 0] = (1.0 + layer.gin_epsilon) * taps[..., 1]
-
-
-def fold_tap_gradients(layer: LayerSpec, gtaps: np.ndarray) -> None:
-    """Fold gradient contributions of fixed/tied taps onto trainable ones."""
-    if layer.family != "fir" or layer.fir_variant == "plain":
-        return
-    if layer.fir_variant == "gcn":
-        gtaps[..., 0] = 0.0
-    elif layer.fir_variant == "sgc":
-        gtaps[..., :layer.order] = 0.0
-    elif layer.fir_variant == "gin":
-        gtaps[..., 1] += (1.0 + layer.gin_epsilon) * gtaps[..., 0]
-        gtaps[..., 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +294,6 @@ def _fir_forward(layer: LayerSpec, params: FirLayerParams, s: ShiftOperator,
 def _fir_backward(layer: LayerSpec, params: FirLayerParams, zs: np.ndarray,
                   s: ShiftOperator | None, du: np.ndarray, need_dx: bool):
     gtaps = _bank_tap_grad(zs, du)
-    fold_tap_gradients(layer, gtaps)
     dx = None
     if need_dx:
         if s is None:
@@ -517,14 +469,11 @@ def _fir_rows(layer: LayerSpec, params: FirLayerParams, s: ShiftOperator,
     contracts the (N, K+1, T) stack of S^k e_t (S is symmetric)."""
     stack = shifted_stack(s, _one_hot(nodes, s.n_nodes).T[None], layer.order)[0]
     w = np.einsum("fgk,nkt->tfgn", params.taps, stack)
-    return w, partial(_fir_rows_vjp, layer, stack)
+    return w, partial(_fir_rows_vjp, stack)
 
 
-def _fir_rows_vjp(layer: LayerSpec, stack: np.ndarray,
-                  xbar: np.ndarray) -> FirLayerParams:
-    gtaps = np.einsum("tfgn,nkt->fgk", xbar, stack)
-    fold_tap_gradients(layer, gtaps)
-    return FirLayerParams(gtaps)
+def _fir_rows_vjp(stack: np.ndarray, xbar: np.ndarray) -> FirLayerParams:
+    return FirLayerParams(np.einsum("tfgn,nkt->fgk", xbar, stack))
 
 
 def _pole_rows_start(nodes: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -150,10 +150,12 @@ class Problem:
     ``state`` exposes the trainable ModelState; ``batch_loss`` evaluates one
     mini-batch (by sample indices) and returns (loss value, gradient
     ModelState); ``post_step`` re-imposes parameter constraints after an
-    update (tied taps, pole projection). ``reach`` names the parameters
-    whose gradient is zero off a fixed set of entries, with the index of
-    those entries: ``batch_loss`` gives such a gradient on them alone, as
-    ``grad[index]`` would be, and ``train`` updates only them.
+    update (pole projection). ``reach`` names the parameters whose gradient
+    is zero off a fixed set of entries, with the index of those entries:
+    ``batch_loss`` gives such a gradient on them alone, as ``grad[index]``
+    would be, and ``train`` updates only them, on a copy gathered once, so
+    nothing but ``train`` may write a reached entry during training
+    (``post_step`` touches only ARMA poles).
     """
 
     state: ModelState
@@ -175,9 +177,9 @@ def train(problem: Problem, config: TrainConfig) -> list[tuple[int, int, float]]
     """Run epochs x ceil(n/batch) ADAM steps; returns (epoch, batch, loss) rows.
 
     A parameter in ``problem.reach()`` keeps its ADAM moments on the reached
-    entries only; each step gathers them, updates them and writes them back.
-    ADAM leaves a weight with a zero gradient bitwise unchanged, so this is
-    the full update without its work on the entries left out."""
+    entries only, gathered once into a copy that each step updates and
+    writes back. ADAM leaves a weight with a zero gradient bitwise
+    unchanged, so this is the full update without its work on the others."""
     n = problem.n_samples()
     if n == 0:
         raise TrainingError("empty dataset")
@@ -198,8 +200,6 @@ def train(problem: Problem, config: TrainConfig) -> list[tuple[int, int, float]]
             indices = order[start:start + config.batch_size]
             loss, grads = problem.batch_loss(indices)
             grad_arrays = [arr for _, arr in iter_params(grads)]
-            for j, index in gathered:
-                params[j] = full[j][index]
             adam_step(adam, params, grad_arrays, param_names=names)
             for j, index in gathered:
                 full[j][index] = params[j]

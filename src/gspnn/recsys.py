@@ -43,7 +43,6 @@ from .neural import (
     ModelSpec,
     ModelState,
     ReadoutSpec,
-    apply_tap_constraints,
     forward_batch,
     init_state,
     model_backward,
@@ -246,24 +245,22 @@ class SimilarityGraph:
         return build_shift(self.graph, ShiftKind.NORMALIZED_ADJACENCY)
 
 
-def build_similarity(table: RatingsTable,
-                     top_edges: int = TOP_EDGES_PER_NODE) -> SimilarityGraph:
+def build_similarity(table: RatingsTable) -> SimilarityGraph:
     """Item graph weighted by Pearson correlation over co-rating users.
 
     Item means are taken over each item's own rated entries; the correlation
     is then accumulated over users who rated both items. Pairs with fewer
     than two co-raters or no co-rating variance get weight zero; negative
-    correlations are dropped. Each node keeps its ``top_edges`` strongest
-    edges, equal weights keeping the lower node index, and the result is
-    symmetrized by union.
+    correlations are dropped. Each node keeps its ``TOP_EDGES_PER_NODE``
+    strongest edges, equal weights keeping the lower node index, and the
+    result is symmetrized by union.
     """
     if table.n_items < 2:
         raise DataError("need at least two items to build a similarity graph")
-    _check_count("top_edges", top_edges, 0)
     corr = _item_correlation(table)
     n = table.n_items
     # a stable sort keeps the lower node index among equal weights
-    picks = np.argsort(-corr, axis=1, kind="stable")[:, :top_edges]
+    picks = np.argsort(-corr, axis=1, kind="stable")[:, :TOP_EDGES_PER_NODE]
     i, rank = np.nonzero(np.take_along_axis(corr, picks, axis=1) > 0.0)
     j = picks[i, rank]
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
@@ -403,11 +400,9 @@ class RatingProblem(Problem):
         return self._reach
 
     def post_step(self):
-        for layer_spec, params in zip(self.spec.layers, self.state.layers):
+        for params in self.state.layers:
             if isinstance(params, ArmaLayerParams):
                 project_poles(params.gamma, *self.pole_bounds)
-            if layer_spec.family == "fir":
-                apply_tap_constraints(layer_spec, params.taps)
 
 
 def predict(spec: ModelSpec, state: ModelState, shift: ShiftOperator,

@@ -31,6 +31,31 @@ def test_threads_config_key_is_rejected_by_name(tmp_path, capsys):
     assert "unknown config key threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ("flocking: {dt: true}", "flocking.dt: expected float, got True"),
+    ("flocking: {agents: true}", "flocking.agents: expected int, got True"),
+    ("flocking: {n_traj: 2.7}", "flocking.n_traj: expected int, got 2.7"),
+    ("seed: 3.9", "seed: expected int, got 3.9"),
+])
+def test_config_rejects_a_bool_or_a_fraction_for_a_number_naming_the_key(
+        tmp_path, doc, message):
+    # a YAML true was read as 1 and a float for an int key was truncated
+    config = tmp_path / "config.yaml"
+    config.write_text(doc + "\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_config("flocking", "generate", {"config": str(config)})
+
+
+def test_config_numbers_parse_from_ints_and_flag_strings(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: 3\nflocking: {dt: 1, agents: '30'}\n")
+    cfg = parse_config("flocking", "generate", {"config": str(config),
+                                                "n_traj": "7", "duration": "2.5"})
+    assert [(cfg[k], type(cfg[k])) for k in ("seed", "dt", "agents", "n_traj",
+                                             "duration")] == [
+        (3, int), (1.0, float), (30, int), (7, int), (2.5, float)]
+
+
 @pytest.fixture
 def policy_checkpoint(tmp_path):
     config = FlockConfig(n_agents=6, duration=0.05)

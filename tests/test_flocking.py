@@ -980,16 +980,10 @@ def test_rollout_runs_at_other_team_sizes(tiny_policy):
     assert np.isfinite(cost) or diverged
 
 
-def test_rollout_duration_default_override_and_rejection(tiny_policy):
+def test_rollout_runs_for_the_bundle_duration(tiny_policy):
     cfg, _, bundle, _ = tiny_policy
     (_, v_default), _, _ = rollout_policy(bundle, cfg.n_agents, seed=4)
     assert v_default.shape[0] == bundle.config.n_steps + 1
-    (_, v_short), _, _ = rollout_policy(bundle, cfg.n_agents, seed=4,
-                                        duration=0.1)
-    assert v_short.shape[0] == round(0.1 / cfg.dt) + 1
-    for bad in (0.0, -0.1, np.nan, np.inf):
-        with pytest.raises(ValueError, match="duration"):
-            rollout_policy(bundle, cfg.n_agents, seed=4, duration=bad)
 
 
 def test_scalability_sweep_shape(tiny_policy):
@@ -1070,11 +1064,13 @@ RELABEL_COST_RTOL = 1e-12
 def test_relabelling_the_agents_at_spawn_relabels_the_policy_rollouts(
         tiny_policy, relabelled_spawns, n_agents, duration):
     _, _, bundle, _ = tiny_policy
+    if duration is not None:
+        bundle = replace(bundle, config=replace(bundle.config, duration=duration))
     seeds = [90, 91, 92]
-    runs = fl._rollouts(bundle, n_agents, seeds, duration)
+    runs = fl._rollouts(bundle, n_agents, seeds)
     perm = np.random.default_rng(3).permutation(n_agents)
     relabelled_spawns(perm)
-    relabelled = fl._rollouts(bundle, n_agents, seeds, duration)
+    relabelled = fl._rollouts(bundle, n_agents, seeds)
     for ((r, v), cost, diverged), ((r_p, v_p), cost_p, diverged_p) in zip(
             runs, relabelled):
         assert not diverged and not diverged_p

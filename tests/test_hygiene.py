@@ -32,6 +32,10 @@ of it, an attribute of its imported module, or a load in its own module
 that no enclosing function shadows. A local variable or an attribute of
 another object that shares the name does not count.
 
+Every defaulted parameter of a function in ``src/gspnn`` must be passed,
+by keyword or by position, by some call in ``src`` or ``bench`` (outside
+``bench/tests``): a knob that only tests set is a constant.
+
 Every top-level helper and fixture of ``tests/conftest.py`` must be reached
 from a test module: referenced by one (a fixture also by a parameter of
 that name), or by a helper or fixture that is itself reached. An oracle
@@ -434,13 +438,18 @@ def _local_names(func) -> set[str]:
     return names - declared_global
 
 
+def _program_files(root: Path) -> list[Path]:
+    """The modules of ``root/src`` and ``root/bench``, the bench's tests
+    not counted."""
+    return sorted(p for d in ("src", "bench") for p in (root / d).rglob("*.py")
+                  if "tests" not in p.relative_to(root).parts)
+
+
 def program_references(root: Path) -> dict[tuple, set]:
     """(module, name) -> {(path, top-level statement index)} over the
-    modules of ``root/src`` and ``root/bench``, the bench's tests not
-    counted."""
+    program files."""
     refs = {}
-    for path in sorted(p for d in ("src", "bench") for p in (root / d).rglob("*.py")
-                       if "tests" not in p.relative_to(root).parts):
+    for path in _program_files(root):
         label = str(path.relative_to(root))
         visitor = _ProgramReferences(path.stem if path.parent.name == "gspnn" else None)
         visitor.visit(ast.parse(path.read_text()))
@@ -518,6 +527,142 @@ def test_no_top_level_name_is_used_only_by_tests():
     assert not leaks, f"only tests use {leaks}: move them to tests/ or delete them"
     # an exemption whose name gained a program caller is stale
     assert sorted(TEST_ONLY_EXEMPT) == sorted(set(found) & set(TEST_ONLY_EXEMPT))
+
+
+# Defaulted parameters no program call passes: ``path:function(parameter)``
+# -> the reason.
+UNPASSED_DEFAULT_EXEMPT = {
+    "src/gspnn/cli.py:main(argv)":
+        "the console entry point: the installed `gspnn` script calls main() "
+        "with no argument, and argv lets a caller run a command in-process",
+}
+
+
+def _name(node: ast.Name | ast.Attribute) -> str:
+    return node.id if isinstance(node, ast.Name) else node.attr
+
+
+def _program_calls(root: Path):
+    """(calls, values) over the program files. ``calls`` maps a callee name
+    (a function name or the attribute name of ``obj.name(...)``) to one
+    (positional count, keyword names, has ``*args``, has ``**kwargs``) per
+    call; ``values`` holds the names loaded other than as a callee or the
+    object of an attribute, such as a function handed to ``partial``."""
+    calls, loads, not_values = {}, set(), set()
+    for path in _program_files(root):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)) \
+                    and isinstance(node.ctx, ast.Load):
+                loads.add(node)
+            if isinstance(node, ast.Attribute):
+                not_values.add(node.value)
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, (ast.Name, ast.Attribute)):
+                not_values.add(node.func)
+                calls.setdefault(_name(node.func), []).append((
+                    sum(not isinstance(a, ast.Starred) for a in node.args),
+                    {kw.arg for kw in node.keywords},
+                    any(isinstance(a, ast.Starred) for a in node.args),
+                    any(kw.arg is None for kw in node.keywords)))
+    return calls, {_name(node) for node in loads - not_values}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, call names, parameter, positional index or None,
+    leading bound argument count) per defaulted parameter of every function
+    and method. A method is called with ``self`` bound, and ``__init__``
+    by its class name."""
+    found = []
+
+    def visit(node, cls):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.ClassDef):
+                visit(sub, sub)
+            elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in sub.decorator_list)
+                bound = int(cls is not None and not static)
+                names = {sub.name}
+                if cls is not None and sub.name == "__init__":
+                    names.add(cls.name)
+                qual = f"{cls.name}.{sub.name}" if cls is not None else sub.name
+                args = sub.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                found.extend((qual, names, arg.arg, i, bound)
+                             for i, arg in enumerate(positional) if i >= first)
+                found.extend((qual, names, arg.arg, None, bound) for arg, default
+                             in zip(args.kwonlyargs, args.kw_defaults) if default)
+                visit(sub, None)
+            else:
+                visit(sub, cls)
+
+    visit(tree, None)
+    return found
+
+
+def defaulted_parameters_the_program_never_passes(root: Path) -> list[str]:
+    """``path:function(parameter)`` for each defaulted parameter of a
+    function in ``root/src/gspnn`` that no call in ``root/src`` or
+    ``root/bench`` (the bench's own tests not counted) passes, by keyword or
+    by position. A call matches by function name, by attribute name, or by
+    class name for ``__init__``, and a function the program names other
+    than as a callee (handed to ``partial``, say) passes every parameter.
+    This can miss a knob, when another function shares its name, but never
+    flags a used one that a call names."""
+    calls, values = _program_calls(root)
+    found = []
+    for path in sorted((root / "src" / "gspnn").glob("*.py")):
+        label = str(path.relative_to(root))
+        for qual, names, param, index, bound in _defaulted_parameters(
+                ast.parse(path.read_text())):
+            if names & values:
+                continue
+            if not any(param in keywords or star_kw
+                       or index is not None and (star or index < count + bound)
+                       for name in names
+                       for count, keywords, star, star_kw in calls.get(name, [])):
+                found.append(f"{label}:{qual}({param})")
+    return found
+
+
+def test_a_defaulted_parameter_the_program_never_passes_is_found(tmp_path):
+    files = {
+        "src/gspnn/lib.py": ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                             "def by_star(a, b=1):\n    pass\n"
+                             "def by_kwargs(a, *, b=1):\n    pass\n"
+                             "def handed(a, b=1):\n    pass\n"
+                             "class Box:\n"
+                             "    def __init__(self, a, size=1, fill=0):\n"
+                             "        pass\n"
+                             "    def grow(self, by=1, at=0):\n        pass\n"
+                             "    @staticmethod\n"
+                             "    def make(a=1, b=2):\n        pass\n"),
+        "src/gspnn/app.py": ("from functools import partial\n"
+                             "from .lib import Box, by_kwargs, by_star, f, handed\n"
+                             "f(0, 1, d=2)\nby_star(*[0, 1])\nby_kwargs(0, **{})\n"
+                             "g = partial(handed, 0)\nBox(0, 1).grow(2)\n"
+                             "Box.make(1)\n"),
+        "bench/tests/test_run.py": "from gspnn.lib import f\nf(0, c=1, e=2)\n",
+        "tests/test_lib.py": "from gspnn.lib import f\nf(0, c=1, e=2)\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert defaulted_parameters_the_program_never_passes(tmp_path) == [
+        "src/gspnn/lib.py:f(c)", "src/gspnn/lib.py:f(e)",
+        "src/gspnn/lib.py:Box.__init__(fill)", "src/gspnn/lib.py:Box.grow(at)",
+        "src/gspnn/lib.py:Box.make(b)"]
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    found = defaulted_parameters_the_program_never_passes(ROOT)
+    unpassed = [name for name in found if name not in UNPASSED_DEFAULT_EXEMPT]
+    assert not unpassed, (f"no program call passes {unpassed}: make them "
+                          "constants or pass them")
+    # an exemption whose parameter gained a program caller is stale
+    assert sorted(UNPASSED_DEFAULT_EXEMPT) == sorted(
+        set(found) & set(UNPASSED_DEFAULT_EXEMPT))
 
 
 

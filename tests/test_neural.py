@@ -30,7 +30,6 @@ from gspnn.neural import (
     ModelSpec,
     ModelState,
     ReadoutSpec,
-    apply_tap_constraints,
     equivariant_forward_check,
     forward_batch,
     init_state,
@@ -592,83 +591,14 @@ def test_readout_locality_within_l_times_k_hops():
 def test_init_state_checks_drawn_poles_against_the_shift():
     spec = ModelSpec((LayerSpec("fir", 1, 2, 1),
                       LayerSpec("arma", 2, 2, 1, n_poles=2)))
-    # the same seed draws the same poles with or without a shift
-    drawn = init_state(spec, np.random.default_rng(0), lambda_max=1.0)
-    pole = float(drawn.layers[1].gamma[1, 0, 1])
-    s = ShiftOperator.from_dense(np.diag([0.0, pole, 0.5]))
+    # a zero shift has norm 0, so every pole is drawn at 0, on its diagonal
+    zero = ShiftOperator.from_dense(np.zeros((3, 3)))
     with pytest.raises(FilterError, match=re.escape(
-            f"layers.1.gamma[1, 0, 1] = {pole!r} is within")):
-        init_state(spec, np.random.default_rng(0), shift=s, lambda_max=1.0)
+            "layers.1.gamma[0, 0, 0] = 0.0 is within")):
+        init_state(spec, np.random.default_rng(0), shift=zero)
     s, _ = small_shift()
     state = init_state(spec, np.random.default_rng(0), shift=s)
     assert np.all(np.abs(state.layers[1].gamma) >= 1.5 * s.operator_norm)
-
-
-# ---------------------------------------------------------------------------
-# Fir variant constraints
-# ---------------------------------------------------------------------------
-
-def test_layer_spec_checks_fir_variant_orders():
-    for variant, order in (("plain", 0), ("gcn", 1), ("sgc", 1), ("sgc", 3),
-                           ("gin", 1)):
-        LayerSpec("fir", 1, 1, order, fir_variant=variant)
-    for variant, order, message in (
-            ("gcn", 2, "gcn is defined for order 1, got 2"),
-            ("gin", 0, "gin needs order >= 1"),
-            ("sgc", 0, "sgc needs order >= 1"),
-            ("twisted", 1, "unknown FIR variant 'twisted'")):
-        with pytest.raises(ModelError, match=message):
-            LayerSpec("fir", 1, 1, order, fir_variant=variant)
-
-
-def test_tap_constraints_gcn_sgc_gin():
-    taps = np.arange(12.0).reshape(2, 2, 3)
-    layer = LayerSpec("fir", 2, 2, 2, fir_variant="sgc")
-    apply_tap_constraints(layer, taps)
-    assert np.all(taps[..., :2] == 0.0)
-
-    taps = np.arange(8.0).reshape(2, 2, 2) + 1.0
-    layer = LayerSpec("fir", 2, 2, 1, fir_variant="gcn")
-    apply_tap_constraints(layer, taps)
-    assert np.all(taps[..., 0] == 0.0) and np.all(taps[..., 1] != 0.0)
-
-    taps = np.arange(8.0).reshape(2, 2, 2) + 1.0
-    layer = LayerSpec("fir", 2, 2, 1, fir_variant="gin", gin_epsilon=0.25)
-    apply_tap_constraints(layer, taps)
-    assert np.allclose(taps[..., 0], 1.25 * taps[..., 1])
-
-
-def test_gin_gradient_matches_tied_finite_difference():
-    s, r = small_shift(22)
-    spec = ModelSpec((LayerSpec("fir", 1, 2, 1, fir_variant="gin",
-                                gin_epsilon=0.3, nonlinearity="tanh"),))
-    state = init_state(spec, r, shift=s)
-    x = r.normal(size=(s.n_nodes, 1))
-    out, tape = model_forward(spec, state, s, GraphSignal(x))
-    y = r.normal(size=out.values.shape)
-    grads = model_backward(tape, spec, state, GraphSignal(out.values - y))
-    gt = grads.layers[0].taps
-    assert np.all(gt[..., 0] == 0.0)  # folded onto the trainable tap
-
-    # numeric: perturb h1 and resync h0 = (1+eps) h1 (the executed tying)
-    h = 1e-6
-    taps = state.layers[0].taps
-
-    def tied_loss():
-        apply_tap_constraints(spec.layers[0], taps)
-        o, _ = model_forward(spec, state, s, GraphSignal(x))
-        return 0.5 * float(np.sum((o.values - y) ** 2))
-
-    for f in range(2):
-        orig = taps[f, 0, 1]
-        taps[f, 0, 1] = orig + h
-        up = tied_loss()
-        taps[f, 0, 1] = orig - h
-        down = tied_loss()
-        taps[f, 0, 1] = orig
-        apply_tap_constraints(spec.layers[0], taps)
-        fd = (up - down) / (2 * h)
-        assert gt[f, 0, 1] == pytest.approx(fd, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -945,8 +875,7 @@ def test_save_checkpoint_writes_exactly_the_given_path(tmp_path):
 
 
 ROUNDTRIP_SPECS = {
-    "fir": ModelSpec((LayerSpec("fir", 2, 3, 1, fir_variant="gin",
-                                gin_epsilon=0.25),),
+    "fir": ModelSpec((LayerSpec("fir", 2, 3, 1),),
                      ReadoutSpec("per_node_linear", 2)),
     "arma": ModelSpec((LayerSpec("arma", 1, 2, 1, n_poles=2, jacobi_iters=3,
                                  nonlinearity="tanh"),)),
@@ -1043,6 +972,27 @@ def test_checkpoint_reads_the_support_size_it_wrote(tmp_path):
     path = _edit_saved_array(tmp_path, CHECKPOINT_EDGE, _set_support_n_nodes(8))
     _, state, _ = load_checkpoint(path)
     assert state.layers[0].support.n_nodes == 8
+
+
+def _add_tap_variant_keys(members):
+    header = json.loads(members["header"].tobytes().decode("utf-8"))
+    for layer in header["model"]["layers"]:
+        layer.update(fir_variant="plain", gin_epsilon=0.0)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    members["header"] = np.frombuffer(text, dtype=np.uint8)
+
+
+def test_checkpoint_with_the_tap_variant_keys_loads_unchanged(tmp_path):
+    # LayerSpec had fir_variant and gin_epsilon fields, so every checkpoint
+    # written before they went carries them in each layer doc
+    path = _edit_saved_array(tmp_path, CHECKPOINT_MIXED, _add_tap_variant_keys)
+    spec, state, _ = load_checkpoint(path)
+    assert spec == CHECKPOINT_MIXED
+    _, fresh, _ = load_checkpoint(_save_fresh(tmp_path / "fresh.npz", spec))
+    params, params2 = list(iter_params(fresh)), list(iter_params(state))
+    assert [name for name, _ in params] == [name for name, _ in params2]
+    for (name, want), (_, got) in zip(params, params2):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_validate_state_checks_readout_presence_and_layer_kind():

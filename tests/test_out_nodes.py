@@ -41,9 +41,6 @@ def normalized_shift(seed, n=12):
 ARMA = {"n_poles": 2, "jacobi_iters": 3}
 LAST_LAYERS = {
     "fir": ("fir", 3, {}),
-    "gcn": ("fir", 1, {"fir_variant": "gcn"}),
-    "sgc": ("fir", 3, {"fir_variant": "sgc"}),
-    "gin": ("fir", 1, {"fir_variant": "gin", "gin_epsilon": 0.3}),
     "arma": ("arma", 2, ARMA),
     "arma_order0": ("arma", 0, ARMA),
     "edge_order0": ("edge_varying", 0, {}),

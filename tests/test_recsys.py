@@ -385,7 +385,7 @@ def _dropped_by_topk(sim, a, b):
     return False
 
 
-def test_top_k_sparsification_cap():
+def test_top_k_sparsification_cap(monkeypatch):
     rng = np.random.default_rng(4)
     n_users, n_items = 60, 15
     rows = []
@@ -394,7 +394,8 @@ def test_top_k_sparsification_cap():
             rows.append((u, i, int(rng.integers(1, 6))))
     users, items, ratings = map(np.array, zip(*rows))
     table = _build_table(users, items, ratings.astype(float))
-    sim = build_similarity(table, top_edges=3)
+    monkeypatch.setattr(recsys, "TOP_EDGES_PER_NODE", 3)
+    sim = build_similarity(table)
     per_node = np.zeros(n_items, dtype=int)
     adjacency = {i: set() for i in range(n_items)}
     for i, j, _ in sim.graph.edges:
@@ -425,16 +426,18 @@ def _coarse_ratings_table(seed):
 
 @pytest.mark.parametrize("top_edges", [0, 1, 2, 3, 10, 40])
 @pytest.mark.parametrize("seed", range(4))
-def test_similarity_edges_equal_the_per_node_sort_oracle(seed, top_edges):
+def test_similarity_edges_equal_the_per_node_sort_oracle(seed, top_edges,
+                                                         monkeypatch):
     table = _coarse_ratings_table(seed)
     corr = _item_correlation(table)
     want = loop_similarity_edges(corr, top_edges)
-    got = build_similarity(table, top_edges=top_edges).graph.edges
+    monkeypatch.setattr(recsys, "TOP_EDGES_PER_NODE", top_edges)
+    got = build_similarity(table).graph.edges
     assert got == want
     assert [tuple(map(type, e)) for e in got] == [(int, int, float)] * len(want)
 
 
-def test_similarity_ties_keep_the_lower_node_index():
+def test_similarity_ties_keep_the_lower_node_index(monkeypatch):
     # items 2, 3 and 4 carry item 1's ratings, so item 1 ties three ways
     users = np.tile(np.arange(1, 6), 4)
     items = np.repeat([1, 2, 3, 4], 5)
@@ -442,7 +445,8 @@ def test_similarity_ties_keep_the_lower_node_index():
     table = _build_table(users, items, ratings)
     corr = _item_correlation(table)
     assert corr[0, 1] == corr[0, 2] == corr[0, 3] > 0.0
-    sim = build_similarity(table, top_edges=1)
+    monkeypatch.setattr(recsys, "TOP_EDGES_PER_NODE", 1)
+    sim = build_similarity(table)
     assert sim.graph.edges == loop_similarity_edges(corr, 1)
     assert [(i, j) for i, j, _ in sim.graph.edges] == [(0, 1), (0, 2), (0, 3)]
 
@@ -454,18 +458,6 @@ def test_similarity_ties_occur_in_the_oracle_tables():
             positive = row[row > 0.0]
             ties += positive.size - np.unique(positive).size
     assert ties > 50
-
-
-def test_similarity_rejects_a_negative_edge_count(fixture_table):
-    with pytest.raises(DataError, match="top_edges"):
-        build_similarity(fixture_table, top_edges=-1)
-
-
-@pytest.mark.parametrize("top_edges", [True, False, 2.5, "3", None])
-def test_similarity_rejects_a_non_integer_edge_count(fixture_table, top_edges):
-    with pytest.raises(DataError, match=re.escape(
-            f"top_edges must be an integer >= 0, got {top_edges!r}")):
-        build_similarity(fixture_table, top_edges=top_edges)
 
 
 # ---------------------------------------------------------------------------

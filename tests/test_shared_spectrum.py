@@ -101,11 +101,12 @@ def stability_model(seed, n=30):
 @pytest.mark.parametrize("n_inputs", [1, 5])
 @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
 @pytest.mark.parametrize("safety", [10.0, -1e3])   # -1e3: every input violates
-def test_stability_experiment_matches_the_per_input_loop(n_inputs, eps, safety):
+def test_stability_experiment_matches_the_per_input_loop(n_inputs, eps, safety,
+                                                         monkeypatch):
     s, spec, state, r = stability_model(41)
     inputs = [r.normal(size=s.n_nodes) for _ in range(n_inputs)]
-    rep = stability_experiment(spec, state, s, DilationPerturbation(eps), inputs,
-                               safety_factor=safety)
+    monkeypatch.setattr(analysis, "STABILITY_SAFETY_FACTOR", safety)
+    rep = stability_experiment(spec, state, s, DilationPerturbation(eps), inputs)
     measured, violations = per_input_stability(
         spec, state, s, DilationPerturbation(eps), inputs, safety_factor=safety)
     assert rep.n_violations == violations == (n_inputs if safety < 0 < eps else 0)
