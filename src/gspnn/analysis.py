@@ -22,6 +22,7 @@ from .filters import ArmaParams, FirTaps, arma_response, fir_response
 from .graphs import (
     GraphSignal,
     ShiftOperator,
+    check_count,
     eigendecompose,
     symmetric_eigenvalues,
 )
@@ -147,8 +148,7 @@ def integral_lipschitz(h, lambda_interval: tuple[float, float],
     filters. The ARMA derivative adds -beta / (lambda - gamma)^2 per pole;
     poles inside the interval are an error.
     """
-    if grid_points < 2:
-        raise AnalysisError("need at least two grid points")
+    check_count("grid_points", grid_points, 2, AnalysisError)
     lo, hi = lambda_interval
     if not lo < hi:
         raise AnalysisError("empty lambda interval")

@@ -44,6 +44,7 @@ from .graphs import (
     GraphSignal,
     ShiftKind,
     build_shift,
+    check_count,
     eigendecompose,
     load_graph,
     random_graph,
@@ -162,14 +163,16 @@ def parse_config(group: str, leaf: str, flag_values: dict) -> dict:
                if default is None and resolved[key] is None]
     if missing:
         raise ConfigError(f"missing required config: {', '.join(missing)}")
+    check_count("seed", resolved["seed"], 0, ConfigError)
     return resolved
 
 
 def _coerce(path: str, value, typ):
-    """``value`` as ``typ``. A numeric key takes a string that ``typ``
-    parses or a number it holds exactly, never a bool (YAML's ``true``)."""
-    takes = {int: (str, int), float: (str, int, float), str: (object,)}[typ]
-    if isinstance(value, takes) and not (isinstance(value, bool) and typ is not str):
+    """``value`` as ``typ``: a string that ``typ`` parses or a number it
+    holds exactly (a str key takes a YAML number's text), never a bool
+    (YAML's ``true``), null, list or mapping."""
+    takes = {int: (str, int), float: (str, int, float), str: (str, int, float)}[typ]
+    if isinstance(value, takes) and not isinstance(value, bool):
         with contextlib.suppress(ValueError):
             return typ(value)
     raise ConfigError(f"{path}: expected {typ.__name__}, got {value!r}")
@@ -447,8 +450,7 @@ def _lambda_range(cfg: dict):
             or not bounds[0] < bounds[1]:
         raise ConfigError("lambda_range must be two finite values lo,hi with "
                           f"lo < hi, got {cfg['lambda_range']!r}")
-    if cfg["points"] < 2:
-        raise ConfigError(f"points must be at least 2, got {cfg['points']}")
+    check_count("points", cfg["points"], 2, ConfigError)
     return float(bounds[0]), float(bounds[1])
 
 
@@ -527,6 +529,7 @@ EQUIVARIANCE_DRAWS = 10
 
 
 def cmd_analyze_equivariance(cfg: dict) -> int:
+    check_count("trials", cfg["trials"], 1, ConfigError)
     ctx = RunContext("analyze equivariance", cfg)
     rng = np.random.default_rng(cfg["seed"])
     spec = ModelSpec((
@@ -556,7 +559,7 @@ def cmd_analyze_equivariance(cfg: dict) -> int:
         writer.writerows((trial, repr(err), n) for trial, err, n in rows)
     ctx.write_manifest()
     print(f"max relative equivariance error over {cfg['trials']} trials: "
-          f"{max((row[1] for row in rows), default=0.0):.3e}, "
+          f"{max(row[1] for row in rows):.3e}, "
           f"{sum(row[2] for row in rows)} dead draws redrawn")
     return 0
 

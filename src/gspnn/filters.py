@@ -45,6 +45,7 @@ from .graphs import (
     GraphError,
     GraphSignal,
     ShiftOperator,
+    check_count,
     coo_apply,
     eigendecompose,
     symmetric_eigenvalues,
@@ -201,8 +202,7 @@ class ArmaParams:
         for arr in (g, b, a):
             if not np.all(np.isfinite(arr)):
                 raise FilterError("ARMA parameters must be finite")
-        if self.jacobi_iters < 1:
-            raise FilterError("jacobi_iters must be >= 1")
+        check_count("jacobi_iters", self.jacobi_iters, 1, FilterError)
         object.__setattr__(self, "poles", g)
         object.__setattr__(self, "residues", b)
         object.__setattr__(self, "direct_taps", a)

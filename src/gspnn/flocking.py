@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import mask_connected
+from .graphs import check_count, check_member, mask_connected
 from .neural import (
     LayerSpec,
     ModelSpec,
@@ -59,6 +59,10 @@ class ExpertAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class FlockConfig:
+    """The swarm and its simulation. ``n_agents`` passes ``graphs.check_count``,
+    the one integer rule, with minimum 2; each float field must be a finite
+    number > 0 (not a bool), and ``duration`` at least ``dt``."""
+
     n_agents: int = 25
     duration: float = 2.0
     dt: float = 0.01
@@ -69,8 +73,7 @@ class FlockConfig:
     speed_range: float = 3.0         # initial velocities uniform in +-range
 
     def __post_init__(self):
-        if not isinstance(self.n_agents, int) or self.n_agents < 2:
-            raise ValueError(f"n_agents must be an int >= 2, got {self.n_agents!r}")
+        check_count("n_agents", self.n_agents, 2, ValueError)
         for name in [f.name for f in fields(self) if f.type == "float"]:
             value = getattr(self, name)
             if isinstance(value, bool):
@@ -507,26 +510,18 @@ def load_dataset(directory) -> list[TrajectorySample]:
                 f"{path} header")
     cfg = _config_from_doc(header["config"], f"{path} config")
     seeds = header["seeds"]
-    if not (isinstance(seeds, list) and seeds
-            and all(type(s) is int for s in seeds)):
+    if not (isinstance(seeds, list) and seeds):
         raise ValueError(f"{path}: seeds must be a non-empty list of integers")
-    if not (type(header["n_resampled"]) is int and header["n_resampled"] >= 0):
-        raise ValueError(f"{path}: n_resampled must be an integer >= 0, got "
-                         f"{header['n_resampled']!r}")
+    for i, seed in enumerate(seeds):
+        check_count(f"{path}: seeds.{i}", seed, 0, ValueError)
+    check_count(f"{path}: n_resampled", header["n_resampled"], 0, ValueError)
     t, n = cfg.n_steps, cfg.n_agents
     shapes = {"positions": (len(seeds), t + 1, n, 2),
               "velocities": (len(seeds), t + 1, n, 2),
               "actions": (len(seeds), t, n, 2)}
     _check_keys(members, shapes, f"{path} members")
     for name, shape in shapes.items():
-        arr = members[name]
-        if arr.dtype != np.float64:
-            raise ValueError(f"{path}: {name} has dtype {arr.dtype}, not float64")
-        if arr.shape != shape:
-            raise ValueError(f"{path}: {name} has shape {arr.shape}; "
-                             f"{len(seeds)} seeds and the config need {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: {name} has non-finite entries")
+        check_member(f"{path}: {name}", members[name], shape, ValueError)
     samples = []
     for i, (p, v, a, seed) in enumerate(zip(members["positions"],
                                             members["velocities"],
@@ -735,6 +730,7 @@ def scalability_sweep(bundle: PolicyBundle, sizes: list[int], trials: int,
                       base_seed: int = 10_000):
     """Mean/std closed-loop cost per team size, parameters untouched; each
     size's trials run as one lockstep batch."""
+    check_count("trials", trials, 1, ValueError)
     rows = []
     for size in sizes:
         runs = _rollouts(bundle, size, [base_seed + t for t in range(trials)])

@@ -45,11 +45,33 @@ class ShiftKind(enum.Enum):
     CUSTOM = "custom"
 
 
+def check_count(where: str, value, minimum: int, error: type[Exception]) -> None:
+    """The one integer rule of every input boundary: raise ``error`` naming
+    ``where`` unless ``value`` is an ``int`` or ``np.integer`` (never a
+    bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise error(f"{where} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_member(where: str, a, shape: tuple, error: type[Exception]) -> None:
+    """The one archive-array rule: raise ``error`` naming ``where`` unless
+    ``a`` is a finite float64 ndarray of ``shape``."""
+    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+        kind = a.dtype if isinstance(a, np.ndarray) else type(a).__name__
+        raise error(f"{where} has dtype {kind}, not float64")
+    if a.shape != shape:
+        raise error(f"{where} has shape {a.shape}, not {shape}")
+    if not np.all(np.isfinite(a)):
+        raise error(f"{where} has non-finite entries")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph. Each edge is stored once as (i, j, w), w > 0.
 
-    ``n_nodes`` must be a positive integer (a bool is not one). The
+    ``n_nodes`` passes :func:`check_count` with minimum 1, the package's
+    one integer rule: an ``int`` or ``np.integer``, never a bool. The
     constructor checks ``edges`` once, in whole-array passes, into the
     read-only ``rows``, ``cols`` and ``weights`` arrays that the methods
     read; they are left out of ``==``, hashing and ``repr``, which see only
@@ -67,11 +89,7 @@ class Graph:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n_nodes
-        if type(n) is bool or not isinstance(n, (int, np.integer)):
-            raise GraphError(f"n_nodes must be an integer, got {n!r}")
-        if n <= 0:
-            raise GraphError("graph needs at least one node")
+        check_count("n_nodes", self.n_nodes, 1, GraphError)
         rows, cols, weights = _edge_arrays(self.n_nodes, self.edges)
         for name, arr in (("rows", rows), ("cols", cols), ("weights", weights)):
             arr.flags.writeable = False

@@ -40,7 +40,7 @@ from .filters import (
     pole_margin,
     shifted_stack,
 )
-from .graphs import GraphSignal, ShiftOperator, permute_shift
+from .graphs import GraphSignal, ShiftOperator, check_count, check_member, permute_shift
 
 FAMILIES = ("fir", "arma", "edge_varying")
 NONLINEARITIES = ("relu", "tanh", "identity")
@@ -54,7 +54,12 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One filter-bank layer: family, feature sizes, orders, nonlinearity."""
+    """One filter-bank layer: family, feature sizes, orders, nonlinearity.
+
+    Each integer field passes ``graphs.check_count``, the one integer rule,
+    with minimum 1 (feature counts, ``jacobi_iters``) or 0 (``order``,
+    ``n_poles``). Errors lead with the field, which ``load_checkpoint``
+    prefixes with the layer: ``layers.0.order``."""
 
     family: str
     in_features: int
@@ -66,16 +71,13 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ModelError(f"unknown filter family {self.family!r}")
+            raise ModelError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.nonlinearity not in NONLINEARITIES:
-            raise ModelError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if self.in_features < 1 or self.out_features < 1:
-            raise ModelError("feature counts must be positive")
-        if self.order < 0:
-            raise ModelError("filter order must be >= 0")
-        if self.family == "arma":
-            if self.n_poles < 0 or self.jacobi_iters < 1:
-                raise ModelError("arma needs n_poles >= 0 and jacobi_iters >= 1")
+            raise ModelError(f"nonlinearity must be one of {NONLINEARITIES}, "
+                             f"got {self.nonlinearity!r}")
+        for name, minimum in (("in_features", 1), ("out_features", 1), ("order", 0),
+                              ("n_poles", 0), ("jacobi_iters", 1)):
+            check_count(name, getattr(self, name), minimum, ModelError)
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,9 @@ class ReadoutSpec:
 
     def __post_init__(self):
         if self.kind not in ("none", "per_node_linear"):
-            raise ModelError(f"unknown readout {self.kind!r}")
-        if self.kind == "per_node_linear" and self.out_dim < 1:
-            raise ModelError("per_node_linear readout needs out_dim >= 1")
+            raise ModelError(f"kind must be none or per_node_linear, got {self.kind!r}")
+        check_count("out_dim", self.out_dim, 1 if self.kind == "per_node_linear" else 0,
+                    ModelError)
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,6 @@ class ModelSpec:
             if len(self.layers) != 1 or self.layers[0].family != "fir":
                 raise ModelError("time-varying models use a single FIR layer "
                                  "followed by the readout")
-
-    @property
-    def in_features(self) -> int:
-        return self.layers[0].in_features
-
-    @property
-    def out_features(self) -> int:
-        if self.readout.kind == "per_node_linear":
-            return self.readout.out_dim
-        return self.layers[-1].out_features
 
 
 # ---------------------------------------------------------------------------
@@ -797,16 +789,6 @@ def _rebind_state(spec: ModelSpec, state: ModelState,
 # Parameter validation: the one check on a state against its spec
 # ---------------------------------------------------------------------------
 
-def _check_param(where: str, a, shape: tuple) -> None:
-    if not isinstance(a, np.ndarray) or a.dtype.kind != "f":
-        kind = a.dtype if isinstance(a, np.ndarray) else type(a).__name__
-        raise ModelError(f"{where} has dtype {kind}, not float")
-    if a.shape != shape:
-        raise ModelError(f"{where} has shape {a.shape}, the spec needs {shape}")
-    if not np.all(np.isfinite(a)):
-        raise ModelError(f"{where} has non-finite entries")
-
-
 def _check_support(where: str, sup: EdgeVaryingSupport) -> None:
     """Integer coordinates of I + S in [0, n), sorted row-major, unique."""
     n, rows, cols = sup.n_nodes, sup.rows, sup.cols
@@ -837,8 +819,9 @@ def _check_support(where: str, sup: EdgeVaryingSupport) -> None:
 def validate_state(spec: ModelSpec, state: ModelState) -> None:
     """Check every parameter array of ``state`` against ``spec``.
 
-    Each array must be a finite float array of the shape the spec implies,
-    an edge-varying support must hold sorted, unique integer coordinates in
+    Each array must pass ``graphs.check_member``, the one archive-array
+    rule: a finite float64 array of the shape the spec implies. An
+    edge-varying support must hold sorted, unique integer coordinates in
     [0, n_nodes) that include the diagonal, and the readout parameters must
     be present exactly when the spec has a readout. Errors are ModelErrors
     naming the layer and the field, so a bad state fails here rather than
@@ -864,7 +847,7 @@ def validate_state(spec: ModelSpec, state: ModelState) -> None:
             shapes = {"diag": fg + (params.support.n_nodes,),
                       "values": fg + (layer.order, params.support.nnz)}
         for name, shape in shapes.items():
-            _check_param(f"{where}.{name}", getattr(params, name), shape)
+            check_member(f"{where}.{name}", getattr(params, name), shape, ModelError)
     readout = {"readout_weight": state.readout_weight,
                "readout_bias": state.readout_bias}
     if spec.readout.kind == "per_node_linear":
@@ -875,7 +858,7 @@ def validate_state(spec: ModelSpec, state: ModelState) -> None:
             if readout[name] is None:
                 raise ModelError(f"{name} is missing, the spec has a "
                                  f"per_node_linear readout")
-            _check_param(name, readout[name], shape)
+            check_member(name, readout[name], shape, ModelError)
     else:
         for name, a in readout.items():
             if a is not None:
@@ -968,14 +951,13 @@ def read_archive(path, version: int, what: str) -> tuple[dict, dict]:
     return header, members
 
 
-def _n_nodes_field(path, prefix: str, ldoc: dict) -> int:
-    """An edge-varying layer's ``support_n_nodes``: a JSON integer >= 1 (a
-    JSON true loads as a Python bool, which is an int too)."""
-    n = ldoc["support_n_nodes"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ModelError(f"{path}: {prefix}support_n_nodes is {n!r}, not an "
-                         f"integer >= 1")
-    return n
+def _header_spec(path, prefix: str, cls, doc: dict):
+    """``cls(**doc)``; its ``ModelError`` names ``path`` and the header
+    field (``prefix`` + the field the error leads with)."""
+    try:
+        return cls(**doc)
+    except ModelError as exc:
+        raise ModelError(f"{path}: {prefix}{exc}") from None
 
 
 def load_checkpoint(path):
@@ -994,21 +976,23 @@ def load_checkpoint(path):
         mdoc = header["model"]
         layer_specs, layer_params = [], []
         for i, ldoc in enumerate(mdoc["layers"]):
-            spec = LayerSpec(**{f.name: ldoc[f.name] for f in fields(LayerSpec)})
-            layer_specs.append(spec)
             prefix = f"layers.{i}."
+            spec = _header_spec(path, prefix, LayerSpec,
+                                {f.name: ldoc[f.name] for f in fields(LayerSpec)})
+            layer_specs.append(spec)
             cls = LAYER_PARAMS[spec.family]
             arrays = {}
             for f in fields(cls):
                 if f.name == "support":
+                    n = ldoc["support_n_nodes"]
+                    check_count(f"{path}: {prefix}support_n_nodes", n, 1, ModelError)
                     arrays["support"] = EdgeVaryingSupport(
-                        _n_nodes_field(path, prefix, ldoc),
-                        member(prefix + "rows"), member(prefix + "cols"))
+                        n, member(prefix + "rows"), member(prefix + "cols"))
                 else:
                     arrays[f.name] = member(prefix + f.name)
             layer_params.append(cls(**arrays))
-        spec = ModelSpec(tuple(layer_specs), ReadoutSpec(**mdoc["readout"]),
-                         mdoc["shift_mode"])
+        readout = _header_spec(path, "readout.", ReadoutSpec, mdoc["readout"])
+        spec = ModelSpec(tuple(layer_specs), readout, mdoc["shift_mode"])
     except (KeyError, TypeError) as exc:
         raise ModelError(f"{path} header lacks or misstates {exc}") from exc
     state = ModelState(layer_params)

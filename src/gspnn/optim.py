@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphs import check_count
 from .neural import ModelState, iter_params
 
 
@@ -138,8 +139,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        check_count("epochs", self.epochs, 0, ValueError)
+        check_count("batch_size", self.batch_size, 1, ValueError)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 

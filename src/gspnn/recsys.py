@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .filters import check_poles, pole_margin
-from .graphs import Graph, ShiftKind, ShiftOperator, build_shift
+from .graphs import Graph, ShiftKind, ShiftOperator, build_shift, check_count
 from .neural import (
     ArmaLayerParams,
     LayerSpec,
@@ -72,13 +72,6 @@ _INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
 
 class DataError(ValueError):
     pass
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Reject ``value`` unless it is an integer (not a bool) >= ``minimum``."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)) \
-            or value < minimum:
-        raise DataError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +208,7 @@ def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTabl
     """Keep the ``count`` items with the most ratings; ties keep lower ids
     (positions follow the sorted ids, so a stable sort by count keeps them).
     Users left with no rating leave the table."""
-    _check_count("count", count, 1)
+    check_count("count", count, 1, DataError)
     if count > table.n_items:
         raise DataError(f"asked for {count} items, table has {table.n_items}")
     counts = np.bincount(table.item_idx, minlength=table.n_items)

@@ -48,12 +48,34 @@ def test_config_rejects_a_bool_or_a_fraction_for_a_number_naming_the_key(
 
 def test_config_numbers_parse_from_ints_and_flag_strings(tmp_path):
     config = tmp_path / "config.yaml"
-    config.write_text("seed: 3\nflocking: {dt: 1, agents: '30'}\n")
+    config.write_text("seed: 3\nout: 5\nflocking: {dt: 1, agents: '30'}\n")
     cfg = parse_config("flocking", "generate", {"config": str(config),
                                                 "n_traj": "7", "duration": "2.5"})
     assert [(cfg[k], type(cfg[k])) for k in ("seed", "dt", "agents", "n_traj",
-                                             "duration")] == [
-        (3, int), (1.0, float), (30, int), (7, int), (2.5, float)]
+                                             "duration", "out")] == [
+        (3, int), (1.0, float), (30, int), (7, int), (2.5, float), ("5", str)]
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["analyze", "response"], "analyze: {taps: [1, 0.5]}",
+     "analyze.taps: expected str, got [1, 0.5]"),
+    (["flocking", "evaluate"], "flocking: {checkpoint: true}",
+     "flocking.checkpoint: expected str, got True"),
+    (["analyze", "stability", "--seed", "-1"], "",
+     "seed must be an integer >= 0, got -1"),
+    (["analyze", "equivariance", "--trials", "-2"], "",
+     "trials must be an integer >= 1, got -2"),
+], ids=["str key list", "str key bool", "negative seed", "negative trials"])
+def test_a_bad_value_fails_at_the_boundary_naming_the_key(tmp_path, capsys, argv,
+                                                          doc, message):
+    # the list reached float() as the text "[1, 0.5]", true opened the path
+    # "True", the seed failed inside numpy and -2 trials exited 0
+    config = tmp_path / "config.yaml"
+    config.write_text(doc + "\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -90,6 +112,20 @@ def test_flocking_commands_read_the_checkpoint_once(policy_checkpoint, tmp_path,
     assert len(calls) == 1
     # the model name still comes from the checkpoint's metadata
     assert (out / csv_name).read_text().splitlines()[1].endswith(",fir")
+
+
+@pytest.mark.parametrize("leaf,flags,csv_name", [
+    ("evaluate", [], "costs.csv"),
+    ("sweep", ["--sizes", "6"], "sweep.csv"),
+])
+def test_flocking_rollouts_reject_zero_trials_naming_the_key(
+        policy_checkpoint, tmp_path, capsys, leaf, flags, csv_name):
+    # zero trials exited 0 and wrote a nan row
+    out = tmp_path / "out"
+    assert main(["flocking", leaf, "--checkpoint", str(policy_checkpoint),
+                 "--trials", "0", "--out", str(out), *flags]) == 1
+    assert "trials must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not (out / csv_name).exists()
 
 
 def test_analyze_stability_runs_with_its_defaults(tmp_path):
@@ -281,7 +317,7 @@ def test_flocking_generate_records_the_one_archive(tmp_path):
     ("--dt", "0", "dt must be finite and > 0"),
     ("--duration", "-1", "duration must be finite and > 0"),
     ("--duration", "0.001", "duration must be >= dt"),
-    ("--agents", "1", "n_agents must be an int >= 2"),
+    ("--agents", "1", "n_agents must be an integer >= 2"),
 ])
 def test_flocking_generate_rejects_a_bad_config_naming_the_field(
         tmp_path, capsys, flag, value, message):

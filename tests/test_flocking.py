@@ -657,9 +657,8 @@ def test_dataset_with_coincident_linked_agents_names_step_and_agents(
     (lambda h, m: m.update(actions=m["actions"].astype(np.float32)),
      "actions has dtype float32, not float64"),
     (lambda h, m: h["seeds"].append(4),
-     r"positions has shape \(1, 6, 6, 2\); 2 seeds and the config need "
-     r"\(2, 6, 6, 2\)"),
-    (lambda h, m: h.update(seeds=[3.0]), "seeds must be a non-empty list"),
+     r"positions has shape \(1, 6, 6, 2\), not \(2, 6, 6, 2\)"),
+    (lambda h, m: h.update(seeds=[3.0]), "seeds.0 must be an integer >= 0, got 3.0"),
     (lambda h, m: h.update(seeds=[]), "seeds must be a non-empty list"),
     (lambda h, m: h.update(n_resampled=-1), "n_resampled must be an integer"),
     (lambda h, m: h.pop("config"), r"header has missing or unknown keys "
@@ -693,8 +692,8 @@ def test_old_directory_layout_fails_naming_the_archive(tmp_path):
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("n_agents", 1, "n_agents must be an int >= 2, got 1"),
-    ("n_agents", 6.0, "n_agents must be an int >= 2, got 6.0"),
+    ("n_agents", 1, "n_agents must be an integer >= 2, got 1"),
+    ("n_agents", 6.0, "n_agents must be an integer >= 2, got 6.0"),
     ("duration", -1.0, "duration must be finite and > 0"),
     ("dt", 0.0, "dt must be finite and > 0"),
     ("comm_radius", np.inf, "comm_radius must be finite and > 0"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gspnn.filters import ArmaParams, FilterError
 from gspnn.graphs import (
     Graph,
     GraphError,
@@ -21,6 +22,8 @@ from gspnn.graphs import (
     random_graph,
     symmetric_eigh,
 )
+from gspnn.neural import LayerSpec, ModelError, ReadoutSpec
+from gspnn.optim import TrainConfig
 
 from conftest import (
     closure_connected,
@@ -63,8 +66,27 @@ def test_graph_rejects_out_of_range_index():
 @pytest.mark.parametrize("n_nodes", [2.5, True, False, 3.0, "3", None])
 def test_graph_rejects_an_n_nodes_that_is_not_an_integer(n_nodes):
     with pytest.raises(GraphError, match=re.escape(f"n_nodes must be an "
-                                                   f"integer, got {n_nodes!r}")):
+                                                   f"integer >= 1, got {n_nodes!r}")):
         Graph(n_nodes, ((0, 1, 1.0),) if n_nodes else ())
+
+
+@pytest.mark.parametrize("value", [2.0, True])
+@pytest.mark.parametrize("build,error,where", [
+    (lambda v: LayerSpec("fir", 1, 2, v), ModelError, "order"),
+    (lambda v: LayerSpec("arma", 1, 2, 1, n_poles=v), ModelError, "n_poles"),
+    (lambda v: ReadoutSpec("per_node_linear", v), ModelError, "out_dim"),
+    (lambda v: TrainConfig(epochs=v, batch_size=4, learning_rate=0.1), ValueError,
+     "epochs"),
+    (lambda v: TrainConfig(epochs=1, batch_size=v, learning_rate=0.1), ValueError,
+     "batch_size"),
+    (lambda v: ArmaParams([2.0], [1.0], [0.0], jacobi_iters=v), FilterError,
+     "jacobi_iters"),
+], ids=["layer order", "layer n_poles", "readout out_dim", "epochs", "batch_size",
+        "arma jacobi_iters"])
+def test_an_integer_field_takes_no_float_or_bool(build, error, where, value):
+    # these fields were compared with < and never type-checked
+    with pytest.raises(error, match=re.escape(f"{where} must be an integer >= ")):
+        build(value)
 
 
 @pytest.mark.parametrize("edge", [(0, 2 ** 70, 1.0), (-2 ** 70, 1, 1.0),

@@ -36,6 +36,11 @@ Every defaulted parameter of a function in ``src/gspnn`` must be passed,
 by keyword or by position, by some call in ``src`` or ``bench`` (outside
 ``bench/tests``): a knob that only tests set is a constant.
 
+The program has one integer rule, ``graphs.check_count``: no other
+function of ``src/gspnn`` tests a value for a bool or an int by its type
+(``isinstance(x, bool)``, ``t is bool``, ``type(x) is int``), except those
+``TYPE_TEST_EXEMPT`` names with a reason.
+
 Every top-level helper and fixture of ``tests/conftest.py`` must be reached
 from a test module: referenced by one (a fixture also by a parameter of
 that name), or by a helper or fixture that is itself reached. An oracle
@@ -664,6 +669,94 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
     assert sorted(UNPASSED_DEFAULT_EXEMPT) == sorted(
         set(found) & set(UNPASSED_DEFAULT_EXEMPT))
 
+
+# Functions of ``src/gspnn`` other than ``graphs.check_count`` that may test
+# for a bool or an int by type: ``path:function`` -> the reason.
+TYPE_TEST_EXEMPT = {
+    "src/gspnn/graphs.py:_check_types":
+        "edge tuples: one pass over the set of entry types names the first "
+        "edge whose node index or weight is a bool or of another type",
+    "src/gspnn/cli.py:_coerce":
+        "YAML values: a YAML true loads as a bool, which is an int, and no "
+        "config key takes one",
+    "src/gspnn/flocking.py:FlockConfig.__post_init__":
+        "FlockConfig's float fields: a bool is an int, which a float field "
+        "would otherwise take",
+}
+COUNT_RULE = "src/gspnn/graphs.py:check_count"
+
+
+def _is_name(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+class _TypeTests(ast.NodeVisitor):
+    """The qualified names of the functions (``<module>`` at the top level)
+    holding an ``isinstance`` whose type, or a type in its tuple, is
+    ``bool``, or an ``is`` / ``is not`` / ``==`` / ``!=`` comparison with
+    ``bool``, or of a ``type(...)`` call with ``int``. A name compared with
+    ``int`` is not a value's type (``typ is int`` picks a parser)."""
+
+    def __init__(self):
+        self.scope = []
+        self.found = set()
+
+    def _nested(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _nested
+
+    def _found(self):
+        self.found.add(".".join(self.scope) or "<module>")
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance" \
+                and len(node.args) == 2:
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(_is_name(k, "bool") for k in kinds):
+                self._found()
+        self.generic_visit(node)
+
+    def visit_Compare(self, node):
+        operands = [node.left, *node.comparators]
+        typed = any(isinstance(o, ast.Call) and _is_name(o.func, "type")
+                    for o in operands)
+        if any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+               for op in node.ops) \
+                and any(_is_name(o, "bool") or typed and _is_name(o, "int")
+                        for o in operands):
+            self._found()
+        self.generic_visit(node)
+
+
+def bool_or_int_type_tests(source: str) -> list[str]:
+    visitor = _TypeTests()
+    visitor.visit(ast.parse(source))
+    return sorted(visitor.found)
+
+
+def test_a_bool_or_int_type_test_is_found():
+    source = ("def a(x):\n    return isinstance(x, bool)\n"
+              "def b(x):\n    return isinstance(x, (int, bool))\n"
+              "class C:\n    def d(self, x):\n        return type(x) is int\n"
+              "def e(types):\n    return {t for t in types if t is not bool}\n"
+              "def f(x):\n    return isinstance(x, int) and type(x) is not list\n"
+              "def g(x, typ):\n    return x is None or x == 1 or typ is int\n"
+              "flag = type(1) == bool\n")
+    assert bool_or_int_type_tests(source) == ["<module>", "C.d", "a", "b", "e"]
+
+
+def test_only_the_integer_rule_tests_for_a_bool_or_an_int_by_type():
+    found = {f"{p.relative_to(ROOT)}:{name}" for p in SOURCES
+             for name in bool_or_int_type_tests(p.read_text())}
+    assert COUNT_RULE in found
+    leaks = sorted(found - set(TYPE_TEST_EXEMPT) - {COUNT_RULE})
+    assert not leaks, f"{leaks} test a type by hand: use graphs.check_count"
+    # an exemption whose function no longer tests a type is stale
+    assert sorted(TYPE_TEST_EXEMPT) == sorted(found & set(TYPE_TEST_EXEMPT))
 
 
 def unreached_conftest_names(conftest: str, tests: list[str]) -> list[str]:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gspnn.filters import (
     ArmaParams,
@@ -239,7 +241,7 @@ def numeric_grads(spec, state, s, x, y, h=1e-5):
 
 
 def assert_grads_close(spec, state, s, rng, rtol=1e-4, check_names=()):
-    x = rng.normal(size=(s.n_nodes, spec.in_features))
+    x = rng.normal(size=(s.n_nodes, spec.layers[0].in_features))
     out, _ = model_forward(spec, state, s, GraphSignal(x))
     y = rng.normal(size=out.values.shape)
     ana = analytic_grads(spec, state, s, x, y)
@@ -945,13 +947,19 @@ def test_checkpoint_rejects_bad_edge_support(tmp_path, edit, message):
         load_checkpoint(path)
 
 
-def _set_support_n_nodes(value):
+def _edit_header(change):
+    """An archive edit that lets ``change`` alter the decoded JSON header."""
     def edit(members):
         header = json.loads(members["header"].tobytes().decode("utf-8"))
-        header["model"]["layers"][0]["support_n_nodes"] = value
+        change(header)
         text = json.dumps(header, sort_keys=True).encode("utf-8")
         members["header"] = np.frombuffer(text, dtype=np.uint8)
     return edit
+
+
+def _set_support_n_nodes(value):
+    return _edit_header(lambda header: header["model"]["layers"][0].update(
+        support_n_nodes=value))
 
 
 @pytest.mark.parametrize("value", ["x", "8", 2.7, 8.0, True, 0, -8],
@@ -962,8 +970,8 @@ def test_checkpoint_rejects_a_support_size_that_is_not_a_positive_integer(
     # "x" escaped as a bare ValueError naming neither the path nor the
     # field, and 2.7 or true were truncated and blamed on a support entry
     path = _edit_saved_array(tmp_path, CHECKPOINT_EDGE, _set_support_n_nodes(value))
-    want = (f"{path}: layers.0.support_n_nodes is {value!r}, "
-            f"not an integer >= 1")
+    want = (f"{path}: layers.0.support_n_nodes must be an integer >= 1, "
+            f"got {value!r}")
     with pytest.raises(ModelError, match=re.escape(want)):
         load_checkpoint(path)
 
@@ -974,12 +982,45 @@ def test_checkpoint_reads_the_support_size_it_wrote(tmp_path):
     assert state.layers[0].support.n_nodes == 8
 
 
-def _add_tap_variant_keys(members):
-    header = json.loads(members["header"].tobytes().decode("utf-8"))
+@_edit_header
+def _add_tap_variant_keys(header):
     for layer in header["model"]["layers"]:
         layer.update(fir_variant="plain", gin_epsilon=0.0)
-    text = json.dumps(header, sort_keys=True).encode("utf-8")
-    members["header"] = np.frombuffer(text, dtype=np.uint8)
+
+
+# a FIR, an ARMA and an edge-varying layer and a readout, so every integer
+# field of the header is written
+CHECKPOINT_ALL = ModelSpec((
+    LayerSpec("fir", 1, 3, 2),
+    LayerSpec("arma", 3, 2, 1, n_poles=2, jacobi_iters=2),
+    LayerSpec("edge_varying", 2, 2, 2),
+), ReadoutSpec("per_node_linear", 1))
+HEADER_COUNTS = [(f"layers.{i}", name) for i in range(3)
+                 for name in ("in_features", "out_features", "order", "n_poles",
+                              "jacobi_iters")]
+HEADER_COUNTS += [("layers.2", "support_n_nodes"), ("readout", "out_dim")]
+NOT_COUNTS = {"float": lambda v: v + 0.5, "whole float": float,
+              "true": lambda v: True, "false": lambda v: False, "string": str,
+              "null": lambda v: None, "negative": lambda v: -1 - v}
+
+
+@pytest.mark.parametrize("where,name", HEADER_COUNTS,
+                         ids=[".".join(field) for field in HEADER_COUNTS])
+@given(mutation=st.sampled_from(sorted(NOT_COUNTS)))
+def test_checkpoint_names_a_header_count_that_is_not_an_integer(
+        tmp_path_factory, where, name, mutation):
+    # an order of 2.0 loaded, then failed in forward_batch naming no field
+    def mutate(header):
+        model = header["model"]
+        doc = model["readout"] if where == "readout" else \
+            model["layers"][int(where.split(".")[1])]
+        doc[name] = NOT_COUNTS[mutation](doc[name])
+
+    path = _edit_saved_array(tmp_path_factory.mktemp("header"), CHECKPOINT_ALL,
+                             _edit_header(mutate))
+    with pytest.raises(ModelError, match=re.escape(
+            f"{path}: {where}.{name} must be an integer >= ")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_with_the_tap_variant_keys_loads_unchanged(tmp_path):

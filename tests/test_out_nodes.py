@@ -57,7 +57,7 @@ def last_layer(name, g_in, f_out):
 def assert_matches_full(spec, state, s, x, nodes, r):
     full, full_tape = forward_batch(spec, state, s, x)
     part, part_tape = forward_batch(spec, state, s, x, out_nodes=nodes)
-    assert part.shape == (x.shape[0], nodes.size, spec.out_features)
+    assert part.shape == (x.shape[0], nodes.size, full.shape[2])
     assert rel(part, full[:, nodes]) <= RTOL
     dpart = r.normal(size=part.shape)
     dfull = np.zeros_like(full)
