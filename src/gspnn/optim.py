@@ -141,6 +141,7 @@ class TrainConfig:
     def __post_init__(self):
         check_count("epochs", self.epochs, 0, ValueError)
         check_count("batch_size", self.batch_size, 1, ValueError)
+        check_count("seed", self.seed, 0, ValueError)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
@@ -191,7 +192,9 @@ def train(problem: Problem, config: TrainConfig) -> list[tuple[int, int, float]]
     # every other entry references a state array, updated in place
     params = list(full)
     for j, index in gathered:
-        params[j] = full[j][index]
+        # a fancy index can lay its result out in another order than the
+        # gradient's; ADAM's passes run fastest on matching C layouts
+        params[j] = np.ascontiguousarray(full[j][index])
     adam = AdamState.for_params(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history = []

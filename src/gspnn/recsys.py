@@ -79,8 +79,12 @@ class RatingsTable:
     """Deduplicated (user, item, rating) triples with index maps sorted by
     original id.
 
-    The arrays are stored read-only; a writeable one or a view is copied
-    first, so no caller can change the table through its own array.
+    The arrays are stored read-only. A writeable array or a view is copied
+    first, so no caller can change the table through its own array. A
+    read-only array that owns its data is kept as given: passing it hands
+    it to the table, and the caller must not make it writeable again.
+    ``_build_table`` and ``select_top_items`` hand over the arrays they
+    build this way, so a table they make copies nothing.
     ``rating_matrix`` is built once, on first use, and is read-only too, so
     every reader of one table shares it.
     """
@@ -137,18 +141,19 @@ def ingest_movielens(path) -> RatingsTable:
     reported before any range or duplicate error, wherever it is; among
     range and duplicate errors the earliest line wins.
     """
-    with open(path) as fh:
-        text = fh.read()
-    if not text or text.isspace():
-        raise DataError(f"{path}: no ratings")
     try:
         with warnings.catch_warnings():
             # older numpy releases read a field like "3.5" as 3 and only warn
             warnings.simplefilter("error", DeprecationWarning)
+            # a file of blank lines is the DataError below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
             data = np.loadtxt(path, dtype=np.int64, usecols=(0, 1, 2),
                               ndmin=2, comments=None)
     except (ValueError, DeprecationWarning) as exc:
-        raise _parse_error(path, text, exc) from exc
+        raise _parse_error(path, exc) from exc
+    if not data.size:
+        raise DataError(f"{path}: no ratings")
     users, items, ratings = data.T
     errors = []
     bad = np.flatnonzero((ratings < 1) | (ratings > 5))
@@ -166,22 +171,28 @@ def ingest_movielens(path) -> RatingsTable:
         errors.append((e, f"duplicate rating for user {users[e]}, item {items[e]}"))
     if errors:
         row, message = min(errors, key=lambda err: err[0])
-        raise DataError(f"{path}:{_data_lineno(text, row)}: {message}")
+        raise DataError(f"{path}:{_data_lineno(path, row)}: {message}")
     return table
 
 
-def _data_lineno(text: str, row: int) -> int | None:
+# The error paths alone read the file as text, to name its lines.
+
+def _data_lineno(path, row: int) -> int | None:
     """File line (from 1) of the ``row``-th non-blank line (from 0)."""
-    filled = [i for i, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    filled = [i for i, line in enumerate(lines, start=1) if line.strip()]
     return filled[row] if 0 <= row < len(filled) else None
 
 
-def _parse_error(path, text: str, exc: Exception) -> DataError:
+def _parse_error(path, exc: Exception) -> DataError:
     """A loadtxt failure as a DataError naming the first file line that
     is short of three fields or has a field that is not an integer or does
     not fit in int64."""
     limits = np.iinfo(np.int64)
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
@@ -198,10 +209,43 @@ def _parse_error(path, text: str, exc: Exception) -> DataError:
 
 def _build_table(users: np.ndarray, items: np.ndarray,
                  ratings: np.ndarray) -> RatingsTable:
-    user_ids, user_idx = np.unique(users, return_inverse=True)
-    item_ids, item_idx = np.unique(items, return_inverse=True)
-    return RatingsTable(user_ids, item_ids, user_idx, item_idx,
-                        ratings.astype(float))
+    user_ids, user_idx = _index_map(users)
+    item_ids, item_idx = _index_map(items)
+    return RatingsTable(*_read_only(user_ids, item_ids, user_idx, item_idx,
+                                    ratings.astype(float)))
+
+
+# the widest id span, in ids per row, that _index_map maps through a
+# presence mask over the span rather than a sort
+_MASK_SPAN_FACTOR = 2
+
+
+def _index_map(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for 1-D integer ids: the
+    same values, dtypes and shapes. Ids spanning at most
+    ``_MASK_SPAN_FACTOR`` times their count need no sort: a presence mask
+    over the span gives the sorted ids, and its cumsum each id's rank.
+    The span is taken in Python integers, so ids near the int64 limits
+    cannot overflow it."""
+    if ids.size:
+        low = int(ids.min())
+        span = int(ids.max()) - low + 1
+        if span <= _MASK_SPAN_FACTOR * ids.size:
+            offsets = ids - low
+            present = np.zeros(span, dtype=bool)
+            present[offsets] = True
+            rank = np.cumsum(present) - 1
+            return ((np.flatnonzero(present) + low).astype(ids.dtype, copy=False),
+                    rank[offsets])
+    return np.unique(ids, return_inverse=True)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only, so a ``RatingsTable`` keeps them
+    without a copy; only for arrays no one else holds."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTable:
@@ -214,15 +258,17 @@ def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTabl
     counts = np.bincount(table.item_idx, minlength=table.n_items)
     keep = np.zeros(table.n_items, dtype=bool)
     keep[np.argsort(-counts, kind="stable")[:count]] = True
-    rows = keep[table.item_idx]
+    # integer positions: a take is several times faster than a boolean
+    # index that keeps a scattered 40% of the rows
+    rows = np.flatnonzero(keep[table.item_idx])
     users = table.user_idx[rows]
     rated = np.zeros(table.n_users, dtype=bool)
     rated[users] = True
     # cumsum - 1 maps a kept position to its index among the kept ones
-    return RatingsTable(table.user_ids[rated], table.item_ids[keep],
-                        (np.cumsum(rated) - 1)[users],
-                        (np.cumsum(keep) - 1)[table.item_idx[rows]],
-                        table.ratings[rows])
+    return RatingsTable(*_read_only(table.user_ids[rated], table.item_ids[keep],
+                                    (np.cumsum(rated) - 1)[users],
+                                    (np.cumsum(keep) - 1)[table.item_idx[rows]],
+                                    table.ratings[rows]))
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,12 @@ def test_graph_rejects_an_n_nodes_that_is_not_an_integer(n_nodes):
      "epochs"),
     (lambda v: TrainConfig(epochs=1, batch_size=v, learning_rate=0.1), ValueError,
      "batch_size"),
+    (lambda v: TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, seed=v),
+     ValueError, "seed"),
     (lambda v: ArmaParams([2.0], [1.0], [0.0], jacobi_iters=v), FilterError,
      "jacobi_iters"),
 ], ids=["layer order", "layer n_poles", "readout out_dim", "epochs", "batch_size",
-        "arma jacobi_iters"])
+        "train seed", "arma jacobi_iters"])
 def test_an_integer_field_takes_no_float_or_bool(build, error, where, value):
     # these fields were compared with < and never type-checked
     with pytest.raises(error, match=re.escape(f"{where} must be an integer >= ")):

@@ -1023,6 +1023,20 @@ def test_checkpoint_names_a_header_count_that_is_not_an_integer(
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("change,message", [
+    (lambda model: model.update(shift_mode="sideways"),
+     "shift_mode must be static or time_varying, got 'sideways'"),
+    (lambda model: model["layers"][1].update(in_features=4),
+     "layers.1.in_features 4 does not chain with layers.0.out_features 3"),
+], ids=["shift mode", "feature chain"])
+def test_checkpoint_names_the_field_of_a_model_spec_error(tmp_path, change, message):
+    # both failed naming neither the path nor the header field
+    path = _edit_saved_array(tmp_path, CHECKPOINT_MIXED,
+                             _edit_header(lambda header: change(header["model"])))
+    with pytest.raises(ModelError, match=re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
+
+
 def test_checkpoint_with_the_tap_variant_keys_loads_unchanged(tmp_path):
     # LayerSpec had fir_variant and gin_epsilon fields, so every checkpoint
     # written before they went carries them in each layer doc

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -265,6 +267,29 @@ def test_restricted_update_allocates_no_parameter_sized_array(monkeypatch):
     # a step holds the 80 kB gradient and gathered columns, and their update
     assert max(peaks) < full / 4, peaks
     assert moments == [[(200, 10, 5)] * 2] * 6
+
+
+def test_restricted_update_keeps_its_gathered_copies_c_contiguous(monkeypatch):
+    # the fancy index (..., columns) lays a (200, 10, 5) copy out with
+    # strides (80, 8, 16000), and the moments followed that layout
+    layouts = []
+    step = optim.adam_step
+
+    def adam_step(adam, params, grads, param_names=None):
+        layouts.append([a.flags.c_contiguous for a in
+                        params + adam.first_moment + adam.second_moment])
+        step(adam, params, grads, param_names)
+
+    monkeypatch.setattr(optim, "adam_step", adam_step)
+    train(ReachProblem(False), TrainConfig(epochs=1, batch_size=4, learning_rate=0.03))
+    assert layouts == [[True] * 3] * 3
+
+
+def test_train_config_rejects_a_negative_seed():
+    # it reached np.random.default_rng inside train, which names no field
+    with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0, "
+                                                   "got -1")):
+        TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, seed=-1)
 
 
 def adam_expression_oracle(lr, step, params, grads, m, v):

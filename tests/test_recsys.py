@@ -36,6 +36,7 @@ from gspnn.recsys import (
     train_rating_model,
     transfer_rmse,
     _build_table,
+    _index_map,
     _item_correlation,
 )
 
@@ -178,6 +179,68 @@ def test_ingest_equals_the_loop_oracle(tmp_path):
     assert got.n_ratings == len(lines)
 
 
+INT64 = np.iinfo(np.int64)
+
+
+def _move_extremes(ids, low, high):
+    return np.where(ids == ids.max(), high, np.where(ids == ids.min(), low, ids))
+
+
+# each case rewrites the user and the item ids of the synthetic fixture,
+# a function of (ids, row count); and whether they still map with no sort
+ID_CASES = {
+    "offset +2**62": (lambda ids, rows: ids + 2 ** 62, True),
+    "offset -2**62": (lambda ids, rows: ids - 2 ** 62, True),
+    "negative": (lambda ids, rows: ids - 15, True),
+    "span at the rule": (lambda ids, rows: _move_extremes(
+        ids, ids.min(), ids.min() + 2 * rows - 1), True),
+    "span past the rule": (lambda ids, rows: _move_extremes(
+        ids, ids.min(), ids.min() + 2 * rows), False),
+    # the span, 2**64, overflows int64
+    "int64 limits": (lambda ids, rows: _move_extremes(ids, INT64.min, INT64.max),
+                     False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ID_CASES))
+def test_ingest_equals_the_loop_oracle_on_remapped_ids(tmp_path, monkeypatch, case):
+    remap, sort_free = ID_CASES[case]
+    path = tmp_path / "u.data"
+    write_synthetic_fixture(path)
+    rows = np.loadtxt(path, dtype=np.int64)
+    for col in (0, 1):
+        rows[:, col] = remap(rows[:, col], len(rows))
+    path.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows.tolist()))
+    want = _ingest_loop_oracle(path)
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    got = ingest_movielens(path)
+    for name, w in want.items():
+        a = getattr(got, name)
+        assert a.dtype == w.dtype and np.array_equal(a, w), name
+    assert len(sorts) == (0 if sort_free else 2)
+
+
+def test_ingest_sorts_no_ids_on_the_synthetic_fixture(tmp_path, monkeypatch):
+    path = tmp_path / "u.data"
+    write_synthetic_fixture(path)
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", unique)
+    assert ingest_movielens(path).n_ratings > 0
+
+
+@given(st.lists(st.integers(-3, 3) | st.integers(INT64.min, INT64.max), max_size=8))
+def test_index_map_equals_unique(ids):
+    ids = np.array(ids, dtype=np.int64)
+    for got, want in zip(_index_map(ids), np.unique(ids, return_inverse=True)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Top-item selection
 # ---------------------------------------------------------------------------
@@ -312,6 +375,22 @@ def test_a_table_copies_the_arrays_it_is_given():
     view = np.arange(4)[::2]
     view.flags.writeable = False
     assert RatingsTable(view, *fields[1:]).user_ids.base is None
+
+
+def test_a_table_keeps_a_read_only_array_that_owns_its_data():
+    fields = [np.array([3, 4]), np.array([7]), np.array([0, 1]),
+              np.array([0, 0]), np.array([2.0, 5.0])]
+    for arr in fields:
+        arr.flags.writeable = False
+    table = RatingsTable(*fields)
+    assert all(getattr(table, name) is arr for name, arr in zip(TABLE_FIELDS, fields))
+
+
+def test_ingested_and_cut_tables_hold_read_only_arrays_they_own(fixture_table):
+    for table in (fixture_table, select_top_items(fixture_table, 5)):
+        for name in TABLE_FIELDS:
+            arr = getattr(table, name)
+            assert arr.flags.owndata and not arr.flags.writeable, name
 
 
 # ---------------------------------------------------------------------------
