@@ -22,7 +22,10 @@ Each piece of data is built once and kept read-only: a ``RatingsTable``
 holds its arrays and, from first use, its (users x items) rating matrix and
 mask, which the correlation and every ``make_samples`` call share; a
 ``SimilarityGraph`` holds its item shift from first use, so the models
-trained and evaluated on one graph share one spectrum solve.
+trained and evaluated on one graph share one spectrum solve; a
+``RatingSamples`` block holds one split's inputs as one (users x items)
+array, which training and evaluation batch without building or stacking
+per-user rows.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -79,12 +83,10 @@ class RatingsTable:
     """Deduplicated (user, item, rating) triples with index maps sorted by
     original id.
 
-    The arrays are stored read-only. A writeable array or a view is copied
-    first, so no caller can change the table through its own array. A
-    read-only array that owns its data is kept as given: passing it hands
-    it to the table, and the caller must not make it writeable again.
+    The constructor stores a read-only copy of every array it is given, so
+    no caller can change the table through an array it still holds.
     ``_build_table`` and ``select_top_items`` hand over the arrays they
-    build this way, so a table they make copies nothing.
+    build through ``_adopt``, so a table they make copies nothing.
     ``rating_matrix`` is built once, on first use, and is read-only too, so
     every reader of one table shares it.
     """
@@ -96,12 +98,7 @@ class RatingsTable:
     ratings: np.ndarray     # per-triple rating in 1..5
 
     def __post_init__(self):
-        for name in ("user_ids", "item_ids", "user_idx", "item_idx", "ratings"):
-            arr = getattr(self, name)
-            if arr.flags.writeable or not arr.flags.owndata:
-                arr = np.array(arr)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+        _hold_copies(self)
 
     @property
     def n_users(self) -> int:
@@ -211,8 +208,8 @@ def _build_table(users: np.ndarray, items: np.ndarray,
                  ratings: np.ndarray) -> RatingsTable:
     user_ids, user_idx = _index_map(users)
     item_ids, item_idx = _index_map(items)
-    return RatingsTable(*_read_only(user_ids, item_ids, user_idx, item_idx,
-                                    ratings.astype(float)))
+    return _adopt(RatingsTable, user_ids, item_ids, user_idx, item_idx,
+                  ratings.astype(float))
 
 
 # the widest id span, in ids per row, that _index_map maps through a
@@ -240,12 +237,25 @@ def _index_map(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(ids, return_inverse=True)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, marked read-only, so a ``RatingsTable`` keeps them
-    without a copy; only for arrays no one else holds."""
-    for arr in arrays:
+def _hold_copies(holder) -> None:
+    """Replace each array field of a frozen ``holder`` by a read-only copy:
+    the public constructors' rule."""
+    for field in fields(holder):
+        arr = np.array(getattr(holder, field.name))
         arr.flags.writeable = False
-    return arrays
+        object.__setattr__(holder, field.name, arr)
+
+
+def _adopt(cls, *arrays: np.ndarray):
+    """A ``cls`` (``RatingsTable`` or ``RatingSamples``) that takes
+    ``arrays`` as its fields without the constructor's copy, marking them
+    read-only; only for arrays the caller just built and no one else
+    holds."""
+    holder = object.__new__(cls)
+    for field, arr in zip(fields(cls), arrays, strict=True):
+        arr.flags.writeable = False
+        object.__setattr__(holder, field.name, arr)
+    return holder
 
 
 def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTable:
@@ -265,10 +275,10 @@ def select_top_items(table: RatingsTable, count: int = TOP_ITEMS) -> RatingsTabl
     rated = np.zeros(table.n_users, dtype=bool)
     rated[users] = True
     # cumsum - 1 maps a kept position to its index among the kept ones
-    return RatingsTable(*_read_only(table.user_ids[rated], table.item_ids[keep],
-                                    (np.cumsum(rated) - 1)[users],
-                                    (np.cumsum(keep) - 1)[table.item_idx[rows]],
-                                    table.ratings[rows]))
+    return _adopt(RatingsTable, table.user_ids[rated], table.item_ids[keep],
+                  (np.cumsum(rated) - 1)[users],
+                  (np.cumsum(keep) - 1)[table.item_idx[rows]],
+                  table.ratings[rows])
 
 
 @dataclass(frozen=True)
@@ -298,14 +308,26 @@ def build_similarity(table: RatingsTable) -> SimilarityGraph:
         raise DataError("need at least two items to build a similarity graph")
     corr = _item_correlation(table)
     n = table.n_items
-    # a stable sort keeps the lower node index among equal weights
-    picks = np.argsort(-corr, axis=1, kind="stable")[:, :TOP_EDGES_PER_NODE]
-    i, rank = np.nonzero(np.take_along_axis(corr, picks, axis=1) > 0.0)
-    j = picks[i, rank]
+    i, j = np.nonzero(_strongest(corr, min(TOP_EDGES_PER_NODE, n)) & (corr > 0.0))
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
     lo, hi = keys // n, keys % n
     edges = tuple(zip(lo.tolist(), hi.tolist(), corr[lo, hi].tolist()))
     return SimilarityGraph(Graph(n, edges))
+
+
+def _strongest(corr: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's ``k`` (0 <= k <= columns) largest entries, equal
+    entries keeping the lower column: what the first ``k`` of a stable
+    descending sort pick, found by a partition instead of a sort."""
+    n = corr.shape[1]
+    if k == 0:
+        return np.zeros(corr.shape, dtype=bool)
+    kth = np.partition(corr, n - k, axis=1)[:, n - k, None]  # the k-th largest
+    above = corr > kth
+    ties = corr == kth
+    # the ties fill the places the larger entries leave, lowest column first
+    room = k - np.count_nonzero(above, axis=1, keepdims=True)
+    return above | (ties & (np.cumsum(ties, axis=1) <= room))
 
 
 def _item_correlation(table: RatingsTable) -> np.ndarray:
@@ -333,34 +355,93 @@ def _item_correlation(table: RatingsTable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RecSample:
+    """One user's sample: the row type of a ``RatingSamples`` block, and
+    what a caller builds to hand its own signals to ``predict``."""
+
     user_id: int
     input: np.ndarray   # item ratings, zeros where unrated, target zeroed
     target: float
 
 
+@dataclass(frozen=True, eq=False)
+class RatingSamples(Sequence):
+    """A block of samples as three read-only arrays: the (k, N) ``inputs``,
+    the (k,) ``targets`` and the (k,) ``user_ids``.
+
+    ``RatingProblem``, ``predict`` and ``evaluate_rmse`` read the arrays
+    directly. Indexing or iterating the block yields ``RecSample`` rows,
+    each with an ``int`` user id, a ``float`` target and a read-only view
+    of its input row. The constructor stores read-only copies of the
+    arrays it is given; ``make_samples`` hands over the blocks it gathers
+    through ``_adopt`` instead.
+    """
+
+    inputs: np.ndarray
+    targets: np.ndarray
+    user_ids: np.ndarray
+
+    def __post_init__(self):
+        _hold_copies(self)
+
+    @classmethod
+    def of(cls, samples: Iterable[RecSample]) -> RatingSamples:
+        """``samples`` as a block: a block itself, or any non-empty iterable
+        of ``RecSample`` stacked once."""
+        if isinstance(samples, RatingSamples):
+            return samples
+        rows = list(samples)
+        if not rows:
+            raise DataError("no samples")
+        return _adopt(cls, np.stack([smp.input for smp in rows]),
+                      np.array([smp.target for smp in rows]),
+                      np.array([smp.user_id for smp in rows]))
+
+    def __len__(self) -> int:
+        return self.targets.size
+
+    def __getitem__(self, i: int) -> RecSample:
+        return RecSample(int(self.user_ids[i]), self.inputs[i],
+                         float(self.targets[i]))
+
+    def __iter__(self) -> Iterator[RecSample]:
+        for user, inp, target in zip(self.user_ids.tolist(), self.inputs,
+                                     self.targets.tolist()):
+            yield RecSample(user, inp, target)
+
+
 def make_samples(table: RatingsTable, graph: SimilarityGraph, target_item: int,
-                 split: float = 0.9, seed: int = 0):
-    """Per-user samples for one target item, split at the user level. Each
-    input is a read-only row of one block gathered from the rating matrix."""
+                 split: float = 0.9, seed: int = 0
+                 ) -> tuple[RatingSamples, RatingSamples]:
+    """The (train, test) samples of one target item, split at the user level.
+
+    Each user who rated the item gives one row: their ratings with the
+    target zeroed, and the target rating. The seeded permutation of the
+    raters orders both blocks, and its first ``int(split * raters)`` users
+    train. Each block is gathered once from the table's rating matrix;
+    no per-user object is built. ``split`` must be a float or an integer
+    (``graphs.check_count``, never a bool) in [0, 1].
+    """
+    if not isinstance(split, (float, np.floating)):
+        # a split that is no float must pass the integer rule, which
+        # rejects a bool, a string and None
+        check_count("split", split, 0, DataError)
     if not 0.0 <= split <= 1.0:
-        raise DataError("split must be in [0, 1]")
+        raise DataError(f"split must be in [0, 1], got {split!r}")
     node = table.item_node(target_item)
     if graph.graph.n_nodes != table.n_items:
         raise DataError("graph does not match the table's item set")
     x, mask = table.rating_matrix
     raters = np.flatnonzero(mask[:, node])
-    inputs = x[raters]
-    targets = inputs[:, node].tolist()
-    inputs[:, node] = 0.0
-    inputs.flags.writeable = False
-    samples = [RecSample(user, inp, target) for user, inp, target
-               in zip(table.user_ids[raters].tolist(), inputs, targets)]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(samples))
-    n_train = int(split * len(samples))
-    train_set = [samples[i] for i in order[:n_train]]
-    test_set = [samples[i] for i in order[n_train:]]
-    return train_set, test_set
+    rows = raters[np.random.default_rng(seed).permutation(raters.size)]
+    n_train = int(split * rows.size)
+
+    def block(part: np.ndarray) -> RatingSamples:
+        inputs = x[part]
+        targets = inputs[:, node].copy()
+        inputs[:, node] = 0.0
+        return _adopt(RatingSamples, inputs, targets, table.user_ids[part])
+
+    return block(rows[:n_train]), block(rows[n_train:])
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +491,21 @@ def checked_pole_bounds(state: ModelState, shift: ShiftOperator):
 
 
 class RatingProblem(Problem):
-    """Smooth-L1 fit of the readout at the target node to held-out ratings."""
+    """Smooth-L1 fit of the readout at the target node to held-out ratings.
+
+    ``samples`` is a ``RatingSamples`` block, whose arrays the batches
+    index directly, or any iterable of ``RecSample``, stacked once.
+    """
 
     def __init__(self, spec: ModelSpec, state: ModelState, shift: ShiftOperator,
-                 samples: list[RecSample], target_node: int):
+                 samples: Iterable[RecSample], target_node: int):
+        samples = RatingSamples.of(samples)
         self.spec = spec
         self.state = state
         self.shift = shift
         self.target_node = target_node
-        self.inputs = np.stack([smp.input for smp in samples])[:, :, None]
-        self.targets = np.array([smp.target for smp in samples])
+        self.inputs = samples.inputs[:, :, None]
+        self.targets = samples.targets
         self.loss = LossSpec("smooth_l1")
         self.pole_bounds = checked_pole_bounds(state, shift)
         self._reach = out_node_reach(spec, state, [target_node])
@@ -445,25 +531,28 @@ class RatingProblem(Problem):
 
 
 def predict(spec: ModelSpec, state: ModelState, shift: ShiftOperator,
-            samples: list[RecSample], target_node: int) -> np.ndarray:
+            samples: Iterable[RecSample], target_node: int) -> np.ndarray:
     """Each sample's predicted rating: the readout at ``target_node`` only.
 
-    The model's last layer runs through its rows at that node
-    (``forward_batch(..., out_nodes=[target_node])``), so no other node's
-    output is computed or taped.
+    ``samples`` is a ``RatingSamples`` block, whose ``inputs`` array is the
+    batch, or any iterable of ``RecSample``, stacked once; both give
+    bitwise equal predictions. The model's last layer runs through its rows
+    at that node (``forward_batch(..., out_nodes=[target_node])``), so no
+    other node's output is computed or taped.
     """
-    if not samples:
+    samples = RatingSamples.of(samples)
+    if not len(samples):
         raise DataError("no samples to predict on")
-    xs = np.stack([smp.input for smp in samples])[:, :, None]
-    out, _ = forward_batch(spec, state, shift, xs, out_nodes=[target_node])
+    out, _ = forward_batch(spec, state, shift, samples.inputs[:, :, None],
+                           out_nodes=[target_node])
     return out[:, 0, 0]
 
 
 def evaluate_rmse(spec: ModelSpec, state: ModelState, shift: ShiftOperator,
-                  samples: list[RecSample], target_node: int) -> float:
+                  samples: Iterable[RecSample], target_node: int) -> float:
+    samples = RatingSamples.of(samples)
     preds = predict(spec, state, shift, samples, target_node)
-    targets = np.array([smp.target for smp in samples])
-    return float(np.sqrt(np.mean((preds - targets) ** 2)))
+    return float(np.sqrt(np.mean((preds - samples.targets) ** 2)))
 
 
 @dataclass

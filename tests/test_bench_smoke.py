@@ -1,6 +1,7 @@
-"""Smoke run of the benchmark harness, so it cannot silently stop working.
+"""Smoke run of the benchmark harness and its own tests, so neither can
+silently stop working.
 
-The harness runs in a subprocess: its own tests put ``bench/tests`` on the
+Both run in a subprocess: the harness's tests put ``bench/tests`` on the
 import path under the module name ``conftest``, which would shadow this
 suite's ``conftest`` if both were collected in one session. No timing is
 asserted.
@@ -23,6 +24,14 @@ def run_workload(name):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.strip().splitlines()[-2:]]
+
+
+def test_the_bench_suite_passes():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "bench/tests"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr
 
 
 def test_spectral_theory_workload_runs_and_passes_its_checks():

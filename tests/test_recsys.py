@@ -22,12 +22,14 @@ from gspnn.recsys import (
     MODEL_FAMILIES,
     DataError,
     RatingProblem,
+    RatingSamples,
     RatingsTable,
     RecSample,
     SimilarityGraph,
     build_item_shift,
     build_model_spec,
     build_similarity,
+    evaluate_rmse,
     ingest_movielens,
     make_samples,
     predict,
@@ -360,6 +362,8 @@ def test_a_table_keeps_no_writeable_array(fixture_table):
     train_set, test_set = make_samples(fixture_table, sim, target, seed=3)
     arrays = [getattr(fixture_table, name) for name in TABLE_FIELDS]
     arrays += [x, mask, train_set[0].input, test_set[-1].input]
+    arrays += [getattr(block, name) for block in (train_set, test_set)
+               for name in ("inputs", "targets", "user_ids")]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
@@ -377,13 +381,33 @@ def test_a_table_copies_the_arrays_it_is_given():
     assert RatingsTable(view, *fields[1:]).user_ids.base is None
 
 
-def test_a_table_keeps_a_read_only_array_that_owns_its_data():
+def test_a_table_copies_a_read_only_array_it_is_given():
+    # a caller that hands over frozen arrays and thaws one again must not
+    # reach the table through it
     fields = [np.array([3, 4]), np.array([7]), np.array([0, 1]),
               np.array([0, 0]), np.array([2.0, 5.0])]
     for arr in fields:
         arr.flags.writeable = False
     table = RatingsTable(*fields)
-    assert all(getattr(table, name) is arr for name, arr in zip(TABLE_FIELDS, fields))
+    fields[4].flags.writeable = True
+    fields[4][0] = 9.0
+    assert table.ratings.tolist() == [2.0, 5.0]
+    assert not any(np.shares_memory(getattr(table, name), arr)
+                   for name, arr in zip(TABLE_FIELDS, fields))
+
+
+def test_a_sample_block_copies_the_arrays_it_is_given():
+    arrays = [np.arange(6.0).reshape(2, 3), np.array([4.0, 5.0]), np.array([7, 8])]
+    arrays[0].flags.writeable = False
+    block = RatingSamples(*arrays)
+    for arr in arrays:
+        arr.flags.writeable = True
+        arr[...] = 0
+    assert block.inputs.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    assert block.targets.tolist() == [4.0, 5.0] and block.user_ids.tolist() == [7, 8]
+    for arr in (block.inputs, block.targets, block.user_ids):
+        assert not arr.flags.writeable
+    assert [(smp.user_id, smp.target) for smp in block] == [(7, 4.0), (8, 5.0)]
 
 
 def test_ingested_and_cut_tables_hold_read_only_arrays_they_own(fixture_table):
@@ -552,7 +576,7 @@ def test_user_who_rated_only_target(tmp_path):
     sim = build_similarity(table)
     train_set, test_set = make_samples(table, sim, target_item=1, split=1.0,
                                        seed=0)
-    assert test_set == []
+    assert len(test_set) == 0
     sample = next(s for s in train_set if s.user_id == 9)
     assert np.all(sample.input == 0.0)
     assert sample.target == 4.0
@@ -563,7 +587,7 @@ def test_samples_mask_target_entry(fixture_table):
     target = most_rated_items(fixture_table, 1)[0]
     node = fixture_table.item_node(target)
     train_set, test_set = make_samples(fixture_table, sim, target, seed=5)
-    for sample in train_set + test_set:
+    for sample in list(train_set) + list(test_set):
         assert sample.input[node] == 0.0
 
 
@@ -580,6 +604,66 @@ def test_unknown_target_item(fixture_table):
     sim = build_similarity(fixture_table)
     with pytest.raises(DataError, match="unknown item"):
         make_samples(fixture_table, sim, target_item=99999)
+
+
+@pytest.mark.parametrize("split", [True, "0.5", None, -0.1, 1.5, float("nan")])
+def test_make_samples_rejects_a_split_that_is_not_a_fraction(fixture_table, split):
+    sim = build_similarity(fixture_table)
+    target = most_rated_items(fixture_table, 1)[0]
+    with pytest.raises(DataError, match="split"):
+        make_samples(fixture_table, sim, target, split=split)
+
+
+def test_make_samples_takes_an_integer_or_numpy_split(fixture_table):
+    sim = build_similarity(fixture_table)
+    target = most_rated_items(fixture_table, 1)[0]
+    raters = int(np.count_nonzero(fixture_table.rating_matrix[1][
+        :, fixture_table.item_node(target)]))
+    for split, n_train in ((1, raters), (0, 0), (np.float32(0.5), raters // 2)):
+        train_set, test_set = make_samples(fixture_table, sim, target, split=split)
+        assert (len(train_set), len(test_set)) == (n_train, raters - n_train)
+
+
+def test_the_train_and_eval_path_builds_no_per_user_sample(fixture_table,
+                                                           monkeypatch):
+    built = []
+
+    class CountedSample(RecSample):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(recsys, "RecSample", CountedSample)
+    sim = build_similarity(fixture_table)
+    target, other = most_rated_items(fixture_table, 2)
+    for family in MODEL_FAMILIES:
+        model = train_rating_model(fixture_table, sim, family, target, seed=1,
+                                   epochs=2)
+        _, test_set = make_samples(fixture_table, sim, target, seed=1)
+        predict(model.spec, model.state, model.shift, test_set, model.target_node)
+        evaluate_rmse(model.spec, model.state, model.shift, test_set,
+                      model.target_node)
+        transfer_rmse(model, fixture_table, sim, other)
+    assert built == []
+    # the guard sees the rows a block does build
+    assert len(list(test_set)) == len(built) > 0
+
+
+@pytest.mark.parametrize("family", MODEL_FAMILIES)
+def test_predict_on_a_block_equals_predict_on_its_rows(fixture_table, family):
+    # a list of rows is the path of callers that build their own samples
+    sim = build_similarity(fixture_table)
+    shift = build_item_shift(sim)
+    spec = build_model_spec(family)
+    state = init_state(spec, np.random.default_rng(4), shift=shift)
+    target = most_rated_items(fixture_table, 1)[0]
+    node = fixture_table.item_node(target)
+    for block in make_samples(fixture_table, sim, target, split=0.6, seed=4):
+        rows = list(block)
+        assert predict(spec, state, shift, block, node).tobytes() \
+            == predict(spec, state, shift, rows, node).tobytes()
+        assert evaluate_rmse(spec, state, shift, block, node) \
+            == evaluate_rmse(spec, state, shift, rows, node)
 
 
 # ---------------------------------------------------------------------------
