@@ -541,7 +541,7 @@ def predict(spec: ModelSpec, state: ModelState, shift: ShiftOperator,
     other node's output is computed or taped.
     """
     samples = RatingSamples.of(samples)
-    if not len(samples):
+    if not samples:
         raise DataError("no samples to predict on")
     out, _ = forward_batch(spec, state, shift, samples.inputs[:, :, None],
                            out_nodes=[target_node])
