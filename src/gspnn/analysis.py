@@ -12,7 +12,6 @@ and ``filters.arma_response``, one call per filter or per FIR layer bank.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -208,10 +207,8 @@ class StabilityReport:
     bound: float            # 2 C (1 + delta sqrt(N)) L epsilon, per unit input norm
     measured: float         # max over inputs of output deviation / ||x||
     n_nodes: int
-    depth: int
     max_abs_response: float  # <= 1 when every layer filter is normalized
     n_violations: int       # inputs whose deviation exceeded bound + safety
-    multi_feature: bool     # beyond the single-feature-per-layer statement
 
 
 def model_lipschitz_constant(spec: ModelSpec, state: ModelState,
@@ -271,12 +268,10 @@ def stability_experiment(spec: ModelSpec, state: ModelState, s: ShiftOperator,
         measured = max(measured, deviation / max(xnorm, 1e-300))
         if deviation > bound_unit * xnorm + second_order * xnorm:
             violations += 1
-    multi_feature = any(l.in_features > 1 or l.out_features > 1
-                        for l in spec.layers)
     return StabilityReport(
         epsilon=eps, delta=delta_term, constant=constant, bound=bound_unit,
-        measured=measured, n_nodes=n, depth=depth, max_abs_response=max_resp,
-        n_violations=violations, multi_feature=multi_feature)
+        measured=measured, n_nodes=n, max_abs_response=max_resp,
+        n_violations=violations)
 
 
 def eigenvector_misalignment(u: np.ndarray, v: np.ndarray) -> float:
@@ -317,13 +312,3 @@ def sample_lipschitz_gcnn(s: ShiftOperator, depth: int, order: int,
             return spec, state
     raise AnalysisError("could not sample a live relu filter stack")
 
-
-def write_stability_csv(path, reports: list[StabilityReport]) -> None:
-    """Sweep rows `epsilon,measured,bound,delta,C`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "measured", "bound", "delta", "C"])
-        for rep in reports:
-            writer.writerow([repr(float(rep.epsilon)), repr(float(rep.measured)),
-                             repr(float(rep.bound)), repr(float(rep.delta)),
-                             repr(float(rep.constant))])

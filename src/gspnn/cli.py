@@ -37,7 +37,6 @@ from .analysis import (
     relative_distance,
     sample_lipschitz_gcnn,
     stability_experiment,
-    write_stability_csv,
 )
 from .filters import ArmaParams, FirTaps, arma_response, fir_response
 from .graphs import (
@@ -59,7 +58,6 @@ from .neural import (
     init_state,
     load_checkpoint,
 )
-from .optim import write_loss_log
 from . import flocking as fl
 from . import recsys as rs
 
@@ -255,6 +253,30 @@ def _resolve_data_path(configured: str) -> Path:
 # recsys commands
 # ---------------------------------------------------------------------------
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """The one result-file writer: a header row, then ``rows``, each float
+    cell (numpy floats too) written as ``repr(float(v))``, which reads back
+    to the same value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def _write_loss_log(path, history: list[tuple[int, int, float]],
+                    final_metrics: dict) -> None:
+    """`epoch,batch,loss` rows plus one `final,key,value` row per metric."""
+    _write_csv(path, ["epoch", "batch", "loss"],
+               history + [("final", key, float(value))
+                          for key, value in sorted(final_metrics.items())])
+
+
+def _write_metrics(path, model: str, seed: int, target: int, rmse: float) -> None:
+    _write_csv(path, ["model", "seed", "target", "rmse"],
+               [(model, seed, target, float(rmse))])
+
+
 def _load_table(ctx: RunContext, cfg: dict) -> tuple:
     path = ctx.note_input(_resolve_data_path(cfg["data"]))
     table = rs.ingest_movielens(path)
@@ -275,12 +297,11 @@ def cmd_recsys_train(cfg: dict) -> int:
                                       split=cfg["split"])
     with ctx.phase("save"):
         rs.save_rating_checkpoint(ctx.out_path("checkpoint.npz"), model)
-        write_loss_log(ctx.out_path("loss_log.csv"), model.history,
-                       {"train_rmse": model.train_rmse,
-                        "test_rmse": model.test_rmse})
-        rs.save_metrics_csv(ctx.out_path("metrics.csv"),
-                            [{"model": cfg["model"], "seed": cfg["seed"],
-                              "target": target, "rmse": model.test_rmse}])
+        _write_loss_log(ctx.out_path("loss_log.csv"), model.history,
+                        {"train_rmse": model.train_rmse,
+                         "test_rmse": model.test_rmse})
+        _write_metrics(ctx.out_path("metrics.csv"), cfg["model"], cfg["seed"],
+                       target, model.test_rmse)
     ctx.write_manifest()
     print(f"test rmse {model.test_rmse:.4f} (train {model.train_rmse:.4f})")
     return 0
@@ -307,9 +328,8 @@ def cmd_recsys_eval(cfg: dict) -> int:
                                   split=cfg["split"], seed=model.seed)
     rmse = rs.evaluate_rmse(model.spec, model.state, model.shift, test_set,
                             model.target_node)
-    rs.save_metrics_csv(ctx.out_path("metrics.csv"),
-                        [{"model": model.family, "seed": model.seed,
-                          "target": model.target_item, "rmse": rmse}])
+    _write_metrics(ctx.out_path("metrics.csv"), model.family, model.seed,
+                   model.target_item, rmse)
     ctx.write_manifest()
     print(f"rmse {rmse:.4f} on item {model.target_item}")
     return 0
@@ -320,9 +340,8 @@ def cmd_recsys_transfer(cfg: dict) -> int:
     table, sim, model = _restore_rating_model(ctx, cfg)
     rmse = rs.transfer_rmse(model, table, sim, cfg["target"],
                             split=cfg["split"])
-    rs.save_metrics_csv(ctx.out_path("metrics.csv"),
-                        [{"model": model.family, "seed": model.seed,
-                          "target": cfg["target"], "rmse": rmse}])
+    _write_metrics(ctx.out_path("metrics.csv"), model.family, model.seed,
+                   cfg["target"], rmse)
     ctx.write_manifest()
     print(f"transfer rmse {rmse:.4f} on item {cfg['target']} "
           f"(trained for {model.target_item})")
@@ -364,22 +383,19 @@ def cmd_flocking_train(cfg: dict) -> int:
     with ctx.phase("save"):
         fl.save_policy(ctx.out_path("policy.npz"), bundle,
                        extra={"model": cfg["model"], "seed": cfg["seed"]})
-        write_loss_log(ctx.out_path("loss_log.csv"), history,
-                       {"final_loss": history[-1][2] if history
-                        else float("nan")})
+        _write_loss_log(ctx.out_path("loss_log.csv"), history,
+                        {"final_loss": history[-1][2] if history
+                         else float("nan")})
     ctx.write_manifest()
     print(f"trained {cfg['model']} policy; final loss "
           f"{history[-1][2]:.5f}" if history else "no steps run")
     return 0
 
 
-def _sweep_csv(path, rows: list[dict], model: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_agents", "mean_cost", "std_cost", "model"])
-        for row in rows:
-            writer.writerow([row["n_agents"], repr(row["mean_cost"]),
-                             repr(row["std_cost"]), model])
+def _write_costs(path, rows: list[dict], model: str) -> None:
+    _write_csv(path, ["n_agents", "mean_cost", "std_cost", "model"],
+               [(row["n_agents"], row["mean_cost"], row["std_cost"], model)
+                for row in rows])
 
 
 def _load_policy(ctx: RunContext, cfg: dict):
@@ -397,7 +413,7 @@ def cmd_flocking_evaluate(cfg: dict) -> int:
     with ctx.phase("rollout"):
         rows = fl.scalability_sweep(bundle, [agents], cfg["trials"],
                                     base_seed=base_seed)
-        _sweep_csv(ctx.out_path("costs.csv"), rows, model)
+        _write_costs(ctx.out_path("costs.csv"), rows, model)
     with ctx.phase("expert"):
         expert = np.mean(fl.expert_rollout_costs(
             replace(bundle.config, n_agents=agents),
@@ -416,7 +432,7 @@ def cmd_flocking_sweep(cfg: dict) -> int:
     with ctx.phase("rollout"):
         rows = fl.scalability_sweep(bundle, sizes, cfg["trials"],
                                     base_seed=10_000 + cfg["seed"])
-        _sweep_csv(ctx.out_path("sweep.csv"), rows, model)
+        _write_costs(ctx.out_path("sweep.csv"), rows, model)
     ctx.write_manifest()
     for row in rows:
         print(f"N={row['n_agents']}: {row['mean_cost']:.1f} "
@@ -461,10 +477,8 @@ def cmd_analyze_response(cfg: dict) -> int:
     grid = np.linspace(lo, hi, cfg["points"])
     resp = fir_response(filt.taps, grid) if isinstance(filt, FirTaps) \
         else arma_response(filt, grid)
-    with open(ctx.out_path("response.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "response"])
-        writer.writerows(zip(map(repr, grid.tolist()), map(repr, resp.tolist())))
+    _write_csv(ctx.out_path("response.csv"), ["lambda", "response"],
+               zip(grid.tolist(), resp.tolist()))
     ctx.write_manifest()
     print(f"wrote {resp.size} response samples")
     return 0
@@ -474,10 +488,8 @@ def cmd_analyze_lipschitz(cfg: dict) -> int:
     ctx = RunContext("analyze lipschitz", cfg)
     filt = _filter_from_config(cfg)
     rep = integral_lipschitz(filt, _lambda_range(cfg), cfg["points"])
-    with open(ctx.out_path("lipschitz.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["C", "max_abs_response"])
-        writer.writerow([repr(rep.constant), repr(rep.max_abs_response)])
+    _write_csv(ctx.out_path("lipschitz.csv"), ["C", "max_abs_response"],
+               [(rep.constant, rep.max_abs_response)])
     ctx.write_manifest()
     print(f"C = {rep.constant:.6g}, max |h| = {rep.max_abs_response:.6g}")
     return 0
@@ -515,7 +527,10 @@ def cmd_analyze_stability(cfg: dict) -> int:
     reports = [stability_experiment(spec, state, s, DilationPerturbation(eps),
                                     inputs)
                for eps in epsilons]
-    write_stability_csv(ctx.out_path("stability.csv"), reports)
+    _write_csv(ctx.out_path("stability.csv"),
+               ["epsilon", "measured", "bound", "delta", "C"],
+               [(rep.epsilon, rep.measured, rep.bound, rep.delta, rep.constant)
+                for rep in reports])
     ctx.write_manifest()
     for rep in reports:
         print(f"eps={rep.epsilon:g}: measured {rep.measured:.3e} "
@@ -553,10 +568,8 @@ def cmd_analyze_equivariance(cfg: dict) -> int:
         perm = rng.permutation(cfg["nodes"])
         rep = equivariant_forward_check(spec, state, s, x, perm)
         rows.append((trial, rep["relative_error"], redraws))
-    with open(ctx.out_path("equivariance.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "relative_error", "redraws"])
-        writer.writerows((trial, repr(err), n) for trial, err, n in rows)
+    _write_csv(ctx.out_path("equivariance.csv"),
+               ["trial", "relative_error", "redraws"], rows)
     ctx.write_manifest()
     print(f"max relative equivariance error over {cfg['trials']} trials: "
           f"{max(row[1] for row in rows):.3e}, "

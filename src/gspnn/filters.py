@@ -253,6 +253,12 @@ def arma_apply_direct(p: ArmaParams, s: ShiftOperator, x: GraphSignal) -> GraphS
     return GraphSignal(out)
 
 
+def apply_node_last(s: ShiftOperator, x: np.ndarray) -> np.ndarray:
+    """S x for an ``x`` whose node axis is last, through ``ShiftOperator.apply``
+    (which reads the node axis first)."""
+    return np.moveaxis(s.apply(np.moveaxis(x, -1, 0)), 0, -1)
+
+
 def jacobi_iterates(s: ShiftOperator, c: np.ndarray, b: np.ndarray,
                     x: np.ndarray, sx: np.ndarray, iters: int) -> np.ndarray:
     """Jacobi iterates u_1 ... u_T of u_m = b + c * (d * u_{m-1} - S u_{m-1})
@@ -267,8 +273,7 @@ def jacobi_iterates(s: ShiftOperator, c: np.ndarray, b: np.ndarray,
     us = np.empty((iters,) + u.shape)
     us[0] = u
     for m in range(1, iters):
-        su = np.moveaxis(s.apply(np.moveaxis(us[m - 1], -1, 0)), 0, -1)
-        us[m] = b + c * (d * us[m - 1] - su)
+        us[m] = b + c * (d * us[m - 1] - apply_node_last(s, us[m - 1]))
     return us
 
 

@@ -287,8 +287,9 @@ class TrajectorySample:
         array whose entry [t, :, k] is S(t) ... S(t-k+1) x(t-k), zero where
         the history is too short.
 
-        Each step is one batch row of the (B, N, K+1, G) stack that
-        ``filters.fir_bank_contract`` reads.
+        Each step is one batch row of the (B, N, K+1, G) stack that the
+        time-varying policy reads as its input ``x`` in
+        ``neural.forward_batch`` (with ``s`` None).
         """
         zs = np.zeros((1, self.n_steps, self.n_agents, order + 1, 6))
         _delayed_chains([self], zs)
@@ -572,7 +573,8 @@ class ImitationProblem(Problem):
     step, so every trajectory must have trajectory 0's config and shape.
 
     A batch runs each trajectory, in batch order, as blocks of whole time
-    steps on contiguous (steps, N, K+1, 6) views of the stack, the block
+    steps: each block, a contiguous (steps, N, K+1, 6) view of the stack, is
+    the ``x`` of one ``forward_batch`` of the time-varying policy, the block
     size set by ``_BLOCK_BYTES`` (43 steps for 25 agents, the last block of
     a trajectory shorter), so a pass's temporaries are one block's size,
     whatever the trajectory length or batch size. Each block's loss and its
@@ -609,8 +611,7 @@ class ImitationProblem(Problem):
         for i in indices:
             for start in range(0, t_steps, self.block_steps):
                 zs = self.stack[i, start:start + self.block_steps]
-                out, tape = forward_batch(self.spec, self.state, None, zs[:, :, 0],
-                                          first_layer_zs=zs)
+                out, tape = forward_batch(self.spec, self.state, None, zs)
                 value, dpred = loss_eval(self.loss, out,
                                          self.targets[i, start:start + len(zs)])
                 weight = len(zs) / (t_steps * len(indices))
@@ -644,8 +645,10 @@ def train_policy(samples: list[TrajectorySample], seed: int,
 
 class _PolicyRunner:
     """Incremental delayed-stack evaluation for ``n_members`` teams at once:
-    at each step the chain states advance by one fresh shift application,
-    matching the full delayed filter on complete histories."""
+    at each step the (n_members, N, K+1, 6) chain states advance by one
+    fresh shift application and are the ``x`` of one ``forward_batch`` of
+    the time-varying policy, matching the full delayed filter on complete
+    histories."""
 
     def __init__(self, bundle: PolicyBundle, n_agents: int, n_members: int = 1):
         self.bundle = bundle
@@ -658,8 +661,7 @@ class _PolicyRunner:
         zs = self.zs
         _advance_delayed(shift_dense, zs, zs)
         zs[..., 0, :] = features
-        out, _ = forward_batch(self.bundle.spec, self.bundle.state, None,
-                               zs[..., 0, :], first_layer_zs=zs)
+        out, _ = forward_batch(self.bundle.spec, self.bundle.state, None, zs)
         return (out * self.bundle.action_scale).reshape(features.shape[:-1] + (2,))
 
 

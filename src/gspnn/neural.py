@@ -14,7 +14,10 @@ stacks, Jacobi iterates, chain states, or the restricted layer's rows). The
 tape keeps one closure per layer and one array for its nonlinearity, so the
 backward pass runs them in reverse order with no per-family dispatch.
 Internally everything is batched: signals travel as (batch, nodes, features)
-arrays. Every pass returns fresh arrays: a caller that must bound its
+arrays. The spec's shift mode decides what a model reads: a static model a
+(B, N, G) signal on a shift S, a time-varying one (a single FIR layer) the
+(B, N, K+1, G) delayed stack of that layer, which carries its own shifts.
+Every pass returns fresh arrays: a caller that must bound its
 temporaries, such as flocking imitation training, bounds the batch it hands
 in (``flocking.ImitationProblem`` runs blocks of time steps).
 """
@@ -31,6 +34,7 @@ import numpy as np
 
 from .filters import (
     EdgeVaryingSupport,
+    apply_node_last,
     check_poles,
     edge_varying_chain,
     edge_varying_reach,
@@ -278,30 +282,34 @@ def _bank_tap_grad(zs: np.ndarray, du: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(grad.reshape(k1, g, -1).transpose(2, 1, 0))
 
 
-def _fir_forward(layer: LayerSpec, params: FirLayerParams, s: ShiftOperator,
-                 x: np.ndarray, zs: np.ndarray | None = None):
-    """``zs`` is the C-contiguous (B, N, K+1, G) stack zs[b, n, k, g] =
-    (S^k x_g)[b, n], or the delayed chain S(t)...S(t-k+1) x(t-k) in
-    time-varying mode: the layout ``fir_bank_contract`` reads as one
-    (B*N, (K+1)*G) matrix."""
-    if zs is None:
-        zs = shifted_stack(s, x, layer.order)
+def _fir_forward(layer: LayerSpec, params: FirLayerParams, s: ShiftOperator | None,
+                 x: np.ndarray):
+    """The layer reads the C-contiguous (B, N, K+1, G) stack zs[b, n, k, g] =
+    (S^k x_g)[b, n], the layout ``fir_bank_contract`` reads as one
+    (B*N, (K+1)*G) matrix. With ``s`` None (time-varying mode) ``x`` is that
+    stack already, the delayed chain S(t)...S(t-k+1) x(t-k)."""
+    zs = x if s is None else shifted_stack(s, x, layer.order)
     return fir_bank_contract(zs, params.taps), partial(_fir_backward, layer,
                                                        params, zs, s)
 
 
 def _fir_backward(layer: LayerSpec, params: FirLayerParams, zs: np.ndarray,
                   s: ShiftOperator | None, du: np.ndarray, need_dx: bool):
+    """``need_dx`` never comes with ``s`` None: a time-varying model has one layer."""
     gtaps = _bank_tap_grad(zs, du)
     dx = None
     if need_dx:
-        if s is None:
-            raise ModelError("input gradient through a delayed layer is not supported")
         k = layer.order
         dx = du @ params.taps[:, :, k]
         for kk in range(k - 1, -1, -1):
             dx = s.apply(dx.swapaxes(0, 1)).swapaxes(0, 1) + du @ params.taps[:, :, kk]
     return FirLayerParams(gtaps), dx
+
+
+def _pole_scaling(s: ShiftOperator, gamma: np.ndarray) -> np.ndarray:
+    """The (F, G, P, N) pole scaling c = 1 / (d - gamma) of the Jacobi
+    recursion, d the diagonal of S."""
+    return 1.0 / (s.diagonal()[None, None, None, :] - gamma[..., None])
 
 
 def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
@@ -313,8 +321,7 @@ def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
     if layer.n_poles == 0:
         return u, partial(_arma_backward, layer, params, s, zs, None, None)
 
-    # c is the (F, G, P, N) pole scaling 1 / (d - gamma)
-    c = 1.0 / (s.diagonal()[None, None, None, :] - params.gamma[..., None])
+    c = _pole_scaling(s, params.gamma)
     # x and S x as (B, 1, G, 1, N), broadcast against c's (F, G, P, N); S x
     # is shared by every (f, p), so x is shifted once.
     sx = zs[:, :, 1] if layer.order else s.apply(x.swapaxes(0, 1)).swapaxes(0, 1)
@@ -348,7 +355,7 @@ def _jacobi_adjoint(s: ShiftOperator, c: np.ndarray, a: np.ndarray, iters: int,
             au += np.einsum("bfgpn,bfgpn->fgpn", a, us[m])
         if m or need_a0:
             ca = c[None] * a
-            a = d * ca - np.moveaxis(s.apply(np.moveaxis(ca, -1, 0)), 0, -1)
+            a = d * ca - apply_node_last(s, ca)
     return a_sum, au, a
 
 
@@ -488,7 +495,7 @@ def _arma_rows(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
     w, direct_vjp = _fir_rows(layer, FirLayerParams(params.alpha), s, nodes)
     if layer.n_poles == 0:
         return w, partial(_arma_rows_vjp, layer, params, s, nodes, direct_vjp, None)
-    c = 1.0 / (s.diagonal()[None, None, None, :] - params.gamma[..., None])
+    c = _pole_scaling(s, params.gamma)
     a = _pole_rows_start(nodes, c)
     a_sum, _, a0 = _jacobi_adjoint(s, c, a, layer.jacobi_iters, None, True)
     w += (params.beta[..., None] * c * a_sum + a0).sum(axis=3)
@@ -506,8 +513,7 @@ def _arma_rows_vjp(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
                                np.zeros_like(params.gamma))
     xb = xbar[:, :, :, None, :]                          # (T, F, G, 1, N)
     b = params.beta[..., None] * c * xb
-    sxb = np.moveaxis(s.apply(np.moveaxis(xb, -1, 0)), 0, -1)
-    us = jacobi_iterates(s, c, b, xb, sxb, layer.jacobi_iters)
+    us = jacobi_iterates(s, c, b, xb, apply_node_last(s, xb), layer.jacobi_iters)
     a = _pole_rows_start(nodes, c)
     a_sum, au, _ = _jacobi_adjoint(s, c, a, layer.jacobi_iters, us, False)
     gbeta = np.einsum("tfgpn,tfgn,fgpn->fgp", a_sum, xbar, c, optimize=True)
@@ -572,12 +578,29 @@ def _rows_backward(x: np.ndarray, wmat: np.ndarray, rows_vjp, du: np.ndarray,
 # Model forward/backward
 # ---------------------------------------------------------------------------
 
+def _check_input(spec: ModelSpec, s: ShiftOperator | None, x: np.ndarray) -> None:
+    """A static model reads a (B, N, G) ``x`` on the shift ``s``; a
+    time-varying one reads as ``x`` the (B, N, K+1, G) delayed stack of its
+    one FIR layer, with ``s`` None."""
+    if spec.shift_mode == "static":
+        if s is None:
+            raise ModelError("a static model needs `s`, the shift its layers apply")
+        if x.ndim != 3:
+            raise ModelError(f"a static model reads a (B, N, G) x, got shape {x.shape}")
+        return
+    layer = spec.layers[0]
+    want = x.shape[:2] + (layer.order + 1, layer.in_features)
+    if s is not None or x.shape != want:
+        got = f"x of shape {x.shape}" + ("" if s is None else " and a shift `s`")
+        raise ModelError(f"a time-varying model reads as x the (B, N, K+1, G) = "
+                         f"{want} delayed stack of its order-{layer.order} "
+                         f"layer, with s None; got {got}")
+
+
 def _check_out_nodes(spec: ModelSpec, s: ShiftOperator | None, x: np.ndarray,
-                     first_layer_zs: np.ndarray | None, out_nodes) -> np.ndarray:
+                     out_nodes) -> np.ndarray:
     if s is None or spec.shift_mode == "time_varying":
         raise ModelError("out_nodes needs a static shift")
-    if first_layer_zs is not None:
-        raise ModelError("out_nodes cannot be combined with first_layer_zs")
     nodes = np.asarray(out_nodes)
     if nodes.ndim != 1 or nodes.size == 0 or nodes.dtype.kind not in "iu":
         raise ModelError(f"out_nodes must be a non-empty 1-D integer array, "
@@ -590,58 +613,39 @@ def _check_out_nodes(spec: ModelSpec, s: ShiftOperator | None, x: np.ndarray,
     return nodes
 
 
-def _check_first_layer_zs(layer: LayerSpec, x: np.ndarray, zs) -> None:
-    """``zs`` must be the (B, N, K+1, G) stack a first FIR layer reads for x."""
-    if layer.family != "fir":
-        raise ModelError(f"first_layer_zs feeds a first FIR layer, layer 0 is "
-                         f"{layer.family}")
-    want = x.shape[:2] + (layer.order + 1,) + x.shape[2:]
-    got = getattr(zs, "shape", None)
-    if got != want:
-        raise ModelError(f"first_layer_zs has shape {got}, the order-"
-                         f"{layer.order} layer 0 reads {want}")
-
-
 def forward_batch(spec: ModelSpec, state: ModelState, s: ShiftOperator | None,
-                  x: np.ndarray, first_layer_zs: np.ndarray | None = None,
-                  out_nodes=None):
-    """Batched forward pass on a (batch, nodes, features) array.
+                  x: np.ndarray, out_nodes=None):
+    """Batched forward pass; the spec's shift mode decides the input.
 
-    ``first_layer_zs`` is a precomputed (B, N, K+1, G) stack for a first FIR
-    layer (the delayed chain in time-varying mode); ``x`` is then its k = 0
-    slice.
+    A static model runs on the shift ``s`` and reads ``x`` as a (batch,
+    nodes, features) array. A time-varying model (one FIR layer) takes
+    ``s`` None and reads ``x`` as that layer's (B, N, K+1, G) delayed
+    stack, the chain S(t)...S(t-k+1) x(t-k) at tap k
+    (``flocking.TrajectorySample.delayed_stacks``).
 
     ``out_nodes`` (a 1-D integer array T, repeats and any order allowed)
     computes only the output nodes a loss reads: every layer but the last
     runs in full, and the last layer and the readout return (B, |T|, .) for
     those nodes, in that order. The last layer then runs through its rows at
     T, computed once per call from one-hot starts, and meets the batch in one
-    (B, N*G) @ (N*G, |T|*F) product. It needs a static shift and no
-    ``first_layer_zs``.
+    (B, N*G) @ (N*G, |T|*F) product. It needs a static model.
 
     Returns (output, tape). The output and the intermediates the tape
     records are fresh arrays, so a later pass changes neither.
     """
     if out_nodes is not None:
-        out_nodes = _check_out_nodes(spec, s, x, first_layer_zs, out_nodes)
-    if first_layer_zs is not None:
-        _check_first_layer_zs(spec.layers[0], x, first_layer_zs)
-    if s is None:
-        for i, layer in enumerate(spec.layers):
-            if layer.family != "edge_varying" and (i or first_layer_zs is None):
-                raise ModelError(f"layer {i} ({layer.family}) applies the shift, "
-                                 f"but s is None and it is not fed first_layer_zs")
+        out_nodes = _check_out_nodes(spec, s, x, out_nodes)
+    _check_input(spec, s, x)
     vjps, nonlin_saved = [], []
     cur = x
     for i, (layer, params) in enumerate(zip(spec.layers, state.layers)):
-        if cur.shape[2] != layer.in_features:
+        if cur.shape[-1] != layer.in_features:
             raise ModelError(f"layer {i} expects {layer.in_features} features, "
-                             f"got {cur.shape[2]}")
+                             f"got {cur.shape[-1]}")
         if out_nodes is not None and i == len(spec.layers) - 1:
             u, vjp = _rows_forward(layer, params, s, cur, out_nodes)
         elif layer.family == "fir":
-            zs = first_layer_zs if i == 0 else None
-            u, vjp = _fir_forward(layer, params, s, cur, zs)
+            u, vjp = _fir_forward(layer, params, s, cur)
         elif layer.family == "arma":
             u, vjp = _arma_forward(layer, params, s, cur)
         else:
@@ -661,21 +665,20 @@ def model_forward(spec: ModelSpec, state: ModelState, s: ShiftOperator,
                   x: GraphSignal):
     """Run the model on one signal; returns (output signal, tape)."""
     if spec.shift_mode != "static":
-        raise ModelError("time-varying models run through "
-                         "forward_batch(..., first_layer_zs=...)")
+        raise ModelError("time-varying models run through forward_batch(spec, "
+                         "state, None, x), x their (B, N, K+1, G) delayed stack")
     out, tape = forward_batch(spec, state, s, x.values[None])
     return GraphSignal(out[0]), tape
 
 
 def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
-                   loss_grad: np.ndarray | GraphSignal,
-                   into: ModelState | None = None):
+                   loss_grad: np.ndarray, into: ModelState | None = None):
     """Gradients of a scalar loss for every trainable parameter.
 
-    ``loss_grad`` is dJ/d(output) with the output's shape (a GraphSignal or a
-    batched array matching the tape): (B, |T|, .) for a tape recorded with
-    ``out_nodes`` T, whose last layer runs its rows' vector-Jacobian
-    product. Any other shape is rejected rather than broadcast. Returns a
+    ``loss_grad`` is dJ/d(output), an array of the tape's ``out_shape``:
+    (B, |T|, .) for a tape recorded with ``out_nodes`` T, whose last layer
+    runs its rows' vector-Jacobian product. Any other shape is rejected
+    rather than broadcast. Returns a
     ModelState-shaped container of gradient arrays: a fresh one, or
     ``into`` (the gradients of an earlier call for this model) with these
     gradients added to its arrays in place.
@@ -688,12 +691,7 @@ def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
     """
     if tape.state_version != state.version:
         raise ModelError("stale tape: parameters changed since the forward pass")
-    if isinstance(loss_grad, GraphSignal):
-        dcur = loss_grad.values[None]
-    else:
-        dcur = np.asarray(loss_grad)
-        if dcur.ndim == 2:
-            dcur = dcur[None]
+    dcur = np.asarray(loss_grad)
     if dcur.shape != tape.out_shape:
         raise ModelError(f"loss_grad has shape {dcur.shape}, the model output "
                          f"has shape {tape.out_shape}")

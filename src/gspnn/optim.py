@@ -7,7 +7,6 @@ fail-loud abort on any non-finite gradient.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,15 +223,3 @@ def project_poles(gamma: np.ndarray, diagonal: np.ndarray, margin: float) -> Non
         side = np.where(flat[close] >= d, 1.0, -1.0)
         flat[close] = d + side * margin
 
-
-def write_loss_log(path, history: list[tuple[int, int, float]],
-                   final_metrics: dict | None = None) -> None:
-    """CSV log `epoch,batch,loss` plus one final metrics row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "batch", "loss"])
-        for epoch, batch, loss in history:
-            writer.writerow([epoch, batch, repr(loss)])
-        if final_metrics:
-            for key, value in sorted(final_metrics.items()):
-                writer.writerow(["final", key, repr(float(value))])

@@ -30,7 +30,6 @@ per-user rows.
 
 from __future__ import annotations
 
-import csv
 import re
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
@@ -602,16 +601,6 @@ def transfer_rmse(model: TrainedRating, table: RatingsTable,
     if not test_set:
         raise DataError(f"no test users for item {other_item}")
     return evaluate_rmse(model.spec, model.state, model.shift, test_set, node)
-
-
-def save_metrics_csv(path, rows: list[dict]) -> None:
-    """`model,seed,target,rmse` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "seed", "target", "rmse"])
-        for row in rows:
-            writer.writerow([row["model"], row["seed"], row["target"],
-                             repr(float(row["rmse"]))])
 
 
 def checkpoint_metadata(model: TrainedRating) -> dict:

@@ -11,7 +11,6 @@ from gspnn.analysis import (
     model_lipschitz_constant,
     relative_distance,
     stability_experiment,
-    write_stability_csv,
 )
 from gspnn.filters import ArmaParams, FirTaps
 from gspnn.graphs import (
@@ -246,19 +245,6 @@ def test_misalignment_zero_for_equal_bases():
     assert eigenvector_misalignment(v, v) == 0.0
 
 
-def test_stability_csv(tmp_path):
-    s, r = adjacency_shift(14, n=8)
-    spec, state = normalized_fir_gcnn(s, r, depth=1)
-    reps = [stability_experiment(spec, state, s, DilationPerturbation(eps),
-                                 [r.normal(size=8)])
-            for eps in (0.01, 0.05)]
-    path = tmp_path / "sweep.csv"
-    write_stability_csv(path, reps)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epsilon,measured,bound,delta,C"
-    assert len(lines) == 3
-
-
 def test_model_lipschitz_takes_max_over_layers():
     s, r = adjacency_shift(15, n=8)
     spec = ModelSpec((LayerSpec("fir", 1, 1, 1, nonlinearity="relu"),
@@ -279,4 +265,3 @@ def test_model_lipschitz_of_the_flocking_policy_equals_the_per_filter_loop():
     assert state.layers[0].taps.shape == (32, 6, 4)
     got = model_lipschitz_constant(spec, state, (-1.1, 1.1))
     assert got == per_filter_lipschitz(spec, state, (-1.1, 1.1))
-

@@ -136,6 +136,15 @@ def test_analyze_stability_runs_with_its_defaults(tmp_path):
     assert len(rows) > 1
 
 
+def test_analyze_stability_writes_one_row_per_epsilon(tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", "stability", "--epsilons", "0.01,0.05",
+                 "--out", str(out)]) == 0
+    lines = (out / "stability.csv").read_text().splitlines()
+    assert lines[0] == "epsilon,measured,bound,delta,C"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.01", "0.05"]
+
+
 def test_analyze_equivariance_redraws_dead_trials(tmp_path):
     # seed 0 draws one trial whose relu stack outputs all zeros
     out = tmp_path / "out"
@@ -179,6 +188,33 @@ def test_recsys_eval_rejects_a_pole_on_the_shift_diagonal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "layers.0.gamma[0, 0, 0] = 0.0 is within" in err
     assert "shift diagonal entry 0.0" in err
+
+
+def _recsys_train(tmp_path):
+    """Run `recsys train` for one epoch; returns its output directory and
+    its checkpoint's metadata."""
+    data = tmp_path / "u.data"
+    write_synthetic_fixture(data)
+    out = tmp_path / "out"
+    assert main(["recsys", "train", "--data", str(data), "--target", "2",
+                 "--seed", "1", "--epochs", "1", "--out", str(out)]) == 0
+    return out, neural.load_checkpoint(out / "checkpoint.npz")[2]
+
+
+def test_recsys_train_writes_its_metrics_csv(tmp_path):
+    out, meta = _recsys_train(tmp_path)
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert lines == ["model,seed,target,rmse",
+                     f"gcnn,1,2,{meta['test_rmse']!r}"]
+
+
+def test_recsys_train_writes_its_loss_log(tmp_path):
+    out, meta = _recsys_train(tmp_path)
+    lines = (out / "loss_log.csv").read_text().splitlines()
+    assert lines[0] == "epoch,batch,loss"
+    assert lines[1].startswith("0,0,")
+    assert lines[-2:] == [f"final,test_rmse,{meta['test_rmse']!r}",
+                          f"final,train_rmse,{meta['train_rmse']!r}"]
 
 
 def test_recsys_train_rejects_a_negative_top_items_count(tmp_path, capsys):

@@ -297,8 +297,7 @@ def test_flocking_time_varying_stack_matches_per_tap_oracle():
     old = np.concatenate(old_stacks).transpose(1, 0, 2, 3)   # (K+1, B*T, N, 6)
 
     zs_all = np.concatenate([smp.delayed_stacks(order) for smp in samples])
-    out, tape = forward_batch(spec, state, None, zs_all[:, :, 0],
-                              first_layer_zs=zs_all)
+    out, tape = forward_batch(spec, state, None, zs_all)
     dout = r.normal(size=out.shape)
     grads = model_backward(tape, spec, state, dout)
 

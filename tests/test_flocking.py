@@ -114,8 +114,7 @@ def per_trajectory_batch_loss(problem, indices):
     total, grads = 0.0, None
     for i in indices:
         zs = problem.stack[i]
-        out, tape = forward_batch(problem.spec, problem.state, None, zs[:, :, 0],
-                                  first_layer_zs=zs)
+        out, tape = forward_batch(problem.spec, problem.state, None, zs)
         value, dpred = loss_eval(problem.loss, out, problem.targets[i])
         step = [g for _, g in iter_params(model_backward(tape, problem.spec,
                                                          problem.state, dpred))]
@@ -138,8 +137,7 @@ def per_block_batch_loss(problem, samples, indices):
         target = samples[i].actions / samples[i].config.u_max
         for start in range(0, t_steps, problem.block_steps):
             zs = stack[start:start + problem.block_steps]
-            out, tape = forward_batch(problem.spec, problem.state, None,
-                                      zs[:, :, 0], first_layer_zs=zs)
+            out, tape = forward_batch(problem.spec, problem.state, None, zs)
             value, dpred = loss_eval(problem.loss, out,
                                      target[start:start + len(zs)])
             weight = len(zs) / (t_steps * len(indices))
@@ -160,8 +158,7 @@ def concatenated_batch_loss(problem, samples, indices):
     zs = np.concatenate([per_step_delayed_stacks(samples[i], order)
                          for i in indices])
     target = np.concatenate([samples[i].actions / u_max for i in indices])
-    out, tape = forward_batch(problem.spec, problem.state, None, zs[:, :, 0],
-                              first_layer_zs=zs)
+    out, tape = forward_batch(problem.spec, problem.state, None, zs)
     value, dpred = loss_eval(problem.loss, out, target)
     return value, model_backward(tape, problem.spec, problem.state, dpred)
 
@@ -788,8 +785,7 @@ def test_incremental_runner_matches_delayed_model(tiny_policy):
     zs = delayed_stack_oracle([trajectory_shift(sample, t - j) for j in range(order)],
                               [sample.features[t - k] for k in range(order + 1)],
                               order)
-    ref, _ = forward_batch(bundle.spec, bundle.state, None, zs[:, :, 0],
-                           first_layer_zs=zs)
+    ref, _ = forward_batch(bundle.spec, bundle.state, None, zs)
 
     runner = _PolicyRunner(bundle, cfg.n_agents)
     for step in range(t + 1):

@@ -14,7 +14,9 @@ No file the program reads may run code: every ``np.load`` / ``numpy.load``
 call in ``src/gspnn`` passes ``allow_pickle=False`` literally, and nothing
 there imports ``pickle``. The program has one on-disk array format: every
 ``np.save`` / ``np.savez`` / ``np.load`` call in ``src/gspnn`` sits in
-``neural.write_archive`` or ``neural.read_archive``.
+``neural.write_archive`` or ``neural.read_archive``. The program has one
+result-file writer too: no module of ``src/gspnn`` but ``cli.py`` imports
+``csv``.
 
 The program has one product with a shift matrix, ``ShiftOperator.apply``:
 no module of ``src/gspnn`` but ``graphs.py`` uses a ``.matrix`` attribute
@@ -129,18 +131,27 @@ def test_every_import_is_declared(path):
     assert undeclared_imports(path.read_text(), allowed_modules()) == []
 
 
+def imports_of(package: str, tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, what) for every absolute import of ``package`` or of a
+    submodule of it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name.split(".")[0] == package]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == package:
+            found.append((node.lineno, f"from {node.module}"))
+    return found
+
+
 def pickle_risks(source: str) -> list[str]:
     """``pickle`` imports, and ``np.load`` / ``numpy.load`` calls without a
     literal ``allow_pickle=False``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, f"import {alias.name}") for alias in node.names
-                      if alias.name.split(".")[0] == "pickle"]
-        elif isinstance(node, ast.ImportFrom) and node.module \
-                and node.module.split(".")[0] == "pickle":
-            found.append((node.lineno, f"from {node.module}"))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+    tree = ast.parse(source)
+    found = imports_of("pickle", tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "load" \
                 and isinstance(node.func.value, ast.Name) \
                 and node.func.value.id in ("np", "numpy"):
@@ -203,6 +214,25 @@ def test_archive_io_outside_the_archive_functions_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"gspnn/{p.name}")
 def test_arrays_are_stored_only_through_the_archive_functions(path):
     assert archive_io_outside_the_archive_functions(path.read_text()) == []
+
+
+def csv_imports(source: str) -> list[str]:
+    return [f"line {line}: {what}"
+            for line, what in sorted(imports_of("csv", ast.parse(source)))]
+
+
+def test_a_csv_import_is_found():
+    source = ("import csv\nimport os, csv as table\nfrom csv import writer\n"
+              "import csvkit\nfrom .csv import rows\n"
+              "def save(path):\n    import csv\n")
+    assert csv_imports(source) == ["line 1: import csv", "line 2: import csv",
+                                   "line 3: from csv", "line 7: import csv"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=lambda p: f"gspnn/{p.name}")
+def test_only_the_cli_writes_csv(path):
+    assert csv_imports(path.read_text()) == []
 
 
 def _is_shift_matrix(node: ast.AST) -> bool:

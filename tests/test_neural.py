@@ -215,7 +215,7 @@ def test_model_spec_validation():
 def analytic_grads(spec, state, s, x, y):
     out, tape = model_forward(spec, state, s, GraphSignal(x))
     loss_grad = out.values - y
-    return model_backward(tape, spec, state, GraphSignal(loss_grad))
+    return model_backward(tape, spec, state, loss_grad[None])
 
 
 def numeric_grads(spec, state, s, x, y, h=1e-5):
@@ -427,32 +427,19 @@ def test_model_backward_adds_into_the_given_gradients_in_place():
 SHIFTLESS_CASES = {
     # a static order-2 FIR model failed inside filters.shifted_stack with
     # AttributeError: 'NoneType' object has no attribute 'apply'
-    "fir": ((LayerSpec("fir", 1, 1, 2),), r"layer 0 \(fir\)"),
-    "arma after edge_varying": ((LayerSpec("edge_varying", 1, 2, 1),
-                                 LayerSpec("arma", 2, 1, 1, n_poles=1)),
-                                r"layer 1 \(arma\)"),
+    "fir": (LayerSpec("fir", 1, 1, 2),),
+    "arma after edge_varying": (LayerSpec("edge_varying", 1, 2, 1),
+                                LayerSpec("arma", 2, 1, 1, n_poles=1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SHIFTLESS_CASES))
 def test_forward_batch_without_a_shift_names_the_layer_that_applies_it(case):
-    layers, message = SHIFTLESS_CASES[case]
+    layers = SHIFTLESS_CASES[case]
     s, r = small_shift(44, n=30)
     state = init_state(ModelSpec(layers), r, shift=s)
-    with pytest.raises(ModelError, match=rf"{message} applies the shift, but s "
-                                         r"is None"):
+    with pytest.raises(ModelError, match="a static model needs `s`"):
         forward_batch(ModelSpec(layers), state, None, np.ones((1, 30, 1)))
-
-
-def test_edge_varying_model_runs_without_a_shift():
-    s, r = small_shift(45)
-    spec = ModelSpec((LayerSpec("edge_varying", 1, 2, 2),
-                      LayerSpec("edge_varying", 2, 1, 1)))
-    state = init_state(spec, r, shift=s)
-    x = r.normal(size=(2, s.n_nodes, 1))
-    with_shift, _ = forward_batch(spec, state, s, x)
-    without, _ = forward_batch(spec, state, None, x)
-    assert np.array_equal(with_shift, without)
 
 
 def test_zero_upstream_gradient_gives_zero_parameter_gradients():
@@ -462,8 +449,7 @@ def test_zero_upstream_gradient_gives_zero_parameter_gradients():
     state = init_state(spec, r, shift=s)
     out, tape = model_forward(spec, state, s,
                               GraphSignal(r.normal(size=s.n_nodes)))
-    grads = model_backward(tape, spec, state,
-                           GraphSignal(np.zeros_like(out.values)))
+    grads = model_backward(tape, spec, state, np.zeros(tape.out_shape))
     for _, arr in iter_params(grads):
         assert np.all(arr == 0.0)
 
@@ -477,7 +463,7 @@ def test_single_tap_quadratic_gradient_closed_form():
     x = r.normal(size=s.n_nodes)
     y = r.normal(size=(s.n_nodes, 1))
     out, tape = model_forward(spec, state, s, GraphSignal(x))
-    grads = model_backward(tape, spec, state, GraphSignal(out.values - y))
+    grads = model_backward(tape, spec, state, (out.values - y)[None])
     expected = float((h0 * x[:, None] - y)[:, 0] @ x)
     assert grads.layers[0].taps.reshape(()) == pytest.approx(expected, rel=1e-12)
 
@@ -489,7 +475,7 @@ def test_stale_tape_rejected():
     out, tape = model_forward(spec, state, s, GraphSignal(r.normal(size=s.n_nodes)))
     state.bump_version()
     with pytest.raises(ModelError, match="stale"):
-        model_backward(tape, spec, state, GraphSignal(np.zeros_like(out.values)))
+        model_backward(tape, spec, state, np.zeros(tape.out_shape))
 
 
 def test_loss_grad_of_wrong_shape_rejected():
@@ -618,33 +604,41 @@ def delayed_forward(spec, state, shifts, signals):
     """Time-varying forward on the oracle's delayed stack; returns the
     (N, F) output and the tape."""
     zs = delayed_stack_oracle(shifts, signals, spec.layers[0].order)
-    out, tape = forward_batch(spec, state, None, zs[:, :, 0], first_layer_zs=zs)
+    out, tape = forward_batch(spec, state, None, zs)
     return out[0], tape
 
 
-FIRST_LAYER_ZS_CASES = {
-    # an ARMA first layer ignored the stack, or met s=None inside its forward
-    "arma static": (LayerSpec("arma", 2, 3, 1, n_poles=1), True, 2,
-                    "layer 0 is arma"),
-    "arma no shift": (LayerSpec("arma", 2, 3, 1, n_poles=1), False, 2,
-                      "layer 0 is arma"),
+TIME_VARYING_INPUT_CASES = {
+    # the signal without its delayed stack
+    "3-D x": ((4, 8, 2), False, r"got x of shape \(4, 8, 2\)$"),
     # an order-3 FIR layer given three slots failed inside a numpy reshape
-    "fir short stack": (LayerSpec("fir", 2, 3, 3), True, 3,
-                        r"shape \(4, 8, 3, 2\), the order-3 layer 0 reads "
-                        r"\(4, 8, 4, 2\)"),
+    "short stack": ((4, 8, 3, 2), False, r"got x of shape \(4, 8, 3, 2\)$"),
+    # the stack carries the shifts; a static shift next to it is ambiguous
+    "a shift": ((4, 8, 4, 2), True, r"got x of shape \(4, 8, 4, 2\) and a "
+                                    r"shift `s`$"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(FIRST_LAYER_ZS_CASES))
-def test_forward_batch_checks_first_layer_zs(case):
-    layer, static, slots, message = FIRST_LAYER_ZS_CASES[case]
+@pytest.mark.parametrize("case", sorted(TIME_VARYING_INPUT_CASES))
+def test_forward_batch_names_the_delayed_stack_a_time_varying_model_reads(case):
+    shape, with_shift, got = TIME_VARYING_INPUT_CASES[case]
     s, r = small_shift(31)
-    spec = ModelSpec((layer,))
-    state = init_state(spec, r, shift=s)
-    zs = r.normal(size=(4, s.n_nodes, slots, 2))
-    with pytest.raises(ModelError, match=rf"first_layer_zs.*{message}"):
-        forward_batch(spec, state, s if static else None, zs[:, :, 0],
-                      first_layer_zs=zs)
+    spec = ModelSpec((LayerSpec("fir", 2, 3, 3),), shift_mode="time_varying")
+    state = init_state(spec, r)
+    with pytest.raises(ModelError, match=r"time-varying model reads as x the "
+                                         r"\(B, N, K\+1, G\) = \(4, 8, 4, 2\) "
+                                         r"delayed stack of its order-3 layer, "
+                                         r"with s None; " + got):
+        forward_batch(spec, state, s if with_shift else None, r.normal(size=shape))
+
+
+def test_forward_batch_rejects_a_stack_for_a_static_model():
+    s, r = small_shift(31)
+    spec = ModelSpec((LayerSpec("fir", 2, 3, 3),))
+    state = init_state(spec, r)
+    with pytest.raises(ModelError, match=r"static model reads a \(B, N, G\) x, "
+                                         r"got shape \(4, 8, 4, 2\)"):
+        forward_batch(spec, state, s, r.normal(size=(4, s.n_nodes, 4, 2)))
 
 
 def test_delayed_model_matches_public_delayed_filter():
@@ -689,7 +683,7 @@ def test_delayed_gradients_match_finite_differences():
     state = init_state(spec, r)
     out, tape = delayed_forward(spec, state, shifts, signals)
     y = r.normal(size=out.shape)
-    grads = model_backward(tape, spec, state, GraphSignal(out - y))
+    grads = model_backward(tape, spec, state, (out - y)[None])
 
     def loss():
         o, _ = delayed_forward(spec, state, shifts, signals)

@@ -161,13 +161,6 @@ def test_out_nodes_rejects_time_varying_models():
         forward_batch(spec, state, s, x, out_nodes=[0])
 
 
-def test_out_nodes_rejects_first_layer_stack():
-    spec, state, s, x = one_layer_model()
-    zs = np.zeros(x.shape[:2] + (3, 1))
-    with pytest.raises(ModelError, match="out_nodes"):
-        forward_batch(spec, state, s, x, first_layer_zs=zs, out_nodes=[0])
-
-
 @pytest.mark.parametrize("nodes", [[], [[0, 1]], [0.0, 1.0], [True], 3],
                          ids=["empty", "2-D", "float", "bool", "scalar"])
 def test_out_nodes_must_be_nonempty_1d_integers(nodes):

@@ -34,7 +34,6 @@ from gspnn.recsys import (
     make_samples,
     predict,
     select_top_items,
-    save_metrics_csv,
     train_rating_model,
     transfer_rmse,
     _build_table,
@@ -817,12 +816,3 @@ def test_rating_problem_rejects_a_pole_inside_the_margin(fixture_table):
     with pytest.raises(FilterError, match=r"layers\.0\.gamma\[2, 0, 0\] = 0\.0001 "
                                           r"is within"):
         RatingProblem(spec, state, shift, samples, node)
-
-
-def test_metrics_csv(tmp_path):
-    path = tmp_path / "metrics.csv"
-    save_metrics_csv(path, [{"model": "gcnn", "seed": 1, "target": 50,
-                             "rmse": 0.91}])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "model,seed,target,rmse"
-    assert lines[1].startswith("gcnn,1,50,")
