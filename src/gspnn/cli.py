@@ -237,22 +237,6 @@ class RunContext:
         os.replace(tmp, self.out_dir / "manifest.json")
 
 
-def _resolve_data_path(configured: str) -> Path:
-    if configured:
-        return Path(configured)
-    root = os.environ.get(DATA_DIR_ENV, "")
-    if root:
-        candidate = Path(root) / "u.data"
-        if candidate.is_file():
-            return candidate
-        return Path(root)
-    raise ConfigError(f"no data path given and {DATA_DIR_ENV} is not set")
-
-
-# ---------------------------------------------------------------------------
-# recsys commands
-# ---------------------------------------------------------------------------
-
 def _write_csv(path, header: list[str], rows) -> None:
     """The one result-file writer: a header row, then ``rows``, each float
     cell (numpy floats too) written as ``repr(float(v))``, which reads back
@@ -271,6 +255,22 @@ def _write_loss_log(path, history: list[tuple[int, int, float]],
                history + [("final", key, float(value))
                           for key, value in sorted(final_metrics.items())])
 
+
+def _resolve_data_path(configured: str) -> Path:
+    if configured:
+        return Path(configured)
+    root = os.environ.get(DATA_DIR_ENV, "")
+    if root:
+        candidate = Path(root) / "u.data"
+        if candidate.is_file():
+            return candidate
+        return Path(root)
+    raise ConfigError(f"no data path given and {DATA_DIR_ENV} is not set")
+
+
+# ---------------------------------------------------------------------------
+# recsys commands
+# ---------------------------------------------------------------------------
 
 def _write_metrics(path, model: str, seed: int, target: int, rmse: float) -> None:
     _write_csv(path, ["model", "seed", "target", "rmse"],
