@@ -513,6 +513,13 @@ def cmd_analyze_distance(cfg: dict) -> int:
     return 0
 
 
+def _write_stability(path, reports) -> None:
+    """One `epsilon,measured,bound,delta,C` row per stability report."""
+    _write_csv(path, ["epsilon", "measured", "bound", "delta", "C"],
+               [(rep.epsilon, rep.measured, rep.bound, rep.delta, rep.constant)
+                for rep in reports])
+
+
 def cmd_analyze_stability(cfg: dict) -> int:
     epsilons = _parse_list(cfg, "epsilons")
     ctx = RunContext("analyze stability", cfg)
@@ -527,10 +534,7 @@ def cmd_analyze_stability(cfg: dict) -> int:
     reports = [stability_experiment(spec, state, s, DilationPerturbation(eps),
                                     inputs)
                for eps in epsilons]
-    _write_csv(ctx.out_path("stability.csv"),
-               ["epsilon", "measured", "bound", "delta", "C"],
-               [(rep.epsilon, rep.measured, rep.bound, rep.delta, rep.constant)
-                for rep in reports])
+    _write_stability(ctx.out_path("stability.csv"), reports)
     ctx.write_manifest()
     for rep in reports:
         print(f"eps={rep.epsilon:g}: measured {rep.measured:.3e} "

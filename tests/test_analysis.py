@@ -12,6 +12,7 @@ from gspnn.analysis import (
     relative_distance,
     stability_experiment,
 )
+from gspnn.cli import _write_stability
 from gspnn.filters import ArmaParams, FirTaps
 from gspnn.graphs import (
     GraphSignal,
@@ -243,6 +244,19 @@ def test_zero_epsilon_with_permutation_reduces_to_equivariance():
 def test_misalignment_zero_for_equal_bases():
     v = np.linalg.qr(np.random.default_rng(0).normal(size=(5, 5)))[0]
     assert eigenvector_misalignment(v, v) == 0.0
+
+
+def test_stability_csv(tmp_path):
+    s, r = adjacency_shift(14, n=8)
+    spec, state = normalized_fir_gcnn(s, r, depth=1)
+    reps = [stability_experiment(spec, state, s, DilationPerturbation(eps),
+                                 [r.normal(size=8)])
+            for eps in (0.01, 0.05)]
+    path = tmp_path / "sweep.csv"
+    _write_stability(path, reps)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "epsilon,measured,bound,delta,C"
+    assert len(lines) == 3
 
 
 def test_model_lipschitz_takes_max_over_layers():

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gspnn import optim
+from gspnn.cli import _write_loss_log
 from gspnn.graphs import GraphSignal, ShiftKind, build_shift
 from gspnn.neural import (
     FirLayerParams,
@@ -400,6 +401,16 @@ def test_training_is_deterministic_given_seed():
                                 seed=11))
         results.append(prob.state.layers[0].taps.copy())
     assert np.array_equal(results[0], results[1])
+
+
+def test_loss_log_format(tmp_path):
+    path = tmp_path / "log.csv"
+    _write_loss_log(path, [(0, 0, 0.5), (0, 1, 0.25)], {"rmse": 0.9})
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "epoch,batch,loss"
+    assert lines[1].startswith("0,0,")
+    assert lines[-1].startswith("final,rmse,")
+    assert float(lines[-1].split(",")[2]) == 0.9
 
 
 def test_gcnn_training_keeps_parameters_finite():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gspnn import graphs, recsys
+from gspnn.cli import _write_metrics
 from gspnn.graphs import (
     Graph,
     GraphError,
@@ -816,3 +817,11 @@ def test_rating_problem_rejects_a_pole_inside_the_margin(fixture_table):
     with pytest.raises(FilterError, match=r"layers\.0\.gamma\[2, 0, 0\] = 0\.0001 "
                                           r"is within"):
         RatingProblem(spec, state, shift, samples, node)
+
+
+def test_metrics_csv(tmp_path):
+    path = tmp_path / "metrics.csv"
+    _write_metrics(path, "gcnn", 1, 50, 0.91)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "model,seed,target,rmse"
+    assert lines[1].startswith("gcnn,1,50,")
