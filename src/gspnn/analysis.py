@@ -206,7 +206,6 @@ class StabilityReport:
     constant: float         # integral-Lipschitz C over the union of spectra
     bound: float            # 2 C (1 + delta sqrt(N)) L epsilon, per unit input norm
     measured: float         # max over inputs of output deviation / ||x||
-    n_nodes: int
     max_abs_response: float  # <= 1 when every layer filter is normalized
     n_violations: int       # inputs whose deviation exceeded bound + safety
 
@@ -270,7 +269,7 @@ def stability_experiment(spec: ModelSpec, state: ModelState, s: ShiftOperator,
             violations += 1
     return StabilityReport(
         epsilon=eps, delta=delta_term, constant=constant, bound=bound_unit,
-        measured=measured, n_nodes=n, max_abs_response=max_resp,
+        measured=measured, max_abs_response=max_resp,
         n_violations=violations)
 
 

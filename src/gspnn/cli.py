@@ -4,14 +4,17 @@ Subcommands: `recsys {train,eval,transfer}`, `flocking
 {generate,train,evaluate,sweep}`, `analyze
 {response,lipschitz,distance,stability,equivariance}`. Values come from an
 optional YAML config file (nested: global keys plus one section per command
-group) overridden by flags; unknown keys are rejected by full path. Every
-run writes a manifest (resolved config, input hashes, produced files, wall
-time and, for the train commands and every flocking command, per-phase
-seconds) into its output directory; nothing is written anywhere else. `recsys train`
-writes its model as `checkpoint.npz` and `flocking train` as `policy.npz`,
-the checkpoint archives that `--checkpoint` reads. `flocking generate`
-writes its trajectories as the archive `dataset/dataset.npz`, and
-`flocking train --dataset` reads that directory.
+group) overridden by flags; unknown keys are rejected by full path.
+`dispatch` runs every command: it hands the command's handler one
+`RunContext` and, once the handler returns, writes the run's manifest
+(resolved config, input hashes, produced files, wall time and, for the
+train commands and every flocking command, per-phase seconds) into the
+output directory; nothing is written anywhere else. The output directory
+is made at the first output, so a run that fails before it leaves none.
+`recsys train` writes its model as `checkpoint.npz` and `flocking train`
+as `policy.npz`, the checkpoint archives that `--checkpoint` reads.
+`flocking generate` writes its trajectories as the archive
+`dataset/dataset.npz`, and `flocking train --dataset` reads that directory.
 """
 
 from __future__ import annotations
@@ -186,13 +189,27 @@ def _git_blob_sha1(path: Path) -> str:
     return hashlib.sha1(header + data).hexdigest()
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    """The one JSON writer: indent 1, sorted keys and a trailing newline,
+    written to a temporary file that then replaces ``path``."""
+    tmp = path.with_name(f".{path.stem}.tmp")
+    with open(tmp, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 class RunContext:
+    """One command's run record. ``dispatch`` builds it before the command
+    runs and writes its manifest once the command returns. The output
+    directory is made at the first ``out_path`` call or at the manifest
+    write, so a run that fails before its first output leaves nothing."""
+
     def __init__(self, command: str, config: dict):
         self.command = command
         self.config = {k: v for k, v in config.items() if k != "config"}
         self.config_path = config.get("config") or ""
         self.out_dir = Path(config["out"])
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.phases: dict[str, float] = {}
@@ -205,9 +222,9 @@ class RunContext:
         return path
 
     def out_path(self, name: str) -> Path:
-        path = self.out_dir / name
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
-        return path
+        return self.out_dir / name
 
     @contextlib.contextmanager
     def phase(self, name: str):
@@ -230,11 +247,8 @@ class RunContext:
             "input_hashes": self.inputs,
             "produced_files": sorted(set(self.outputs)),
         }
-        tmp = self.out_dir / ".manifest.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, self.out_dir / "manifest.json")
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(self.out_dir / "manifest.json", doc)
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -286,8 +300,7 @@ def _load_table(ctx: RunContext, cfg: dict) -> tuple:
     return table, sim
 
 
-def cmd_recsys_train(cfg: dict) -> int:
-    ctx = RunContext("recsys train", cfg)
+def cmd_recsys_train(ctx: RunContext, cfg: dict) -> None:
     with ctx.phase("load"):
         table, sim = _load_table(ctx, cfg)
     target = cfg["target"]
@@ -302,9 +315,7 @@ def cmd_recsys_train(cfg: dict) -> int:
                          "test_rmse": model.test_rmse})
         _write_metrics(ctx.out_path("metrics.csv"), cfg["model"], cfg["seed"],
                        target, model.test_rmse)
-    ctx.write_manifest()
     print(f"test rmse {model.test_rmse:.4f} (train {model.train_rmse:.4f})")
-    return 0
 
 
 def _restore_rating_model(ctx: RunContext, cfg: dict):
@@ -321,8 +332,7 @@ def _restore_rating_model(ctx: RunContext, cfg: dict):
     return table, sim, model
 
 
-def cmd_recsys_eval(cfg: dict) -> int:
-    ctx = RunContext("recsys eval", cfg)
+def cmd_recsys_eval(ctx: RunContext, cfg: dict) -> None:
     table, sim, model = _restore_rating_model(ctx, cfg)
     _, test_set = rs.make_samples(table, sim, model.target_item,
                                   split=cfg["split"], seed=model.seed)
@@ -330,45 +340,36 @@ def cmd_recsys_eval(cfg: dict) -> int:
                             model.target_node)
     _write_metrics(ctx.out_path("metrics.csv"), model.family, model.seed,
                    model.target_item, rmse)
-    ctx.write_manifest()
     print(f"rmse {rmse:.4f} on item {model.target_item}")
-    return 0
 
 
-def cmd_recsys_transfer(cfg: dict) -> int:
-    ctx = RunContext("recsys transfer", cfg)
+def cmd_recsys_transfer(ctx: RunContext, cfg: dict) -> None:
     table, sim, model = _restore_rating_model(ctx, cfg)
     rmse = rs.transfer_rmse(model, table, sim, cfg["target"],
                             split=cfg["split"])
     _write_metrics(ctx.out_path("metrics.csv"), model.family, model.seed,
                    cfg["target"], rmse)
-    ctx.write_manifest()
     print(f"transfer rmse {rmse:.4f} on item {cfg['target']} "
           f"(trained for {model.target_item})")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # flocking commands
 # ---------------------------------------------------------------------------
 
-def cmd_flocking_generate(cfg: dict) -> int:
-    ctx = RunContext("flocking generate", cfg)
+def cmd_flocking_generate(ctx: RunContext, cfg: dict) -> None:
     config = fl.FlockConfig(n_agents=cfg["agents"], duration=cfg["duration"],
                             dt=cfg["dt"])
     with ctx.phase("simulate"):
         samples, n_resampled = fl.generate_dataset(cfg["n_traj"], config,
                                                    seed=cfg["seed"])
     with ctx.phase("save"):
-        fl.save_dataset(ctx.out_dir / "dataset", samples, n_resampled)
-    ctx.outputs.append(f"dataset/{fl.DATASET_FILE}")
-    ctx.write_manifest()
+        fl.save_dataset(ctx.out_path(f"dataset/{fl.DATASET_FILE}").parent,
+                        samples, n_resampled)
     print(f"wrote {len(samples)} trajectories ({n_resampled} resampled)")
-    return 0
 
 
-def cmd_flocking_train(cfg: dict) -> int:
-    ctx = RunContext("flocking train", cfg)
+def cmd_flocking_train(ctx: RunContext, cfg: dict) -> None:
     dataset_dir = Path(cfg["dataset"])
     with ctx.phase("load"):
         samples = fl.load_dataset(dataset_dir)
@@ -386,10 +387,8 @@ def cmd_flocking_train(cfg: dict) -> int:
         _write_loss_log(ctx.out_path("loss_log.csv"), history,
                         {"final_loss": history[-1][2] if history
                          else float("nan")})
-    ctx.write_manifest()
     print(f"trained {cfg['model']} policy; final loss "
           f"{history[-1][2]:.5f}" if history else "no steps run")
-    return 0
 
 
 def _write_costs(path, rows: list[dict], model: str) -> None:
@@ -404,8 +403,7 @@ def _load_policy(ctx: RunContext, cfg: dict):
     return fl.policy_from_checkpoint(spec, state, meta), meta.get("model", "gcnn")
 
 
-def cmd_flocking_evaluate(cfg: dict) -> int:
-    ctx = RunContext("flocking evaluate", cfg)
+def cmd_flocking_evaluate(ctx: RunContext, cfg: dict) -> None:
     with ctx.phase("load"):
         bundle, model = _load_policy(ctx, cfg)
     agents = cfg["agents"] or bundle.config.n_agents
@@ -418,26 +416,21 @@ def cmd_flocking_evaluate(cfg: dict) -> int:
         expert = np.mean(fl.expert_rollout_costs(
             replace(bundle.config, n_agents=agents),
             [base_seed + t for t in range(cfg["trials"])]))
-    ctx.write_manifest()
     print(f"policy cost {rows[0]['mean_cost']:.1f} "
           f"(+-{rows[0]['std_cost']:.1f}); expert {expert:.1f}")
-    return 0
 
 
-def cmd_flocking_sweep(cfg: dict) -> int:
+def cmd_flocking_sweep(ctx: RunContext, cfg: dict) -> None:
     sizes = _parse_list(cfg, "sizes", int).tolist()
-    ctx = RunContext("flocking sweep", cfg)
     with ctx.phase("load"):
         bundle, model = _load_policy(ctx, cfg)
     with ctx.phase("rollout"):
         rows = fl.scalability_sweep(bundle, sizes, cfg["trials"],
                                     base_seed=10_000 + cfg["seed"])
         _write_costs(ctx.out_path("sweep.csv"), rows, model)
-    ctx.write_manifest()
     for row in rows:
         print(f"N={row['n_agents']}: {row['mean_cost']:.1f} "
               f"(+-{row['std_cost']:.1f})")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +463,7 @@ def _lambda_range(cfg: dict):
     return float(bounds[0]), float(bounds[1])
 
 
-def cmd_analyze_response(cfg: dict) -> int:
-    ctx = RunContext("analyze response", cfg)
+def cmd_analyze_response(ctx: RunContext, cfg: dict) -> None:
     filt = _filter_from_config(cfg)
     lo, hi = _lambda_range(cfg)
     grid = np.linspace(lo, hi, cfg["points"])
@@ -479,24 +471,18 @@ def cmd_analyze_response(cfg: dict) -> int:
         else arma_response(filt, grid)
     _write_csv(ctx.out_path("response.csv"), ["lambda", "response"],
                zip(grid.tolist(), resp.tolist()))
-    ctx.write_manifest()
     print(f"wrote {resp.size} response samples")
-    return 0
 
 
-def cmd_analyze_lipschitz(cfg: dict) -> int:
-    ctx = RunContext("analyze lipschitz", cfg)
+def cmd_analyze_lipschitz(ctx: RunContext, cfg: dict) -> None:
     filt = _filter_from_config(cfg)
     rep = integral_lipschitz(filt, _lambda_range(cfg), cfg["points"])
     _write_csv(ctx.out_path("lipschitz.csv"), ["C", "max_abs_response"],
                [(rep.constant, rep.max_abs_response)])
-    ctx.write_manifest()
     print(f"C = {rep.constant:.6g}, max |h| = {rep.max_abs_response:.6g}")
-    return 0
 
 
-def cmd_analyze_distance(cfg: dict) -> int:
-    ctx = RunContext("analyze distance", cfg)
+def cmd_analyze_distance(ctx: RunContext, cfg: dict) -> None:
     kind = ShiftKind(cfg["shift_kind"])
     s = build_shift(load_graph(ctx.note_input(Path(cfg["graph"]))), kind)
     s_hat = build_shift(load_graph(ctx.note_input(Path(cfg["graph_hat"]))),
@@ -505,12 +491,8 @@ def cmd_analyze_distance(cfg: dict) -> int:
     doc = {"distance": res.distance, "method": res.method,
            "permutation": res.permutation.tolist(),
            "singular_flag": res.singular_flag}
-    with open(ctx.out_path("distance.json"), "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    ctx.write_manifest()
+    _write_json(ctx.out_path("distance.json"), doc)
     print(f"relative distance {res.distance:.6g} ({res.method})")
-    return 0
 
 
 def _write_stability(path, reports) -> None:
@@ -520,9 +502,8 @@ def _write_stability(path, reports) -> None:
                 for rep in reports])
 
 
-def cmd_analyze_stability(cfg: dict) -> int:
+def cmd_analyze_stability(ctx: RunContext, cfg: dict) -> None:
     epsilons = _parse_list(cfg, "epsilons")
-    ctx = RunContext("analyze stability", cfg)
     rng = np.random.default_rng(cfg["seed"])
     g = random_graph(cfg["nodes"], 0.35, rng, weighted=True)
     # Normalized, so the Perron eigenvalue does not dominate every layer and
@@ -535,11 +516,9 @@ def cmd_analyze_stability(cfg: dict) -> int:
                                     inputs)
                for eps in epsilons]
     _write_stability(ctx.out_path("stability.csv"), reports)
-    ctx.write_manifest()
     for rep in reports:
         print(f"eps={rep.epsilon:g}: measured {rep.measured:.3e} "
               f"<= bound {rep.bound:.3e} (violations {rep.n_violations})")
-    return 0
 
 
 # Draws of parameters and input allowed per equivariance trial; a draw whose
@@ -547,9 +526,8 @@ def cmd_analyze_stability(cfg: dict) -> int:
 EQUIVARIANCE_DRAWS = 10
 
 
-def cmd_analyze_equivariance(cfg: dict) -> int:
+def cmd_analyze_equivariance(ctx: RunContext, cfg: dict) -> None:
     check_count("trials", cfg["trials"], 1, ConfigError)
-    ctx = RunContext("analyze equivariance", cfg)
     rng = np.random.default_rng(cfg["seed"])
     spec = ModelSpec((
         LayerSpec("fir", 1, 4, cfg["order"], nonlinearity="relu"),
@@ -574,11 +552,9 @@ def cmd_analyze_equivariance(cfg: dict) -> int:
         rows.append((trial, rep["relative_error"], redraws))
     _write_csv(ctx.out_path("equivariance.csv"),
                ["trial", "relative_error", "redraws"], rows)
-    ctx.write_manifest()
     print(f"max relative equivariance error over {cfg['trials']} trials: "
           f"{max(row[1] for row in rows):.3e}, "
           f"{sum(row[2] for row in rows)} dead draws redrawn")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +597,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(group: str, leaf: str, flag_values: dict) -> int:
+    """Run one command: the handler fills the run's one ``RunContext``, and
+    its manifest is written once the handler returns."""
     config = parse_config(group, leaf, flag_values)
-    handler = HANDLERS[(group, leaf)]
-    return handler(config)
+    ctx = RunContext(f"{group} {leaf}", config)
+    HANDLERS[(group, leaf)](ctx, config)
+    ctx.write_manifest()
+    return 0
 
 
 def _is_float(text: str) -> bool:

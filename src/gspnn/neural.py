@@ -299,10 +299,12 @@ def _fir_backward(layer: LayerSpec, params: FirLayerParams, zs: np.ndarray,
     gtaps = _bank_tap_grad(zs, du)
     dx = None
     if need_dx:
-        k = layer.order
-        dx = du @ params.taps[:, :, k]
-        for kk in range(k - 1, -1, -1):
-            dx = s.apply(dx.swapaxes(0, 1)).swapaxes(0, 1) + du @ params.taps[:, :, kk]
+        # Horner in S on the (N, B, F) view, node axis first for ``s.apply``
+        dun = du.swapaxes(0, 1)
+        dx = dun @ params.taps[:, :, layer.order]
+        for kk in range(layer.order - 1, -1, -1):
+            dx = s.apply(dx) + dun @ params.taps[:, :, kk]
+        dx = dx.swapaxes(0, 1)
     return FirLayerParams(gtaps), dx
 
 
@@ -317,16 +319,12 @@ def _arma_forward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
     # Direct polynomial part reuses the FIR path.
     zs = shifted_stack(s, x, layer.order)
     u = fir_bank_contract(zs, params.alpha)
-
-    if layer.n_poles == 0:
-        return u, partial(_arma_backward, layer, params, s, zs, None, None)
-
     c = _pole_scaling(s, params.gamma)
     # x and S x as (B, 1, G, 1, N), broadcast against c's (F, G, P, N); S x
     # is shared by every (f, p), so x is shifted once.
-    sx = zs[:, :, 1] if layer.order else s.apply(x.swapaxes(0, 1)).swapaxes(0, 1)
     xt = x.transpose(0, 2, 1)[:, None, :, None, :]
-    sxt = sx.transpose(0, 2, 1)[:, None, :, None, :]
+    sxt = zs[:, :, 1].transpose(0, 2, 1)[:, None, :, None, :] if layer.order \
+        else apply_node_last(s, xt)
     b = params.beta[None, ..., None] * c[None] * xt
     us = jacobi_iterates(s, c, b, xt, sxt, layer.jacobi_iters)  # (T, B, F, G, P, N)
     u += us[-1].sum(axis=(2, 3)).transpose(0, 2, 1)
@@ -360,16 +358,11 @@ def _jacobi_adjoint(s: ShiftOperator, c: np.ndarray, a: np.ndarray, iters: int,
 
 
 def _arma_backward(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
-                   zs: np.ndarray, c: np.ndarray | None, us: np.ndarray | None,
+                   zs: np.ndarray, c: np.ndarray, us: np.ndarray,
                    du: np.ndarray, need_dx: bool):
     # Direct polynomial part reuses the FIR path.
     direct, dx = _fir_backward(layer, FirLayerParams(params.alpha), zs, s, du,
                                need_dx)
-    if layer.n_poles == 0:
-        grads = ArmaLayerParams(direct.taps, np.zeros_like(params.beta),
-                                np.zeros_like(params.gamma))
-        return grads, dx
-
     a = np.broadcast_to(du.transpose(0, 2, 1)[:, :, None, None, :], us.shape[1:])
     a_sum, au, a = _jacobi_adjoint(s, c, a, us.shape[0], us, need_dx)
     xt = zs[:, :, 0].transpose(0, 2, 1)             # (B, G, N)
@@ -493,8 +486,6 @@ def _arma_rows(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
     """FIR rows of the direct part plus, per pole, beta c sum_{m<T} q_m + q_T
     with q_0 = e_t and q_m = R^T q_{m-1}: the adjoint sweep from a_T = e_t."""
     w, direct_vjp = _fir_rows(layer, FirLayerParams(params.alpha), s, nodes)
-    if layer.n_poles == 0:
-        return w, partial(_arma_rows_vjp, layer, params, s, nodes, direct_vjp, None)
     c = _pole_scaling(s, params.gamma)
     a = _pole_rows_start(nodes, c)
     a_sum, _, a0 = _jacobi_adjoint(s, c, a, layer.jacobi_iters, None, True)
@@ -503,14 +494,11 @@ def _arma_rows(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
 
 
 def _arma_rows_vjp(layer: LayerSpec, params: ArmaLayerParams, s: ShiftOperator,
-                   nodes: np.ndarray, direct_vjp, c: np.ndarray | None,
+                   nodes: np.ndarray, direct_vjp, c: np.ndarray,
                    xbar: np.ndarray) -> ArmaLayerParams:
     """The poles' VJP is the full layer's adjoint with node t as the batch:
     Jacobi iterates on xbar[t] (one input per (f, g)) against a_T = e_t."""
     galpha = direct_vjp(xbar).taps
-    if c is None:
-        return ArmaLayerParams(galpha, np.zeros_like(params.beta),
-                               np.zeros_like(params.gamma))
     xb = xbar[:, :, :, None, :]                          # (T, F, G, 1, N)
     b = params.beta[..., None] * c * xb
     us = jacobi_iterates(s, c, b, xb, apply_node_last(s, xb), layer.jacobi_iters)

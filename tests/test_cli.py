@@ -126,6 +126,23 @@ def test_flocking_rollouts_reject_zero_trials_naming_the_key(
                  "--trials", "0", "--out", str(out), *flags]) == 1
     assert "trials must be an integer >= 1, got 0" in capsys.readouterr().err
     assert not (out / csv_name).exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["recsys", "train", "--data", "{tmp}/missing/u.data", "--target", "2"],
+    ["flocking", "train", "--dataset", "{tmp}/missing"],
+    ["flocking", "evaluate", "--checkpoint", "{checkpoint}", "--trials", "0"],
+    ["flocking", "sweep", "--checkpoint", "{checkpoint}", "--trials", "0",
+     "--sizes", "6"],
+], ids=["recsys train", "flocking train", "flocking evaluate", "flocking sweep"])
+def test_a_run_that_fails_before_its_first_output_leaves_no_out_directory(
+        policy_checkpoint, tmp_path, argv):
+    # --out was made before the inputs were read, so each failure left it empty
+    out = tmp_path / "out"
+    argv = [arg.format(tmp=tmp_path, checkpoint=policy_checkpoint) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_analyze_stability_runs_with_its_defaults(tmp_path):

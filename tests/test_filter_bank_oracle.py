@@ -1,8 +1,9 @@
 """Old-vs-new checks for the one-GEMM filter-bank kernel.
 
 The helpers below are the earlier layer implementations, kept as oracles:
-shifted stacks laid out (K+1, B, N, G) and contracted one tap at a time, and
-the Jacobi step R x = c (d x - S x) applied to the input broadcast over every
+shifted stacks laid out (K+1, B, N, G) and contracted one tap at a time, the
+input gradient's Horner loop on the node-second (B, N, F) layout, the Jacobi
+step R x = c (d x - S x) applied to the input broadcast over every
 (output feature, pole) pair, and the edge-varying step-value gradient as a
 gathered einsum over the batch. The kernels changed the summation order, so
 outputs and every gradient must agree with them to a relative tolerance.
@@ -69,6 +70,8 @@ def per_tap_contract(zs, taps):
 
 
 def horner_input_grad(s, du, taps):
+    """The input gradient's Horner loop on the node-second (B, N, F) layout,
+    shifting through a (B, N) -> (N, B) transpose at every step."""
     dx = du @ taps[:, :, -1]
     for k in range(taps.shape[2] - 2, -1, -1):
         dx = shift_batched(s, dx) + du @ taps[:, :, k]
@@ -190,7 +193,7 @@ def test_apply_matches_the_reshaping_oracles():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("batch,g_in,f_out,order", [
-    (1, 1, 1, 3), (4, 3, 5, 2), (7, 2, 4, 0), (3, 1, 6, 4),
+    (1, 1, 1, 3), (4, 3, 5, 2), (7, 2, 4, 0), (3, 1, 6, 4), (40, 3, 8, 3),
 ])
 def test_fir_layer_matches_per_tap_oracle(batch, g_in, f_out, order):
     s, r = shift_with_diagonal(40 + order)
@@ -215,6 +218,7 @@ def test_fir_layer_matches_per_tap_oracle(batch, g_in, f_out, order):
     (3, 2, 3, 2, 2, 6),   # T = 6: the adjoint sweep well past T = 3
     (4, 2, 3, 0, 2, 6),
     (2, 1, 4, 3, 0, 1),   # no poles: the direct part alone
+    (4, 2, 3, 0, 0, 3),
 ])
 def test_arma_layer_matches_broadcast_shift_oracle(batch, g_in, f_out, order,
                                                    poles, iters):
@@ -235,9 +239,8 @@ def test_arma_layer_matches_broadcast_shift_oracle(batch, g_in, f_out, order,
     assert_close(u, want_u, "output")
     assert_close(grads.alpha, want["alpha"], "alpha gradient")
     assert_close(dx, want["x"], "input gradient")
-    if poles:
-        assert_close(grads.beta, want["beta"], "beta gradient")
-        assert_close(grads.gamma, want["gamma"], "gamma gradient")
+    assert_close(grads.beta, want["beta"], "beta gradient")
+    assert_close(grads.gamma, want["gamma"], "gamma gradient")
 
 
 @pytest.mark.parametrize("batch,g_in,f_out,order", [

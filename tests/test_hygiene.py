@@ -18,6 +18,9 @@ there imports ``pickle``. The program has one on-disk array format: every
 result-file writer too: no module of ``src/gspnn`` but ``cli.py`` imports
 ``csv``.
 
+The CLI keeps one run record per command: only ``dispatch`` builds a
+``RunContext`` or calls ``write_manifest``.
+
 The program has one product with a shift matrix, ``ShiftOperator.apply``:
 no module of ``src/gspnn`` but ``graphs.py`` uses a ``.matrix`` attribute
 (or a slice or transpose of one) as an operand of ``@``, ``np.matmul`` or
@@ -231,6 +234,37 @@ def test_a_csv_import_is_found():
                          ids=lambda p: f"gspnn/{p.name}")
 def test_only_the_cli_writes_csv(path):
     assert csv_imports(path.read_text()) == []
+
+
+def run_record_calls_outside_dispatch(source: str) -> list[str]:
+    """``RunContext(...)`` and ``.write_manifest()`` calls outside the body of
+    the top-level ``dispatch``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "dispatch":
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, (ast.Name, ast.Attribute)) \
+                    and _name(node.func) in ("RunContext", "write_manifest"):
+                found.append((node.lineno, _name(node.func)))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_a_run_record_call_outside_dispatch_is_found():
+    source = ("def dispatch(group, leaf, flags):\n"
+              "    ctx = RunContext(group, flags)\n    ctx.write_manifest()\n"
+              "def cmd_run(cfg):\n    ctx = cli.RunContext('run', cfg)\n"
+              "    ctx.write_manifest()\n"
+              "class RunContext:\n    def write_manifest(self):\n        pass\n"
+              "record = RunContext('x', {})\n")
+    assert run_record_calls_outside_dispatch(source) == [
+        "line 5: RunContext", "line 6: write_manifest", "line 10: RunContext"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"gspnn/{p.name}")
+def test_only_dispatch_keeps_the_run_record(path):
+    assert run_record_calls_outside_dispatch(path.read_text()) == []
 
 
 def _is_shift_matrix(node: ast.AST) -> bool:

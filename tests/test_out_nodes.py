@@ -39,10 +39,13 @@ def normalized_shift(seed, n=12):
 
 
 ARMA = {"n_poles": 2, "jacobi_iters": 3}
+NO_POLES = {"n_poles": 0, "jacobi_iters": 3}   # the pole axis is empty
 LAST_LAYERS = {
     "fir": ("fir", 3, {}),
     "arma": ("arma", 2, ARMA),
     "arma_order0": ("arma", 0, ARMA),
+    "arma_no_poles": ("arma", 2, NO_POLES),
+    "arma_order0_no_poles": ("arma", 0, NO_POLES),
     "edge_order0": ("edge_varying", 0, {}),
     "edge_order3": ("edge_varying", 3, {}),
 }
