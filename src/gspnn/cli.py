@@ -370,13 +370,14 @@ def cmd_flocking_generate(ctx: RunContext, cfg: dict) -> None:
 
 
 def cmd_flocking_train(ctx: RunContext, cfg: dict) -> None:
+    if cfg["model"] not in ("gcnn", "fir"):
+        raise ConfigError(f"model must be gcnn or fir, got {cfg['model']!r}")
+    check_count("epochs", cfg["epochs"], 0, ConfigError)
+    nonlinearity = "tanh" if cfg["model"] == "gcnn" else "identity"
     dataset_dir = Path(cfg["dataset"])
     with ctx.phase("load"):
         samples = fl.load_dataset(dataset_dir)
         ctx.note_input(dataset_dir / fl.DATASET_FILE)
-    if cfg["model"] not in ("gcnn", "fir"):
-        raise ConfigError("flocking model must be gcnn or fir")
-    nonlinearity = "tanh" if cfg["model"] == "gcnn" else "identity"
     with ctx.phase("train"):
         bundle, history = fl.train_policy(samples, seed=cfg["seed"],
                                           nonlinearity=nonlinearity,

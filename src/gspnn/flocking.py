@@ -15,6 +15,11 @@ uniformly in team size (what lets one trained controller run at any N).
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import threading
+import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -28,13 +33,15 @@ from .neural import (
     ReadoutSpec,
     forward_batch,
     init_state,
+    iter_params,
     load_checkpoint,
     model_backward,
     read_archive,
     save_checkpoint,
     write_archive,
 )
-from .optim import LossSpec, Problem, TrainConfig, loss_eval, train
+from .optim import (LossSpec, Problem, TrainConfig, TrainingError, loss_eval,
+                    train)
 
 DATASET_FORMAT_VERSION = 2
 DATASET_FILE = "dataset.npz"
@@ -189,7 +196,7 @@ def _features_raw(positions: np.ndarray, velocities: np.ndarray,
 
     The powers and divisions run on the neighbor entries of ``mask`` only,
     gathered once; both weight matrices are those values scattered into one
-    zeroed (..., N, N) array.
+    zeroed (..., N, N) array, and the degrees count those entries per row.
     """
     # The returned array is allocated before the temporaries: placed above
     # them, the outputs of a dataset's trajectories would pin their freed
@@ -199,7 +206,9 @@ def _features_raw(positions: np.ndarray, velocities: np.ndarray,
     d = np.take(dist, links)
     if np.any(d < 1e-6):
         raise ExpertAbort("zero-distance neighbor")
-    deg = mask.sum(axis=-1).astype(float)
+    n = mask.shape[-1]
+    deg = np.bincount(links // n, minlength=mask.size // n)
+    deg = deg.reshape(mask.shape[:-1]).astype(float)
     vel_sum = deg[..., None] * velocities - mask @ velocities
     feats[..., 0:2] = vel_sum
     w = np.zeros(dist.shape)
@@ -581,6 +590,15 @@ class ImitationProblem(Problem):
     gradient are weighted by its share of the batch's rows, steps / (T *
     batch size), and summed into one gradient state, so the result is the
     batch's mean squared error and its gradient.
+
+    With a ``worker`` (a ``_BatchWorker``, which ``train_policy`` forks) and
+    at least 2 trajectories, this process runs the blocks of the batch's
+    first len // 2 trajectories and the worker those of the rest, on a copy
+    of the current parameters. The worker returns each of its blocks'
+    weighted loss and gradient separately, and this process adds them after
+    its own, in batch order: the same float additions in the same order as
+    running every block here, so the loss and gradient are bitwise those of
+    the serial loop. Both processes run ``_blocks``, the one block loop.
     """
 
     def __init__(self, spec: ModelSpec, state: ModelState,
@@ -588,6 +606,7 @@ class ImitationProblem(Problem):
         self.spec = spec
         self.state = state
         self.loss = LossSpec("mse")
+        self.worker: _BatchWorker | None = None
         order = spec.layers[0].order
         t_steps, n = samples[0].n_steps, samples[0].n_agents
         for i, sample in enumerate(samples):
@@ -606,36 +625,159 @@ class ImitationProblem(Problem):
         return self.stack.shape[0]
 
     def batch_loss(self, indices):
-        t_steps = self.stack.shape[1]
+        own = len(indices)
+        if self.worker is not None and own >= 2:
+            own //= 2
+            self.worker.submit(self.state, indices[own:], len(indices))
         total, grads = 0.0, None
+        for value, tape, dpred in self._blocks(indices[:own], len(indices)):
+            total += value
+            grads = model_backward(tape, self.spec, self.state, dpred, into=grads)
+        if own < len(indices):
+            values, stacked = self.worker.result()
+            for k, value in enumerate(values.tolist()):
+                total += value
+                for (_, acc), g in zip(iter_params(grads), stacked, strict=True):
+                    acc += g[k]
+        return total, grads
+
+    def _blocks(self, indices, batch_size: int):
+        """Per block of the trajectories ``indices``, in order: its loss
+        weighted by its share of a batch of ``batch_size`` trajectories,
+        the tape of its forward pass and its weighted output gradient."""
+        t_steps = self.stack.shape[1]
         for i in indices:
             for start in range(0, t_steps, self.block_steps):
                 zs = self.stack[i, start:start + self.block_steps]
                 out, tape = forward_batch(self.spec, self.state, None, zs)
                 value, dpred = loss_eval(self.loss, out,
                                          self.targets[i, start:start + len(zs)])
-                weight = len(zs) / (t_steps * len(indices))
+                weight = len(zs) / (t_steps * batch_size)
                 dpred *= weight
-                total += weight * value
-                grads = model_backward(tape, self.spec, self.state, dpred,
-                                       into=grads)
-        return total, grads
+                yield weight * value, tape, dpred
+
+
+def _two_processes(batch_size: int) -> bool:
+    """Whether ``train_policy`` forks a ``_BatchWorker``: this process may
+    run on at least 2 CPUs, the ``fork`` start method exists, no other
+    Python thread runs (a forked thread-holding process can deadlock), and
+    a batch has at least 2 trajectories to split."""
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and "fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1 and batch_size >= 2)
+
+
+class _BatchWorker:
+    """A forked copy of an ``ImitationProblem``, its stack shared
+    copy-on-write, that runs the blocks of the trajectories it is sent.
+
+    ``submit`` sends the current parameters, the trajectory indices and the
+    batch size. ``result`` returns the blocks' weighted losses, in order,
+    and per parameter (in ``iter_params`` order) the blocks' gradients
+    stacked on a leading axis: a few arrays pickle faster than one per
+    block and parameter. A worker that fails or dies makes ``result``
+    raise a ``TrainingError`` naming it. ``close`` ends the worker and
+    waits for it: the worker leaves its loop when the pipe reaches end of
+    file, which also happens if this process dies.
+    """
+
+    def __init__(self, problem: ImitationProblem):
+        context = multiprocessing.get_context("fork")
+        self.conn, worker_end = context.Pipe()
+        self.process = context.Process(target=_serve_blocks, daemon=True,
+                                       args=(problem, worker_end, self.conn))
+        self.process.start()
+        worker_end.close()
+
+    def submit(self, state: ModelState, indices, batch_size: int) -> None:
+        try:
+            self.conn.send(([arr for _, arr in iter_params(state)],
+                            indices, batch_size))
+        except OSError:
+            self._died()
+
+    def result(self) -> tuple:
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            self._died()
+        if isinstance(reply, str):
+            raise TrainingError(f"training worker (pid {self.process.pid}) "
+                                f"failed: {reply}")
+        return reply
+
+    def _died(self):
+        self.process.join()
+        raise TrainingError(f"training worker (pid {self.process.pid}) died "
+                            f"with exit code {self.process.exitcode}")
+
+    def close(self) -> None:
+        self.conn.close()
+        self.process.join()
+
+
+def _serve_blocks(problem: ImitationProblem, conn, parent_end) -> None:
+    """The worker's loop (see ``_BatchWorker``). It closes its inherited
+    copy of the parent's pipe end, or closing that end would not reach it
+    as end of file, and it ignores SIGINT: an interrupted parent closes the
+    pipe. An exception's traceback goes to standard error and its text to
+    the parent, and the worker exits."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    params = [arr for _, arr in iter_params(problem.state)]
+    with conn:
+        while True:
+            try:
+                sent, indices, batch_size = conn.recv()
+            except EOFError:
+                return
+            try:
+                for arr, value in zip(params, sent, strict=True):
+                    arr[...] = value
+                values, grads = [], []
+                for value, tape, dpred in problem._blocks(indices, batch_size):
+                    values.append(value)
+                    grads.append([g for _, g in iter_params(model_backward(
+                        tape, problem.spec, problem.state, dpred))])
+                reply = np.array(values), [np.stack(g) for g in zip(*grads)]
+            except Exception as exc:
+                traceback.print_exc()
+                reply = f"{type(exc).__name__}: {exc}"
+            try:
+                conn.send(reply)
+            except OSError:         # the parent closed its end first
+                return
+            if isinstance(reply, str):
+                return
 
 
 def train_policy(samples: list[TrajectorySample], seed: int,
                  nonlinearity: str = "tanh", epochs: int = POLICY_EPOCHS):
     """Imitation-train the policy with the module recipe: ADAM at
     ``POLICY_LEARNING_RATE`` on batches of ``POLICY_BATCH_TRAJ``
-    trajectories. Returns (PolicyBundle, the training history)."""
+    trajectories. Returns (PolicyBundle, the training history).
+
+    When ``_two_processes`` allows it, a ``_BatchWorker`` forked after the
+    delayed stack is built runs the second half of every batch (see
+    ``ImitationProblem``); the history and parameters are bitwise those of
+    one process. The worker lives for this call and is joined on every
+    exit from it."""
     if not samples:
         raise ValueError("empty dataset")
     config = samples[0].config
     spec = build_policy_spec(nonlinearity)
     state = init_state(spec, np.random.default_rng(seed))
     problem = ImitationProblem(spec, state, samples, config.u_max)
-    history = train(problem, TrainConfig(
-        epochs=epochs, batch_size=POLICY_BATCH_TRAJ,
-        learning_rate=POLICY_LEARNING_RATE, seed=seed))
+    if _two_processes(min(len(samples), POLICY_BATCH_TRAJ)):
+        problem.worker = _BatchWorker(problem)
+    try:
+        history = train(problem, TrainConfig(
+            epochs=epochs, batch_size=POLICY_BATCH_TRAJ,
+            learning_rate=POLICY_LEARNING_RATE, seed=seed))
+    finally:
+        if problem.worker is not None:
+            problem.worker.close()
+            problem.worker = None
     return PolicyBundle(spec, state, config.u_max, config), history
 
 

@@ -145,6 +145,23 @@ def test_a_run_that_fails_before_its_first_output_leaves_no_out_directory(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--model", "xyz"], "model must be gcnn or fir, got 'xyz'"),
+    (["--epochs", "-1"], "epochs must be an integer >= 0, got -1"),
+], ids=["model", "epochs"])
+def test_flocking_train_checks_its_keys_before_reading_the_dataset(
+        tmp_path, capsys, flags, message):
+    # the model was checked after the dataset was read, so a missing dataset
+    # was reported instead: No such file or directory: 'nowhere/dataset.npz'
+    out = tmp_path / "out"
+    assert main(["flocking", "train", "--dataset", str(tmp_path / "nowhere"),
+                 *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "dataset.npz" not in err
+    assert not out.exists()
+
+
 def test_analyze_stability_runs_with_its_defaults(tmp_path):
     # seed 10 drew a graph whose raw adjacency left no live relu stack
     out = tmp_path / "out"

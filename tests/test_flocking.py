@@ -1,7 +1,11 @@
+import contextlib
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -48,7 +52,7 @@ from gspnn.neural import (
     save_checkpoint,
     write_archive,
 )
-from gspnn.optim import loss_eval
+from gspnn.optim import TrainingError, loss_eval
 
 from conftest import (
     closure_connected,
@@ -926,6 +930,8 @@ def test_first_training_of_a_fresh_process_takes_few_page_faults():
     # here, 55.7k for 20 trajectories and 60 epochs. Block-sized arrays
     # (at most 275 kB each) come from reused heap once the first freed one
     # has raised that threshold, which leaves the 3.8 MB stack: about 1.0k.
+    # On 2 CPUs the forked batch worker adds about 1.0k copy-on-write
+    # faults here, on pages this process writes after the fork (2.0k).
     src = Path(gspnn.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", FIRST_TRAINING_FAULTS],
                          env={**os.environ, "PYTHONPATH": str(src),
@@ -960,6 +966,163 @@ def test_imitation_problem_rejects_trajectories_of_another_shape(tiny_policy):
                                          r"\(30, 8, 2\), trajectory 0 \(50, 8, 2\)"):
         ImitationProblem(spec, init_state(spec, np.random.default_rng(0)),
                          [samples[0], other[0]], cfg.u_max)
+
+
+# ---------------------------------------------------------------------------
+# The forked batch worker
+# ---------------------------------------------------------------------------
+
+class WorkerLog:
+    """Makes ``os.sched_getaffinity`` report ``cpus`` CPUs (2 until a test
+    sets it) and records every ``_BatchWorker`` started."""
+
+    def __init__(self, monkeypatch):
+        self.cpus = 2
+        self.started = []
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(self.cpus)))
+        start = fl._BatchWorker.__init__
+
+        def record(worker, problem):
+            start(worker, problem)
+            self.started.append(worker)
+
+        monkeypatch.setattr(fl._BatchWorker, "__init__", record)
+
+    def assert_all_joined(self):
+        for worker in self.started:
+            assert worker.process.exitcode is not None
+            with pytest.raises(ProcessLookupError):
+                os.kill(worker.process.pid, 0)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def worker_log(monkeypatch):
+    return WorkerLog(monkeypatch)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def in_the_worker(action):
+    """A stand-in for ``forward_batch`` that runs ``action`` in any process
+    but this one, and ``forward_batch`` in this one."""
+    parent = os.getpid()
+
+    def forward(*args):
+        if os.getpid() != parent:
+            action()
+        return forward_batch(*args)
+
+    return forward
+
+
+@pytest.mark.parametrize("n_traj", [1, 5, 6, 21])
+def test_training_on_two_cpus_equals_one_cpu_bitwise(worker_log, n_traj):
+    # the worker takes the second half of each batch of at least two
+    # trajectories: 2 of 5, 3 of 6, 10 of the first 20 of 21 (whose second
+    # batch of one runs here alone); a batch of one starts no worker
+    samples, _ = generate_dataset(n_traj, SMALL, seed=50)
+    runs = {}
+    for cpus in (1, 2):
+        worker_log.cpus = cpus
+        with deadline(60):
+            runs[cpus] = train_policy(samples, seed=3, epochs=3)
+    assert len(worker_log.started) == (n_traj >= 2)
+    (one, one_history), (two, two_history) = runs[1], runs[2]
+    assert len(one_history) == 3 * -(-n_traj // fl.POLICY_BATCH_TRAJ)
+    assert two_history == one_history
+    for (name, a), (_, b) in zip(iter_params(one.state), iter_params(two.state)):
+        assert a.tobytes() == b.tobytes(), name
+    worker_log.assert_all_joined()
+
+
+@pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])
+def test_batch_loss_with_a_worker_equals_the_serial_per_block_oracle_bitwise(
+        blocked_problem, nonlinearity):
+    # this process runs trajectory 2's blocks, the worker those of 0 and 1,
+    # each with a short last block
+    samples, make = blocked_problem
+    problem = make(nonlinearity)
+    indices = np.array([2, 0, 1])
+    want_value, want = per_block_batch_loss(problem, samples, indices)
+    problem.worker = fl._BatchWorker(problem)
+    try:
+        for _ in range(2):
+            value, got = problem.batch_loss(indices)
+            assert value == want_value
+            for (name, g), w in zip(iter_params(got), want):
+                assert g.tobytes() == w.tobytes(), name
+    finally:
+        problem.worker.close()
+    assert problem.worker.process.exitcode == 0
+
+
+def test_no_worker_is_forked_beside_another_thread(worker_log):
+    samples, _ = generate_dataset(4, SMALL, seed=50)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        train_policy(samples, seed=3, epochs=1)
+    finally:
+        stop.set()
+        thread.join()
+    assert worker_log.started == []
+    with deadline(60):
+        train_policy(samples, seed=3, epochs=1)
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
+
+
+def test_a_non_finite_gradient_leaves_no_worker_behind(worker_log):
+    samples, _ = generate_dataset(4, SMALL, seed=50)
+    samples[3] = replace(samples[3], actions=np.full_like(samples[3].actions, np.nan))
+    with deadline(60), pytest.raises(TrainingError, match="non-finite gradient"):
+        train_policy(samples, seed=3, epochs=2)
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
+
+
+def test_an_exception_in_the_worker_is_raised_naming_the_worker(worker_log,
+                                                                monkeypatch):
+    samples, _ = generate_dataset(4, SMALL, seed=50)
+
+    def fail():
+        raise RuntimeError("no block here")
+
+    monkeypatch.setattr(fl, "forward_batch", in_the_worker(fail))
+    with deadline(60), pytest.raises(
+            TrainingError, match=r"training worker \(pid \d+\) failed: "
+                                 r"RuntimeError: no block here"):
+        train_policy(samples, seed=3, epochs=2)
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
+
+
+def test_a_worker_that_dies_is_raised_naming_it_without_a_hang(worker_log,
+                                                               monkeypatch):
+    samples, _ = generate_dataset(4, SMALL, seed=50)
+    monkeypatch.setattr(fl, "forward_batch", in_the_worker(lambda: os._exit(7)))
+    with deadline(60), pytest.raises(
+            TrainingError, match=r"training worker \(pid \d+\) died with "
+                                 r"exit code 7"):
+        train_policy(samples, seed=3, epochs=2)
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
 
 
 def test_rollout_deterministic(tiny_policy):

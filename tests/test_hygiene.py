@@ -16,7 +16,9 @@ there imports ``pickle``. The program has one on-disk array format: every
 ``np.save`` / ``np.savez`` / ``np.load`` call in ``src/gspnn`` sits in
 ``neural.write_archive`` or ``neural.read_archive``. The program has one
 result-file writer too: no module of ``src/gspnn`` but ``cli.py`` imports
-``csv``.
+``csv``. Only ``flocking.py``, whose imitation training forks one batch
+worker, may start processes: no other module of ``src/gspnn`` imports
+``multiprocessing`` or ``concurrent`` or uses ``os.fork``.
 
 The CLI keeps one run record per command: only ``dispatch`` builds a
 ``RunContext`` or calls ``write_manifest``.
@@ -234,6 +236,42 @@ def test_a_csv_import_is_found():
                          ids=lambda p: f"gspnn/{p.name}")
 def test_only_the_cli_writes_csv(path):
     assert csv_imports(path.read_text()) == []
+
+
+PROCESS_PACKAGES = ("multiprocessing", "concurrent")
+
+
+def process_starts(source: str) -> list[str]:
+    """Imports of ``multiprocessing`` or ``concurrent`` (or a submodule),
+    and ``os.fork`` as an attribute or an imported name."""
+    tree = ast.parse(source)
+    found = [hit for package in PROCESS_PACKAGES for hit in imports_of(package, tree)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fork" \
+                and isinstance(node.value, ast.Name) and node.value.id == "os":
+            found.append((node.lineno, "os.fork"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and any(alias.name == "fork" for alias in node.names):
+            found.append((node.lineno, "from os import fork"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_a_process_start_is_found():
+    source = ("import multiprocessing\nimport os, multiprocessing.pool as mp\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "from os import getpid, fork\npid = os.fork()\n"
+              "import concurrently\nfrom os import forkpty\n"
+              "def start():\n    import multiprocessing\n")
+    assert process_starts(source) == [
+        "line 1: import multiprocessing", "line 2: import multiprocessing.pool",
+        "line 3: from concurrent.futures", "line 4: from os import fork",
+        "line 5: os.fork", "line 9: import multiprocessing"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "flocking.py"],
+                         ids=lambda p: f"gspnn/{p.name}")
+def test_only_flocking_starts_processes(path):
+    assert process_starts(path.read_text()) == []
 
 
 def run_record_calls_outside_dispatch(source: str) -> list[str]:
