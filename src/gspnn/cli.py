@@ -322,13 +322,17 @@ def _restore_rating_model(ctx: RunContext, cfg: dict):
     table, sim = _load_table(ctx, cfg)
     ckpt = ctx.note_input(Path(cfg["checkpoint"]))
     spec, state, meta = load_checkpoint(ckpt)
+    keys = ("target_item", "family", "seed", "train_rmse", "test_rmse")
+    for key in keys:
+        if key not in meta:
+            raise rs.DataError(f"{ckpt}: checkpoint metadata has no {key}")
     shift = rs.build_item_shift(sim)
     rs.checked_pole_bounds(state, shift)
-    model = rs.TrainedRating(
-        spec, state, shift, meta["target_item"], meta["target_node"],
-        meta.get("family", "gcnn"), meta.get("seed", cfg["seed"]), [],
-        meta.get("train_rmse", float("nan")),
-        meta.get("test_rmse", float("nan")))
+    target, family, seed, train_rmse, test_rmse = (meta[key] for key in keys)
+    # the trained item's node in this table, which need not be its node in
+    # the table the model was trained on
+    model = rs.TrainedRating(spec, state, shift, target, table.item_node(target),
+                             family, seed, [], train_rmse, test_rmse)
     return table, sim, model
 
 

@@ -188,13 +188,12 @@ class ArmaParams:
     jacobi_iters: int = 1
 
     def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.poles, dtype=float))
-        b = np.atleast_1d(np.asarray(self.residues, dtype=float))
-        a = np.atleast_1d(np.asarray(self.direct_taps, dtype=float))
-        if g.size == 0:
-            g = g.reshape(0)
-        if b.size == 0:
-            b = b.reshape(0)
+        names = ("poles", "residues", "direct_taps")
+        g, b, a = (np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+                   for name in names)
+        for name, arr in zip(names, (g, b, a)):
+            if arr.ndim != 1:
+                raise FilterError(f"{name} must be a vector, got shape {arr.shape}")
         if g.shape != b.shape:
             raise FilterError("poles and residues must have equal length")
         if a.size == 0:

@@ -15,11 +15,8 @@ uniformly in team size (what lets one trained controller run at any N).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import signal
 import threading
-import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -591,14 +588,15 @@ class ImitationProblem(Problem):
     batch size), and summed into one gradient state, so the result is the
     batch's mean squared error and its gradient.
 
-    With a ``worker`` (a ``_BatchWorker``, which ``train_policy`` forks) and
-    at least 2 trajectories, this process runs the blocks of the batch's
-    first len // 2 trajectories and the worker those of the rest, on a copy
-    of the current parameters. The worker returns each of its blocks'
-    weighted loss and gradient separately, and this process adds them after
-    its own, in batch order: the same float additions in the same order as
-    running every block here, so the loss and gradient are bitwise those of
-    the serial loop. Both processes run ``_blocks``, the one block loop.
+    With a ``worker`` (the one-process pool that ``train_policy`` opens)
+    and at least 2 trajectories, this process runs the blocks of the
+    batch's first len // 2 trajectories and the worker, in
+    ``_worker_blocks``, those of the rest, on a copy of the current
+    parameters. Both halves run ``_block_grads``, the one block loop, and
+    ``_add_in_order`` adds every block's weighted loss and gradient in
+    batch order, the worker's after this process's own: the same float
+    additions in the same order as running every block here, so the loss
+    and gradient are bitwise those of the serial loop.
     """
 
     def __init__(self, spec: ModelSpec, state: ModelState,
@@ -606,7 +604,7 @@ class ImitationProblem(Problem):
         self.spec = spec
         self.state = state
         self.loss = LossSpec("mse")
-        self.worker: _BatchWorker | None = None
+        self.worker = None
         order = spec.layers[0].order
         t_steps, n = samples[0].n_steps, samples[0].n_agents
         for i, sample in enumerate(samples):
@@ -628,23 +626,28 @@ class ImitationProblem(Problem):
         own = len(indices)
         if self.worker is not None and own >= 2:
             own //= 2
-            self.worker.submit(self.state, indices[own:], len(indices))
-        total, grads = 0.0, None
-        for value, tape, dpred in self._blocks(indices[:own], len(indices)):
-            total += value
-            grads = model_backward(tape, self.spec, self.state, dpred, into=grads)
+            future = self.worker.submit(_worker_blocks, _arrays(self.state),
+                                        indices[own:], len(indices))
+        blocks = self._block_grads(indices[:own], len(indices))
+        total, grads = next(blocks)
+        sums = _arrays(grads)
+        total = _add_in_order(total, sums, ((v, _arrays(g)) for v, g in blocks))
         if own < len(indices):
-            values, stacked = self.worker.result()
-            for k, value in enumerate(values.tolist()):
-                total += value
-                for (_, acc), g in zip(iter_params(grads), stacked, strict=True):
-                    acc += g[k]
+            from concurrent.futures.process import BrokenProcessPool
+            try:
+                values, stacked = future.result()
+            except BrokenProcessPool as exc:
+                raise TrainingError(f"training worker died: {exc}") from exc
+            except Exception as exc:
+                raise TrainingError(f"training worker failed: "
+                                    f"{type(exc).__name__}: {exc}") from exc
+            total = _add_in_order(total, sums, zip(values.tolist(), zip(*stacked)))
         return total, grads
 
-    def _blocks(self, indices, batch_size: int):
+    def _block_grads(self, indices, batch_size: int):
         """Per block of the trajectories ``indices``, in order: its loss
-        weighted by its share of a batch of ``batch_size`` trajectories,
-        the tape of its forward pass and its weighted output gradient."""
+        weighted by its share of a batch of ``batch_size`` trajectories, and
+        the gradient state of that weighted loss."""
         t_steps = self.stack.shape[1]
         for i in indices:
             for start in range(0, t_steps, self.block_steps):
@@ -654,101 +657,63 @@ class ImitationProblem(Problem):
                                          self.targets[i, start:start + len(zs)])
                 weight = len(zs) / (t_steps * batch_size)
                 dpred *= weight
-                yield weight * value, tape, dpred
+                yield weight * value, model_backward(tape, self.spec,
+                                                     self.state, dpred)
+
+
+def _arrays(state: ModelState) -> list[np.ndarray]:
+    """The trainable arrays of ``state``, in ``iter_params`` order."""
+    return [arr for _, arr in iter_params(state)]
+
+
+def _add_in_order(total: float, sums: list[np.ndarray], blocks) -> float:
+    """Add each of ``blocks``' (weighted loss, gradient arrays in
+    ``iter_params`` order) to ``total`` and, in place, to ``sums``, one
+    block after another; returns the new total."""
+    for value, grads in blocks:
+        total += value
+        for acc, g in zip(sums, grads, strict=True):
+            acc += g
+    return total
 
 
 def _two_processes(batch_size: int) -> bool:
-    """Whether ``train_policy`` forks a ``_BatchWorker``: this process may
-    run on at least 2 CPUs, the ``fork`` start method exists, no other
-    Python thread runs (a forked thread-holding process can deadlock), and
-    a batch has at least 2 trajectories to split."""
-    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-            and "fork" in multiprocessing.get_all_start_methods()
+    """Whether ``train_policy`` opens the one-process pool: this process
+    can fork and may run on at least 2 CPUs, no other Python thread runs
+    (a forked thread-holding process can deadlock), and a batch has at
+    least 2 trajectories to split."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
             and threading.active_count() == 1 and batch_size >= 2)
 
 
-class _BatchWorker:
-    """A forked copy of an ``ImitationProblem``, its stack shared
-    copy-on-write, that runs the blocks of the trajectories it is sent.
-
-    ``submit`` sends the current parameters, the trajectory indices and the
-    batch size. ``result`` returns the blocks' weighted losses, in order,
-    and per parameter (in ``iter_params`` order) the blocks' gradients
-    stacked on a leading axis: a few arrays pickle faster than one per
-    block and parameter. A worker that fails or dies makes ``result``
-    raise a ``TrainingError`` naming it. ``close`` ends the worker and
-    waits for it: the worker leaves its loop when the pipe reaches end of
-    file, which also happens if this process dies.
-    """
-
-    def __init__(self, problem: ImitationProblem):
-        context = multiprocessing.get_context("fork")
-        self.conn, worker_end = context.Pipe()
-        self.process = context.Process(target=_serve_blocks, daemon=True,
-                                       args=(problem, worker_end, self.conn))
-        self.process.start()
-        worker_end.close()
-
-    def submit(self, state: ModelState, indices, batch_size: int) -> None:
-        try:
-            self.conn.send(([arr for _, arr in iter_params(state)],
-                            indices, batch_size))
-        except OSError:
-            self._died()
-
-    def result(self) -> tuple:
-        try:
-            reply = self.conn.recv()
-        except EOFError:
-            self._died()
-        if isinstance(reply, str):
-            raise TrainingError(f"training worker (pid {self.process.pid}) "
-                                f"failed: {reply}")
-        return reply
-
-    def _died(self):
-        self.process.join()
-        raise TrainingError(f"training worker (pid {self.process.pid}) died "
-                            f"with exit code {self.process.exitcode}")
-
-    def close(self) -> None:
-        self.conn.close()
-        self.process.join()
+# The worker process's problem; only ``_start_worker``, in that process,
+# sets it.
+_worker_problem: ImitationProblem
 
 
-def _serve_blocks(problem: ImitationProblem, conn, parent_end) -> None:
-    """The worker's loop (see ``_BatchWorker``). It closes its inherited
-    copy of the parent's pipe end, or closing that end would not reach it
-    as end of file, and it ignores SIGINT: an interrupted parent closes the
-    pipe. An exception's traceback goes to standard error and its text to
-    the parent, and the worker exits."""
-    parent_end.close()
+def _start_worker(problem: ImitationProblem) -> None:
+    """The pool's initializer, run in the forked worker: keep ``problem``,
+    its stack shared copy-on-write, and ignore SIGINT, which a terminal
+    sends the whole process group; the interrupted parent shuts the pool
+    down."""
+    import signal
+    global _worker_problem
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    params = [arr for _, arr in iter_params(problem.state)]
-    with conn:
-        while True:
-            try:
-                sent, indices, batch_size = conn.recv()
-            except EOFError:
-                return
-            try:
-                for arr, value in zip(params, sent, strict=True):
-                    arr[...] = value
-                values, grads = [], []
-                for value, tape, dpred in problem._blocks(indices, batch_size):
-                    values.append(value)
-                    grads.append([g for _, g in iter_params(model_backward(
-                        tape, problem.spec, problem.state, dpred))])
-                reply = np.array(values), [np.stack(g) for g in zip(*grads)]
-            except Exception as exc:
-                traceback.print_exc()
-                reply = f"{type(exc).__name__}: {exc}"
-            try:
-                conn.send(reply)
-            except OSError:         # the parent closed its end first
-                return
-            if isinstance(reply, str):
-                return
+    _worker_problem = problem
+
+
+def _worker_blocks(params: list[np.ndarray], indices, batch_size: int):
+    """The worker's half of a batch: ``params`` (the ``iter_params``
+    arrays) copied into its problem's state, then its blocks' weighted
+    losses, in order, and per parameter the blocks' gradients stacked on a
+    leading axis (a few arrays pickle faster than one per block and
+    parameter)."""
+    problem = _worker_problem
+    for arr, value in zip(_arrays(problem.state), params, strict=True):
+        arr[...] = value
+    values, grads = zip(*problem._block_grads(indices, batch_size))
+    return np.array(values), [np.stack(g) for g in zip(*map(_arrays, grads))]
 
 
 def train_policy(samples: list[TrajectorySample], seed: int,
@@ -757,27 +722,31 @@ def train_policy(samples: list[TrajectorySample], seed: int,
     ``POLICY_LEARNING_RATE`` on batches of ``POLICY_BATCH_TRAJ``
     trajectories. Returns (PolicyBundle, the training history).
 
-    When ``_two_processes`` allows it, a ``_BatchWorker`` forked after the
-    delayed stack is built runs the second half of every batch (see
-    ``ImitationProblem``); the history and parameters are bitwise those of
-    one process. The worker lives for this call and is joined on every
-    exit from it."""
+    When ``_two_processes`` allows it, a ``ProcessPoolExecutor`` of one
+    worker, forked at the first batch (after the delayed stack is built),
+    runs the second half of every batch (see ``ImitationProblem``); the
+    history and parameters are bitwise those of one process. The pool
+    lives for this call, and its ``with`` block shuts it down and joins
+    the worker on every exit from it. A worker's exception or death is
+    raised as a ``TrainingError``."""
     if not samples:
         raise ValueError("empty dataset")
     config = samples[0].config
     spec = build_policy_spec(nonlinearity)
     state = init_state(spec, np.random.default_rng(seed))
     problem = ImitationProblem(spec, state, samples, config.u_max)
+    recipe = TrainConfig(epochs=epochs, batch_size=POLICY_BATCH_TRAJ,
+                         learning_rate=POLICY_LEARNING_RATE, seed=seed)
     if _two_processes(min(len(samples), POLICY_BATCH_TRAJ)):
-        problem.worker = _BatchWorker(problem)
-    try:
-        history = train(problem, TrainConfig(
-            epochs=epochs, batch_size=POLICY_BATCH_TRAJ,
-            learning_rate=POLICY_LEARNING_RATE, seed=seed))
-    finally:
-        if problem.worker is not None:
-            problem.worker.close()
-            problem.worker = None
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=1,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_worker,
+                                 initargs=(problem,)) as problem.worker:
+            history = train(problem, recipe)
+    else:
+        history = train(problem, recipe)
     return PolicyBundle(spec, state, config.u_max, config), history
 
 

@@ -660,16 +660,14 @@ def model_forward(spec: ModelSpec, state: ModelState, s: ShiftOperator,
 
 
 def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
-                   loss_grad: np.ndarray, into: ModelState | None = None):
+                   loss_grad: np.ndarray):
     """Gradients of a scalar loss for every trainable parameter.
 
     ``loss_grad`` is dJ/d(output), an array of the tape's ``out_shape``:
     (B, |T|, .) for a tape recorded with ``out_nodes`` T, whose last layer
     runs its rows' vector-Jacobian product. Any other shape is rejected
-    rather than broadcast. Returns a
-    ModelState-shaped container of gradient arrays: a fresh one, or
-    ``into`` (the gradients of an earlier call for this model) with these
-    gradients added to its arrays in place.
+    rather than broadcast. Returns a fresh ModelState-shaped container of
+    gradient arrays.
 
     Each gradient has its parameter's shape, but for one: on a tape
     recorded with ``out_nodes``, an edge-varying last layer's ``values``
@@ -700,23 +698,7 @@ def model_backward(tape: Tape, spec: ModelSpec, state: ModelState,
         du = _nonlin_backward(spec.layers[i].nonlinearity, tape.nonlin_saved[i],
                               dcur)
         layer_grads[i], dcur = tape.vjps[i](du, i > 0)
-    if into is None:
-        return ModelState(layer_grads, grad_readout_w, grad_readout_b)
-    pairs = []
-    for acc, g in zip(into.layers, layer_grads, strict=True):
-        if type(acc) is not type(g):
-            raise ModelError(f"into holds {type(acc).__name__} where the "
-                             f"gradient is {type(g).__name__}")
-        pairs += [(getattr(acc, name), getattr(g, name)) for name in TRAINABLE[type(g)]]
-    if grad_readout_w is not None:
-        pairs += ((into.readout_weight, grad_readout_w),
-                  (into.readout_bias, grad_readout_b))
-    for acc, g in pairs:
-        if acc.shape != g.shape:
-            raise ModelError(f"into holds a {acc.shape} array where the "
-                             f"gradient is {g.shape}")
-        acc += g
-    return into
+    return ModelState(layer_grads, grad_readout_w, grad_readout_b)
 
 
 def out_node_reach(spec: ModelSpec, state: ModelState, nodes) -> dict:

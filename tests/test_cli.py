@@ -1,11 +1,14 @@
 import csv
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gspnn import cli, flocking, neural
+from gspnn import recsys as rs
 from gspnn.cli import ConfigError, main, parse_config
 from gspnn.flocking import (
     FlockConfig,
@@ -215,6 +218,56 @@ def test_recsys_eval_rejects_a_pole_on_the_shift_diagonal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "layers.0.gamma[0, 0, 0] = 0.0 is within" in err
     assert "shift diagonal entry 0.0" in err
+
+
+def test_recsys_eval_reads_the_trained_item_at_its_node_in_its_own_table(
+        tmp_path):
+    # item 1394 is node 161 among the 200 most-rated items of the
+    # benchmark's seed-17 ratings, and node 152 among the 190 most-rated;
+    # an eval that took node 161 from the checkpoint exited 0 with
+    # "rmse 2.5626", the model read at item 1451's node
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    data = tmp_path / "u.data"
+    data.write_text("\n".join(inputs.movielens_like_lines(17)) + "\n")
+    assert main(["recsys", "train", "--data", str(data), "--target", "1394",
+                 "--model", "fir", "--epochs", "2", "--seed", "3",
+                 "--out", str(tmp_path / "train")]) == 0
+    checkpoint = tmp_path / "train" / "checkpoint.npz"
+    assert main(["recsys", "eval", "--data", str(data), "--checkpoint",
+                 str(checkpoint), "--top-items", "190",
+                 "--out", str(tmp_path / "eval")]) == 0
+    spec, state, meta = neural.load_checkpoint(checkpoint)
+    table = rs.select_top_items(rs.ingest_movielens(data), 190)
+    sim = rs.build_similarity(table)
+    assert (meta["target_node"], table.item_node(1394)) == (161, 152)
+    _, test_set = rs.make_samples(table, sim, 1394, split=0.9, seed=3)
+    rmse = rs.evaluate_rmse(spec, state, rs.build_item_shift(sim), test_set, 152)
+    assert (tmp_path / "eval" / "metrics.csv").read_text().splitlines() == [
+        "model,seed,target,rmse", f"fir,3,1394,{rmse!r}"]
+
+
+@pytest.mark.parametrize("key", ["target_item", "family", "seed", "train_rmse",
+                                 "test_rmse"])
+def test_recsys_eval_names_a_missing_checkpoint_key(tmp_path, capsys, key):
+    data = tmp_path / "u.data"
+    write_synthetic_fixture(data)
+    train_out = tmp_path / "train"
+    assert main(["recsys", "train", "--data", str(data), "--target", "2",
+                 "--epochs", "1", "--out", str(train_out)]) == 0
+    checkpoint = train_out / "checkpoint.npz"
+    spec, state, meta = neural.load_checkpoint(checkpoint)
+    del meta[key]
+    neural.save_checkpoint(checkpoint, spec, state, meta)
+    capsys.readouterr()
+    for leaf, extra in (("eval", []), ("transfer", ["--target", "4"])):
+        assert main(["recsys", leaf, "--data", str(data), "--checkpoint",
+                     str(checkpoint), "--out", str(tmp_path / leaf), *extra]) == 1
+        assert capsys.readouterr().err == (
+            f"error in recsys {leaf}: {checkpoint}: checkpoint metadata "
+            f"has no {key}\n")
 
 
 def test_recsys_train_writes_its_metrics_and_loss_log(tmp_path):

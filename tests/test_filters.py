@@ -151,6 +151,24 @@ def test_arma_response_pole_hit():
         arma_response(p, [2.0])
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    # accepted before: arma_response then failed with numpy's
+    # "non-broadcastable output operand"
+    (dict(poles=[[3.0], [4.0]], residues=[[1.0], [2.0]], direct_taps=[0.5]),
+     r"poles must be a vector, got shape \(2, 1\)"),
+    (dict(poles=[3.0], residues=[1.0], direct_taps=[[0.5, 0.1]]),
+     r"direct_taps must be a vector, got shape \(1, 2\)"),
+    # an empty 2-D array was reshaped to no poles
+    (dict(poles=[[]], residues=[], direct_taps=[0.5]),
+     r"poles must be a vector, got shape \(1, 0\)"),
+    (dict(poles=[3.0], residues=[[1.0]], direct_taps=[0.5]),
+     r"residues must be a vector, got shape \(1, 1\)"),
+], ids=["poles", "direct_taps", "empty_poles", "residues"])
+def test_arma_params_reject_a_non_vector_naming_the_field(kwargs, message):
+    with pytest.raises(FilterError, match=f"^{message}$"):
+        ArmaParams(**kwargs)
+
+
 @pytest.mark.parametrize("order", range(7))
 def test_fir_response_of_a_bank_equals_scalar_horner_bitwise(order):
     r = np.random.default_rng(900 + order)

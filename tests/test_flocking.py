@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -930,8 +931,10 @@ def test_first_training_of_a_fresh_process_takes_few_page_faults():
     # here, 55.7k for 20 trajectories and 60 epochs. Block-sized arrays
     # (at most 275 kB each) come from reused heap once the first freed one
     # has raised that threshold, which leaves the 3.8 MB stack: about 1.0k.
-    # On 2 CPUs the forked batch worker adds about 1.0k copy-on-write
-    # faults here, on pages this process writes after the fork (2.0k).
+    # On 2 CPUs the batch worker's pool adds about 1.5k: about 1.0k
+    # copy-on-write faults on pages this process writes after the fork,
+    # 0.25k for importing the pool's modules within the call and the rest
+    # for its threads and queues (2.5k in all).
     src = Path(gspnn.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", FIRST_TRAINING_FAULTS],
                          env={**os.environ, "PYTHONPATH": str(src),
@@ -969,32 +972,29 @@ def test_imitation_problem_rejects_trajectories_of_another_shape(tiny_policy):
 
 
 # ---------------------------------------------------------------------------
-# The forked batch worker
+# The batch worker's process pool
 # ---------------------------------------------------------------------------
 
 class WorkerLog:
     """Makes ``os.sched_getaffinity`` report ``cpus`` CPUs (2 until a test
-    sets it) and records every ``_BatchWorker`` started."""
+    sets it) and records every ``ProcessPoolExecutor`` started."""
 
     def __init__(self, monkeypatch):
         self.cpus = 2
         self.started = []
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(self.cpus)))
-        start = fl._BatchWorker.__init__
+        start = ProcessPoolExecutor.__init__
 
-        def record(worker, problem):
-            start(worker, problem)
-            self.started.append(worker)
+        def record(executor, *args, **kwargs):
+            start(executor, *args, **kwargs)
+            self.started.append(executor)
 
-        monkeypatch.setattr(fl._BatchWorker, "__init__", record)
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", record)
 
     def assert_all_joined(self):
-        for worker in self.started:
-            assert worker.process.exitcode is not None
-            with pytest.raises(ProcessLookupError):
-                os.kill(worker.process.pid, 0)
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
 
 
 @pytest.fixture
@@ -1034,7 +1034,7 @@ def in_the_worker(action):
 def test_training_on_two_cpus_equals_one_cpu_bitwise(worker_log, n_traj):
     # the worker takes the second half of each batch of at least two
     # trajectories: 2 of 5, 3 of 6, 10 of the first 20 of 21 (whose second
-    # batch of one runs here alone); a batch of one starts no worker
+    # batch of one runs here alone); a batch of one starts no pool
     samples, _ = generate_dataset(n_traj, SMALL, seed=50)
     runs = {}
     for cpus in (1, 2):
@@ -1059,16 +1059,15 @@ def test_batch_loss_with_a_worker_equals_the_serial_per_block_oracle_bitwise(
     problem = make(nonlinearity)
     indices = np.array([2, 0, 1])
     want_value, want = per_block_batch_loss(problem, samples, indices)
-    problem.worker = fl._BatchWorker(problem)
-    try:
+    with deadline(60), ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("fork"),
+            initializer=fl._start_worker, initargs=(problem,)) as problem.worker:
         for _ in range(2):
             value, got = problem.batch_loss(indices)
             assert value == want_value
             for (name, g), w in zip(iter_params(got), want):
                 assert g.tobytes() == w.tobytes(), name
-    finally:
-        problem.worker.close()
-    assert problem.worker.process.exitcode == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_no_worker_is_forked_beside_another_thread(worker_log):
@@ -1106,9 +1105,10 @@ def test_an_exception_in_the_worker_is_raised_naming_the_worker(worker_log,
 
     monkeypatch.setattr(fl, "forward_batch", in_the_worker(fail))
     with deadline(60), pytest.raises(
-            TrainingError, match=r"training worker \(pid \d+\) failed: "
-                                 r"RuntimeError: no block here"):
+            TrainingError, match=r"training worker failed: "
+                                 r"RuntimeError: no block here") as caught:
         train_policy(samples, seed=3, epochs=2)
+    assert isinstance(caught.value.__cause__, RuntimeError)
     assert len(worker_log.started) == 1
     worker_log.assert_all_joined()
 
@@ -1117,10 +1117,10 @@ def test_a_worker_that_dies_is_raised_naming_it_without_a_hang(worker_log,
                                                                monkeypatch):
     samples, _ = generate_dataset(4, SMALL, seed=50)
     monkeypatch.setattr(fl, "forward_batch", in_the_worker(lambda: os._exit(7)))
-    with deadline(60), pytest.raises(
-            TrainingError, match=r"training worker \(pid \d+\) died with "
-                                 r"exit code 7"):
+    with deadline(60), pytest.raises(TrainingError,
+                                     match=r"training worker died") as caught:
         train_policy(samples, seed=3, epochs=2)
+    assert isinstance(caught.value.__cause__, BrokenProcessPool)
     assert len(worker_log.started) == 1
     worker_log.assert_all_joined()
 

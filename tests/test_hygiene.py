@@ -18,7 +18,10 @@ there imports ``pickle``. The program has one on-disk array format: every
 result-file writer too: no module of ``src/gspnn`` but ``cli.py`` imports
 ``csv``. Only ``flocking.py``, whose imitation training forks one batch
 worker, may start processes: no other module of ``src/gspnn`` imports
-``multiprocessing`` or ``concurrent`` or uses ``os.fork``.
+``multiprocessing`` or ``concurrent`` or uses ``os.fork``. ``flocking.py``
+imports the process pool only where a training starts it, so a fresh
+``import gspnn.cli`` loads neither ``multiprocessing`` nor
+``concurrent.futures.process``.
 
 The CLI keeps one run record per command: only ``dispatch`` builds a
 ``RunContext`` or calls ``write_manifest``.
@@ -55,7 +58,9 @@ whose last test is gone is dead code.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -272,6 +277,15 @@ def test_a_process_start_is_found():
                          ids=lambda p: f"gspnn/{p.name}")
 def test_only_flocking_starts_processes(path):
     assert process_starts(path.read_text()) == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = ("import sys, gspnn.cli; print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures.process')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout == "[]\n"
 
 
 def run_record_calls_outside_dispatch(source: str) -> list[str]:

@@ -382,48 +382,6 @@ def test_model_backward_twice_on_one_tape_gives_equal_gradients(nonlinearity):
         assert a.tobytes() == b.tobytes(), name
 
 
-FIRST_LAYERS = {
-    "fir": LayerSpec("fir", 2, 3, 2, nonlinearity="tanh"),
-    "arma": LayerSpec("arma", 2, 3, 1, n_poles=2, jacobi_iters=2,
-                      nonlinearity="tanh"),
-    "edge_varying": LayerSpec("edge_varying", 2, 3, 2, nonlinearity="relu"),
-}
-
-
-def two_layer_model(family, seed):
-    """Two layers of ``family`` into a readout, and a batch."""
-    s, r = small_shift(seed)
-    first = FIRST_LAYERS[family]
-    layers = (first, replace(first, in_features=3, out_features=2))
-    spec = ModelSpec(layers, ReadoutSpec("per_node_linear", 2))
-    return spec, init_state(spec, r, shift=s), s, r.normal(size=(3, s.n_nodes, 2))
-
-
-def test_model_backward_adds_into_the_given_gradients_in_place():
-    spec, state, s, x = two_layer_model("arma", 49)
-    out, tape = forward_batch(spec, state, s, x)
-    dout = np.random.default_rng(9).normal(size=out.shape)
-    acc = model_backward(tape, spec, state, dout)
-    arrays = [g for _, g in iter_params(acc)]
-    want = [a + g for a, (_, g) in zip(arrays, iter_params(
-        model_backward(tape, spec, state, 0.5 * dout)))]
-    assert model_backward(tape, spec, state, 0.5 * dout, into=acc) is acc
-    for (name, got), w, a in zip(iter_params(acc), want, arrays):
-        assert got is a and got.tobytes() == w.tobytes(), name
-    for family, message in (("fir", "into holds FirLayerParams where the "
-                                     "gradient is ArmaLayerParams"),
-                            ("edge_varying", "into holds EdgeLayerParams")):
-        other, other_state, _, _ = two_layer_model(family, 49)
-        with pytest.raises(ModelError, match=message):
-            model_backward(tape, spec, state, dout, into=other_state)
-    wide = replace(spec, layers=(replace(spec.layers[0], order=2),
-                                 spec.layers[1]))
-    with pytest.raises(ModelError, match=r"into holds a \(3, 2, 3\) array "
-                                         r"where the gradient is \(3, 2, 2\)"):
-        model_backward(tape, spec, state, dout,
-                       into=init_state(wide, np.random.default_rng(0), shift=s))
-
-
 SHIFTLESS_CASES = {
     # a static order-2 FIR model failed inside filters.shifted_stack with
     # AttributeError: 'NoneType' object has no attribute 'apply'
