@@ -740,11 +740,16 @@ def train_policy(samples: list[TrajectorySample], seed: int,
     if _two_processes(min(len(samples), POLICY_BATCH_TRAJ)):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=1,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_start_worker,
-                                 initargs=(problem,)) as problem.worker:
-            history = train(problem, recipe)
+        try:
+            with ProcessPoolExecutor(max_workers=1,
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_start_worker,
+                                     initargs=(problem,)) as problem.worker:
+                history = train(problem, recipe)
+        finally:
+            # the pool holds the problem in its initargs: left set, the
+            # cycle would keep the stack alive until a full collection
+            problem.worker = None
     else:
         history = train(problem, recipe)
     return PolicyBundle(spec, state, config.u_max, config), history

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import multiprocessing
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -931,10 +933,10 @@ def test_first_training_of_a_fresh_process_takes_few_page_faults():
     # here, 55.7k for 20 trajectories and 60 epochs. Block-sized arrays
     # (at most 275 kB each) come from reused heap once the first freed one
     # has raised that threshold, which leaves the 3.8 MB stack: about 1.0k.
-    # On 2 CPUs the batch worker's pool adds about 1.5k: about 1.0k
+    # On 2 CPUs the batch worker's pool adds about 1.45k: about 1.0k
     # copy-on-write faults on pages this process writes after the fork,
     # 0.25k for importing the pool's modules within the call and the rest
-    # for its threads and queues (2.5k in all).
+    # for its threads and queues (2.44k in all).
     src = Path(gspnn.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", FIRST_TRAINING_FAULTS],
                          env={**os.environ, "PYTHONPATH": str(src),
@@ -977,7 +979,8 @@ def test_imitation_problem_rejects_trajectories_of_another_shape(tiny_policy):
 
 class WorkerLog:
     """Makes ``os.sched_getaffinity`` report ``cpus`` CPUs (2 until a test
-    sets it) and records every ``ProcessPoolExecutor`` started."""
+    sets it) and records a weak reference to every ``ProcessPoolExecutor``
+    started, which leaves the executor's lifetime alone."""
 
     def __init__(self, monkeypatch):
         self.cpus = 2
@@ -988,7 +991,7 @@ class WorkerLog:
 
         def record(executor, *args, **kwargs):
             start(executor, *args, **kwargs)
-            self.started.append(executor)
+            self.started.append(weakref.ref(executor))
 
         monkeypatch.setattr(ProcessPoolExecutor, "__init__", record)
 
@@ -1093,6 +1096,37 @@ def test_a_non_finite_gradient_leaves_no_worker_behind(worker_log):
     with deadline(60), pytest.raises(TrainingError, match="non-finite gradient"):
         train_policy(samples, seed=3, epochs=2)
     assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
+
+
+def test_training_frees_its_problem_without_a_collection(worker_log,
+                                                         monkeypatch):
+    # the pool holds the problem in its initargs and the problem the pool:
+    # a cycle left in place kept each call's 19 MB stack alive until a full
+    # collection, and peak RSS grew by that much per call
+    problems = []
+    init = ImitationProblem.__init__
+
+    def record(problem, *args):
+        init(problem, *args)
+        problems.append(weakref.ref(problem))
+
+    monkeypatch.setattr(ImitationProblem, "__init__", record)
+    samples, _ = generate_dataset(4, SMALL, seed=50)
+    bad = samples[:3] + [replace(samples[3], actions=np.full_like(
+        samples[3].actions, np.nan))]
+    gc.disable()
+    try:
+        with deadline(60):
+            train_policy(samples, seed=3, epochs=1)
+            try:
+                train_policy(bad, seed=3, epochs=1)
+            except TrainingError:
+                pass
+    finally:
+        gc.enable()
+    assert len(worker_log.started) == 2
+    assert [ref() for ref in problems] == [None, None]
     worker_log.assert_all_joined()
 
 
