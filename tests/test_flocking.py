@@ -933,10 +933,10 @@ def test_first_training_of_a_fresh_process_takes_few_page_faults():
     # here, 55.7k for 20 trajectories and 60 epochs. Block-sized arrays
     # (at most 275 kB each) come from reused heap once the first freed one
     # has raised that threshold, which leaves the 3.8 MB stack: about 1.0k.
-    # On 2 CPUs the batch worker's pool adds about 1.45k: about 1.0k
+    # On 2 CPUs the batch worker's pool adds about 1.5k: about 1.0k
     # copy-on-write faults on pages this process writes after the fork,
     # 0.25k for importing the pool's modules within the call and the rest
-    # for its threads and queues (2.44k in all).
+    # for its threads and queues (2.50k in all).
     src = Path(gspnn.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", FIRST_TRAINING_FAULTS],
                          env={**os.environ, "PYTHONPATH": str(src),
