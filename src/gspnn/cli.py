@@ -322,17 +322,18 @@ def _restore_rating_model(ctx: RunContext, cfg: dict):
     table, sim = _load_table(ctx, cfg)
     ckpt = ctx.note_input(Path(cfg["checkpoint"]))
     spec, state, meta = load_checkpoint(ckpt)
-    keys = ("target_item", "family", "seed", "train_rmse", "test_rmse")
+    keys = ("target_item", "target_node", "family", "seed", "train_rmse",
+            "test_rmse")
     for key in keys:
         if key not in meta:
             raise rs.DataError(f"{ckpt}: checkpoint metadata has no {key}")
     shift = rs.build_item_shift(sim)
     rs.checked_pole_bounds(state, shift)
-    target, family, seed, train_rmse, test_rmse = (meta[key] for key in keys)
-    # the trained item's node in this table, which need not be its node in
-    # the table the model was trained on
-    model = rs.TrainedRating(spec, state, shift, target, table.item_node(target),
-                             family, seed, [], train_rmse, test_rmse)
+    # target_node is the trained item's node in the table the model was
+    # trained on, which need not be its node in this one
+    model = rs.TrainedRating(
+        spec, state, shift, meta["target_item"], meta["target_node"],
+        meta["family"], meta["seed"], [], meta["train_rmse"], meta["test_rmse"])
     return table, sim, model
 
 
@@ -341,7 +342,7 @@ def cmd_recsys_eval(ctx: RunContext, cfg: dict) -> None:
     _, test_set = rs.make_samples(table, sim, model.target_item,
                                   split=cfg["split"], seed=model.seed)
     rmse = rs.evaluate_rmse(model.spec, model.state, model.shift, test_set,
-                            model.target_node)
+                            table.item_node(model.target_item))
     _write_metrics(ctx.out_path("metrics.csv"), model.family, model.seed,
                    model.target_item, rmse)
     print(f"rmse {rmse:.4f} on item {model.target_item}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -737,21 +738,20 @@ def train_policy(samples: list[TrajectorySample], seed: int,
     problem = ImitationProblem(spec, state, samples, config.u_max)
     recipe = TrainConfig(epochs=epochs, batch_size=POLICY_BATCH_TRAJ,
                          learning_rate=POLICY_LEARNING_RATE, seed=seed)
+    pool = nullcontext()
     if _two_processes(min(len(samples), POLICY_BATCH_TRAJ)):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        try:
-            with ProcessPoolExecutor(max_workers=1,
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_start_worker,
-                                     initargs=(problem,)) as problem.worker:
-                history = train(problem, recipe)
-        finally:
-            # the pool holds the problem in its initargs: left set, the
-            # cycle would keep the stack alive until a full collection
-            problem.worker = None
-    else:
-        history = train(problem, recipe)
+        pool = ProcessPoolExecutor(max_workers=1,
+                                   mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_start_worker, initargs=(problem,))
+    try:
+        with pool as problem.worker:
+            history = train(problem, recipe)
+    finally:
+        # the pool holds the problem in its initargs: left set, the cycle
+        # would keep the stack alive until a full collection
+        problem.worker = None
     return PolicyBundle(spec, state, config.u_max, config), history
 
 

@@ -220,18 +220,23 @@ def test_recsys_eval_rejects_a_pole_on_the_shift_diagonal(tmp_path, capsys):
     assert "shift diagonal entry 0.0" in err
 
 
+def write_bench_ratings(path: Path) -> None:
+    """The benchmark's seed-17 MovieLens-like ratings, written to ``path``."""
+    source = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", source)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path.write_text("\n".join(inputs.movielens_like_lines(17)) + "\n")
+
+
 def test_recsys_eval_reads_the_trained_item_at_its_node_in_its_own_table(
         tmp_path):
     # item 1394 is node 161 among the 200 most-rated items of the
     # benchmark's seed-17 ratings, and node 152 among the 190 most-rated;
     # an eval that took node 161 from the checkpoint exited 0 with
     # "rmse 2.5626", the model read at item 1451's node
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
     data = tmp_path / "u.data"
-    data.write_text("\n".join(inputs.movielens_like_lines(17)) + "\n")
+    write_bench_ratings(data)
     assert main(["recsys", "train", "--data", str(data), "--target", "1394",
                  "--model", "fir", "--epochs", "2", "--seed", "3",
                  "--out", str(tmp_path / "train")]) == 0
@@ -249,8 +254,33 @@ def test_recsys_eval_reads_the_trained_item_at_its_node_in_its_own_table(
         "model,seed,target,rmse", f"fir,3,1394,{rmse!r}"]
 
 
-@pytest.mark.parametrize("key", ["target_item", "family", "seed", "train_rmse",
-                                 "test_rmse"])
+def test_recsys_transfer_runs_on_a_table_without_the_trained_item(tmp_path):
+    # item 20 is among the 200 most-rated items of the benchmark's seed-17
+    # ratings but not among the 100 most-rated; a transfer that looked the
+    # trained item up in its own table failed with "unknown item id 20"
+    data = tmp_path / "u.data"
+    write_bench_ratings(data)
+    assert main(["recsys", "train", "--data", str(data), "--target", "20",
+                 "--model", "fir", "--epochs", "2", "--seed", "3",
+                 "--out", str(tmp_path / "train")]) == 0
+    checkpoint = tmp_path / "train" / "checkpoint.npz"
+    assert main(["recsys", "transfer", "--data", str(data), "--checkpoint",
+                 str(checkpoint), "--top-items", "100", "--target", "1394",
+                 "--out", str(tmp_path / "transfer")]) == 0
+    spec, state, meta = neural.load_checkpoint(checkpoint)
+    table = rs.select_top_items(rs.ingest_movielens(data), 100)
+    sim = rs.build_similarity(table)
+    with pytest.raises(rs.DataError, match="unknown item id 20"):
+        table.item_node(20)
+    _, test_set = rs.make_samples(table, sim, 1394, split=0.9, seed=3)
+    rmse = rs.evaluate_rmse(spec, state, rs.build_item_shift(sim), test_set,
+                            table.item_node(1394))
+    assert (tmp_path / "transfer" / "metrics.csv").read_text().splitlines() == [
+        "model,seed,target,rmse", f"fir,3,1394,{rmse!r}"]
+
+
+@pytest.mark.parametrize("key", ["target_item", "target_node", "family", "seed",
+                                 "train_rmse", "test_rmse"])
 def test_recsys_eval_names_a_missing_checkpoint_key(tmp_path, capsys, key):
     data = tmp_path / "u.data"
     write_synthetic_fixture(data)

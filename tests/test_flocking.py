@@ -936,7 +936,9 @@ def test_first_training_of_a_fresh_process_takes_few_page_faults():
     # On 2 CPUs the batch worker's pool adds about 1.5k: about 1.0k
     # copy-on-write faults on pages this process writes after the fork,
     # 0.25k for importing the pool's modules within the call and the rest
-    # for its threads and queues (2.50k in all).
+    # for its threads and queues: 2.48k-2.52k over 20 runs, 2.45k-2.47k
+    # over 10 beside a busy process (2.04k-2.07k over 20 for the
+    # fork-and-pipe worker the pool replaced).
     src = Path(gspnn.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", FIRST_TRAINING_FAULTS],
                          env={**os.environ, "PYTHONPATH": str(src),
