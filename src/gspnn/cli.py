@@ -413,6 +413,7 @@ def cmd_flocking_evaluate(ctx: RunContext, cfg: dict) -> None:
     with ctx.phase("load"):
         bundle, model = _load_policy(ctx, cfg)
     agents = cfg["agents"] or bundle.config.n_agents
+    config = replace(bundle.config, n_agents=agents)    # checks agents
     base_seed = 10_000 + cfg["seed"]
     with ctx.phase("rollout"):
         rows = fl.scalability_sweep(bundle, [agents], cfg["trials"],
@@ -420,14 +421,14 @@ def cmd_flocking_evaluate(ctx: RunContext, cfg: dict) -> None:
         _write_costs(ctx.out_path("costs.csv"), rows, model)
     with ctx.phase("expert"):
         expert = np.mean(fl.expert_rollout_costs(
-            replace(bundle.config, n_agents=agents),
-            [base_seed + t for t in range(cfg["trials"])]))
+            config, [base_seed + t for t in range(cfg["trials"])]))
     print(f"policy cost {rows[0]['mean_cost']:.1f} "
           f"(+-{rows[0]['std_cost']:.1f}); expert {expert:.1f}")
 
 
 def cmd_flocking_sweep(ctx: RunContext, cfg: dict) -> None:
     sizes = _parse_list(cfg, "sizes", int).tolist()
+    fl.check_sizes(sizes, ConfigError)
     with ctx.phase("load"):
         bundle, model = _load_policy(ctx, cfg)
     with ctx.phase("rollout"):

@@ -678,14 +678,14 @@ def _add_in_order(total: float, sums: list[np.ndarray], blocks) -> float:
     return total
 
 
-def _two_processes(batch_size: int) -> bool:
-    """Whether ``train_policy`` opens the one-process pool: this process
-    can fork and may run on at least 2 CPUs, no other Python thread runs
-    (a forked thread-holding process can deadlock), and a batch has at
-    least 2 trajectories to split."""
+def _two_processes(n_jobs: int) -> bool:
+    """Whether to open the one-process pool: this process can fork and may
+    run on at least 2 CPUs, no other Python thread runs (a forked
+    thread-holding process can deadlock), and there are at least 2 jobs
+    to split (a training batch's trajectories, or a sweep's team sizes)."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1 and batch_size >= 2)
+            and threading.active_count() == 1 and n_jobs >= 2)
 
 
 # The worker process's problem; only ``_start_worker``, in that process,
@@ -702,6 +702,16 @@ def _start_worker(problem: ImitationProblem) -> None:
     global _worker_problem
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_problem = problem
+
+
+def _fork_pool(problem: ImitationProblem | None):
+    """The one-process pool: one worker, forked at the first job, that
+    keeps ``problem`` (a sweep's is None); its modules load only here."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=1,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(problem,))
 
 
 def _worker_blocks(params: list[np.ndarray], indices, batch_size: int):
@@ -723,10 +733,10 @@ def train_policy(samples: list[TrajectorySample], seed: int,
     ``POLICY_LEARNING_RATE`` on batches of ``POLICY_BATCH_TRAJ``
     trajectories. Returns (PolicyBundle, the training history).
 
-    When ``_two_processes`` allows it, a ``ProcessPoolExecutor`` of one
-    worker, forked at the first batch (after the delayed stack is built),
-    runs the second half of every batch (see ``ImitationProblem``); the
-    history and parameters are bitwise those of one process. The pool
+    When ``_two_processes`` allows it, the one-process pool of
+    ``_fork_pool``, forked at the first batch (after the delayed stack is
+    built), runs the second half of every batch (see ``ImitationProblem``);
+    the history and parameters are bitwise those of one process. The pool
     lives for this call, and its ``with`` block shuts it down and joins
     the worker on every exit from it. A worker's exception or death is
     raised as a ``TrainingError``."""
@@ -738,13 +748,8 @@ def train_policy(samples: list[TrajectorySample], seed: int,
     problem = ImitationProblem(spec, state, samples, config.u_max)
     recipe = TrainConfig(epochs=epochs, batch_size=POLICY_BATCH_TRAJ,
                          learning_rate=POLICY_LEARNING_RATE, seed=seed)
-    pool = nullcontext()
-    if _two_processes(min(len(samples), POLICY_BATCH_TRAJ)):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=1,
-                                   mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_start_worker, initargs=(problem,))
+    pool = (_fork_pool(problem) if _two_processes(min(len(samples), POLICY_BATCH_TRAJ))
+            else nullcontext())
     try:
         with pool as problem.worker:
             history = train(problem, recipe)
@@ -844,18 +849,51 @@ def zero_controller_cost(config: FlockConfig, seed: int) -> float:
     return float(config.n_steps * np.sum(centered * centered) / config.n_agents)
 
 
+def check_sizes(sizes, error: type[Exception]) -> None:
+    """Raise ``error`` unless a sweep's ``sizes`` are 1 or more ints >= 2."""
+    check_count("number of sizes", len(sizes), 1, error)
+    for i, size in enumerate(sizes):
+        check_count(f"sizes[{i}]", size, 2, error)
+
+
+def _costs(bundle: PolicyBundle, n_agents: int, seeds) -> list[float]:
+    return [cost for _, cost, _ in _rollouts(bundle, n_agents, seeds)]
+
+
+def _sweep_costs(future) -> list[float]:
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        raise RuntimeError(f"scalability sweep worker died: {exc}") from exc
+
+
 def scalability_sweep(bundle: PolicyBundle, sizes: list[int], trials: int,
                       base_seed: int = 10_000):
-    """Mean/std closed-loop cost per team size, parameters untouched; each
-    size's trials run as one lockstep batch."""
+    """Mean/std closed-loop cost per team size, in ``sizes`` order,
+    parameters untouched; each size's trials run as one lockstep batch.
+    If ``_two_processes`` allows, ``_fork_pool``'s worker runs some sizes
+    and sends only their costs; rows and errors are one process's."""
     check_count("trials", trials, 1, ValueError)
-    rows = []
-    for size in sizes:
-        runs = _rollouts(bundle, size, [base_seed + t for t in range(trials)])
-        costs = np.array([cost for _, cost, _ in runs])
-        rows.append({"n_agents": size, "mean_cost": float(np.mean(costs)),
-                     "std_cost": float(np.std(costs))})
-    return rows
+    check_sizes(sizes, ValueError)
+    seeds = [base_seed + t for t in range(trials)]
+    # largest first, each size to the process with the smaller sum of N**2
+    shares = ([], [])
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        min(shares, key=lambda share: sum(sizes[j] ** 2 for j in share)).append(i)
+    theirs = sorted(shares[1]) if _two_processes(len(sizes)) else []
+    with _fork_pool(None) if theirs else nullcontext() as pool:
+        costs = {i: pool.submit(_costs, bundle, sizes[i], seeds) for i in theirs}
+        try:
+            for i, size in enumerate(sizes):
+                if i not in costs:
+                    costs[i] = _costs(bundle, size, seeds)
+            i = len(sizes)
+        finally:    # when size i raised, one process raises a smaller j's error
+            for j in [j for j in theirs if j < i]:
+                costs[j] = _sweep_costs(costs[j])
+    return [{"n_agents": size, "mean_cost": float(np.mean(costs[i])),
+             "std_cost": float(np.std(costs[i]))} for i, size in enumerate(sizes)]
 
 
 def save_policy(path, bundle: PolicyBundle, extra: dict | None = None) -> None:

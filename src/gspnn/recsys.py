@@ -342,7 +342,8 @@ def _item_correlation(table: RatingsTable) -> np.ndarray:
     gram = centered.T @ centered                     # co-rated covariances
     sq = centered * centered
     var_ab = sq.T @ maskf                            # sum_a (x-mu)^2 over co-raters
-    co_counts = maskf.T @ maskf
+    mask32 = mask.astype(np.float32)                 # exact: counts < 2**24
+    co_counts = mask32.T @ mask32
 
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = gram / np.sqrt(var_ab * var_ab.T)

@@ -423,6 +423,36 @@ def write_synthetic_fixture(path, n_users: int = 20, n_items: int = 12,
         fh.write("\n".join(lines) + "\n")
 
 
+def write_bench_ratings(path) -> None:
+    """The benchmark's seed-17 MovieLens-like ratings, written to ``path``."""
+    import importlib.util
+    from pathlib import Path
+    source = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", source)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path.write_text("\n".join(inputs.movielens_like_lines(17)) + "\n")
+
+
+def float64_count_item_correlation(table):
+    """``recsys._item_correlation`` with its co-rater counts taken from a
+    float64 product of the mask, as they were before the float32 one."""
+    x, mask = table.rating_matrix
+    rated_counts = mask.sum(axis=0)
+    means = np.zeros(table.n_items)
+    np.divide(x.sum(axis=0), rated_counts, out=means, where=rated_counts > 0)
+    centered = (x - means[None, :]) * mask
+    maskf = mask.astype(float)
+    gram = centered.T @ centered
+    var_ab = (centered * centered).T @ maskf
+    co_counts = maskf.T @ maskf
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = gram / np.sqrt(var_ab * var_ab.T)
+    corr[(co_counts < 2) | (var_ab <= 0) | (var_ab.T <= 0)] = 0.0
+    np.fill_diagonal(corr, 0.0)
+    return corr
+
+
 def most_rated_items(table, k=2):
     """Ids of the ``k`` items with the most ratings, ties to the lower id."""
     counts = np.bincount(table.item_idx, minlength=table.n_items)

@@ -1,8 +1,6 @@
 import csv
-import importlib.util
 import io
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +18,8 @@ from gspnn.flocking import (
 )
 from gspnn.neural import init_state
 
-from conftest import horner_response, write_synthetic_fixture
+from conftest import (horner_response, write_bench_ratings,
+                      write_synthetic_fixture)
 
 
 def test_threads_config_key_is_rejected_by_name(tmp_path, capsys):
@@ -132,6 +131,23 @@ def test_flocking_rollouts_reject_zero_trials_naming_the_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes,message", [
+    ("", "number of sizes must be an integer >= 1, got 0"),
+    ("8,1", "sizes[1] must be an integer >= 2, got 1"),
+    ("1", "sizes[0] must be an integer >= 2, got 1"),
+], ids=["empty", "a one-agent second size", "a one-agent size"])
+def test_flocking_sweep_checks_its_sizes_before_reading_the_checkpoint(
+        tmp_path, capsys, sizes, message):
+    # the missing checkpoint was reported instead; given a checkpoint, an
+    # empty list exited 0 with a header-only sweep.csv and "8,1" ran the N=8
+    # rollouts before it failed on n_agents
+    out = tmp_path / "out"
+    assert main(["flocking", "sweep", "--checkpoint", str(tmp_path / "nowhere.npz"),
+                 "--sizes", sizes, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["recsys", "train", "--data", "{tmp}/missing/u.data", "--target", "2"],
     ["flocking", "train", "--dataset", "{tmp}/missing"],
@@ -218,15 +234,6 @@ def test_recsys_eval_rejects_a_pole_on_the_shift_diagonal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "layers.0.gamma[0, 0, 0] = 0.0 is within" in err
     assert "shift diagonal entry 0.0" in err
-
-
-def write_bench_ratings(path: Path) -> None:
-    """The benchmark's seed-17 MovieLens-like ratings, written to ``path``."""
-    source = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", source)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    path.write_text("\n".join(inputs.movielens_like_lines(17)) + "\n")
 
 
 def test_recsys_eval_reads_the_trained_item_at_its_node_in_its_own_table(

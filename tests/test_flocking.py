@@ -18,6 +18,7 @@ import pytest
 
 import gspnn
 from gspnn import flocking as fl
+from gspnn.cli import main
 from gspnn.flocking import (
     ExpertAbort,
     FlockConfig,
@@ -919,6 +920,7 @@ def test_batch_loss_peak_memory_does_not_grow_with_the_trajectory_length():
 FIRST_TRAINING_FAULTS = """
 import resource
 from gspnn import flocking as fl
+from gspnn.cli import main
 samples, _ = fl.generate_dataset(4, fl.FlockConfig(), 701)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 fl.train_policy(samples, seed=701, epochs=3)
@@ -1219,6 +1221,134 @@ def test_rollouts_end_when_every_team_diverged(tiny_policy, crafted_spawns):
     assert [(cost, diverged) for _, cost, diverged in runs] == [(np.inf, True)] * 2
     for (positions, velocities), _, _ in runs:
         assert not np.any(positions[1:]) and not np.any(velocities[1:])
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ([], r"number of sizes must be an integer >= 1, got 0"),
+    ([8, 1], r"sizes\[1\] must be an integer >= 2, got 1"),
+    ([8, 10, 2.5], r"sizes\[2\] must be an integer >= 2, got 2.5"),
+    ([True, 8], r"sizes\[0\] must be an integer >= 2, got True"),
+], ids=["empty", "one agent", "fraction", "bool"])
+def test_scalability_sweep_checks_every_size_before_any_rollout(
+        tiny_policy, worker_log, monkeypatch, sizes, message):
+    # an empty list returned no rows, and [8, 1] ran the N=8 rollouts before
+    # FlockConfig rejected n_agents = 1
+    calls = []
+    monkeypatch.setattr(fl, "_rollouts", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        scalability_sweep(tiny_policy[2], sizes, trials=2, base_seed=50)
+    assert calls == [] and worker_log.started == []
+
+
+def sweep_on_one_and_two_cpus(worker_log, *args, **kwargs) -> dict:
+    """The rows of ``scalability_sweep(*args, **kwargs)`` on 1 and 2 CPUs."""
+    rows = {}
+    for cpus in (1, 2):
+        worker_log.cpus = cpus
+        with deadline(60):
+            rows[cpus] = scalability_sweep(*args, **kwargs)
+    return rows
+
+
+# With sizes [8, 10, 12] the worker runs 8 and 10 (64 + 100 < 144 after the
+# largest size went to this process), and this process runs 12.
+@pytest.mark.parametrize("sizes,duration", [
+    ([8, 10, 12], None),
+    ([10, 8, 10], None),
+    ([25, 31, 37, 44, 50], 0.1),
+], ids=["three sizes", "a duplicate size", "the CLI default"])
+def test_scalability_sweep_on_two_cpus_equals_one_cpu_bitwise(
+        tiny_policy, worker_log, sizes, duration):
+    bundle = tiny_policy[2]
+    if duration is not None:
+        bundle = replace(bundle, config=replace(bundle.config, duration=duration))
+    rows = sweep_on_one_and_two_cpus(worker_log, bundle, sizes, trials=2,
+                                     base_seed=50)
+    assert [row["n_agents"] for row in rows[2]] == sizes
+    assert repr(rows[2]) == repr(rows[1])
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
+
+
+def test_scalability_sweep_on_two_cpus_equals_one_cpu_around_a_diverging_team(
+        tiny_policy, worker_log, crafted_spawns):
+    cfg, _, bundle, _ = tiny_policy
+    crafted_spawns(cfg, {61: coincide, 62: run_away})   # two N=8 teams
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = sweep_on_one_and_two_cpus(worker_log, bundle, [8, 10, 12],
+                                         trials=4, base_seed=60)
+    assert rows[1][0]["mean_cost"] == np.inf
+    assert all(np.isfinite(row["mean_cost"]) for row in rows[1][1:])
+    assert repr(rows[2]) == repr(rows[1])
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
+
+
+@pytest.mark.parametrize("sizes,aborting", [
+    ([8, 10, 12], {10}),
+    ([8, 10, 12], {12}),
+    ([8, 10, 12], {8, 12}),
+    ([12, 10, 8], {8, 12}),
+], ids=["a worker size", "this process's size", "both, the worker's first",
+        "both, this process's first"])
+def test_a_spawn_abort_in_a_sweep_is_raised_as_on_one_cpu(
+        tiny_policy, worker_log, monkeypatch, sizes, aborting):
+    # the worker runs 8 and 10 and this process 12, in either order; the
+    # first failing size in sizes order wins, whichever process ran it
+    original = fl.spawn_state
+
+    def spawn(config, rng):
+        if config.n_agents in aborting:
+            raise ExpertAbort(f"no team of {config.n_agents}")
+        return original(config, rng)
+
+    monkeypatch.setattr(fl, "spawn_state", spawn)
+    errors = {}
+    for cpus in (1, 2):
+        worker_log.cpus = cpus
+        with deadline(60), pytest.raises(ExpertAbort) as caught:
+            scalability_sweep(tiny_policy[2], sizes, trials=2, base_seed=50)
+        errors[cpus] = (type(caught.value), str(caught.value))
+    first = next(size for size in sizes if size in aborting)
+    assert errors[1] == errors[2] == (ExpertAbort, f"no team of {first}")
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
+
+
+def test_a_sweep_worker_that_dies_is_raised_naming_the_sweep_without_a_hang(
+        tiny_policy, worker_log, monkeypatch):
+    monkeypatch.setattr(fl, "forward_batch", in_the_worker(lambda: os._exit(7)))
+    with deadline(60), pytest.raises(
+            RuntimeError, match=r"^scalability sweep worker died") as caught:
+        scalability_sweep(tiny_policy[2], [8, 10, 12], trials=2, base_seed=50)
+    assert isinstance(caught.value.__cause__, BrokenProcessPool)
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
+
+
+def test_a_single_size_sweep_starts_no_executor(tiny_policy, worker_log):
+    rows = scalability_sweep(tiny_policy[2], [10], trials=2, base_seed=50)
+    assert [row["n_agents"] for row in rows] == [10]
+    assert worker_log.started == []
+    worker_log.assert_all_joined()
+
+
+def test_flocking_sweep_writes_the_same_csv_on_one_and_two_cpus(
+        tiny_policy, worker_log, tmp_path):
+    checkpoint = tmp_path / "policy.npz"
+    save_policy(checkpoint, tiny_policy[2], extra={"model": "gcnn"})
+    written = []
+    for cpus in (1, 2):
+        worker_log.cpus = cpus
+        out = tmp_path / f"cpus{cpus}"
+        with deadline(60):
+            assert main(["flocking", "sweep", "--checkpoint", str(checkpoint),
+                         "--sizes", "8,10,12", "--trials", "3",
+                         "--out", str(out)]) == 0
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
 
 
 def test_policy_checkpoint_roundtrip(tiny_policy, tmp_path):

@@ -16,12 +16,13 @@ there imports ``pickle``. The program has one on-disk array format: every
 ``np.save`` / ``np.savez`` / ``np.load`` call in ``src/gspnn`` sits in
 ``neural.write_archive`` or ``neural.read_archive``. The program has one
 result-file writer too: no module of ``src/gspnn`` but ``cli.py`` imports
-``csv``. Only ``flocking.py``, whose imitation training forks one batch
-worker, may start processes: no other module of ``src/gspnn`` imports
-``multiprocessing`` or ``concurrent`` or uses ``os.fork``. ``flocking.py``
-imports the process pool only where a training starts it, so a fresh
-``import gspnn.cli`` loads neither ``multiprocessing`` nor
-``concurrent.futures.process``.
+``csv``. Only ``flocking.py``, whose imitation training and scalability
+sweep fork one worker, may start processes: no other module of
+``src/gspnn`` imports ``multiprocessing`` or ``concurrent`` or uses
+``os.fork``. ``flocking.py`` imports the process pool only where a
+training or a sweep starts it, so a fresh ``import gspnn.cli`` loads
+neither ``multiprocessing`` nor ``concurrent.futures.process``, and
+``src/gspnn`` builds a ``ProcessPoolExecutor`` at one call site only.
 
 The CLI keeps one run record per command: only ``dispatch`` builds a
 ``RunContext`` or calls ``write_manifest``.
@@ -277,6 +278,30 @@ def test_a_process_start_is_found():
                          ids=lambda p: f"gspnn/{p.name}")
 def test_only_flocking_starts_processes(path):
     assert process_starts(path.read_text()) == []
+
+
+def pool_constructions(source: str) -> list[str]:
+    """Calls of ``ProcessPoolExecutor``, by name or as an attribute."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (_is_name(node.func, "ProcessPoolExecutor")
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "ProcessPoolExecutor")]
+
+
+def test_a_pool_construction_is_found():
+    source = ("import concurrent.futures as cf\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "a = ProcessPoolExecutor(max_workers=1)\n"
+              "b = cf.ProcessPoolExecutor()\nc = ThreadPoolExecutor()\n"
+              "d = ProcessPoolExecutor\n")
+    assert pool_constructions(source) == ["line 3", "line 4"]
+
+
+def test_the_program_builds_its_process_pool_at_one_site():
+    sites = [f"{path.name} {site}" for path in SOURCES
+             for site in pool_constructions(path.read_text())]
+    assert len(sites) == 1, sites
 
 
 def test_importing_the_cli_loads_no_process_pool():

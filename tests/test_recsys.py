@@ -43,10 +43,12 @@ from gspnn.recsys import (
 )
 
 from conftest import (
+    float64_count_item_correlation,
     loop_similarity_edges,
     most_rated_items,
     per_user_samples,
     raw_id_top_items,
+    write_bench_ratings,
     write_synthetic_fixture,
 )
 
@@ -552,6 +554,21 @@ def test_similarity_ties_keep_the_lower_node_index(monkeypatch):
     sim = build_similarity(table)
     assert sim.graph.edges == loop_similarity_edges(corr, 1)
     assert [(i, j) for i, j, _ in sim.graph.edges] == [(0, 1), (0, 2), (0, 3)]
+
+
+@pytest.mark.parametrize("source", ["bench seed 17", *range(4)])
+def test_item_correlation_equals_the_float64_count_oracle_bitwise(tmp_path,
+                                                                  source):
+    # the co-rater counts come from a float32 product of the mask; they are
+    # whole numbers below 2**24, so only the (co_counts < 2) test reads them
+    if source == "bench seed 17":
+        write_bench_ratings(tmp_path / "u.data")
+        table = select_top_items(ingest_movielens(tmp_path / "u.data"), 200)
+    else:
+        table = _coarse_ratings_table(source)
+    got = _item_correlation(table)
+    assert got.tobytes() == float64_count_item_correlation(table).tobytes()
+    assert np.count_nonzero(got) > 0
 
 
 def test_similarity_ties_occur_in_the_oracle_tables():
