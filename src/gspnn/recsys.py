@@ -340,8 +340,7 @@ def _item_correlation(table: RatingsTable) -> np.ndarray:
 
     maskf = mask.astype(float)
     gram = centered.T @ centered                     # co-rated covariances
-    sq = centered * centered
-    var_ab = sq.T @ maskf                            # sum_a (x-mu)^2 over co-raters
+    var_ab = (centered * centered).T @ maskf         # sum_a (x-mu)^2 over co-raters
     mask32 = mask.astype(np.float32)                 # exact: counts < 2**24
     co_counts = mask32.T @ mask32
 
