@@ -860,14 +860,6 @@ def _costs(bundle: PolicyBundle, n_agents: int, seeds) -> list[float]:
     return [cost for _, cost, _ in _rollouts(bundle, n_agents, seeds)]
 
 
-def _sweep_costs(future) -> list[float]:
-    from concurrent.futures.process import BrokenProcessPool
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        raise RuntimeError(f"scalability sweep worker died: {exc}") from exc
-
-
 def scalability_sweep(bundle: PolicyBundle, sizes: list[int], trials: int,
                       base_seed: int = 10_000):
     """Mean/std closed-loop cost per team size, in ``sizes`` order,
@@ -885,13 +877,23 @@ def scalability_sweep(bundle: PolicyBundle, sizes: list[int], trials: int,
     with _fork_pool(None) if theirs else nullcontext() as pool:
         costs = {i: pool.submit(_costs, bundle, sizes[i], seeds) for i in theirs}
         try:
-            for i, size in enumerate(sizes):
-                if i not in costs:
-                    costs[i] = _costs(bundle, size, seeds)
-            i = len(sizes)
-        finally:    # when size i raised, one process raises a smaller j's error
-            for j in [j for j in theirs if j < i]:
-                costs[j] = _sweep_costs(costs[j])
+            try:
+                for i, size in enumerate(sizes):
+                    if i not in costs:
+                        costs[i] = _costs(bundle, size, seeds)
+                i = len(sizes)
+            finally:    # when size i raised, one process raises a smaller j's error
+                for j in [j for j in theirs if j < i]:
+                    costs[j] = costs[j].result()
+        except BaseException as exc:    # the worker's later sizes are not waited for
+            if not theirs:
+                raise
+            from concurrent.futures.process import BrokenProcessPool
+            for process in pool._processes.values():  # Python 3.14's terminate_workers
+                process.terminate()
+            if isinstance(exc, BrokenProcessPool):
+                raise RuntimeError(f"scalability sweep worker died: {exc}") from exc
+            raise
     return [{"n_agents": size, "mean_cost": float(np.mean(costs[i])),
              "std_cost": float(np.std(costs[i]))} for i, size in enumerate(sizes)]
 

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -920,7 +921,6 @@ def test_batch_loss_peak_memory_does_not_grow_with_the_trajectory_length():
 FIRST_TRAINING_FAULTS = """
 import resource
 from gspnn import flocking as fl
-from gspnn.cli import main
 samples, _ = fl.generate_dataset(4, fl.FlockConfig(), 701)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 fl.train_policy(samples, seed=701, epochs=3)
@@ -1311,6 +1311,34 @@ def test_a_spawn_abort_in_a_sweep_is_raised_as_on_one_cpu(
         errors[cpus] = (type(caught.value), str(caught.value))
     first = next(size for size in sizes if size in aborting)
     assert errors[1] == errors[2] == (ExpertAbort, f"no team of {first}")
+    assert len(worker_log.started) == 1
+    worker_log.assert_all_joined()
+
+
+@pytest.mark.parametrize("sizes,aborting,stalling", [
+    ([12, 8, 10], 12, 8),
+    ([8, 10, 12], 8, 10),
+], ids=["this process's size", "the worker's first size"])
+def test_a_spawn_abort_in_a_sweep_does_not_wait_for_the_workers_later_sizes(
+        tiny_policy, worker_log, monkeypatch, sizes, aborting, stalling):
+    # the worker runs 8 and 10 and this process 12; a later worker size
+    # that stalls for 20 s a trial is stopped, not waited for, once the
+    # sweep's error is known
+    original, parent = fl.spawn_state, os.getpid()
+
+    def spawn(config, rng):
+        if config.n_agents == aborting:
+            raise ExpertAbort(f"no team of {aborting}")
+        if config.n_agents == stalling and os.getpid() != parent:
+            time.sleep(20)
+        return original(config, rng)
+
+    monkeypatch.setattr(fl, "spawn_state", spawn)
+    worker_log.cpus = 2
+    start = time.monotonic()
+    with deadline(60), pytest.raises(ExpertAbort, match=f"^no team of {aborting}$"):
+        scalability_sweep(tiny_policy[2], sizes, trials=2, base_seed=50)
+    assert time.monotonic() - start < 10
     assert len(worker_log.started) == 1
     worker_log.assert_all_joined()
 
