@@ -338,9 +338,9 @@ def _item_correlation(table: RatingsTable) -> np.ndarray:
     np.divide(x.sum(axis=0), rated_counts, out=means, where=rated_counts > 0)
     centered = (x - means[None, :]) * mask
 
-    mask32 = mask.astype(np.float32)                 # exact: counts < 2**24
     gram = centered.T @ centered                     # co-rated covariances
-    var_ab = (centered * centered).T @ mask32        # sum_a (x-mu)^2 over co-raters
+    var_ab = (centered * centered).T @ mask          # sum_a (x-mu)^2 over co-raters
+    mask32 = mask.astype(np.float32)                 # exact: counts < 2**24
     co_counts = mask32.T @ mask32
 
     with np.errstate(invalid="ignore", divide="ignore"):
